@@ -136,7 +136,7 @@ def cmd_train(args) -> int:
     phase = "1" if train_cfg.phase2_epochs == 0 else "2"
     metadata = {"phase": phase, "epochs_run": str(len(history.records))}
     for ph, metric in history.best_metric.items():
-        metadata[f"best_metric.phase{ph}"] = repr(metric)
+        metadata[f"best_metric.phase{ph}"] = repr(float(metric))
         metadata[f"best_epoch.phase{ph}"] = str(history.best_epoch[ph])
     save_checkpoint(args.out, model, metadata=metadata)
     history_path = args.history or args.out + ".history.tsv"

@@ -26,6 +26,12 @@ import numpy as np
 
 from .errors import FormatError
 
+# mkstemp creates files 0600; written files get the mode open() would give
+# them. The umask can only be read by setting it, which is not safe once
+# crossval's fold threads run, so it is read once, here.
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+
 
 def canonical_text(entries: dict[str, str]) -> str:
     for key, value in entries.items():
@@ -94,6 +100,7 @@ def write_container(
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-container-")
     try:
         with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~_UMASK)
             fh.write(b"".join(parts))
         os.replace(tmp_path, path)
     except BaseException:
@@ -118,12 +125,14 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def text_block(self, what: str) -> str:
-        length = self.u32()
+    def text(self, length: int, what: str) -> str:
         try:
             return self.take(length).decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise FormatError(f"{self.path}: {what} block is not valid UTF-8") from exc
+            raise FormatError(f"{self.path}: {what} is not valid UTF-8") from exc
+
+    def text_block(self, what: str) -> str:
+        return self.text(self.u32(), f"{what} block")
 
 
 def read_container(
@@ -149,8 +158,7 @@ def read_container(
     count = r.u32()
     tensors: list[tuple[str, np.ndarray]] = []
     for _ in range(count):
-        name_len = r.u32()
-        name = r.take(name_len).decode("utf-8")
+        name = r.text(r.u32(), "tensor name")
         rank = r.u32()
         if rank > 8:
             raise FormatError(f"{path}: implausible tensor rank {rank} for {name!r}")

@@ -24,11 +24,65 @@ class ActivationKind(Enum):
 
 @dataclass
 class Parameter:
-    """A named learnable tensor with its gradient accumulator."""
+    """A named learnable tensor with its gradient accumulator.
+
+    In a model, `value` and `grad` are views into the model's
+    `ParameterArena`, as are the batch-norm running statistics. Write them
+    in place (`value[...] = x`, `grad += g`, `running_mean *= c`) and never
+    rebind them or the layer attributes they come from: a rebound array
+    leaves the arena, so the optimizer, `zero_grad` and snapshots no longer
+    see it.
+    """
 
     name: str
     value: np.ndarray
     grad: np.ndarray
+
+
+class ParameterArena:
+    """One contiguous float64 buffer behind a set of modules' tensors.
+
+    Layout: `[values | running statistics | grads]`, each region in the
+    order of the modules' `parameters()` and `state()`. `values` and `grads`
+    line up element for element, and `state` (values plus running
+    statistics) is everything a snapshot or checkpoint must keep. Building
+    the arena copies each module's values and statistics in and rebinds the
+    module's attributes to views; grads start at zero.
+    """
+
+    def __init__(self, modules):
+        params = [p for m in modules for p in m.parameters()]
+        stats = [a for m in modules for _, a in m.state()]
+        n_values = sum(p.value.size for p in params)
+        n_state = n_values + sum(a.size for a in stats)
+        self.buffer = np.zeros(n_state + n_values)
+        self.values = self.buffer[:n_values]
+        self.state = self.buffer[:n_state]
+        self.grads = self.buffer[n_state:]
+        views: dict[int, np.ndarray] = {}  # id of a module's array -> its arena view
+        offset = 0
+        for p in params:
+            end = offset + p.value.size
+            value = views[id(p.value)] = self.values[offset:end].reshape(p.value.shape)
+            value[...] = p.value
+            views[id(p.grad)] = self.grads[offset:end].reshape(p.value.shape)
+            offset = end
+        for a in stats:
+            end = offset + a.size
+            stat = views[id(a)] = self.state[offset:end].reshape(a.shape)
+            stat[...] = a
+            offset = end
+        for m in modules:
+            m.bind(lambda array: views[id(array)])
+        self.params = [p for m in modules for p in m.parameters()]
+        self.bounds = np.cumsum([0] + [p.value.size for p in self.params])
+
+    def split(self, flat: np.ndarray) -> list[tuple[str, np.ndarray]]:
+        """(name, view) per parameter of a vector laid out like `values`."""
+        return [
+            (p.name, flat[start:stop].reshape(p.value.shape))
+            for p, start, stop in zip(self.params, self.bounds[:-1], self.bounds[1:])
+        ]
 
 
 def apply_activation(kind: ActivationKind, z: Matrix) -> Matrix:
@@ -82,7 +136,7 @@ class LinearLayer:
         self.name = name
         self.weights = rng.uniform(-limit, limit, (out_dim, in_dim))
         self.bias = np.zeros(out_dim) if use_bias else None
-        self.grad_weights = np.zeros_like(self.weights)
+        self.grad_weights = np.zeros((out_dim, in_dim))
         self.grad_bias = np.zeros(out_dim) if use_bias else None
         self._input: Matrix | None = None
 
@@ -124,6 +178,15 @@ class LinearLayer:
             params.append(Parameter(f"{p}.bias", self.bias, self.grad_bias))
         return params
 
+    def state(self, prefix: str = "") -> list[tuple[str, np.ndarray]]:
+        return []
+
+    def bind(self, view) -> None:
+        """Replace every tensor attribute `a` by `view(a)` (see ParameterArena)."""
+        self.weights, self.grad_weights = view(self.weights), view(self.grad_weights)
+        if self.bias is not None:
+            self.bias, self.grad_bias = view(self.bias), view(self.grad_bias)
+
 
 class BatchNormLayer:
     """Per-feature batch normalization with learnable scale/shift.
@@ -159,8 +222,11 @@ class BatchNormLayer:
             var = x.var(axis=0)
             inv_std = 1.0 / np.sqrt(var + self.epsilon)
             x_hat = (x - mean) * inv_std
-            self.running_mean = (1.0 - self.momentum) * self.running_mean + self.momentum * mean
-            self.running_var = (1.0 - self.momentum) * self.running_var + self.momentum * var
+            # in place: the running statistics may be views into an arena
+            self.running_mean *= 1.0 - self.momentum
+            self.running_mean += self.momentum * mean
+            self.running_var *= 1.0 - self.momentum
+            self.running_var += self.momentum * var
             self._cache = (x_hat, inv_std)
         else:
             inv_std = 1.0 / np.sqrt(self.running_var + self.epsilon)
@@ -193,6 +259,13 @@ class BatchNormLayer:
     def state(self, prefix: str = "") -> list[tuple[str, np.ndarray]]:
         p = f"{prefix}{self.name}"
         return [(f"{p}.running_mean", self.running_mean), (f"{p}.running_var", self.running_var)]
+
+    def bind(self, view) -> None:
+        """Replace every tensor attribute `a` by `view(a)` (see ParameterArena)."""
+        for attr in (
+            "gamma", "beta_shift", "grad_gamma", "grad_beta_shift", "running_mean", "running_var"
+        ):
+            setattr(self, attr, view(getattr(self, attr)))
 
 
 class FcBlock:
@@ -260,6 +333,11 @@ class FcBlock:
         if self.norm is None:
             return []
         return self.norm.state(f"{prefix}{self.name}.")
+
+    def bind(self, view) -> None:
+        self.linear.bind(view)
+        if self.norm is not None:
+            self.norm.bind(view)
 
     def zero_grad(self) -> None:
         for p in self.parameters():

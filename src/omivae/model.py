@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .layers import ActivationKind, FcBlock, LinearLayer, Parameter
+from .layers import ActivationKind, FcBlock, LinearLayer, Parameter, ParameterArena
 from .losses import (
     LossReport,
     LossWeights,
@@ -273,31 +273,26 @@ class OmiVaeModel:
         self._components.extend(
             [self.classifier_hidden1, self.classifier_hidden2, self.classifier_out]
         )
+        self.arena = ParameterArena(self._components)
 
     # ------------------------------------------------------------------ plumbing
 
     def parameters(self) -> list[Parameter]:
-        params: list[Parameter] = []
-        for c in self._components:
-            params.extend(c.parameters())
-        return params
+        return list(self.arena.params)
 
     def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.grad[:] = 0.0
+        self.arena.grads.fill(0.0)
 
     def state_tensors(self) -> list[tuple[str, np.ndarray]]:
         """Parameters plus batch-norm running statistics, in a fixed order."""
         tensors: list[tuple[str, np.ndarray]] = []
         for c in self._components:
-            for p in c.parameters():
-                tensors.append((p.name, p.value))
-            if hasattr(c, "state"):
-                tensors.extend(c.state())
+            tensors.extend((p.name, p.value) for p in c.parameters())
+            tensors.extend(c.state())
         return tensors
 
     def param_count(self) -> int:
-        return sum(p.value.size for p in self.parameters())
+        return self.arena.values.size
 
     def _validate_inputs(self, x_expr, x_methyl_blocks) -> int:
         rows = None

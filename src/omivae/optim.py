@@ -1,4 +1,12 @@
-"""Adam, the two-phase training driver, early stopping, and checkpoints."""
+"""Adam, two-phase training with early stopping, and checkpoints.
+
+A model keeps every parameter, gradient and batch-norm running statistic
+in one float64 `ParameterArena`, and everything here works on its flat
+vectors: Adam updates `arena.values` from `arena.grads`, `zero_grad` is
+one fill, and a snapshot is one copy of `arena.state`. Code that changes a
+tensor therefore writes it in place and never rebinds `.value`, `.grad`
+or a running statistic.
+"""
 
 from __future__ import annotations
 
@@ -8,20 +16,27 @@ import numpy as np
 
 from .container import read_container, write_container
 from .errors import FormatError, NumericError, ValidationError
+from .layers import ParameterArena
 from .losses import LossReport, LossWeights, classification_loss, total_loss, vae_loss
 from .model import ModelConfig, OmiVaeModel, build_model
 from .numerics import RngState
 
 CHECKPOINT_MAGIC = b"OMVAE1"
 CHECKPOINT_VERSION = 1
+ADAM_CHUNK = 32_768  # elements per array per pass: 256 KB, so each pass runs in cache
 
 
 class Adam:
-    """Adam with bias correction; the step count increments before correcting."""
+    """Adam with bias correction; the step count increments before correcting.
+
+    One `m` and one `v` vector cover the whole arena, and a step runs over
+    it in chunks of `ADAM_CHUNK` elements, in place, with two preallocated
+    chunk buffers for the temporaries.
+    """
 
     def __init__(
         self,
-        params,
+        arena: ParameterArena,
         lr: float = 1e-3,
         beta1: float = 0.9,
         beta2: float = 0.999,
@@ -29,34 +44,54 @@ class Adam:
     ):
         if lr <= 0.0:
             raise ValidationError("learning rate must be positive")
-        self.params = list(params)
+        self.arena = arena
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.value) for p in self.params]
-        self.v = [np.zeros_like(p.value) for p in self.params]
+        self.m = np.zeros(arena.values.size)
+        self.v = np.zeros(arena.values.size)
+        self._a = np.empty(ADAM_CHUNK)
+        self._b = np.empty(ADAM_CHUNK)
 
     def step(self) -> None:
-        for p in self.params:
-            if not np.all(np.isfinite(p.grad)):
-                raise NumericError(f"non-finite gradient in {p.name}; step aborted")
+        grads = self.arena.grads
+        if not np.isfinite(grads).all():
+            name = next(p.name for p in self.arena.params if not np.isfinite(p.grad).all())
+            raise NumericError(f"non-finite gradient in {name}; step aborted")
         self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * p.grad**2
-            p.value -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        c1 = 1.0 - b1**self.t
+        c2 = 1.0 - b2**self.t
+        values = self.arena.values
+        for start in range(0, values.size, ADAM_CHUNK):
+            chunk = slice(start, start + ADAM_CHUNK)
+            g, m, v, w = grads[chunk], self.m[chunk], self.v[chunk], values[chunk]
+            a, b = self._a[: g.size], self._b[: g.size]
+            # m = b1*m + (1-b1)*g
+            np.multiply(m, b1, out=m)
+            np.multiply(g, 1.0 - b1, out=a)
+            np.add(m, a, out=m)
+            # v = b2*v + (1-b2)*g**2
+            np.multiply(v, b2, out=v)
+            np.square(g, out=a)
+            np.multiply(a, 1.0 - b2, out=a)
+            np.add(v, a, out=v)
+            # w -= lr*(m/c1) / (sqrt(v/c2) + eps)
+            np.divide(m, c1, out=a)
+            np.multiply(a, lr, out=a)
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            np.add(b, eps, out=b)
+            np.divide(a, b, out=a)
+            np.subtract(w, a, out=w)
 
     def state_tensors(self) -> list[tuple[str, np.ndarray]]:
         out = []
-        for p, m, v in zip(self.params, self.m, self.v):
-            out.append((f"optim.m.{p.name}", m))
-            out.append((f"optim.v.{p.name}", v))
+        for (name, m), (_, v) in zip(self.arena.split(self.m), self.arena.split(self.v)):
+            out.append((f"optim.m.{name}", m))
+            out.append((f"optim.v.{name}", v))
         return out
 
 
@@ -126,27 +161,19 @@ class TrainingHistory:
             cells = [str(r.phase), str(r.epoch)]
             for rep in (r.train, r.val):
                 cells += [
-                    repr(rep.recon_methyl),
-                    repr(rep.recon_expr),
-                    repr(rep.kl),
-                    repr(rep.vae),
-                    repr(rep.classification),
-                    repr(rep.total),
+                    repr(float(x))
+                    for x in (
+                        rep.recon_methyl,
+                        rep.recon_expr,
+                        rep.kl,
+                        rep.vae,
+                        rep.classification,
+                        rep.total,
+                    )
                 ]
-            cells.append(repr(r.val_accuracy))
+            cells.append(repr(float(r.val_accuracy)))
             lines.append("\t".join(cells))
         return "\n".join(lines) + "\n"
-
-
-def _snapshot(model: OmiVaeModel) -> list[tuple[str, np.ndarray]]:
-    return [(name, arr.copy()) for name, arr in model.state_tensors()]
-
-
-def _restore(model: OmiVaeModel, snapshot: list[tuple[str, np.ndarray]]) -> None:
-    for (name, saved), (live_name, live) in zip(snapshot, model.state_tensors()):
-        if name != live_name:
-            raise ValidationError(f"snapshot/model tensor order mismatch: {name} vs {live_name}")
-        live[:] = saved
 
 
 def evaluate_losses(
@@ -158,12 +185,15 @@ def evaluate_losses(
 ) -> tuple[LossReport, float]:
     """Infer-mode losses (z = mu) and accuracy over `indices`.
 
-    Accuracy counts only samples with a label; it is NaN when none have one.
+    The classification loss and the accuracy count only samples with a
+    label: each chunk's classification loss is weighted by its labeled
+    count. The accuracy is NaN when no sample has a label.
     """
     indices = np.asarray(indices)
     if indices.size == 0:
         raise ValidationError("evaluation split is empty")
-    sums = np.zeros(4)  # recon_methyl, recon_expr, kl, classification
+    sums = np.zeros(3)  # recon_methyl, recon_expr, kl
+    cls_sum = 0.0
     correct = 0
     labeled = 0
     for start in range(0, indices.size, chunk):
@@ -178,17 +208,18 @@ def evaluate_losses(
             fp.latent.mu,
             fp.latent.logvar,
         )
-        cls = 0.0
+        sums += np.array([rm, re, kl]) * part.size
         if dataset.labels is not None:
             lab = dataset.labels[part]
             mask = lab >= 0
-            if mask.any():
-                cls = classification_loss(lab[mask], fp.class_probs[mask])
+            part_labeled = int(mask.sum())
+            if part_labeled:
+                cls_sum += classification_loss(lab[mask], fp.class_probs[mask]) * part_labeled
                 predicted = np.argmax(fp.class_probs[mask], axis=1)
                 correct += int((predicted == lab[mask]).sum())
-                labeled += int(mask.sum())
-        sums += np.array([rm, re, kl, cls]) * part.size
-    rm, re, kl, cls = sums / indices.size
+                labeled += part_labeled
+    rm, re, kl = sums / indices.size
+    cls = cls_sum / labeled if labeled else 0.0
     report = total_loss(rm, re, kl, cls, weights)
     accuracy = correct / labeled if labeled else float("nan")
     return report, accuracy
@@ -216,10 +247,10 @@ def _run_phase(
         if train_idx.size == 0:
             raise ValidationError("supervised phase has no labeled training samples")
 
-    adam = Adam(model.parameters(), lr=config.learning_rate)
-    entry_state = _snapshot(model)
+    adam = Adam(model.arena, lr=config.learning_rate)
+    # the entry state until an epoch improves, then the best state so far
+    saved = model.arena.state.copy()
     best_metric: float | None = None
-    best_state = None
     best_epoch = 0
     wait = 0
     for epoch in range(1, epochs_max + 1):
@@ -238,7 +269,7 @@ def _run_phase(
                 )
                 adam.step()
             except NumericError:
-                _restore(model, best_state if best_state is not None else entry_state)
+                np.copyto(model.arena.state, saved)
                 history.diverged = True
                 return
             model.zero_grad()
@@ -279,15 +310,15 @@ def _run_phase(
             improved = best_metric is None or metric > best_metric + config.min_delta
         if improved:
             best_metric = metric
-            best_state = _snapshot(model)
+            np.copyto(saved, model.arena.state)
             best_epoch = epoch
             wait = 0
         else:
             wait += 1
             if wait >= config.patience:
                 break
-    if best_state is not None:
-        _restore(model, best_state)
+    if best_epoch:
+        np.copyto(model.arena.state, saved)
         history.best_epoch[phase] = best_epoch
         history.best_metric[phase] = best_metric
 

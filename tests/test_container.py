@@ -1,0 +1,70 @@
+"""The binary container: corrupt names, file modes, the CLI on a bad file."""
+
+import os
+import struct
+import subprocess
+import sys
+
+import pytest
+
+from omivae import cli
+from omivae.container import read_container
+from omivae.errors import FormatError
+from omivae.optim import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
+
+
+def non_utf8_name_checkpoint(path):
+    """Magic, version, empty config, one tensor whose 2-byte name is not UTF-8."""
+    blob = (
+        CHECKPOINT_MAGIC
+        + struct.pack("<I", CHECKPOINT_VERSION)
+        + struct.pack("<I", 0)
+        + struct.pack("<I", 1)
+        + struct.pack("<I", 2)
+        + b"\xff\xfe"
+    )
+    with open(path, "wb") as fh:
+        fh.write(blob)
+
+
+def test_non_utf8_tensor_name_is_a_format_error(tmp_path):
+    path = str(tmp_path / "bad.omvae")
+    non_utf8_name_checkpoint(path)
+    with pytest.raises(FormatError, match="tensor name is not valid UTF-8"):
+        read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+
+
+def test_embed_on_non_utf8_name_prints_one_error_line(tmp_path, capsys):
+    path = str(tmp_path / "bad.omvae")
+    non_utf8_name_checkpoint(path)
+    code = cli.main(
+        ["embed", "--checkpoint", path, "--data", str(tmp_path / "absent.omids"),
+         "--out", str(tmp_path / "embedding.tsv")]
+    )
+    err = capsys.readouterr().err
+    # FormatError is a ValidationError, so a corrupt file exits 1 like bad magic does
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("omivae: error: validation: ")
+    assert "tensor name is not valid UTF-8" in err
+
+
+WRITE_AND_STAT = """
+import os, sys
+os.umask(int(sys.argv[2], 8))
+from omivae.container import write_container
+write_container(sys.argv[1], b"TEST01", 1, {}, [], {})
+print(oct(os.stat(sys.argv[1]).st_mode & 0o777))
+"""
+
+
+@pytest.mark.parametrize("umask, mode", [("022", "0o644"), ("077", "0o600")])
+def test_written_file_honours_the_umask(tmp_path, umask, mode):
+    # the umask is read when the module is imported, so each case runs in its own process
+    path = str(tmp_path / "out.bin")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", WRITE_AND_STAT, path, umask],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    assert proc.stdout.strip() == mode

@@ -1,0 +1,522 @@
+"""The parameter arena, the fused Adam step, snapshots and restores,
+validation-loss weighting, the history TSV and the checkpoint format."""
+
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+
+from omivae import optim
+from omivae.container import read_container
+from omivae.data import SyntheticSpec, synthesize
+from omivae.errors import NumericError
+from omivae.layers import LinearLayer, ParameterArena
+from omivae.losses import LossWeights
+from omivae.model import ModelConfig, build_model
+from omivae.numerics import RngState
+from omivae.optim import Adam, TrainConfig, TrainingHistory
+
+TINY = ModelConfig(
+    methyl_block_dims=(3,),
+    expr_dim=4,
+    per_block_hidden=2,
+    modality_dim=3,
+    fusion_dim=5,
+    latent_dim=2,
+    classifier_hidden=(3, 2),
+    num_classes=2,
+    expr_hidden=2,
+)
+
+
+def tiny_dataset(samples_per_class=20, seed=1):
+    """Synthetic data shaped for TINY: one 3-probe block, 4 genes, 2 classes."""
+    spec = SyntheticSpec(
+        num_classes=2,
+        samples_per_class=samples_per_class,
+        num_blocks=1,
+        features_per_block=3,
+        expr_features=4,
+        seed=seed,
+    )
+    return synthesize(spec)
+
+
+def textbook_adam_step(values, grads, ms, vs, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Kingma & Ba's update, one tensor at a time, in the per-tensor form."""
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
+    for w, g, m, v in zip(values, grads, ms, vs):
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g**2
+        w -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+class TestArena:
+    def test_every_tensor_is_a_view_into_the_arena(self):
+        model = build_model(TINY, RngState(0))
+        arena = model.arena
+        params = model.parameters()
+        assert len(params) == 43
+        for p in params:
+            assert np.shares_memory(p.value, arena.values), p.name
+            assert np.shares_memory(p.grad, arena.grads), p.name
+        stats = [a for n, a in model.state_tensors() if ".running_" in n]
+        assert len(stats) == 22
+        for a in stats:
+            assert np.shares_memory(a, arena.state)
+            assert not np.shares_memory(a, arena.values)
+        for block in model._components:
+            for layer in (getattr(block, "linear", block), getattr(block, "norm", None)):
+                if layer is None:
+                    continue
+                for attr, array in vars(layer).items():
+                    if isinstance(array, np.ndarray):
+                        assert np.shares_memory(array, arena.buffer), f"{block.name}.{attr}"
+        assert arena.values.size == model.param_count()
+        assert arena.buffer.size == 2 * arena.values.size + sum(a.size for a in stats)
+
+    def test_arena_keeps_the_initialization(self):
+        # the arena copies in what the layers drew, so the seeded values are unchanged
+        a = build_model(TINY, RngState(7))
+        rng = RngState(7)
+        expected = LinearLayer(3, 2, rng, use_bias=False).weights
+        assert np.array_equal(a.methyl_block_encoders[0].linear.weights, expected)
+        assert np.all(a.arena.grads == 0.0)
+        for name, arr in a.state_tensors():
+            if name.endswith("running_var") or name.endswith("gamma"):
+                assert np.all(arr == 1.0)
+
+    def test_zero_grad_zeroes_every_grad(self):
+        model = build_model(TINY, RngState(0))
+        ds = tiny_dataset()
+        x_expr, x_blocks = ds.batch(np.arange(8))
+        model.forward_backward(
+            x_expr, x_blocks, ds.labels[:8], LossWeights(1.0, 1.0), rng=RngState(1)
+        )
+        assert all(np.any(p.grad != 0.0) for p in model.parameters())
+        model.zero_grad()
+        for p in model.parameters():
+            assert np.all(p.grad == 0.0), p.name
+
+    def test_batchnorm_running_statistics_update_in_place(self):
+        model = build_model(TINY, RngState(0))
+        norm = model.fusion.norm
+        before = norm.running_mean, norm.running_var
+        ds = tiny_dataset()
+        model.forward(*ds.batch(np.arange(8)), train=True, rng=RngState(1))
+        assert norm.running_mean is before[0] and norm.running_var is before[1]
+        assert np.any(norm.running_mean != 0.0)
+
+
+class TestFusedAdam:
+    def test_equals_textbook_per_tensor_update_on_a_model(self):
+        model = build_model(TINY, RngState(0))
+        ds = tiny_dataset()
+        adam = Adam(model.arena, lr=0.01)
+        params = model.parameters()
+        values = [p.value.copy() for p in params]
+        ms = [np.zeros_like(v) for v in values]
+        vs = [np.zeros_like(v) for v in values]
+        for t in range(1, 7):
+            chosen = np.arange(8 * (t - 1), 8 * t) % ds.num_samples
+            model.zero_grad()
+            model.forward_backward(
+                *ds.batch(chosen), ds.labels[chosen], LossWeights(1.0, 1.0), rng=RngState(t)
+            )
+            grads = [p.grad.copy() for p in params]
+            adam.step()
+            textbook_adam_step(values, grads, ms, vs, t, lr=0.01)
+            for p, w in zip(params, values):
+                assert p.value.tobytes() == w.tobytes(), (t, p.name)
+            for (name, m), (_, v), m_ref, v_ref in zip(
+                adam.arena.split(adam.m), adam.arena.split(adam.v), ms, vs
+            ):
+                assert m.tobytes() == m_ref.tobytes(), (t, name)
+                assert v.tobytes() == v_ref.tobytes(), (t, name)
+        assert adam.t == 6
+
+    def test_equals_textbook_update_across_chunk_boundaries(self):
+        # 75,000 weights plus 250 biases: two whole chunks and a partial third
+        layer = LinearLayer(300, 250, RngState(2))
+        arena = ParameterArena([layer])
+        assert arena.values.size > 2 * optim.ADAM_CHUNK
+        assert arena.values.size % optim.ADAM_CHUNK != 0
+        adam = Adam(arena, lr=0.003)
+        values = [layer.weights.copy(), layer.bias.copy()]
+        ms = [np.zeros_like(v) for v in values]
+        vs = [np.zeros_like(v) for v in values]
+        rng = np.random.default_rng(3)
+        for t in range(1, 4):
+            arena.grads[:] = rng.standard_normal(arena.grads.size) * 10.0 ** rng.integers(-6, 2)
+            grads = [layer.grad_weights.copy(), layer.grad_bias.copy()]
+            adam.step()
+            textbook_adam_step(values, grads, ms, vs, t, lr=0.003)
+            assert layer.weights.tobytes() == values[0].tobytes()
+            assert layer.bias.tobytes() == values[1].tobytes()
+
+    def test_two_hand_worked_steps(self):
+        layer = LinearLayer(2, 1, RngState(0), use_bias=False)
+        arena = ParameterArena([layer])
+        layer.weights[...] = [[1.0, -2.0]]
+        adam = Adam(arena, lr=0.1)
+        # step 1, g = (0.5, -1): m = 0.1 g, v = 0.001 g^2, c1 = 0.1, c2 = 0.001,
+        # so m/c1 = g and v/c2 = g^2: each weight moves by 0.1 g / (|g| + eps)
+        layer.grad_weights[...] = [[0.5, -1.0]]
+        adam.step()
+        assert np.allclose(adam.m, [0.05, -0.1], rtol=1e-12, atol=0.0)
+        assert np.allclose(adam.v, [0.00025, 0.001], rtol=1e-12, atol=0.0)
+        w1 = np.array([1.0 - 0.05 / (0.5 + 1e-8), -2.0 + 0.1 / (1.0 + 1e-8)])
+        assert np.allclose(layer.weights[0], w1, rtol=1e-12, atol=0.0)
+        # step 2, g = (0.5, 1): m = 0.9 m + 0.1 g = (0.095, 0.01),
+        # v = 0.999 v + 0.001 g^2 = (0.00049975, 0.001999), c1 = 0.19, c2 = 0.001999,
+        # so m/c1 = (0.5, 1/19) and v/c2 = (0.25, 1)
+        layer.grad_weights[...] = [[0.5, 1.0]]
+        adam.step()
+        assert adam.t == 2
+        assert np.allclose(adam.m, [0.095, 0.01], rtol=1e-12, atol=0.0)
+        assert np.allclose(adam.v, [0.00049975, 0.001999], rtol=1e-12, atol=0.0)
+        w2 = w1 - np.array([0.05 / (0.5 + 1e-8), (0.1 / 19.0) / (1.0 + 1e-8)])
+        assert np.allclose(layer.weights[0], w2, rtol=1e-12, atol=0.0)
+
+    def test_non_finite_gradient_names_the_tensor_and_changes_nothing(self):
+        model = build_model(TINY, RngState(0))
+        ds = tiny_dataset()
+        adam = Adam(model.arena, lr=0.01)
+        model.forward_backward(
+            *ds.batch(np.arange(8)), ds.labels[:8], LossWeights(1.0, 1.0), rng=RngState(1)
+        )
+        adam.step()
+        target = next(p for p in model.parameters() if p.name == "encoder.fusion.norm.gamma")
+        target.grad[1] = np.nan
+        before = [a.copy() for a in (model.arena.values, adam.m, adam.v)]
+        with pytest.raises(NumericError) as info:
+            adam.step()
+        assert str(info.value) == "non-finite gradient in encoder.fusion.norm.gamma; step aborted"
+        assert adam.t == 1
+        for saved, live in zip(before, (model.arena.values, adam.m, adam.v)):
+            assert saved.tobytes() == live.tobytes()
+        target.grad[1] = np.inf
+        with pytest.raises(NumericError, match="encoder.fusion.norm.gamma"):
+            adam.step()
+
+
+def test_threads_training_at_once_match_serial_runs():
+    """Each model owns its arena, m, v and chunk buffers: crossval's fold
+    threads must not see each other's state."""
+    ds = tiny_dataset()
+    config = TrainConfig(batch_size=4, phase1_epochs=3, phase2_epochs=3, patience=100)
+
+    def fit(seed):
+        model = build_model(TINY, RngState(seed))
+        optim.train_two_phase(model, ds, np.arange(32), np.arange(32, 40), config, RngState(seed))
+        return model.arena.state.copy()
+
+    seeds = range(1, 5)  # more threads than the two cores crossval is tuned for
+    serial = [fit(s) for s in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(seeds)) as pool:
+            futures = [pool.submit(fit, s) for s in seeds]
+            threaded = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for s, a, b in zip(seeds, serial, threaded):
+        assert a.tobytes() == b.tobytes(), s
+
+
+class TestRunPhaseRestore:
+    @pytest.mark.parametrize("fail_at", [2, 6])
+    def test_divergence_restores_the_saved_state(self, monkeypatch, fail_at):
+        """A NaN on step 2 (epoch 1) restores the entry state; on step 6
+        (epoch 2, four steps an epoch) the state saved after epoch 1."""
+        ds = tiny_dataset()
+        model = build_model(TINY, RngState(0))
+        entry = model.arena.state.copy()
+        evaluated = []
+        original_evaluate = optim.evaluate_losses
+
+        def recording_evaluate(m, *args, **kwargs):
+            evaluated.append(m.arena.state.copy())
+            return original_evaluate(m, *args, **kwargs)
+
+        calls = []
+        original_step = model.forward_backward
+
+        def failing_step(*args, **kwargs):
+            out = original_step(*args, **kwargs)
+            calls.append(model.arena.state.copy())
+            if len(calls) == fail_at:
+                model.parameters()[3].grad[0] = np.nan
+            return out
+
+        monkeypatch.setattr(optim, "evaluate_losses", recording_evaluate)
+        monkeypatch.setattr(model, "forward_backward", failing_step)
+        history = TrainingHistory()
+        config = TrainConfig(batch_size=8, learning_rate=0.01, patience=100)
+        optim._run_phase(
+            model,
+            ds,
+            np.arange(32),
+            np.arange(32, 40),
+            config,
+            LossWeights(1.0, 0.0),
+            phase=1,
+            epochs_max=3,
+            stream=RngState(5),
+            history=history,
+        )
+        assert history.diverged
+        assert len(calls) == fail_at
+        expected = entry if fail_at == 2 else evaluated[0]
+        assert len(evaluated) == (0 if fail_at == 2 else 1)
+        # arena.state is [values | running statistics]: the failing step's
+        # forward moved the statistics, and the restore puts them back too
+        stats = slice(model.arena.values.size, None)
+        assert not np.array_equal(calls[-1][stats], expected[stats])
+        assert model.arena.state.tobytes() == expected.tobytes()
+
+
+class TestEvaluateLosses:
+    def test_classification_loss_weighted_by_labeled_count(self):
+        ds = tiny_dataset(samples_per_class=550)
+        assert ds.num_samples == 1100
+        labels = ds.labels.copy()
+        # first chunk: one sample in four keeps its label; second chunk: all 76 do
+        labels[:1024][np.arange(1024) % 4 != 0] = -1
+        ds.labels = labels
+        model = build_model(TINY, RngState(2))
+        weights = LossWeights(1.0, 1.0)
+        every = np.arange(ds.num_samples)
+        chunked, acc_chunked = optim.evaluate_losses(model, ds, every, weights, chunk=1024)
+        whole, acc_whole = optim.evaluate_losses(model, ds, every, weights, chunk=2048)
+        assert acc_chunked == acc_whole
+        for field in ("recon_methyl", "recon_expr", "kl", "classification", "total"):
+            a, b = getattr(chunked, field), getattr(whole, field)
+            assert abs(a - b) <= 1e-12 * abs(b), field
+
+    def test_unlabeled_split_has_zero_classification_loss(self):
+        ds = tiny_dataset()
+        ds.labels = np.full(ds.num_samples, -1)
+        model = build_model(TINY, RngState(2))
+        report, accuracy = optim.evaluate_losses(
+            model, ds, np.arange(ds.num_samples), LossWeights(1.0, 1.0), chunk=16
+        )
+        assert report.classification == 0.0
+        assert np.isnan(accuracy)
+
+
+def test_history_cells_are_plain_floats():
+    ds = tiny_dataset()
+    model = build_model(TINY, RngState(0))
+    config = TrainConfig(batch_size=8, phase1_epochs=2, phase2_epochs=1, patience=100)
+    history = optim.train_two_phase(model, ds, np.arange(32), np.arange(32, 40), config)
+    lines = history.to_tsv().splitlines()
+    assert lines[0].split("\t") == list(TrainingHistory.TSV_COLUMNS)
+    assert len(lines) == 4
+    for line in lines[1:]:
+        cells = line.split("\t")
+        assert len(cells) == len(TrainingHistory.TSV_COLUMNS)
+        for cell in cells:
+            float(cell)
+
+
+MODEL_TENSORS = [
+    ("encoder.methyl.block00.linear.weights", (2, 3)),
+    ("encoder.methyl.block00.norm.gamma", (2,)),
+    ("encoder.methyl.block00.norm.beta_shift", (2,)),
+    ("encoder.methyl.block00.norm.running_mean", (2,)),
+    ("encoder.methyl.block00.norm.running_var", (2,)),
+    ("encoder.methyl.merge.linear.weights", (3, 2)),
+    ("encoder.methyl.merge.norm.gamma", (3,)),
+    ("encoder.methyl.merge.norm.beta_shift", (3,)),
+    ("encoder.methyl.merge.norm.running_mean", (3,)),
+    ("encoder.methyl.merge.norm.running_var", (3,)),
+    ("encoder.expr.hidden1.linear.weights", (2, 4)),
+    ("encoder.expr.hidden1.norm.gamma", (2,)),
+    ("encoder.expr.hidden1.norm.beta_shift", (2,)),
+    ("encoder.expr.hidden1.norm.running_mean", (2,)),
+    ("encoder.expr.hidden1.norm.running_var", (2,)),
+    ("encoder.expr.hidden2.linear.weights", (3, 2)),
+    ("encoder.expr.hidden2.norm.gamma", (3,)),
+    ("encoder.expr.hidden2.norm.beta_shift", (3,)),
+    ("encoder.expr.hidden2.norm.running_mean", (3,)),
+    ("encoder.expr.hidden2.norm.running_var", (3,)),
+    ("encoder.fusion.linear.weights", (5, 6)),
+    ("encoder.fusion.norm.gamma", (5,)),
+    ("encoder.fusion.norm.beta_shift", (5,)),
+    ("encoder.fusion.norm.running_mean", (5,)),
+    ("encoder.fusion.norm.running_var", (5,)),
+    ("encoder.mu_head.weights", (2, 5)),
+    ("encoder.mu_head.bias", (2,)),
+    ("encoder.logvar_head.weights", (2, 5)),
+    ("encoder.logvar_head.bias", (2,)),
+    ("decoder.from_latent.linear.weights", (5, 2)),
+    ("decoder.from_latent.norm.gamma", (5,)),
+    ("decoder.from_latent.norm.beta_shift", (5,)),
+    ("decoder.from_latent.norm.running_mean", (5,)),
+    ("decoder.from_latent.norm.running_var", (5,)),
+    ("decoder.to_modalities.linear.weights", (6, 5)),
+    ("decoder.to_modalities.norm.gamma", (6,)),
+    ("decoder.to_modalities.norm.beta_shift", (6,)),
+    ("decoder.to_modalities.norm.running_mean", (6,)),
+    ("decoder.to_modalities.norm.running_var", (6,)),
+    ("decoder.methyl.expand.linear.weights", (2, 3)),
+    ("decoder.methyl.expand.norm.gamma", (2,)),
+    ("decoder.methyl.expand.norm.beta_shift", (2,)),
+    ("decoder.methyl.expand.norm.running_mean", (2,)),
+    ("decoder.methyl.expand.norm.running_var", (2,)),
+    ("decoder.methyl.out00.linear.weights", (3, 2)),
+    ("decoder.methyl.out00.linear.bias", (3,)),
+    ("decoder.expr.expand.linear.weights", (2, 3)),
+    ("decoder.expr.expand.norm.gamma", (2,)),
+    ("decoder.expr.expand.norm.beta_shift", (2,)),
+    ("decoder.expr.expand.norm.running_mean", (2,)),
+    ("decoder.expr.expand.norm.running_var", (2,)),
+    ("decoder.expr.out.linear.weights", (4, 2)),
+    ("decoder.expr.out.linear.bias", (4,)),
+    ("classifier.hidden1.linear.weights", (3, 2)),
+    ("classifier.hidden1.norm.gamma", (3,)),
+    ("classifier.hidden1.norm.beta_shift", (3,)),
+    ("classifier.hidden1.norm.running_mean", (3,)),
+    ("classifier.hidden1.norm.running_var", (3,)),
+    ("classifier.hidden2.linear.weights", (2, 3)),
+    ("classifier.hidden2.norm.gamma", (2,)),
+    ("classifier.hidden2.norm.beta_shift", (2,)),
+    ("classifier.hidden2.norm.running_mean", (2,)),
+    ("classifier.hidden2.norm.running_var", (2,)),
+    ("classifier.out.linear.weights", (2, 2)),
+    ("classifier.out.linear.bias", (2,)),
+]
+ADAM_TENSORS = [
+    ("optim.m.encoder.methyl.block00.linear.weights", (2, 3)),
+    ("optim.v.encoder.methyl.block00.linear.weights", (2, 3)),
+    ("optim.m.encoder.methyl.block00.norm.gamma", (2,)),
+    ("optim.v.encoder.methyl.block00.norm.gamma", (2,)),
+    ("optim.m.encoder.methyl.block00.norm.beta_shift", (2,)),
+    ("optim.v.encoder.methyl.block00.norm.beta_shift", (2,)),
+    ("optim.m.encoder.methyl.merge.linear.weights", (3, 2)),
+    ("optim.v.encoder.methyl.merge.linear.weights", (3, 2)),
+    ("optim.m.encoder.methyl.merge.norm.gamma", (3,)),
+    ("optim.v.encoder.methyl.merge.norm.gamma", (3,)),
+    ("optim.m.encoder.methyl.merge.norm.beta_shift", (3,)),
+    ("optim.v.encoder.methyl.merge.norm.beta_shift", (3,)),
+    ("optim.m.encoder.expr.hidden1.linear.weights", (2, 4)),
+    ("optim.v.encoder.expr.hidden1.linear.weights", (2, 4)),
+    ("optim.m.encoder.expr.hidden1.norm.gamma", (2,)),
+    ("optim.v.encoder.expr.hidden1.norm.gamma", (2,)),
+    ("optim.m.encoder.expr.hidden1.norm.beta_shift", (2,)),
+    ("optim.v.encoder.expr.hidden1.norm.beta_shift", (2,)),
+    ("optim.m.encoder.expr.hidden2.linear.weights", (3, 2)),
+    ("optim.v.encoder.expr.hidden2.linear.weights", (3, 2)),
+    ("optim.m.encoder.expr.hidden2.norm.gamma", (3,)),
+    ("optim.v.encoder.expr.hidden2.norm.gamma", (3,)),
+    ("optim.m.encoder.expr.hidden2.norm.beta_shift", (3,)),
+    ("optim.v.encoder.expr.hidden2.norm.beta_shift", (3,)),
+    ("optim.m.encoder.fusion.linear.weights", (5, 6)),
+    ("optim.v.encoder.fusion.linear.weights", (5, 6)),
+    ("optim.m.encoder.fusion.norm.gamma", (5,)),
+    ("optim.v.encoder.fusion.norm.gamma", (5,)),
+    ("optim.m.encoder.fusion.norm.beta_shift", (5,)),
+    ("optim.v.encoder.fusion.norm.beta_shift", (5,)),
+    ("optim.m.encoder.mu_head.weights", (2, 5)),
+    ("optim.v.encoder.mu_head.weights", (2, 5)),
+    ("optim.m.encoder.mu_head.bias", (2,)),
+    ("optim.v.encoder.mu_head.bias", (2,)),
+    ("optim.m.encoder.logvar_head.weights", (2, 5)),
+    ("optim.v.encoder.logvar_head.weights", (2, 5)),
+    ("optim.m.encoder.logvar_head.bias", (2,)),
+    ("optim.v.encoder.logvar_head.bias", (2,)),
+    ("optim.m.decoder.from_latent.linear.weights", (5, 2)),
+    ("optim.v.decoder.from_latent.linear.weights", (5, 2)),
+    ("optim.m.decoder.from_latent.norm.gamma", (5,)),
+    ("optim.v.decoder.from_latent.norm.gamma", (5,)),
+    ("optim.m.decoder.from_latent.norm.beta_shift", (5,)),
+    ("optim.v.decoder.from_latent.norm.beta_shift", (5,)),
+    ("optim.m.decoder.to_modalities.linear.weights", (6, 5)),
+    ("optim.v.decoder.to_modalities.linear.weights", (6, 5)),
+    ("optim.m.decoder.to_modalities.norm.gamma", (6,)),
+    ("optim.v.decoder.to_modalities.norm.gamma", (6,)),
+    ("optim.m.decoder.to_modalities.norm.beta_shift", (6,)),
+    ("optim.v.decoder.to_modalities.norm.beta_shift", (6,)),
+    ("optim.m.decoder.methyl.expand.linear.weights", (2, 3)),
+    ("optim.v.decoder.methyl.expand.linear.weights", (2, 3)),
+    ("optim.m.decoder.methyl.expand.norm.gamma", (2,)),
+    ("optim.v.decoder.methyl.expand.norm.gamma", (2,)),
+    ("optim.m.decoder.methyl.expand.norm.beta_shift", (2,)),
+    ("optim.v.decoder.methyl.expand.norm.beta_shift", (2,)),
+    ("optim.m.decoder.methyl.out00.linear.weights", (3, 2)),
+    ("optim.v.decoder.methyl.out00.linear.weights", (3, 2)),
+    ("optim.m.decoder.methyl.out00.linear.bias", (3,)),
+    ("optim.v.decoder.methyl.out00.linear.bias", (3,)),
+    ("optim.m.decoder.expr.expand.linear.weights", (2, 3)),
+    ("optim.v.decoder.expr.expand.linear.weights", (2, 3)),
+    ("optim.m.decoder.expr.expand.norm.gamma", (2,)),
+    ("optim.v.decoder.expr.expand.norm.gamma", (2,)),
+    ("optim.m.decoder.expr.expand.norm.beta_shift", (2,)),
+    ("optim.v.decoder.expr.expand.norm.beta_shift", (2,)),
+    ("optim.m.decoder.expr.out.linear.weights", (4, 2)),
+    ("optim.v.decoder.expr.out.linear.weights", (4, 2)),
+    ("optim.m.decoder.expr.out.linear.bias", (4,)),
+    ("optim.v.decoder.expr.out.linear.bias", (4,)),
+    ("optim.m.classifier.hidden1.linear.weights", (3, 2)),
+    ("optim.v.classifier.hidden1.linear.weights", (3, 2)),
+    ("optim.m.classifier.hidden1.norm.gamma", (3,)),
+    ("optim.v.classifier.hidden1.norm.gamma", (3,)),
+    ("optim.m.classifier.hidden1.norm.beta_shift", (3,)),
+    ("optim.v.classifier.hidden1.norm.beta_shift", (3,)),
+    ("optim.m.classifier.hidden2.linear.weights", (2, 3)),
+    ("optim.v.classifier.hidden2.linear.weights", (2, 3)),
+    ("optim.m.classifier.hidden2.norm.gamma", (2,)),
+    ("optim.v.classifier.hidden2.norm.gamma", (2,)),
+    ("optim.m.classifier.hidden2.norm.beta_shift", (2,)),
+    ("optim.v.classifier.hidden2.norm.beta_shift", (2,)),
+    ("optim.m.classifier.out.linear.weights", (2, 2)),
+    ("optim.v.classifier.out.linear.weights", (2, 2)),
+    ("optim.m.classifier.out.linear.bias", (2,)),
+    ("optim.v.classifier.out.linear.bias", (2,)),
+]
+
+
+class TestCheckpointFormat:
+    def test_tensor_names_order_and_shapes(self, tmp_path):
+        model = build_model(TINY, RngState(0))
+        path = str(tmp_path / "model.omvae")
+        optim.save_checkpoint(path, model)
+        _, tensors, _ = read_container(path, optim.CHECKPOINT_MAGIC, optim.CHECKPOINT_VERSION)
+        assert [(n, a.shape) for n, a in tensors] == MODEL_TENSORS
+        optim.save_checkpoint(path, model, Adam(model.arena))
+        _, tensors, meta = read_container(path, optim.CHECKPOINT_MAGIC, optim.CHECKPOINT_VERSION)
+        assert [(n, a.shape) for n, a in tensors] == MODEL_TENSORS + ADAM_TENSORS
+        assert meta == {"optim.lr": "0.001", "optim.t": "0"}
+
+    def test_round_trip_is_bit_exact(self, tmp_path):
+        ds = tiny_dataset()
+        model = build_model(TINY, RngState(0))
+        adam = Adam(model.arena, lr=0.01)
+        for t in range(3):
+            chosen = np.arange(8 * t, 8 * t + 8)
+            model.zero_grad()
+            model.forward_backward(
+                *ds.batch(chosen), ds.labels[chosen], LossWeights(1.0, 1.0), rng=RngState(t)
+            )
+            adam.step()
+        path = str(tmp_path / "model.omvae")
+        optim.save_checkpoint(path, model, adam, metadata={"note": "x"})
+        checkpoint = optim.load_checkpoint(path)
+        assert checkpoint.metadata == {"note": "x", "optim.lr": "0.01", "optim.t": "3"}
+        rebuilt = checkpoint.build()
+        pairs = list(zip(model.state_tensors(), rebuilt.state_tensors()))
+        assert len(pairs) == len(MODEL_TENSORS)
+        for (name, a), (name_b, b) in pairs:
+            assert name == name_b
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert rebuilt.arena.state.tobytes() == model.arena.state.tobytes()
+        _, tensors, _ = read_container(path, optim.CHECKPOINT_MAGIC, optim.CHECKPOINT_VERSION)
+        saved = dict(tensors)
+        for name, live in adam.state_tensors():
+            assert saved[name].tobytes() == live.tobytes(), name
