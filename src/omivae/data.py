@@ -245,20 +245,6 @@ class OmicsDataset:
         )
         return x_expr, x_blocks
 
-    def subset(self, indices) -> "OmicsDataset":
-        indices = np.asarray(indices)
-        x_expr, x_blocks = self.batch(indices)
-        return OmicsDataset(
-            sample_ids=[self.sample_ids[i] for i in indices],
-            expression=None if x_expr is None else x_expr.copy(),
-            expression_feature_ids=self.expression_feature_ids,
-            methylation_blocks=None if x_blocks is None else [b.copy() for b in x_blocks],
-            methylation_block_features=self.methylation_block_features,
-            block_chromosomes=self.block_chromosomes,
-            labels=None if self.labels is None else self.labels[indices].copy(),
-            class_vocab=self.class_vocab,
-        )
-
     def save(self, path: str) -> None:
         config = {
             "num_samples": str(self.num_samples),

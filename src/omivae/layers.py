@@ -1,7 +1,10 @@
-"""Fully connected blocks (linear -> optional batch norm -> activation).
+"""Fully connected blocks (linear -> optional batch norm -> activation) and
+the composites that wire them into towers: a sequence, a column join of
+branches and a column split into branches.
 
-Forward and backward passes are written out by hand; `gradient_check`
-verifies any block or model against central finite differences.
+Forward and backward passes are written out by hand, once per block or
+composite; `gradient_check` verifies any block or model against central
+finite differences.
 """
 
 from __future__ import annotations
@@ -312,16 +315,6 @@ class FcBlock:
             d = self.norm.backward(d)
         return self.linear.backward(d)
 
-    def backward_from_preact(self, d_preact: Matrix) -> Matrix:
-        """Backward given gradients w.r.t. the pre-activation (fused loss path)."""
-        if self._out is None:
-            raise ValidationError(f"{self.name}: backward without a cached training forward")
-        self._out = None
-        d = d_preact
-        if self.norm is not None:
-            d = self.norm.backward(d)
-        return self.linear.backward(d)
-
     def parameters(self, prefix: str = "") -> list[Parameter]:
         p = f"{prefix}{self.name}."
         params = self.linear.parameters(p)
@@ -342,6 +335,64 @@ class FcBlock:
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.grad[:] = 0.0
+
+
+class Sequence:
+    """Modules applied in order; backward runs them in reverse."""
+
+    def __init__(self, *modules):
+        self.modules = modules
+
+    def forward(self, x, train: bool):
+        for module in self.modules:
+            x = module.forward(x, train)
+        return x
+
+    def backward(self, upstream):
+        for module in reversed(self.modules):
+            upstream = module.backward(upstream)
+        return upstream
+
+
+class Join:
+    """One branch per input, outputs concatenated by column.
+
+    Backward splits the gradient at the column widths of the last forward
+    and returns the branches' input gradients as a list.
+    """
+
+    def __init__(self, branches):
+        self.branches = branches
+        self._bounds: np.ndarray | None = None
+
+    def forward(self, inputs: list, train: bool) -> Matrix:
+        outs = [b.forward(x, train) for b, x in zip(self.branches, inputs, strict=True)]
+        self._bounds = np.cumsum([o.shape[1] for o in outs[:-1]])
+        return np.concatenate(outs, axis=1)
+
+    def backward(self, upstream: Matrix) -> list:
+        parts = np.split(upstream, self._bounds, axis=1)
+        return [b.backward(g) for b, g in zip(self.branches, parts)]
+
+
+class Split:
+    """One input cut into column slices of the given widths, one per branch.
+
+    Forward returns the branches' outputs as a list; backward takes one
+    gradient per branch and concatenates the branches' input gradients.
+    """
+
+    def __init__(self, widths, branches):
+        self.branches = branches
+        self.bounds = np.cumsum(widths[:-1])
+
+    def forward(self, x: Matrix, train: bool) -> list:
+        parts = np.split(x, self.bounds, axis=1)
+        return [b.forward(part, train) for b, part in zip(self.branches, parts, strict=True)]
+
+    def backward(self, upstreams: list) -> Matrix:
+        grads = [b.backward(g) for b, g in zip(self.branches, upstreams, strict=True)]
+        return np.concatenate(grads, axis=1)
 
 
 @dataclass

@@ -112,21 +112,6 @@ def classification_loss(labels: np.ndarray, probs: Matrix) -> float:
     return float(-np.log(np.clip(picked, 1e-300, 1.0)).mean())
 
 
-def classification_loss_from_logits(labels: np.ndarray, logits: Matrix) -> float:
-    """Same loss computed in fused log-sum-exp form for numerical stability."""
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.shape[0] != logits.shape[0]:
-        raise ValidationError("labels must be a vector matching the batch size")
-    if labels.min() < 0 or labels.max() >= logits.shape[1]:
-        raise ValidationError(
-            f"label out of range [0, {logits.shape[1]}): {int(labels.min())}..{int(labels.max())}"
-        )
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
-    picked = shifted[np.arange(labels.shape[0]), labels]
-    return float((lse - picked).mean())
-
-
 def total_loss(
     recon_methyl: float,
     recon_expr: float,

@@ -3,8 +3,10 @@
 Structure: per-chromosome methylation blocks and a two-layer expression
 encoder meet in a fused hidden layer that feeds Gaussian latent heads; a
 mirror-image decoder reconstructs every input block through sigmoid output
-layers; a three-layer classifier reads the latent mean. Backpropagation
-through the whole graph is written out by hand in `forward_backward`.
+layers; a three-layer classifier reads the latent mean. The graph is declared
+once, in `OmiVaeModel.__init__`, as an encoder, a decoder and a classifier
+tower whose blocks run their own backward; `forward_backward` supplies the
+loss gradients at the towers' outputs and calls their backward.
 """
 
 from __future__ import annotations
@@ -15,7 +17,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .layers import ActivationKind, FcBlock, LinearLayer, Parameter, ParameterArena
+from .layers import (
+    ActivationKind,
+    FcBlock,
+    Join,
+    LinearLayer,
+    Parameter,
+    ParameterArena,
+    Sequence,
+    Split,
+    apply_activation,
+)
 from .losses import (
     LossReport,
     LossWeights,
@@ -81,13 +93,6 @@ class ModelConfig:
         if self.expr_hidden is not None:
             return self.expr_hidden
         return max(8, min(4096, math.ceil(self.expr_dim / 14)))
-
-    @property
-    def total_input_dim(self) -> int:
-        total = sum(self.methyl_block_dims) if self.use_methylation else 0
-        if self.use_expression:
-            total += self.expr_dim
-        return total
 
     def to_flat_dict(self) -> dict[str, str]:
         return {
@@ -167,113 +172,71 @@ def reparameterize(
 
 
 class OmiVaeModel:
-    """Encoder, mirror decoder, and latent-mean classifier as one unit."""
+    """Encoder, mirror decoder, and latent-mean classifier as one unit.
+
+    The graph is declared once, as towers of blocks (`layers.Sequence`,
+    `Join`, `Split`) that run their own backward. Every block is created,
+    and so draws its initialization, in the order it is collected in
+    `blocks`, which is also the order of the arena and of checkpoints.
+    """
 
     def __init__(self, config: ModelConfig, rng: RngState):
         config.validate()
-        self.config = config
-        cfg = config
+        self.config = cfg = config
         n_mod = int(cfg.use_methylation) + int(cfg.use_expression)
-        relu = ActivationKind.RELU
+        dims, m = cfg.methyl_block_dims, cfg.num_blocks
+        pbh, mod, eh = cfg.per_block_hidden, cfg.modality_dim, cfg.resolved_expr_hidden
+        self.blocks: list = []
 
-        self.methyl_block_encoders: list[FcBlock] = []
-        self.methyl_merge: FcBlock | None = None
-        self.expr_encoder_1: FcBlock | None = None
-        self.expr_encoder_2: FcBlock | None = None
+        def add(block):
+            self.blocks.append(block)
+            return block
+
+        def fc(in_dim: int, out_dim: int, name: str) -> FcBlock:
+            return add(FcBlock(in_dim, out_dim, ActivationKind.RELU, rng, name=name))
+
+        def out(in_dim: int, out_dim: int, name: str) -> FcBlock:
+            # sigmoid/softmax are applied by the model, so the fused loss
+            # gradients enter through the pre-activation
+            return add(
+                FcBlock(in_dim, out_dim, ActivationKind.IDENTITY, rng, batch_norm=False, name=name)
+            )
+
+        branches = []
         if cfg.use_methylation:
-            for j, dim in enumerate(cfg.methyl_block_dims):
-                self.methyl_block_encoders.append(
-                    FcBlock(dim, cfg.per_block_hidden, relu, rng, name=f"encoder.methyl.block{j:02d}")
-                )
-            self.methyl_merge = FcBlock(
-                cfg.num_blocks * cfg.per_block_hidden,
-                cfg.modality_dim,
-                relu,
-                rng,
-                name="encoder.methyl.merge",
-            )
+            encoders = [fc(d, pbh, f"encoder.methyl.block{j:02d}") for j, d in enumerate(dims)]
+            branches.append(Sequence(Join(encoders), fc(m * pbh, mod, "encoder.methyl.merge")))
         if cfg.use_expression:
-            self.expr_encoder_1 = FcBlock(
-                cfg.expr_dim, cfg.resolved_expr_hidden, relu, rng, name="encoder.expr.hidden1"
-            )
-            self.expr_encoder_2 = FcBlock(
-                cfg.resolved_expr_hidden, cfg.modality_dim, relu, rng, name="encoder.expr.hidden2"
-            )
-        self.fusion = FcBlock(
-            n_mod * cfg.modality_dim, cfg.fusion_dim, relu, rng, name="encoder.fusion"
-        )
+            hidden1 = fc(cfg.expr_dim, eh, "encoder.expr.hidden1")
+            branches.append(Sequence(hidden1, fc(eh, mod, "encoder.expr.hidden2")))
+        self.encoder = Sequence(Join(branches), fc(n_mod * mod, cfg.fusion_dim, "encoder.fusion"))
         # distribution heads stay unconstrained: plain linear, no norm
-        self.mu_head = LinearLayer(cfg.fusion_dim, cfg.latent_dim, rng, name="encoder.mu_head")
-        self.logvar_head = LinearLayer(
-            cfg.fusion_dim, cfg.latent_dim, rng, name="encoder.logvar_head"
+        self.heads = (
+            add(LinearLayer(cfg.fusion_dim, cfg.latent_dim, rng, name="encoder.mu_head")),
+            add(LinearLayer(cfg.fusion_dim, cfg.latent_dim, rng, name="encoder.logvar_head")),
         )
 
-        self.decoder_from_latent = FcBlock(
-            cfg.latent_dim, cfg.fusion_dim, relu, rng, name="decoder.from_latent"
+        trunk = (
+            fc(cfg.latent_dim, cfg.fusion_dim, "decoder.from_latent"),
+            fc(cfg.fusion_dim, n_mod * mod, "decoder.to_modalities"),
         )
-        self.decoder_to_modalities = FcBlock(
-            cfg.fusion_dim, n_mod * cfg.modality_dim, relu, rng, name="decoder.to_modalities"
-        )
-        self.decoder_methyl_expand: FcBlock | None = None
-        self.decoder_methyl_out: list[FcBlock] = []
-        self.decoder_expr_expand: FcBlock | None = None
-        self.decoder_expr_out: FcBlock | None = None
+        branches = []
         if cfg.use_methylation:
-            self.decoder_methyl_expand = FcBlock(
-                cfg.modality_dim,
-                cfg.num_blocks * cfg.per_block_hidden,
-                relu,
-                rng,
-                name="decoder.methyl.expand",
-            )
-            for j, dim in enumerate(cfg.methyl_block_dims):
-                self.decoder_methyl_out.append(
-                    FcBlock(
-                        cfg.per_block_hidden,
-                        dim,
-                        ActivationKind.SIGMOID,
-                        rng,
-                        batch_norm=False,
-                        name=f"decoder.methyl.out{j:02d}",
-                    )
-                )
+            expand = fc(mod, m * pbh, "decoder.methyl.expand")
+            outputs = [out(pbh, d, f"decoder.methyl.out{j:02d}") for j, d in enumerate(dims)]
+            branches.append(Sequence(expand, Split([pbh] * m, outputs)))
         if cfg.use_expression:
-            self.decoder_expr_expand = FcBlock(
-                cfg.modality_dim, cfg.resolved_expr_hidden, relu, rng, name="decoder.expr.expand"
-            )
-            self.decoder_expr_out = FcBlock(
-                cfg.resolved_expr_hidden,
-                cfg.expr_dim,
-                ActivationKind.SIGMOID,
-                rng,
-                batch_norm=False,
-                name="decoder.expr.out",
-            )
+            expand = fc(mod, eh, "decoder.expr.expand")
+            branches.append(Sequence(expand, out(eh, cfg.expr_dim, "decoder.expr.out")))
+        self.decoder = Sequence(*trunk, Split([mod] * n_mod, branches))
 
         h1, h2 = cfg.classifier_hidden
-        self.classifier_hidden1 = FcBlock(cfg.latent_dim, h1, relu, rng, name="classifier.hidden1")
-        self.classifier_hidden2 = FcBlock(h1, h2, relu, rng, name="classifier.hidden2")
-        self.classifier_out = FcBlock(
-            h2, cfg.num_classes, ActivationKind.SOFTMAX, rng, batch_norm=False, name="classifier.out"
+        self.classifier = Sequence(
+            fc(cfg.latent_dim, h1, "classifier.hidden1"),
+            fc(h1, h2, "classifier.hidden2"),
+            out(h2, cfg.num_classes, "classifier.out"),
         )
-
-        self._components: list = []
-        self._components.extend(self.methyl_block_encoders)
-        if self.methyl_merge is not None:
-            self._components.append(self.methyl_merge)
-        if self.expr_encoder_1 is not None:
-            self._components.extend([self.expr_encoder_1, self.expr_encoder_2])
-        self._components.extend([self.fusion, self.mu_head, self.logvar_head])
-        self._components.extend([self.decoder_from_latent, self.decoder_to_modalities])
-        if self.decoder_methyl_expand is not None:
-            self._components.append(self.decoder_methyl_expand)
-            self._components.extend(self.decoder_methyl_out)
-        if self.decoder_expr_expand is not None:
-            self._components.extend([self.decoder_expr_expand, self.decoder_expr_out])
-        self._components.extend(
-            [self.classifier_hidden1, self.classifier_hidden2, self.classifier_out]
-        )
-        self.arena = ParameterArena(self._components)
+        self.arena = ParameterArena(self.blocks)
 
     # ------------------------------------------------------------------ plumbing
 
@@ -286,7 +249,7 @@ class OmiVaeModel:
     def state_tensors(self) -> list[tuple[str, np.ndarray]]:
         """Parameters plus batch-norm running statistics, in a fixed order."""
         tensors: list[tuple[str, np.ndarray]] = []
-        for c in self._components:
+        for c in self.blocks:
             tensors.extend((p.name, p.value) for p in c.parameters())
             tensors.extend(c.state())
         return tensors
@@ -328,41 +291,24 @@ class OmiVaeModel:
         train: bool = False,
     ) -> tuple[Matrix, Matrix]:
         self._validate_inputs(x_expr, x_methyl_blocks)
-        vectors = []
-        if self.config.use_methylation:
-            encoded = [
-                blk.forward(x, train) for blk, x in zip(self.methyl_block_encoders, x_methyl_blocks)
-            ]
-            vectors.append(self.methyl_merge.forward(np.concatenate(encoded, axis=1), train))
+        inputs = [x_methyl_blocks] if self.config.use_methylation else []
         if self.config.use_expression:
-            h = self.expr_encoder_1.forward(x_expr, train)
-            vectors.append(self.expr_encoder_2.forward(h, train))
-        fused = self.fusion.forward(np.concatenate(vectors, axis=1), train)
-        return self.mu_head.forward(fused, train), self.logvar_head.forward(fused, train)
+            inputs.append(x_expr)
+        fused = self.encoder.forward(inputs, train)
+        mu_head, logvar_head = self.heads
+        return mu_head.forward(fused, train), logvar_head.forward(fused, train)
 
     def decode(self, z: Matrix, train: bool = False) -> tuple[Matrix | None, list[Matrix]]:
         if z.shape[1] != self.config.latent_dim:
             raise ValidationError(
                 f"latent width {z.shape[1]} != configured latent_dim {self.config.latent_dim}"
             )
-        d = self.decoder_from_latent.forward(z, train)
-        d = self.decoder_to_modalities.forward(d, train)
-        offset = 0
-        recon_blocks: list[Matrix] = []
-        recon_expr = None
+        outs = self.decoder.forward(z, train)  # pre-activations, one entry per modality
+        sigmoid = ActivationKind.SIGMOID
+        recon_blocks = []
         if self.config.use_methylation:
-            part = d[:, offset : offset + self.config.modality_dim]
-            offset += self.config.modality_dim
-            expanded = self.decoder_methyl_expand.forward(part, train)
-            col = 0
-            for out_block in self.decoder_methyl_out:
-                chunk = expanded[:, col : col + self.config.per_block_hidden]
-                col += self.config.per_block_hidden
-                recon_blocks.append(out_block.forward(chunk, train))
-        if self.config.use_expression:
-            part = d[:, offset : offset + self.config.modality_dim]
-            h = self.decoder_expr_expand.forward(part, train)
-            recon_expr = self.decoder_expr_out.forward(h, train)
+            recon_blocks = [apply_activation(sigmoid, b) for b in outs[0]]
+        recon_expr = apply_activation(sigmoid, outs[-1]) if self.config.use_expression else None
         return recon_expr, recon_blocks
 
     def classify(self, mu: Matrix, train: bool = False) -> Matrix:
@@ -370,9 +316,7 @@ class OmiVaeModel:
             raise ValidationError(
                 f"classifier input width {mu.shape[1]} != latent_dim {self.config.latent_dim}"
             )
-        h = self.classifier_hidden1.forward(mu, train)
-        h = self.classifier_hidden2.forward(h, train)
-        return self.classifier_out.forward(h, train)
+        return apply_activation(ActivationKind.SOFTMAX, self.classifier.forward(mu, train))
 
     def forward(
         self,
@@ -445,23 +389,16 @@ class OmiVaeModel:
 
         # ---- backward ----
         if train_decoder:
-            mod_grads = []
+            d_recon: list = []
             if cfg.use_methylation:
                 m = cfg.num_blocks
-                chunks = []
-                for j, out_block in enumerate(self.decoder_methyl_out):
-                    scale = alpha / (m * batch * cfg.methyl_block_dims[j])
-                    chunks.append(
-                        out_block.backward_from_preact(scale * (recon_blocks[j] - x_methyl_blocks[j]))
-                    )
-                d_expand = self.decoder_methyl_expand.backward(np.concatenate(chunks, axis=1))
-                mod_grads.append(d_expand)
+                d_recon.append([
+                    alpha / (m * batch * dim) * (recon - x)
+                    for dim, recon, x in zip(cfg.methyl_block_dims, recon_blocks, x_methyl_blocks)
+                ])
             if cfg.use_expression:
-                scale = alpha / (batch * cfg.expr_dim)
-                d_h = self.decoder_expr_out.backward_from_preact(scale * (recon_expr - x_expr))
-                mod_grads.append(self.decoder_expr_expand.backward(d_h))
-            d_mod = self.decoder_to_modalities.backward(np.concatenate(mod_grads, axis=1))
-            d_z = self.decoder_from_latent.backward(d_mod)
+                d_recon.append(alpha / (batch * cfg.expr_dim) * (recon_expr - x_expr))
+            d_z = self.decoder.backward(d_recon)
         else:
             d_z = np.zeros_like(latent.z)
 
@@ -474,25 +411,10 @@ class OmiVaeModel:
         if train_classifier:
             onehot = np.zeros_like(probs)
             onehot[np.arange(batch), np.asarray(labels)] = 1.0
-            d = self.classifier_out.backward_from_preact(beta * (probs - onehot) / batch)
-            d = self.classifier_hidden2.backward(d)
-            d_mu += self.classifier_hidden1.backward(d)
+            d_mu += self.classifier.backward(beta * (probs - onehot) / batch)
 
-        d_fused = self.mu_head.backward(d_mu) + self.logvar_head.backward(d_logvar)
-        d_concat = self.fusion.backward(d_fused)
-        offset = 0
-        if cfg.use_methylation:
-            d_vec = d_concat[:, offset : offset + cfg.modality_dim]
-            offset += cfg.modality_dim
-            d_merge_in = self.methyl_merge.backward(d_vec)
-            col = 0
-            for blk in self.methyl_block_encoders:
-                blk.backward(d_merge_in[:, col : col + cfg.per_block_hidden])
-                col += cfg.per_block_hidden
-        if cfg.use_expression:
-            d_vec = d_concat[:, offset : offset + cfg.modality_dim]
-            d_h = self.expr_encoder_2.backward(d_vec)
-            self.expr_encoder_1.backward(d_h)
+        mu_head, logvar_head = self.heads
+        self.encoder.backward(mu_head.backward(d_mu) + logvar_head.backward(d_logvar))
 
         fp = ForwardPass(
             latent=latent,

@@ -13,31 +13,10 @@ from .errors import NumericError, ValidationError
 Matrix = np.ndarray
 
 
-def as_matrix(values) -> Matrix:
-    """Coerce to a C-contiguous float64 2-D array."""
-    m = np.ascontiguousarray(values, dtype=np.float64)
-    if m.ndim == 1:
-        m = m.reshape(1, -1)
-    if m.ndim != 2:
-        raise ValidationError(f"expected a 2-D array, got ndim={m.ndim}")
-    return m
-
-
 def check_finite(m: np.ndarray, context: str = "array") -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise NumericError(f"non-finite values in {context}")
     return m
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product with explicit dimension checking."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValidationError("matmul expects 2-D operands")
-    if a.shape[1] != b.shape[0]:
-        raise ValidationError(
-            f"matmul dimension mismatch: {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
 
 
 class RngState:
@@ -86,7 +65,7 @@ def gaussian_sample(rng: RngState, rows: int, cols: int) -> Matrix:
 
 
 def sym_eig(s: Matrix, symmetry_tol: float = 1e-10) -> tuple[np.ndarray, Matrix]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix (LAPACK, via `np.linalg.eigh`).
 
     Args:
         s: square symmetric matrix (max asymmetry ``symmetry_tol`` relative
@@ -102,43 +81,6 @@ def sym_eig(s: Matrix, symmetry_tol: float = 1e-10) -> tuple[np.ndarray, Matrix]
     scale = max(1.0, float(np.max(np.abs(s))))
     if float(np.max(np.abs(s - s.T))) > symmetry_tol * scale:
         raise ValidationError("sym_eig input is not symmetric")
-
-    n = s.shape[0]
-    a = 0.5 * (s + s.T)  # exact symmetry
-    v = np.eye(n)
-    if n == 1:
-        return a[0].copy(), v
-
-    fro = float(np.linalg.norm(a))
-    stop = max(1e-13 * fro, np.finfo(np.float64).tiny)
-    for _sweep in range(100):
-        off = float(np.sqrt(max(0.0, np.sum(a * a) - np.sum(np.diag(a) ** 2))))
-        if off <= stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * fro:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0)) if theta != 0.0 else 1.0
-                c = 1.0 / np.hypot(t, 1.0)
-                sn = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - sn * col_q
-                a[:, q] = sn * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - sn * row_q
-                a[q, :] = sn * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - sn * vec_q
-                v[:, q] = sn * vec_p + c * vec_q
-
-    eigenvalues = np.diag(a).copy()
+    eigenvalues, v = np.linalg.eigh(0.5 * (s + s.T))
     order = np.argsort(-eigenvalues, kind="stable")
     return eigenvalues[order], np.ascontiguousarray(v[:, order])

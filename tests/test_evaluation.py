@@ -216,7 +216,8 @@ class TestEmbeddingExport:
         assert ids == ds.sample_ids
         assert classes == [ds.class_vocab[i] for i in ds.labels]
         assert np.array_equal(parsed, embedding)  # bit-exact round trip
-        header = open(path).readline().rstrip("\n").split("\t")
+        with open(path) as fh:
+            header = fh.readline().rstrip("\n").split("\t")
         assert header == ["sample_id", "dim_1", "dim_2", "class_name"]
 
     def test_unlabeled_omits_class_column(self, tmp_path):
@@ -226,7 +227,8 @@ class TestEmbeddingExport:
         model = pca_fit(dataset_matrix(ds), 2)
         path = str(tmp_path / "emb.tsv")
         export_embedding(model, ds, path)
-        header = open(path).readline().rstrip("\n").split("\t")
+        with open(path) as fh:
+            header = fh.readline().rstrip("\n").split("\t")
         assert header == ["sample_id", "dim_1", "dim_2"]
 
 
@@ -247,7 +249,8 @@ class TestRenderScatter:
         path = self.write_embedding(tmp_path)
         out = str(tmp_path / "plot.svg")
         render_scatter(path, out)
-        svg = open(out).read()
+        with open(out) as fh:
+            svg = fh.read()
         assert svg.count("<circle") == 4
         assert svg.count("<text") == 2
 
@@ -257,7 +260,8 @@ class TestRenderScatter:
         out2 = str(tmp_path / "b.svg")
         render_scatter(path, out1)
         render_scatter(path, out2)
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        with open(out1, "rb") as a, open(out2, "rb") as b:
+            assert a.read() == b.read()
 
     def test_palette_has_34_distinct_colors(self):
         assert len(PALETTE) == 34
@@ -271,6 +275,7 @@ class TestRenderScatter:
         path.write_text("\n".join(lines) + "\n")
         out = str(tmp_path / "plot.svg")
         render_scatter(path, out)
-        svg = open(out).read()
+        with open(out) as fh:
+            svg = fh.read()
         used = {line.split('fill="')[1].split('"')[0] for line in svg.splitlines() if "<rect x=" in line and "fill=\"#" in line}
         assert len(used) == 34

@@ -9,7 +9,6 @@ from omivae.losses import (
     LossWeights,
     bce,
     classification_loss,
-    classification_loss_from_logits,
     kl_gaussian,
     total_loss,
     vae_loss,
@@ -133,16 +132,6 @@ class TestClassification:
     def test_out_of_range_label(self):
         with pytest.raises(ValidationError):
             classification_loss(np.array([2]), np.full((1, 2), 0.5))
-
-    def test_logit_form_matches_prob_form(self):
-        rng = RngState(5)
-        logits = rng.standard_normal(6, 4) * 3.0
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
-        labels = np.array([0, 1, 2, 3, 0, 1])
-        a = classification_loss(labels, probs)
-        b = classification_loss_from_logits(labels, logits)
-        assert abs(a - b) < 1e-12
 
 
 class TestTotalLoss:

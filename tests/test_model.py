@@ -37,6 +37,11 @@ def tiny_batch(config, rows=4, seed=0):
     return x_expr, x_blocks
 
 
+def params_under(model, prefix):
+    """The model's parameters whose names start with `prefix`."""
+    return [p for p in model.parameters() if p.name.startswith(prefix)]
+
+
 def expected_param_count(config: ModelConfig) -> int:
     """Closed-form parameter count for the architecture layout."""
 
@@ -88,9 +93,13 @@ class TestBuild:
             expr_hidden=8,
         )
         model = build_model(config, RngState(0))
-        assert len(model.methyl_block_encoders) == 23
-        for block, d in zip(model.methyl_block_encoders, dims):
-            assert block.linear.weights.shape == (8, d)
+        encoders = [
+            p.value for p in model.parameters() if p.name.startswith("encoder.methyl.block")
+            and p.name.endswith(".linear.weights")
+        ]
+        assert len(encoders) == 23
+        for weights, d in zip(encoders, dims):
+            assert weights.shape == (8, d)
 
     def test_param_count_matches_closed_form(self):
         config = tiny_config()
@@ -257,9 +266,8 @@ class TestClassify:
     def test_zero_classifier_is_uniform(self):
         config = tiny_config(num_classes=5)
         model = build_model(config, RngState(19))
-        for block in (model.classifier_hidden1, model.classifier_hidden2, model.classifier_out):
-            for p in block.parameters():
-                p.value[:] = 0.0
+        for p in params_under(model, "classifier."):
+            p.value[:] = 0.0
         probs = model.classify(RngState(20).standard_normal(3, config.latent_dim))
         assert np.allclose(probs, 0.2)
 
@@ -293,16 +301,10 @@ class TestForwardBackward:
         model.forward_backward(
             x_expr, x_blocks, None, LossWeights(alpha=1.0, beta=0.0), rng=RngState(25)
         )
-        classifier_params = (
-            model.classifier_hidden1.parameters()
-            + model.classifier_hidden2.parameters()
-            + model.classifier_out.parameters()
-        )
-        for p in classifier_params:
+        for p in params_under(model, "classifier."):
             assert np.array_equal(p.grad, np.zeros_like(p.grad))
-        assert not np.array_equal(
-            model.fusion.linear.grad_weights, np.zeros_like(model.fusion.linear.grad_weights)
-        )
+        (fusion,) = params_under(model, "encoder.fusion.linear.weights")
+        assert not np.array_equal(fusion.grad, np.zeros_like(fusion.grad))
 
     def test_pure_classifier_leaves_decoder_untouched(self):
         config = tiny_config()
@@ -312,15 +314,12 @@ class TestForwardBackward:
         model.forward_backward(
             x_expr, x_blocks, labels, LossWeights(alpha=0.0, beta=1.0), rng=RngState(27)
         )
-        decoder_blocks = [model.decoder_from_latent, model.decoder_to_modalities,
-                          model.decoder_methyl_expand, model.decoder_expr_expand,
-                          model.decoder_expr_out] + model.decoder_methyl_out
-        for block in decoder_blocks:
-            for p in block.parameters():
-                assert np.array_equal(p.grad, np.zeros_like(p.grad))
-        assert not np.array_equal(
-            model.mu_head.grad_weights, np.zeros_like(model.mu_head.grad_weights)
-        )
+        decoder_params = params_under(model, "decoder.")
+        assert len(decoder_params) == 18
+        for p in decoder_params:
+            assert np.array_equal(p.grad, np.zeros_like(p.grad))
+        (mu_head,) = params_under(model, "encoder.mu_head.weights")
+        assert not np.array_equal(mu_head.grad, np.zeros_like(mu_head.grad))
 
     def test_labels_required_when_supervised(self):
         config = tiny_config()
@@ -341,7 +340,8 @@ class TestForwardBackward:
             model.forward_backward(
                 x_expr, x_blocks, None, LossWeights(alpha=alpha, beta=0.0), epsilon=eps
             )
-            grads.append(model.decoder_expr_out.linear.grad_weights.copy())
+            (weights,) = params_under(model, "decoder.expr.out.linear.weights")
+            grads.append(weights.grad.copy())
         assert np.allclose(2.0 * grads[0], grads[1], rtol=0, atol=1e-18)
 
     def test_zero_model_closed_form_loss(self):
@@ -360,8 +360,8 @@ class TestForwardBackward:
         assert abs(report.kl) < 1e-12
         assert abs(report.total - 2.0 * math.log(2.0)) < 1e-9
 
-    def test_full_model_gradient_check(self):
-        config = tiny_config()
+    @staticmethod
+    def check_full_model_gradients(config):
         model = build_model(config, RngState(33))
         x_expr, x_blocks = tiny_batch(config, rows=8, seed=34)
         labels = np.array([0, 1, 2, 3, 0, 1, 2, 3])
@@ -377,3 +377,18 @@ class TestForwardBackward:
             model, loss_fn, (x_expr, x_blocks), tolerance=1e-3, max_entries_per_param=8
         )
         assert result.max_rel_error <= 1e-3, str(result)
+
+    def test_full_model_gradient_check(self):
+        self.check_full_model_gradients(tiny_config())
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(use_methylation=False, methyl_block_dims=()),
+            dict(use_expression=False, expr_dim=0),
+        ],
+        ids=["expression", "methylation"],
+    )
+    def test_single_modality_gradient_check(self, overrides):
+        # a one-branch join and split on each side of the latent space
+        self.check_full_model_gradients(tiny_config(**overrides))

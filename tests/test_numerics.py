@@ -2,50 +2,7 @@ import numpy as np
 import pytest
 
 from omivae.errors import ValidationError
-from omivae.numerics import RngState, gaussian_sample, matmul, sym_eig
-
-
-def naive_matmul(a, b):
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            acc = 0.0
-            for k in range(a.shape[1]):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        rng = RngState(0)
-        a = rng.standard_normal(3, 3)
-        assert np.array_equal(matmul(np.eye(3), a), a)
-
-    def test_hand_arithmetic(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[0.0], [1.0]])
-        assert np.array_equal(matmul(a, b), np.array([[2.0], [4.0]]))
-
-    def test_matches_triple_loop_oracle(self):
-        rng = RngState(7)
-        a = rng.standard_normal(7, 5)
-        b = rng.standard_normal(5, 3)
-        assert np.max(np.abs(matmul(a, b) - naive_matmul(a, b))) <= 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_associativity(self):
-        rng = RngState(11)
-        for _ in range(5):
-            a = rng.standard_normal(4, 3)
-            b = rng.standard_normal(3, 5)
-            c = rng.standard_normal(5, 2)
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert np.max(np.abs(left - right)) <= 1e-10
+from omivae.numerics import RngState, gaussian_sample, sym_eig
 
 
 class TestSymEig:

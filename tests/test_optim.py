@@ -69,7 +69,7 @@ class TestArena:
         for a in stats:
             assert np.shares_memory(a, arena.state)
             assert not np.shares_memory(a, arena.values)
-        for block in model._components:
+        for block in model.blocks:
             for layer in (getattr(block, "linear", block), getattr(block, "norm", None)):
                 if layer is None:
                     continue
@@ -84,7 +84,9 @@ class TestArena:
         a = build_model(TINY, RngState(7))
         rng = RngState(7)
         expected = LinearLayer(3, 2, rng, use_bias=False).weights
-        assert np.array_equal(a.methyl_block_encoders[0].linear.weights, expected)
+        first = a.parameters()[0]
+        assert first.name == "encoder.methyl.block00.linear.weights"
+        assert np.array_equal(first.value, expected)
         assert np.all(a.arena.grads == 0.0)
         for name, arr in a.state_tensors():
             if name.endswith("running_var") or name.endswith("gamma"):
@@ -104,7 +106,7 @@ class TestArena:
 
     def test_batchnorm_running_statistics_update_in_place(self):
         model = build_model(TINY, RngState(0))
-        norm = model.fusion.norm
+        (norm,) = [b.norm for b in model.blocks if b.name == "encoder.fusion"]
         before = norm.running_mean, norm.running_var
         ds = tiny_dataset()
         model.forward(*ds.batch(np.arange(8)), train=True, rng=RngState(1))
