@@ -118,7 +118,7 @@ def _fit(dataset, run: RunConfig, train_cfg: TrainConfig, stream: RngState, resu
             raise ValidationError("checkpoint modalities do not match the dataset")
     else:
         model = build_model(run.model_config(dataset), stream.derive(0))
-    train_idx, val_idx = _train_val_split(dataset, run, train_cfg.master_seed)
+    train_idx, val_idx = _train_val_split(dataset, run, train_cfg.seed)
     history = train_two_phase(model, dataset, train_idx, val_idx, train_cfg, rng=stream)
     return model, history
 
@@ -131,7 +131,7 @@ def cmd_train(args) -> int:
         train_cfg.phase2_epochs = 0
     elif args.phase == "supervised-only":
         train_cfg.phase1_epochs = 0
-    stream = RngState(train_cfg.master_seed)
+    stream = RngState(train_cfg.seed)
     model, history = _fit(dataset, run, train_cfg, stream, resume_path=args.resume)
     phase = "1" if train_cfg.phase2_epochs == 0 else "2"
     metadata = {"phase": phase, "epochs_run": str(len(history.records))}
@@ -154,9 +154,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _run_fold(fold, dataset, run, base_cfg, seed):
+def _run_fold(fold, dataset, run, base_cfg):
     r, (train_idx, val_idx, test_idx) = fold
-    stream = RngState(seed).derive(3).derive(r)
+    stream = RngState(base_cfg.seed).derive(3).derive(r)
     model = build_model(run.model_config(dataset), stream.derive(0))
     history = train_two_phase(model, dataset, train_idx, val_idx, base_cfg, rng=stream)
     x_expr, x_blocks = dataset.batch(test_idx)
@@ -173,20 +173,15 @@ def cmd_crossval(args) -> int:
     if dataset.labels is None:
         raise ValidationError("cross-validation requires a labeled dataset")
     train_cfg = run.train_config()
-    folds = stratified_kfold(dataset.labels, args.k, train_cfg.master_seed)
+    folds = stratified_kfold(dataset.labels, args.k, train_cfg.seed)
     os.makedirs(args.out, exist_ok=True)
     work = [(r, folds.round(r)) for r in range(args.k)]
     threads = int(os.environ.get("OMIVAE_THREADS", "1"))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(
-                    lambda item: _run_fold(item, dataset, run, train_cfg, train_cfg.master_seed),
-                    work,
-                )
-            )
+            results = list(pool.map(lambda item: _run_fold(item, dataset, run, train_cfg), work))
     else:
-        results = [_run_fold(item, dataset, run, train_cfg, train_cfg.master_seed) for item in work]
+        results = [_run_fold(item, dataset, run, train_cfg) for item in work]
     results.sort(key=lambda x: x[0])
 
     metric_rows = []
@@ -274,8 +269,15 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors raise ValidationError, so they print the one error line."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="omivae",
         description="Multi-omics VAE: synthesize, preprocess, train, cross-validate, embed, evaluate, plot.",
     )
@@ -337,14 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; those are validation failures here
-        return 0 if exc.code in (0, None) else 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
+    except SystemExit as exc:  # only --help: usage errors raise ValidationError
+        return 0 if exc.code in (0, None) else 1
     except ValidationError as exc:
         print(f"omivae: error: validation: {exc}", file=sys.stderr)
         return 1

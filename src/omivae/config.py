@@ -1,78 +1,54 @@
 """Flat key-value run configuration with schema validation.
 
 Configuration files are plain text, one `key = value` per line, `#` for
-comments. Every key must exist in the schema below; `--set key=value`
-overrides from the command line use the same keys.
+comments. Every key must exist in the schema; `--set key=value` overrides
+from the command line use the same keys.
+
+The schema is read off the config dataclasses: each field of `ModelConfig`,
+`TrainConfig`, `PreprocessConfig` and `SyntheticSpec` is the key
+`<section>.<field>`, with the field's annotation as its kind and the field's
+default as its default. A key is its field. The exceptions are the two keys
+in `EXTRA_KEYS`, which are not fields, and the `ModelConfig` fields in
+`DATASET_FIELDS`, which are bound to the dataset rather than to a key.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
+
+from .container import FIELD_KINDS, format_value, parse_value
 from .data import PreprocessConfig, SyntheticSpec
 from .errors import ValidationError
 from .model import ModelConfig
 from .optim import TrainConfig
 
-# key -> (type, default); types: int, float, bool, str, intlist, int_or_auto
-SCHEMA: dict[str, tuple[str, str]] = {
-    "model.latent_dim": ("int", "128"),
-    "model.per_block_hidden": ("int", "256"),
-    "model.modality_dim": ("int", "1024"),
-    "model.fusion_dim": ("int", "512"),
-    "model.expr_hidden": ("int_or_auto", "auto"),
-    "model.classifier_hidden": ("intlist", "128,64"),
+SECTIONS = {
+    "model": ModelConfig,
+    "train": TrainConfig,
+    "preprocess": PreprocessConfig,
+    "synth": SyntheticSpec,
+}
+# ModelConfig fields that `RunConfig.model_config` takes from the dataset
+DATASET_FIELDS = ("methyl_block_dims", "expr_dim", "num_classes", "use_expression", "use_methylation")
+# key -> (kind, default) of the keys that are not dataclass fields
+EXTRA_KEYS = {
     "model.modalities": ("str", "methylation,expression"),
-    "train.batch_size": ("int", "32"),
-    "train.learning_rate": ("float", "0.001"),
-    "train.phase1_epochs": ("int", "200"),
-    "train.phase2_epochs": ("int", "300"),
-    "train.patience": ("int", "10"),
-    "train.min_delta": ("float", "0.0"),
-    "train.alpha": ("float", "1.0"),
-    "train.phase2_beta": ("float", "1.0"),
-    "train.seed": ("int", "0"),
-    "train.shuffle": ("bool", "true"),
     "train.val_fraction": ("float", "0.1"),
-    "preprocess.missing_threshold": ("float", "0.1"),
-    "preprocess.drop_y": ("bool", "true"),
-    "preprocess.drop_all_zero": ("bool", "true"),
-    "preprocess.drop_unmapped": ("bool", "true"),
-    "preprocess.normalize_expression": ("bool", "true"),
-    "preprocess.log2_expression": ("bool", "false"),
-    "synth.num_classes": ("int", "10"),
-    "synth.samples_per_class": ("int", "60"),
-    "synth.num_blocks": ("int", "5"),
-    "synth.features_per_block": ("int", "200"),
-    "synth.expr_features": ("int", "400"),
-    "synth.class_signal": ("float", "0.35"),
-    "synth.signal_fraction": ("float", "0.7"),
-    "synth.latent_factors": ("int", "6"),
-    "synth.within_class_sd": ("float", "0.0"),
-    "synth.nonlinear_mix": ("bool", "false"),
-    "synth.nonlinear_gain": ("float", "3.0"),
-    "synth.noise_sd": ("float", "0.05"),
-    "synth.missing_rate": ("float", "0.0"),
-    "synth.split_signal": ("bool", "false"),
-    "synth.seed": ("int", "1"),
 }
 
+# key -> (kind, default); kinds: int, float, bool, str, intlist, int_or_auto
+SCHEMA: dict[str, tuple[str, str]] = {
+    f"{section}.{f.name}": (FIELD_KINDS[f.type], format_value(f.default))
+    for section, cls in SECTIONS.items()
+    for f in fields(cls)
+    if not (cls is ModelConfig and f.name in DATASET_FIELDS)
+} | EXTRA_KEYS
 
-def _parse_value(key: str, raw: str):
+
+def _parse_key(key: str, raw: str):
     kind = SCHEMA[key][0]
-    raw = raw.strip()
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            if raw not in ("true", "false"):
-                raise ValueError("expected true or false")
-            return raw == "true"
-        if kind == "intlist":
-            return tuple(int(v) for v in raw.split(",") if v != "")
-        if kind == "int_or_auto":
-            return None if raw == "auto" else int(raw)
-        return raw
+        return parse_value(kind, raw)
     except ValueError as exc:
         raise ValidationError(f"config key {key!r}: cannot parse {raw!r} as {kind}") from exc
 
@@ -96,6 +72,12 @@ class RunConfig:
             raise ValidationError("model.modalities must name at least one modality")
         return "expression" in names, "methylation" in names
 
+    def _section(self, section: str, **bound):
+        """The section's dataclass: each field not in `bound` read from its key."""
+        cls = SECTIONS[section]
+        keyed = {f.name: self[f"{section}.{f.name}"] for f in fields(cls) if f.name not in bound}
+        return cls(**bound, **keyed)
+
     def model_config(self, dataset) -> ModelConfig:
         """Bind architecture keys to a dataset's shapes and class count."""
         use_expr, use_methyl = self.modalities()
@@ -104,62 +86,23 @@ class RunConfig:
         if use_methyl and dataset.methylation_blocks is None:
             raise ValidationError("configuration enables methylation but the dataset lacks it")
         num_classes = len(dataset.class_vocab) if dataset.class_vocab else 2
-        return ModelConfig(
+        return self._section(
+            "model",
             methyl_block_dims=dataset.methyl_block_dims if use_methyl else (),
             expr_dim=dataset.expr_dim if use_expr else 0,
-            per_block_hidden=self["model.per_block_hidden"],
-            modality_dim=self["model.modality_dim"],
-            fusion_dim=self["model.fusion_dim"],
-            latent_dim=self["model.latent_dim"],
-            classifier_hidden=self["model.classifier_hidden"],
             num_classes=max(2, num_classes),
-            expr_hidden=self["model.expr_hidden"],
             use_expression=use_expr,
             use_methylation=use_methyl,
         )
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            batch_size=self["train.batch_size"],
-            learning_rate=self["train.learning_rate"],
-            phase1_epochs=self["train.phase1_epochs"],
-            phase2_epochs=self["train.phase2_epochs"],
-            patience=self["train.patience"],
-            min_delta=self["train.min_delta"],
-            alpha=self["train.alpha"],
-            phase2_beta=self["train.phase2_beta"],
-            master_seed=self["train.seed"],
-            shuffle=self["train.shuffle"],
-        )
+        return self._section("train")
 
     def preprocess_config(self) -> PreprocessConfig:
-        return PreprocessConfig(
-            missing_fraction_threshold=self["preprocess.missing_threshold"],
-            drop_y_chromosome=self["preprocess.drop_y"],
-            drop_all_zero_expression=self["preprocess.drop_all_zero"],
-            drop_unmapped_methylation=self["preprocess.drop_unmapped"],
-            normalize_expression=self["preprocess.normalize_expression"],
-            log2_expression=self["preprocess.log2_expression"],
-        )
+        return self._section("preprocess")
 
     def synthetic_spec(self) -> SyntheticSpec:
-        return SyntheticSpec(
-            num_classes=self["synth.num_classes"],
-            samples_per_class=self["synth.samples_per_class"],
-            num_blocks=self["synth.num_blocks"],
-            features_per_block=self["synth.features_per_block"],
-            expr_features=self["synth.expr_features"],
-            class_signal=self["synth.class_signal"],
-            signal_fraction=self["synth.signal_fraction"],
-            latent_factors=self["synth.latent_factors"],
-            within_class_sd=self["synth.within_class_sd"],
-            nonlinear_mix=self["synth.nonlinear_mix"],
-            nonlinear_gain=self["synth.nonlinear_gain"],
-            noise_sd=self["synth.noise_sd"],
-            missing_rate=self["synth.missing_rate"],
-            split_signal_across_modalities=self["synth.split_signal"],
-            seed=self["synth.seed"],
-        )
+        return self._section("synth")
 
     def validation_fold_count(self) -> int:
         fraction = float(self["train.val_fraction"])
@@ -170,7 +113,7 @@ class RunConfig:
 
 def load_run_config(path: str | None = None, overrides: list[str] | None = None) -> RunConfig:
     """Defaults, then the file, then `key=value` overrides; unknown keys rejected."""
-    values = {key: _parse_value(key, default) for key, (_, default) in SCHEMA.items()}
+    values = {key: _parse_key(key, default) for key, (_, default) in SCHEMA.items()}
     if path is not None:
         try:
             with open(path) as fh:
@@ -186,12 +129,12 @@ def load_run_config(path: str | None = None, overrides: list[str] | None = None)
             key, raw = (part.strip() for part in stripped.split("=", 1))
             if key not in SCHEMA:
                 raise ValidationError(f"{path}:{lineno}: unknown configuration key {key!r}")
-            values[key] = _parse_value(key, raw)
+            values[key] = _parse_key(key, raw)
     for item in overrides or []:
         if "=" not in item:
             raise ValidationError(f"override must be key=value, got {item!r}")
         key, raw = (part.strip() for part in item.split("=", 1))
         if key not in SCHEMA:
             raise ValidationError(f"unknown configuration key {key!r}")
-        values[key] = _parse_value(key, raw)
+        values[key] = _parse_key(key, raw)
     return RunConfig(values)

@@ -13,11 +13,14 @@ Layout (little-endian throughout):
 
 Canonical key-value text is one `key=value` line per entry, sorted by key,
 newline-terminated. Values must not contain newlines; list values use tab
-separators.
+separators. A config dataclass's fields are written and read as text by
+their annotations, the same codec that parses configuration files.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import os
 import struct
 import tempfile
@@ -54,6 +57,66 @@ def parse_canonical_text(text: str) -> dict[str, str]:
             raise FormatError(f"duplicate canonical key: {key!r}")
         entries[key] = value
     return entries
+
+
+# annotation of a config dataclass field -> the kind of value its text holds
+FIELD_KINDS = {
+    "int": "int",
+    "float": "float",
+    "bool": "bool",
+    "tuple[int, ...]": "intlist",
+    "int | None": "int_or_auto",
+}
+
+
+def format_value(value) -> str:
+    """The text of a config value: `true`/`false`, `auto` for None, comma lists."""
+    if value is None:
+        return "auto"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+def parse_value(kind: str, raw: str):
+    """Inverse of `format_value` for one kind; raises ValueError on bad text."""
+    if kind == "int":
+        return int(raw)
+    if kind == "float":
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError("not a finite number")
+        return value
+    if kind == "bool":
+        if raw not in ("true", "false"):
+            raise ValueError("expected true or false")
+        return raw == "true"
+    if kind == "intlist":
+        return tuple(int(v) for v in raw.split(",") if v != "")
+    if kind == "int_or_auto":
+        return None if raw == "auto" else int(raw)
+    return raw
+
+
+def fields_to_text(obj) -> dict[str, str]:
+    """A config dataclass as `field -> text` entries for a config block."""
+    return {f.name: format_value(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+
+
+def fields_from_text(cls, entries: dict[str, str]):
+    """Rebuild a config dataclass from the entries `fields_to_text` wrote."""
+    values = {}
+    for f in dataclasses.fields(cls):
+        if f.name not in entries:
+            raise FormatError(f"config block is missing {f.name!r}")
+        raw, kind = entries[f.name], FIELD_KINDS[f.type]
+        try:
+            values[f.name] = parse_value(kind, raw)
+        except ValueError as exc:
+            raise FormatError(f"config {f.name!r}: cannot parse {raw!r} as {kind}") from exc
+    return cls(**values)
 
 
 def encode_str_list(items) -> str:

@@ -322,16 +322,16 @@ class OmicsDataset:
 
 @dataclass
 class PreprocessConfig:
-    missing_fraction_threshold: float = 0.10
-    drop_y_chromosome: bool = True
-    drop_all_zero_expression: bool = True
-    drop_unmapped_methylation: bool = True
+    missing_threshold: float = 0.10
+    drop_y: bool = True
+    drop_all_zero: bool = True
+    drop_unmapped: bool = True
     normalize_expression: bool = True
     log2_expression: bool = False
 
     def __post_init__(self):
-        if not 0.0 <= self.missing_fraction_threshold <= 1.0:
-            raise ValidationError("missing_fraction_threshold must be in [0, 1]")
+        if not 0.0 <= self.missing_threshold <= 1.0:
+            raise ValidationError("missing_threshold must be in [0, 1]")
 
 
 @dataclass
@@ -419,7 +419,7 @@ def preprocess(
         pos = {s: i for i, s in enumerate(raw.sample_ids)}
         return raw.values[np.array([pos[s] for s in sample_ids])]
 
-    threshold = config.missing_fraction_threshold
+    threshold = config.missing_threshold
     expr_values = expr_features = None
     if expression is not None:
         expr_values = rows_for(expression).copy()
@@ -427,11 +427,11 @@ def preprocess(
         if config.log2_expression:
             expr_values = np.log2(expr_values + 1.0)
         keep = np.ones(len(expr_features), dtype=bool)
-        if config.drop_y_chromosome:
+        if config.drop_y:
             is_y = np.array([annotations.get(f) == "Y" for f in expr_features])
             report.expression_removed["y_chromosome"] = int(is_y.sum())
             keep &= ~is_y
-        if config.drop_all_zero_expression:
+        if config.drop_all_zero:
             observed = ~np.isnan(expr_values)
             nonzero = (np.nan_to_num(expr_values, nan=0.0) != 0.0).any(axis=0)
             all_zero = keep & observed.any(axis=0) & ~nonzero
@@ -466,13 +466,13 @@ def preprocess(
         methyl_values = rows_for(methylation).copy()
         methyl_features = list(methylation.feature_ids)
         keep = np.ones(len(methyl_features), dtype=bool)
-        if config.drop_unmapped_methylation:
+        if config.drop_unmapped:
             unmapped = np.array(
                 [annotations.get(f, "NA") == "NA" for f in methyl_features]
             )
             report.methylation_removed["unmapped_or_control"] = int(unmapped.sum())
             keep &= ~unmapped
-        if config.drop_y_chromosome:
+        if config.drop_y:
             is_y = keep & np.array([annotations.get(f) == "Y" for f in methyl_features])
             report.methylation_removed["y_chromosome"] = int(is_y.sum())
             keep &= ~is_y
@@ -631,9 +631,9 @@ class SyntheticSpec:
     within-class factor jitter, the factors mix through fixed random maps
     into every feature block, and `nonlinear_mix` pushes the mixed signal
     through a saturating tanh so that linear projections under-separate the
-    classes. With `split_signal_across_modalities`, expression sees only one
-    factor subspace and methylation only the other, so neither modality
-    alone identifies the class.
+    classes. With `split_signal`, expression sees only one factor subspace
+    and methylation only the other, so neither modality alone identifies the
+    class.
     """
 
     num_classes: int = 10
@@ -649,7 +649,7 @@ class SyntheticSpec:
     nonlinear_gain: float = 3.0
     noise_sd: float = 0.05
     missing_rate: float = 0.0
-    split_signal_across_modalities: bool = False
+    split_signal: bool = False
     seed: int = 1
 
     def __post_init__(self):
@@ -682,7 +682,7 @@ def synthesize(spec: SyntheticSpec) -> OmicsDataset:
 
     k, spc, latent = spec.num_classes, spec.samples_per_class, spec.latent_factors
     n = k * spc
-    if spec.split_signal_across_modalities:
+    if spec.split_signal:
         half = latent // 2
         a_count = math.ceil(math.sqrt(k))
         b_count = math.ceil(k / a_count)

@@ -295,8 +295,11 @@ def export_embedding(source, dataset, path: str) -> Matrix:
 
 def read_embedding_tsv(path: str) -> tuple[list[str], np.ndarray, list[str] | None]:
     """Parse an embedding TSV back into (sample_ids, matrix, class names or None)."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise ValidationError(f"cannot read embedding {path}: {exc}") from exc
     if not lines:
         raise ValidationError(f"{path}: empty embedding file")
     header = lines[0].split("\t")

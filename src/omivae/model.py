@@ -94,43 +94,6 @@ class ModelConfig:
             return self.expr_hidden
         return max(8, min(4096, math.ceil(self.expr_dim / 14)))
 
-    def to_flat_dict(self) -> dict[str, str]:
-        return {
-            "methyl_block_dims": ",".join(str(d) for d in self.methyl_block_dims),
-            "expr_dim": str(self.expr_dim),
-            "per_block_hidden": str(self.per_block_hidden),
-            "modality_dim": str(self.modality_dim),
-            "fusion_dim": str(self.fusion_dim),
-            "latent_dim": str(self.latent_dim),
-            "classifier_hidden": ",".join(str(d) for d in self.classifier_hidden),
-            "num_classes": str(self.num_classes),
-            "expr_hidden": "auto" if self.expr_hidden is None else str(self.expr_hidden),
-            "use_expression": "true" if self.use_expression else "false",
-            "use_methylation": "true" if self.use_methylation else "false",
-        }
-
-    @classmethod
-    def from_flat_dict(cls, flat: dict[str, str]) -> "ModelConfig":
-        def ints(value: str) -> tuple[int, ...]:
-            return tuple(int(v) for v in value.split(",") if v != "")
-
-        try:
-            return cls(
-                methyl_block_dims=ints(flat["methyl_block_dims"]),
-                expr_dim=int(flat["expr_dim"]),
-                per_block_hidden=int(flat["per_block_hidden"]),
-                modality_dim=int(flat["modality_dim"]),
-                fusion_dim=int(flat["fusion_dim"]),
-                latent_dim=int(flat["latent_dim"]),
-                classifier_hidden=ints(flat["classifier_hidden"]),
-                num_classes=int(flat["num_classes"]),
-                expr_hidden=None if flat["expr_hidden"] == "auto" else int(flat["expr_hidden"]),
-                use_expression=flat["use_expression"] == "true",
-                use_methylation=flat["use_methylation"] == "true",
-            )
-        except (KeyError, ValueError) as exc:
-            raise ValidationError(f"malformed model configuration: {exc}") from exc
-
 
 @dataclass
 class LatentSample:

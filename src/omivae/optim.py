@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .container import read_container, write_container
+from .container import fields_from_text, fields_to_text, read_container, write_container
 from .errors import FormatError, NumericError, ValidationError
 from .layers import ParameterArena
 from .losses import LossReport, LossWeights, classification_loss, total_loss, vae_loss
@@ -105,7 +105,7 @@ class TrainConfig:
     min_delta: float = 0.0
     alpha: float = 1.0
     phase2_beta: float = 1.0
-    master_seed: int = 0
+    seed: int = 0
     shuffle: bool = True
 
     def __post_init__(self):
@@ -346,7 +346,7 @@ def train_two_phase(
     val_idx = np.asarray(val_idx, dtype=np.int64)
     if train_idx.size == 0 or val_idx.size == 0:
         raise ValidationError("training and validation splits must be non-empty")
-    rng = rng if rng is not None else RngState(config.master_seed)
+    rng = rng if rng is not None else RngState(config.seed)
     history = TrainingHistory()
     _run_phase(
         model,
@@ -412,12 +412,12 @@ def save_checkpoint(
         meta["optim.t"] = str(adam.t)
         meta["optim.lr"] = repr(adam.lr)
     write_container(
-        path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, model.config.to_flat_dict(), tensors, meta
+        path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, fields_to_text(model.config), tensors, meta
     )
 
 
 def load_checkpoint(path: str) -> Checkpoint:
     config_flat, tensors, metadata = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
-    config = ModelConfig.from_flat_dict(config_flat)
+    config = fields_from_text(ModelConfig, config_flat)
     model_tensors = [(n, a) for n, a in tensors if not n.startswith("optim.")]
     return Checkpoint(config=config, tensors=model_tensors, metadata=metadata)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from omivae.config import SCHEMA, RunConfig, load_run_config
+from omivae.container import fields_from_text, fields_to_text
 from omivae.data import PreprocessConfig, SyntheticSpec
-from omivae.errors import ValidationError
+from omivae.errors import FormatError, ValidationError
 from omivae.model import ModelConfig
 from omivae.optim import TrainConfig
 
@@ -44,6 +45,58 @@ class TestDefaults:
         assert config.read == set(SCHEMA)
 
 
+PUBLIC_KEYS = {
+    "model.per_block_hidden": ("int", "256"),
+    "model.modality_dim": ("int", "1024"),
+    "model.fusion_dim": ("int", "512"),
+    "model.latent_dim": ("int", "128"),
+    "model.classifier_hidden": ("intlist", "128,64"),
+    "model.expr_hidden": ("int_or_auto", "auto"),
+    "model.modalities": ("str", "methylation,expression"),
+    "train.batch_size": ("int", "32"),
+    "train.learning_rate": ("float", "0.001"),
+    "train.phase1_epochs": ("int", "200"),
+    "train.phase2_epochs": ("int", "300"),
+    "train.patience": ("int", "10"),
+    "train.min_delta": ("float", "0.0"),
+    "train.alpha": ("float", "1.0"),
+    "train.phase2_beta": ("float", "1.0"),
+    "train.seed": ("int", "0"),
+    "train.shuffle": ("bool", "true"),
+    "train.val_fraction": ("float", "0.1"),
+    "preprocess.missing_threshold": ("float", "0.1"),
+    "preprocess.drop_y": ("bool", "true"),
+    "preprocess.drop_all_zero": ("bool", "true"),
+    "preprocess.drop_unmapped": ("bool", "true"),
+    "preprocess.normalize_expression": ("bool", "true"),
+    "preprocess.log2_expression": ("bool", "false"),
+    "synth.num_classes": ("int", "10"),
+    "synth.samples_per_class": ("int", "60"),
+    "synth.num_blocks": ("int", "5"),
+    "synth.features_per_block": ("int", "200"),
+    "synth.expr_features": ("int", "400"),
+    "synth.class_signal": ("float", "0.35"),
+    "synth.signal_fraction": ("float", "0.7"),
+    "synth.latent_factors": ("int", "6"),
+    "synth.within_class_sd": ("float", "0.0"),
+    "synth.nonlinear_mix": ("bool", "false"),
+    "synth.nonlinear_gain": ("float", "3.0"),
+    "synth.noise_sd": ("float", "0.05"),
+    "synth.missing_rate": ("float", "0.0"),
+    "synth.split_signal": ("bool", "false"),
+    "synth.seed": ("int", "1"),
+}
+
+
+class TestPublicKeys:
+    def test_keys_kinds_and_defaults_are_pinned(self):
+        assert len(PUBLIC_KEYS) == 39
+        assert SCHEMA == PUBLIC_KEYS
+
+
+FLOAT_KEYS = sorted(key for key, (kind, _) in PUBLIC_KEYS.items() if kind == "float")
+
+
 class TestErrors:
     def test_unknown_key(self, tmp_path):
         with pytest.raises(ValidationError, match="unknown configuration key 'model.width'"):
@@ -57,6 +110,12 @@ class TestErrors:
     def test_malformed_bool(self, raw):
         with pytest.raises(ValidationError, match="'train.shuffle': cannot parse"):
             load_run_config(overrides=[f"train.shuffle={raw}"])
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float(self, key, raw):
+        with pytest.raises(ValidationError, match=f"'{key}': cannot parse '{raw}' as float"):
+            load_run_config(overrides=[f"{key}={raw}"])
 
     @pytest.mark.parametrize("fraction", ["0", "0.0", "0.5", "0.9", "-0.1"])
     def test_val_fraction_out_of_range(self, fraction):
@@ -75,7 +134,7 @@ class TestErrors:
 class TestModelConfigFlatText:
     def test_auto_expr_hidden_single_modality_round_trip(self):
         config = ModelConfig(expr_dim=40, use_methylation=False, latent_dim=16, num_classes=5)
-        flat = config.to_flat_dict()
+        flat = fields_to_text(config)
         assert flat == {
             "methyl_block_dims": "",
             "expr_dim": "40",
@@ -89,6 +148,12 @@ class TestModelConfigFlatText:
             "use_expression": "true",
             "use_methylation": "false",
         }
-        back = ModelConfig.from_flat_dict(flat)
+        back = fields_from_text(ModelConfig, flat)
         assert back == config
         assert back.expr_hidden is None and back.resolved_expr_hidden == 8
+
+    def test_checkpoint_bools_are_strict(self):
+        flat = fields_to_text(ModelConfig(expr_dim=40, use_methylation=False))
+        flat["use_expression"] = "yes"
+        with pytest.raises(FormatError, match="'use_expression': cannot parse 'yes' as bool"):
+            fields_from_text(ModelConfig, flat)

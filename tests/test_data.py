@@ -335,7 +335,7 @@ class TestSynthesize:
             features_per_block=12,
             expr_features=12,
             noise_sd=0.0,
-            split_signal_across_modalities=True,
+            split_signal=True,
             seed=4,
         )
         ds = synthesize(spec)
