@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 validation error (bad inputs, bad config), 2
 runtime or numeric error. Errors print a single machine-parseable line
 `omivae: error: <category>: <message>` on stderr. The OMIVAE_THREADS
-environment variable caps fold-level parallelism in crossval (default 1).
+environment variable, a positive integer, caps fold-level parallelism in
+crossval (default 1).
 """
 
 from __future__ import annotations
@@ -167,7 +168,20 @@ def _run_fold(fold, dataset, run, base_cfg):
     return r, report, history
 
 
+def _fold_threads() -> int:
+    """The fold-thread cap from OMIVAE_THREADS (default 1)."""
+    text = os.environ.get("OMIVAE_THREADS", "1")
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValidationError(f"OMIVAE_THREADS must be a positive integer, got {text!r}")
+    return threads
+
+
 def cmd_crossval(args) -> int:
+    threads = _fold_threads()
     run = load_run_config(args.config, args.set)
     dataset = _load_dataset(args.data, run)
     if dataset.labels is None:
@@ -176,7 +190,6 @@ def cmd_crossval(args) -> int:
     folds = stratified_kfold(dataset.labels, args.k, train_cfg.seed)
     os.makedirs(args.out, exist_ok=True)
     work = [(r, folds.round(r)) for r in range(args.k)]
-    threads = int(os.environ.get("OMIVAE_THREADS", "1"))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(lambda item: _run_fold(item, dataset, run, train_cfg), work))

@@ -65,6 +65,14 @@ def _check_unique(ids: list[str], what: str, path: str) -> None:
         seen.add(i)
 
 
+def _open_tsv(path: str):
+    """Open an input TSV; a file that cannot be opened is a bad input."""
+    try:
+        return open(path, newline="")
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+
+
 def load_matrix_tsv(path: str, orientation: str = "features") -> RawMatrix:
     """Read a matrix TSV; `orientation` names what the file's rows hold.
 
@@ -73,7 +81,7 @@ def load_matrix_tsv(path: str, orientation: str = "features") -> RawMatrix:
     """
     if orientation not in ("features", "samples"):
         raise ValidationError(f"orientation must be 'features' or 'samples', got {orientation!r}")
-    with open(path, newline="") as fh:
+    with _open_tsv(path) as fh:
         reader = csv.reader(fh, delimiter="\t")
         try:
             header = next(reader)
@@ -107,7 +115,7 @@ def load_matrix_tsv(path: str, orientation: str = "features") -> RawMatrix:
 
 
 def _load_two_column_tsv(path: str, col_a: str, col_b: str) -> dict[str, str]:
-    with open(path, newline="") as fh:
+    with _open_tsv(path) as fh:
         reader = csv.reader(fh, delimiter="\t")
         try:
             header = next(reader)

@@ -27,14 +27,16 @@ class ActivationKind(Enum):
 
 @dataclass
 class Parameter:
-    """A named learnable tensor with its gradient accumulator.
+    """A named learnable tensor with the gradient of the last backward.
 
-    In a model, `value` and `grad` are views into the model's
+    Each backward writes a parameter's gradient whole (every parameter gets
+    exactly one contribution per step), so `grad` needs no clearing between
+    steps. In a model, `value` and `grad` are views into the model's
     `ParameterArena`, as are the batch-norm running statistics. Write them
-    in place (`value[...] = x`, `grad += g`, `running_mean *= c`) and never
-    rebind them or the layer attributes they come from: a rebound array
-    leaves the arena, so the optimizer, `zero_grad` and snapshots no longer
-    see it.
+    in place (`value[...] = x`, `np.matmul(..., out=grad)`,
+    `running_mean *= c`) and never rebind them or the layer attributes they
+    come from: a rebound array leaves the arena, so the optimizer,
+    `zero_grad` and snapshots no longer see it.
     """
 
     name: str
@@ -92,12 +94,16 @@ def apply_activation(kind: ActivationKind, z: Matrix) -> Matrix:
     if kind is ActivationKind.RELU:
         return np.maximum(z, 0.0)
     if kind is ActivationKind.SIGMOID:
-        # split by sign to avoid overflow in exp
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
+        # 1/(1+e^-z) for z >= 0 and e^z/(1+e^z) otherwise, both from
+        # e^-|z| <= 1, which cannot overflow; min(z, -z) rather than -|z|
+        # keeps a NaN's sign, so the result is bit-equal to masking by sign
+        with np.errstate(under="ignore"):
+            out = np.minimum(z, -z)
+            np.exp(out, out=out)
+            denom = out + 1.0
+            np.divide(out, denom, out=out)
+            np.divide(1.0, denom, out=denom)
+        np.copyto(out, denom, where=z >= 0)
         return out
     if kind is ActivationKind.SOFTMAX:
         shifted = z - z.max(axis=1, keepdims=True)
@@ -123,6 +129,9 @@ class LinearLayer:
 
     `use_bias=False` drops the bias entirely; a linear layer feeding batch
     norm uses this since the normalization would cancel any bias anyway.
+    `needs_input_grad=False` makes backward skip the gradient with respect
+    to the input and return None; a model's input layers use it, since
+    nothing reads the gradient of the data.
     """
 
     def __init__(
@@ -132,6 +141,7 @@ class LinearLayer:
         rng: RngState,
         name: str = "linear",
         use_bias: bool = True,
+        needs_input_grad: bool = True,
     ):
         if in_dim < 1 or out_dim < 1:
             raise ValidationError(f"{name}: dimensions must be >= 1, got {in_dim}x{out_dim}")
@@ -141,6 +151,7 @@ class LinearLayer:
         self.bias = np.zeros(out_dim) if use_bias else None
         self.grad_weights = np.zeros((out_dim, in_dim))
         self.grad_bias = np.zeros(out_dim) if use_bias else None
+        self.needs_input_grad = needs_input_grad
         self._input: Matrix | None = None
 
     @property
@@ -162,17 +173,17 @@ class LinearLayer:
             out += self.bias
         return out
 
-    def backward(self, upstream: Matrix) -> Matrix:
+    def backward(self, upstream: Matrix) -> Matrix | None:
+        """Write the parameter grads; return the input gradient if needed."""
         if self._input is None:
             raise ValidationError(f"{self.name}: backward without a cached training forward")
         if upstream.shape != (self._input.shape[0], self.out_dim):
             raise ValidationError(f"{self.name}: upstream shape {upstream.shape} mismatch")
-        self.grad_weights += upstream.T @ self._input
+        np.matmul(upstream.T, self._input, out=self.grad_weights)
         if self.grad_bias is not None:
-            self.grad_bias += upstream.sum(axis=0)
-        din = upstream @ self.weights
+            np.sum(upstream, axis=0, out=self.grad_bias)
         self._input = None
-        return din
+        return upstream @ self.weights if self.needs_input_grad else None
 
     def parameters(self, prefix: str = "") -> list[Parameter]:
         p = f"{prefix}{self.name}"
@@ -242,8 +253,8 @@ class BatchNormLayer:
             raise ValidationError(f"{self.name}: backward without a cached training forward")
         x_hat, inv_std = self._cache
         n = x_hat.shape[0]
-        self.grad_gamma += np.sum(upstream * x_hat, axis=0)
-        self.grad_beta_shift += np.sum(upstream, axis=0)
+        np.sum(upstream * x_hat, axis=0, out=self.grad_gamma)
+        np.sum(upstream, axis=0, out=self.grad_beta_shift)
         d_hat = upstream * self.gamma
         # d/dx of (x - mean)/std going through mean and variance
         din = (inv_std / n) * (
@@ -286,9 +297,17 @@ class FcBlock:
         rng: RngState,
         batch_norm: bool = True,
         name: str = "fc",
+        needs_input_grad: bool = True,
     ):
         self.name = name
-        self.linear = LinearLayer(in_dim, out_dim, rng, name="linear", use_bias=not batch_norm)
+        self.linear = LinearLayer(
+            in_dim,
+            out_dim,
+            rng,
+            name="linear",
+            use_bias=not batch_norm,
+            needs_input_grad=needs_input_grad,
+        )
         self.norm = BatchNormLayer(out_dim, name="norm") if batch_norm else None
         self.activation = activation
         self._out: Matrix | None = None
@@ -301,7 +320,7 @@ class FcBlock:
         self._out = out if train else None
         return out
 
-    def backward(self, upstream: Matrix) -> Matrix:
+    def backward(self, upstream: Matrix) -> Matrix | None:
         """Gradient through the activation, norm, and linear parts."""
         if self._out is None:
             raise ValidationError(f"{self.name}: backward without a cached training forward")

@@ -155,8 +155,8 @@ class OmiVaeModel:
             self.blocks.append(block)
             return block
 
-        def fc(in_dim: int, out_dim: int, name: str) -> FcBlock:
-            return add(FcBlock(in_dim, out_dim, ActivationKind.RELU, rng, name=name))
+        def fc(in_dim: int, out_dim: int, name: str, **options) -> FcBlock:
+            return add(FcBlock(in_dim, out_dim, ActivationKind.RELU, rng, name=name, **options))
 
         def out(in_dim: int, out_dim: int, name: str) -> FcBlock:
             # sigmoid/softmax are applied by the model, so the fused loss
@@ -165,12 +165,16 @@ class OmiVaeModel:
                 FcBlock(in_dim, out_dim, ActivationKind.IDENTITY, rng, batch_norm=False, name=name)
             )
 
+        # the input layers skip the gradient with respect to the data
         branches = []
         if cfg.use_methylation:
-            encoders = [fc(d, pbh, f"encoder.methyl.block{j:02d}") for j, d in enumerate(dims)]
+            encoders = [
+                fc(d, pbh, f"encoder.methyl.block{j:02d}", needs_input_grad=False)
+                for j, d in enumerate(dims)
+            ]
             branches.append(Sequence(Join(encoders), fc(m * pbh, mod, "encoder.methyl.merge")))
         if cfg.use_expression:
-            hidden1 = fc(cfg.expr_dim, eh, "encoder.expr.hidden1")
+            hidden1 = fc(cfg.expr_dim, eh, "encoder.expr.hidden1", needs_input_grad=False)
             branches.append(Sequence(hidden1, fc(eh, mod, "encoder.expr.hidden2")))
         self.encoder = Sequence(Join(branches), fc(n_mod * mod, cfg.fusion_dim, "encoder.fusion"))
         # distribution heads stay unconstrained: plain linear, no norm
@@ -179,6 +183,7 @@ class OmiVaeModel:
             add(LinearLayer(cfg.fusion_dim, cfg.latent_dim, rng, name="encoder.logvar_head")),
         )
 
+        first_decoder_block = len(self.blocks)
         trunk = (
             fc(cfg.latent_dim, cfg.fusion_dim, "decoder.from_latent"),
             fc(cfg.fusion_dim, n_mod * mod, "decoder.to_modalities"),
@@ -193,6 +198,7 @@ class OmiVaeModel:
             branches.append(Sequence(expand, out(eh, cfg.expr_dim, "decoder.expr.out")))
         self.decoder = Sequence(*trunk, Split([mod] * n_mod, branches))
 
+        first_classifier_block = len(self.blocks)
         h1, h2 = cfg.classifier_hidden
         self.classifier = Sequence(
             fc(cfg.latent_dim, h1, "classifier.hidden1"),
@@ -200,6 +206,14 @@ class OmiVaeModel:
             out(h2, cfg.num_classes, "classifier.out"),
         )
         self.arena = ParameterArena(self.blocks)
+        # each tower's grads are one run of the arena, since blocks are laid
+        # out in the order they were made
+        offsets = np.cumsum(
+            [0] + [sum(p.value.size for p in b.parameters()) for b in self.blocks]
+        )
+        grads = self.arena.grads
+        self._decoder_grads = grads[offsets[first_decoder_block] : offsets[first_classifier_block]]
+        self._classifier_grads = grads[offsets[first_classifier_block] :]
 
     # ------------------------------------------------------------------ plumbing
 
@@ -207,6 +221,7 @@ class OmiVaeModel:
         return list(self.arena.params)
 
     def zero_grad(self) -> None:
+        """Clear every grad; a training step does not need it (see forward_backward)."""
         self.arena.grads.fill(0.0)
 
     def state_tensors(self) -> list[tuple[str, np.ndarray]]:
@@ -319,10 +334,14 @@ class OmiVaeModel:
         rng: RngState | None = None,
         epsilon: Matrix | None = None,
     ) -> tuple[ForwardPass, LossReport]:
-        """One training forward plus hand-derived backward; grads accumulate.
+        """One training forward plus hand-derived backward; writes every grad.
 
-        The classifier reads the latent mean, so its gradient reaches the
-        encoder through mu only and never through the sampled z.
+        Each parameter's grad is overwritten with this batch's gradient, so
+        no `zero_grad` is needed between steps: a tower whose loss weight is
+        zero (the decoder when alpha is 0, the classifier when beta is 0)
+        runs no backward and gets zero grads. The classifier reads the
+        latent mean, so its gradient reaches the encoder through mu only and
+        never through the sampled z.
         """
         cfg = self.config
         batch = self._validate_inputs(x_expr, x_methyl_blocks)
@@ -363,6 +382,7 @@ class OmiVaeModel:
                 d_recon.append(alpha / (batch * cfg.expr_dim) * (recon_expr - x_expr))
             d_z = self.decoder.backward(d_recon)
         else:
+            self._decoder_grads.fill(0.0)
             d_z = np.zeros_like(latent.z)
 
         d_mu = d_z.copy()
@@ -375,6 +395,8 @@ class OmiVaeModel:
             onehot = np.zeros_like(probs)
             onehot[np.arange(batch), np.asarray(labels)] = 1.0
             d_mu += self.classifier.backward(beta * (probs - onehot) / batch)
+        else:
+            self._classifier_grads.fill(0.0)
 
         mu_head, logvar_head = self.heads
         self.encoder.backward(mu_head.backward(d_mu) + logvar_head.backward(d_logvar))

@@ -2,8 +2,9 @@
 
 A model keeps every parameter, gradient and batch-norm running statistic
 in one float64 `ParameterArena`, and everything here works on its flat
-vectors: Adam updates `arena.values` from `arena.grads`, `zero_grad` is
-one fill, and a snapshot is one copy of `arena.state`. Code that changes a
+vectors: Adam updates `arena.values` from `arena.grads`, and a snapshot is
+one copy of `arena.state`. A training step needs no `zero_grad`, because
+`forward_backward` writes every grad of the arena. Code that changes a
 tensor therefore writes it in place and never rebinds `.value`, `.grad`
 or a running statistic.
 """
@@ -57,7 +58,9 @@ class Adam:
 
     def step(self) -> None:
         grads = self.arena.grads
-        if not np.isfinite(grads).all():
+        # a finite sum of squares means every entry is finite; only a
+        # non-finite one (or an overflow) needs the exact check
+        if not np.isfinite(grads @ grads) and not np.isfinite(grads).all():
             name = next(p.name for p in self.arena.params if not np.isfinite(p.grad).all())
             raise NumericError(f"non-finite gradient in {name}; step aborted")
         self.t += 1
@@ -272,7 +275,6 @@ def _run_phase(
                 np.copyto(model.arena.state, saved)
                 history.diverged = True
                 return
-            model.zero_grad()
             sums += (
                 np.array(
                     [
@@ -378,6 +380,15 @@ def train_two_phase(
     return history
 
 
+class _NoDraw:
+    """Stands in for the `RngState` of a model whose every tensor is then
+    overwritten: each draw is zeros, so no random numbers are made and a
+    large tensor takes no memory until the arena is filled."""
+
+    def uniform(self, low: float, high: float, shape) -> np.ndarray:
+        return np.zeros(shape)
+
+
 @dataclass
 class Checkpoint:
     config: ModelConfig
@@ -385,8 +396,12 @@ class Checkpoint:
     metadata: dict[str, str]
 
     def build(self) -> OmiVaeModel:
-        """Reconstruct the model this checkpoint was saved from."""
-        model = build_model(self.config, RngState(0))
+        """Reconstruct the model this checkpoint was saved from.
+
+        Every tensor is overwritten with its saved value, so the model is
+        built without drawing an initialization.
+        """
+        model = build_model(self.config, _NoDraw())
         saved = dict(self.tensors)
         for name, live in model.state_tensors():
             if name not in saved:

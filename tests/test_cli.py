@@ -11,6 +11,18 @@ BAD_INPUT = {
     "synth": (["synth", "--set", "synth.class_signal=nan", "--out", "{d}/synth"],
               "'synth.class_signal'"),
     "preprocess": (["preprocess", "--out", "{d}/cache.omids"], "--expression"),
+    "preprocess-missing-expression": (
+        ["preprocess", "--expression", "{d}/absent_expr.tsv", "--out", "{d}/cache.omids"],
+        "absent_expr.tsv"),
+    "preprocess-missing-methylation": (
+        ["preprocess", "--methylation", "{d}/absent_methyl.tsv", "--out", "{d}/cache.omids"],
+        "absent_methyl.tsv"),
+    "preprocess-missing-annotations": (
+        ["preprocess", "--expression", "{d}/expr.tsv", "--annotations", "{d}/absent_ann.tsv",
+         "--out", "{d}/cache.omids"], "absent_ann.tsv"),
+    "preprocess-missing-labels": (
+        ["preprocess", "--expression", "{d}/expr.tsv", "--labels", "{d}/absent_labels.tsv",
+         "--out", "{d}/cache.omids"], "absent_labels.tsv"),
     "train": (["train", "--data", "{d}/absent.omids", "--out", "{d}/model.omvae"],
               "absent.omids"),
     "crossval": (["crossval", "--config", "{d}/absent.cfg", "--data", "{d}/absent.omids",
@@ -20,14 +32,23 @@ BAD_INPUT = {
     "evaluate": (["evaluate", "--checkpoint", "{d}/garbage.omvae", "--data", "{d}/absent.omids",
                   "--out", "{d}/report.txt"], "bad magic"),
     "plot": (["plot", "--embedding", "{d}/absent.tsv", "--out", "{d}/plot.svg"], "absent.tsv"),
+    "crossval-threads-word": (["crossval", "--data", "{d}/absent.omids", "--out", "{d}/cv"],
+                              "OMIVAE_THREADS must be a positive integer, got 'two'"),
+    "crossval-threads-zero": (["crossval", "--data", "{d}/absent.omids", "--out", "{d}/cv"],
+                              "OMIVAE_THREADS must be a positive integer, got '0'"),
     "usage-missing-option": (["train", "--data", "{d}/absent.omids"], "--out"),
     "usage-unknown-command": (["bogus"], "'bogus'"),
 }
+# case -> OMIVAE_THREADS, for the cases that set it
+THREADS = {"crossval-threads-word": "two", "crossval-threads-zero": "0"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUT))
-def test_bad_input_prints_one_validation_line(tmp_path, capsys, case):
+def test_bad_input_prints_one_validation_line(tmp_path, capsys, monkeypatch, case):
     (tmp_path / "garbage.omvae").write_bytes(b"not a checkpoint")
+    (tmp_path / "expr.tsv").write_text("gene\tS1\tS2\tS3\ng1\t0.1\t0.2\t0.3\n")
+    if case in THREADS:
+        monkeypatch.setenv("OMIVAE_THREADS", THREADS[case])
     argv, fragment = BAD_INPUT[case]
     code = cli.main([arg.format(d=tmp_path) for arg in argv])
     err = capsys.readouterr().err

@@ -107,6 +107,61 @@ class TestBackward:
             assert np.array_equal(p.value, saved)
             assert not np.array_equal(p.grad, np.zeros_like(p.grad))
 
+    def test_backward_writes_grads_instead_of_adding(self):
+        # NaN in every grad buffer, then two backwards: the grads are those
+        # of the last one alone, bit for bit
+        x, first, second = (RngState(s).standard_normal(6, 4) for s in (40, 41, 42))
+        fresh = make_block(4, 4, ActivationKind.RELU, seed=43)
+        fresh.forward(x, train=True)
+        fresh.backward(second)
+        block = make_block(4, 4, ActivationKind.RELU, seed=43)
+        for p in block.parameters():
+            p.grad[...] = np.nan
+        for upstream in (first, second):
+            block.forward(x, train=True)
+            block.backward(upstream)
+        for p, q in zip(block.parameters(), fresh.parameters()):
+            assert p.grad.tobytes() == q.grad.tobytes(), p.name
+
+    def test_skipping_the_input_gradient_keeps_the_parameter_grads(self):
+        x = RngState(44).standard_normal(5, 3)
+        upstream = RngState(45).standard_normal(5, 2)
+        grads = []
+        for needs_input_grad in (True, False):
+            layer = LinearLayer(3, 2, RngState(46), needs_input_grad=needs_input_grad)
+            layer.forward(x, train=True)
+            din = layer.backward(upstream)
+            assert (din is None) == (not needs_input_grad)
+            grads.append([p.grad.copy() for p in layer.parameters()])
+        for a, b in zip(*grads):
+            assert a.tobytes() == b.tobytes()
+        block = FcBlock(3, 2, ActivationKind.RELU, RngState(46), needs_input_grad=False)
+        block.forward(x, train=True)
+        assert block.backward(upstream) is None
+
+
+def masked_sigmoid(z):
+    """The sigmoid split by sign with boolean masks, the reference form."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestSigmoid:
+    def test_bit_equal_to_the_masked_form_without_warnings(self):
+        specials = [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan, -np.nan]
+        z = np.concatenate([specials, RngState(47).standard_normal(1, 40)[0] * 30.0])
+        z = z.reshape(4, -1)
+        with np.errstate(under="ignore"):
+            expected = masked_sigmoid(z)
+        with np.errstate(all="raise"):
+            got = apply_activation(ActivationKind.SIGMOID, z)
+        assert got.tobytes() == expected.tobytes()
+        assert np.array_equal(got[0, :6], [0.5, 0.5, 1.0, 0.0, 1.0, 0.0])
+
 
 class TestActivationJacobians:
     @pytest.mark.parametrize(

@@ -321,6 +321,54 @@ class TestForwardBackward:
         (mu_head,) = params_under(model, "encoder.mu_head.weights")
         assert not np.array_equal(mu_head.grad, np.zeros_like(mu_head.grad))
 
+    @pytest.mark.parametrize(
+        "alpha, beta, cleared",
+        [(1.0, 0.0, "classifier."), (0.0, 1.0, "decoder."), (1.0, 1.0, None)],
+        ids=["phase1", "alpha0", "joint"],
+    )
+    def test_grads_are_written_whatever_they_held(self, alpha, beta, cleared):
+        # a step from NaN-filled grads gives the grads of a step from zeros,
+        # bit for bit, and the tower that runs no backward gets exact zeros
+        config = tiny_config()
+        x_expr, x_blocks = tiny_batch(config, rows=6)
+        labels = np.array([0, 1, 2, 3, 0, 1]) if beta else None
+        eps = RngState(36).standard_normal(6, config.latent_dim)
+        grads = []
+        for start in (0.0, np.nan):
+            model = build_model(config, RngState(37))
+            model.arena.grads.fill(start)
+            model.forward_backward(
+                x_expr, x_blocks, labels, LossWeights(alpha=alpha, beta=beta), epsilon=eps
+            )
+            grads.append(model.arena.grads.copy())
+        assert grads[1].tobytes() == grads[0].tobytes()
+        assert np.isfinite(grads[1]).all()
+        if cleared is not None:
+            tower = params_under(model, cleared)
+            assert tower
+            for p in tower:
+                assert p.grad.tobytes() == np.zeros_like(p.grad).tobytes(), p.name
+
+    @pytest.mark.parametrize(
+        "overrides, inputs, input_grads",
+        [
+            ({}, ["encoder.methyl.block00", "encoder.methyl.block01", "encoder.expr.hidden1"],
+             [[None, None], None]),
+            (dict(use_methylation=False, methyl_block_dims=()), ["encoder.expr.hidden1"], [None]),
+            (dict(use_expression=False, expr_dim=0),
+             ["encoder.methyl.block00", "encoder.methyl.block01"], [[None, None]]),
+        ],
+        ids=["both", "expression", "methylation"],
+    )
+    def test_only_the_input_layers_skip_the_data_gradient(self, overrides, inputs, input_grads):
+        model = build_model(tiny_config(**overrides), RngState(38))
+        skipping = [b.name for b in model.blocks if not getattr(b, "linear", b).needs_input_grad]
+        assert skipping == inputs
+        x_expr, x_blocks = tiny_batch(model.config, rows=4)
+        batch = [x for x in (x_blocks, x_expr) if x is not None]
+        fused = model.encoder.forward(batch, train=True)
+        assert model.encoder.backward(np.ones_like(fused)) == input_grads
+
     def test_labels_required_when_supervised(self):
         config = tiny_config()
         model = build_model(config, RngState(28))

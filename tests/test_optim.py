@@ -205,6 +205,37 @@ class TestFusedAdam:
         with pytest.raises(NumericError, match="encoder.fusion.norm.gamma"):
             adam.step()
 
+    def test_huge_finite_gradient_steps(self):
+        # 1e200 squared overflows the fast finiteness test, and the exact
+        # check it falls back to finds every entry finite
+        layer = LinearLayer(3, 2, RngState(4))
+        arena = ParameterArena([layer])
+        adam = Adam(arena, lr=0.01)
+        arena.grads[:] = np.linspace(-1.0, 1.0, arena.grads.size)
+        arena.grads[2] = 1e200
+        values = [layer.weights.copy(), layer.bias.copy()]
+        grads = [layer.grad_weights.copy(), layer.grad_bias.copy()]
+        ms = [np.zeros_like(v) for v in values]
+        vs = [np.zeros_like(v) for v in values]
+        with np.errstate(over="ignore"):  # Adam's own square of 1e200
+            adam.step()
+            textbook_adam_step(values, grads, ms, vs, 1, lr=0.01)
+        assert adam.t == 1
+        assert layer.weights.tobytes() == values[0].tobytes()
+        assert layer.bias.tobytes() == values[1].tobytes()
+
+
+def test_training_never_clears_the_grads(monkeypatch):
+    """`forward_backward` writes every grad, so a step needs no zero_grad."""
+    model = build_model(TINY, RngState(0))
+
+    def forbidden():
+        raise AssertionError("zero_grad called during training")
+
+    monkeypatch.setattr(model, "zero_grad", forbidden)
+    config = TrainConfig(batch_size=8, phase1_epochs=2, phase2_epochs=2, patience=100)
+    optim.train_two_phase(model, tiny_dataset(), np.arange(32), np.arange(32, 40), config)
+
 
 def test_threads_training_at_once_match_serial_runs():
     """Each model owns its arena, m, v and chunk buffers: crossval's fold
@@ -522,3 +553,16 @@ class TestCheckpointFormat:
         saved = dict(tensors)
         for name, live in adam.state_tensors():
             assert saved[name].tobytes() == live.tobytes(), name
+
+    def test_build_draws_no_initialization(self, tmp_path, monkeypatch):
+        model = build_model(TINY, RngState(0))
+        path = str(tmp_path / "model.omvae")
+        optim.save_checkpoint(path, model)
+        checkpoint = optim.load_checkpoint(path)
+
+        def forbidden(*args):
+            raise AssertionError("Checkpoint.build drew an initialization")
+
+        monkeypatch.setattr(RngState, "uniform", forbidden)
+        rebuilt = checkpoint.build()
+        assert rebuilt.arena.state.tobytes() == model.arena.state.tobytes()
