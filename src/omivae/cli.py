@@ -188,14 +188,10 @@ def cmd_crossval(args) -> int:
         raise ValidationError("cross-validation requires a labeled dataset")
     train_cfg = run.train_config()
     folds = stratified_kfold(dataset.labels, args.k, train_cfg.seed)
-    os.makedirs(args.out, exist_ok=True)
     work = [(r, folds.round(r)) for r in range(args.k)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda item: _run_fold(item, dataset, run, train_cfg), work))
-    else:
-        results = [_run_fold(item, dataset, run, train_cfg) for item in work]
-    results.sort(key=lambda x: x[0])
+    os.makedirs(args.out, exist_ok=True)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(lambda item: _run_fold(item, dataset, run, train_cfg), work))
 
     metric_rows = []
     for r, report, history in results:
@@ -228,29 +224,26 @@ def cmd_crossval(args) -> int:
     return 0
 
 
-def cmd_embed(args) -> int:
-    checkpoint = load_checkpoint(args.checkpoint)
-    model = checkpoint.build()
-    dataset = OmicsDataset.load(args.data)
+def _load_trained(args):
+    """The model of `--checkpoint` and the `--data` cache cut to its modalities."""
+    model = load_checkpoint(args.checkpoint).build()
     dataset = restrict_modalities(
-        dataset,
+        OmicsDataset.load(args.data),
         expression=model.config.use_expression,
         methylation=model.config.use_methylation,
     )
+    return model, dataset
+
+
+def cmd_embed(args) -> int:
+    model, dataset = _load_trained(args)
     embedding = export_embedding(model, dataset, args.out)
     print(f"wrote {embedding.shape[0]}x{embedding.shape[1]} embedding to {args.out}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    checkpoint = load_checkpoint(args.checkpoint)
-    model = checkpoint.build()
-    dataset = OmicsDataset.load(args.data)
-    dataset = restrict_modalities(
-        dataset,
-        expression=model.config.use_expression,
-        methylation=model.config.use_methylation,
-    )
+    model, dataset = _load_trained(args)
     if dataset.labels is None or (dataset.labels < 0).any():
         raise ValidationError("evaluation requires a fully labeled dataset")
     x_expr, x_blocks = dataset.batch(np.arange(dataset.num_samples))

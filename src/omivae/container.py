@@ -226,9 +226,11 @@ def read_container(
         if rank > 8:
             raise FormatError(f"{path}: implausible tensor rank {rank} for {name!r}")
         dims = struct.unpack(f"<{rank}I", r.take(4 * rank)) if rank else ()
-        size = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        payload = r.take(8 * size)
-        arr = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)
+        payload = r.take(8 * math.prod(dims))  # exact: np.prod would wrap at 2**63
+        try:
+            arr = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)
+        except ValueError as exc:  # a zero dim beside dims too large for numpy
+            raise FormatError(f"{path}: impossible shape {dims} for {name!r}") from exc
         tensors.append((name, arr))
     metadata = parse_canonical_text(r.text_block("metadata"))
     if r.pos != len(blob):

@@ -73,14 +73,9 @@ def _open_tsv(path: str):
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
-def load_matrix_tsv(path: str, orientation: str = "features") -> RawMatrix:
-    """Read a matrix TSV; `orientation` names what the file's rows hold.
-
-    `features` (the portal layout): columns are samples. `samples`: columns
-    are features. Either way the result is samples x features.
-    """
-    if orientation not in ("features", "samples"):
-        raise ValidationError(f"orientation must be 'features' or 'samples', got {orientation!r}")
+def load_matrix_tsv(path: str) -> RawMatrix:
+    """Read a feature-table TSV (the portal layout: one row per feature, one
+    column per sample) as a samples x features matrix."""
     with _open_tsv(path) as fh:
         reader = csv.reader(fh, delimiter="\t")
         try:
@@ -89,26 +84,21 @@ def load_matrix_tsv(path: str, orientation: str = "features") -> RawMatrix:
             raise ValidationError(f"{path}: empty file") from None
         if len(header) < 2:
             raise ValidationError(f"{path}: header must name at least one data column")
-        column_ids = [c.strip() for c in header[1:]]
-        row_ids: list[str] = []
+        sample_ids = [c.strip() for c in header[1:]]
+        feature_ids: list[str] = []
         rows: list[list[float]] = []
         for lineno, record in enumerate(reader, start=2):
             if len(record) != len(header):
                 raise ValidationError(
                     f"{path}: ragged row {lineno}: {len(record)} cells, expected {len(header)}"
                 )
-            row_ids.append(record[0].strip())
+            feature_ids.append(record[0].strip())
             rows.append(
                 [_parse_cell(c, path, lineno, j + 2) for j, c in enumerate(record[1:])]
             )
     if not rows:
         raise ValidationError(f"{path}: no data rows")
-    values = np.array(rows, dtype=np.float64)
-    if orientation == "features":
-        feature_ids, sample_ids = row_ids, column_ids
-        values = np.ascontiguousarray(values.T)
-    else:
-        sample_ids, feature_ids = row_ids, column_ids
+    values = np.ascontiguousarray(np.array(rows, dtype=np.float64).T)
     _check_unique(sample_ids, "sample", path)
     _check_unique(feature_ids, "feature", path)
     return RawMatrix(sample_ids=sample_ids, feature_ids=feature_ids, values=values)
@@ -324,6 +314,8 @@ class OmicsDataset:
             )
         except KeyError as exc:
             raise FormatError(f"{path}: dataset cache is missing {exc}") from exc
+        except ValueError as exc:
+            raise FormatError(f"{path}: malformed dataset cache: {exc}") from exc
         ds.validate(allow_missing=True)
         return ds
 
@@ -597,7 +589,13 @@ class FoldSplit:
         return len(self.folds)
 
     def round(self, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(train, validation, test) indices for cross-validation round `r`."""
+        """(train, validation, test) indices for cross-validation round `r`.
+
+        The test and validation folds are two different folds, and training
+        needs at least one more, so a round needs k >= 3.
+        """
+        if self.k < 3:
+            raise ValidationError(f"a cross-validation round needs k >= 3 folds, got k={self.k}")
         if not 0 <= r < self.k:
             raise ValidationError(f"round {r} out of range for {self.k} folds")
         test = self.folds[r]

@@ -10,6 +10,11 @@ import numpy as np
 from .errors import ValidationError
 from .numerics import Matrix, sym_eig
 
+PROBE_L2 = 1e-4
+PROBE_MAX_ITER = 5000
+PROBE_GRAD_TOL = 1e-6
+SCATTER_WIDTH, SCATTER_HEIGHT = 760, 520  # SVG pixels
+
 
 @dataclass
 class EvalReport:
@@ -179,21 +184,14 @@ def _softmax(logits: Matrix) -> Matrix:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def probe_fit(
-    embedding: Matrix,
-    labels,
-    seed: int = 0,
-    l2: float = 1e-4,
-    max_iter: int = 5000,
-    grad_tol: float = 1e-6,
-) -> ProbeClassifier:
+def probe_fit(embedding: Matrix, labels) -> ProbeClassifier:
     """Fit the probe; deterministic for given data (zero init, fixed step).
 
+    The loss is cross-entropy plus `PROBE_L2` times half the squared weights.
     The step size is 1 over the loss's curvature bound, which makes the
-    training loss non-increasing. `seed` is accepted for interface stability;
-    the fit does not consume randomness.
+    training loss non-increasing. The fit stops after `PROBE_MAX_ITER` steps
+    or when the gradient norm falls below `PROBE_GRAD_TOL`.
     """
-    del seed
     labels = np.asarray(labels)
     if embedding.shape[0] != labels.shape[0]:
         raise ValidationError("embedding rows must match labels")
@@ -217,20 +215,20 @@ def probe_fit(
     onehot = np.zeros((n, num_classes))
     onehot[np.arange(n), labels] = 1.0
 
-    # softmax cross-entropy curvature is at most 0.5 * lmax(X^T X / n) + l2
+    # softmax cross-entropy curvature is at most 0.5 * lmax(X^T X / n) + PROBE_L2
     lmax = float(sym_eig(x.T @ x / n)[0][0])
-    step = 1.0 / (0.5 * lmax + l2)
+    step = 1.0 / (0.5 * lmax + PROBE_L2)
     w = probe.weights
-    for _ in range(max_iter):
+    for _ in range(PROBE_MAX_ITER):
         logits = x @ w
         probs = _softmax(logits)
         shifted = logits - logits.max(axis=1, keepdims=True)
         log_norm = np.log(np.exp(shifted).sum(axis=1))
         ce = float((log_norm - shifted[np.arange(n), labels]).mean())
-        loss = ce + 0.5 * l2 * float((w * w).sum())
+        loss = ce + 0.5 * PROBE_L2 * float((w * w).sum())
         probe.loss_history.append(loss)
-        grad = x.T @ (probs - onehot) / n + l2 * w
-        if float(np.linalg.norm(grad)) < grad_tol:
+        grad = x.T @ (probs - onehot) / n + PROBE_L2 * w
+        if float(np.linalg.norm(grad)) < PROBE_GRAD_TOL:
             break
         w -= step * grad
     return probe
@@ -317,9 +315,14 @@ def read_embedding_tsv(path: str) -> tuple[list[str], np.ndarray, list[str] | No
         if len(cells) != len(header):
             raise ValidationError(f"{path}: ragged row {lineno}")
         ids.append(cells[0])
-        rows.append([float(c) for c in cells[1 : 1 + dim_count]])
+        try:
+            rows.append([float(c) for c in cells[1 : 1 + dim_count]])
+        except ValueError:
+            raise ValidationError(f"{path}: non-numeric embedding value in row {lineno}") from None
         if has_classes:
             classes.append(cells[-1])
+    if not rows:
+        raise ValidationError(f"{path}: no embedding rows")
     return ids, np.array(rows), classes if has_classes else None
 
 
@@ -334,8 +337,9 @@ def _build_palette(count: int = 34) -> tuple[str, ...]:
 PALETTE = _build_palette()
 
 
-def render_scatter(embedding_path: str, out_path: str, width: int = 760, height: int = 520) -> None:
+def render_scatter(embedding_path: str, out_path: str) -> None:
     """Deterministic SVG scatter of the first two embedding dimensions."""
+    width, height = SCATTER_WIDTH, SCATTER_HEIGHT
     ids, embedding, classes = read_embedding_tsv(embedding_path)
     if embedding.shape[1] < 2:
         raise ValidationError("scatter plot needs an embedding with at least 2 dimensions")

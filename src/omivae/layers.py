@@ -1,10 +1,11 @@
-"""Fully connected blocks (linear -> optional batch norm -> activation) and
-the composites that wire them into towers: a sequence, a column join of
-branches and a column split into branches.
+"""Fully connected blocks (linear -> optional batch norm -> ReLU or identity)
+and the composites that wire them into towers: a sequence, a column join of
+branches and a column split into branches. The sigmoid and softmax outputs
+are applied outside the blocks, with `apply_activation`.
 
 Forward and backward passes are written out by hand, once per block or
-composite; `gradient_check` verifies any block or model against central
-finite differences.
+composite; `gradient_check` compares any block's or model's gradients with
+central finite differences.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .numerics import Matrix, RngState, check_finite
+
+BN_MOMENTUM = 0.1  # running <- (1 - momentum) * running + momentum * batch
+BN_EPSILON = 1e-5  # added to the variance before the square root
 
 
 class ActivationKind(Enum):
@@ -113,14 +117,10 @@ def apply_activation(kind: ActivationKind, z: Matrix) -> Matrix:
 
 
 def activation_backward(kind: ActivationKind, upstream: Matrix, out: Matrix) -> Matrix:
-    """Jacobian-vector product of the activation, given its forward output."""
+    """Jacobian-vector product of a block activation (ReLU or identity), given
+    its forward output."""
     if kind is ActivationKind.RELU:
         return upstream * (out > 0.0)
-    if kind is ActivationKind.SIGMOID:
-        return upstream * out * (1.0 - out)
-    if kind is ActivationKind.SOFTMAX:
-        inner = np.sum(upstream * out, axis=1, keepdims=True)
-        return out * (upstream - inner)
     return upstream
 
 
@@ -206,18 +206,12 @@ class BatchNormLayer:
     """Per-feature batch normalization with learnable scale/shift.
 
     Train mode normalizes by batch statistics (biased variance) and updates
-    the running statistics as running <- (1-momentum)*running + momentum*batch.
-    Infer mode normalizes by the running statistics and mutates nothing.
+    the running statistics with momentum `BN_MOMENTUM`. Infer mode normalizes
+    by the running statistics and mutates nothing.
     """
 
-    def __init__(self, dim: int, momentum: float = 0.1, epsilon: float = 1e-5, name: str = "norm"):
-        if not 0.0 < momentum < 1.0:
-            raise ValidationError(f"{name}: momentum must be in (0,1)")
-        if epsilon <= 0.0:
-            raise ValidationError(f"{name}: epsilon must be positive")
+    def __init__(self, dim: int, name: str = "norm"):
         self.name = name
-        self.momentum = momentum
-        self.epsilon = epsilon
         self.gamma = np.ones(dim)
         self.beta_shift = np.zeros(dim)
         self.grad_gamma = np.zeros(dim)
@@ -234,16 +228,16 @@ class BatchNormLayer:
                 )
             mean = x.mean(axis=0)
             var = x.var(axis=0)
-            inv_std = 1.0 / np.sqrt(var + self.epsilon)
+            inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
             x_hat = (x - mean) * inv_std
             # in place: the running statistics may be views into an arena
-            self.running_mean *= 1.0 - self.momentum
-            self.running_mean += self.momentum * mean
-            self.running_var *= 1.0 - self.momentum
-            self.running_var += self.momentum * var
+            self.running_mean *= 1.0 - BN_MOMENTUM
+            self.running_mean += BN_MOMENTUM * mean
+            self.running_var *= 1.0 - BN_MOMENTUM
+            self.running_var += BN_MOMENTUM * var
             self._cache = (x_hat, inv_std)
         else:
-            inv_std = 1.0 / np.sqrt(self.running_var + self.epsilon)
+            inv_std = 1.0 / np.sqrt(self.running_var + BN_EPSILON)
             x_hat = (x - self.running_mean) * inv_std
             self._cache = None
         return self.gamma * x_hat + self.beta_shift
@@ -283,7 +277,7 @@ class BatchNormLayer:
 
 
 class FcBlock:
-    """linear -> optional batch norm -> activation, with a consumable cache.
+    """linear -> optional batch norm -> ReLU or identity, with a consumable cache.
 
     The cache exists only between a train-mode forward and the backward that
     consumes it; infer-mode forwards clear it and mutate nothing but it.
@@ -299,6 +293,10 @@ class FcBlock:
         name: str = "fc",
         needs_input_grad: bool = True,
     ):
+        if activation not in (ActivationKind.RELU, ActivationKind.IDENTITY):
+            raise ValidationError(
+                f"{name}: a block's activation must be relu or identity, got {activation.value}"
+            )
         self.name = name
         self.linear = LinearLayer(
             in_dim,
@@ -432,7 +430,6 @@ def gradient_check(
     module,
     loss_fn,
     batch,
-    tolerance: float = 1e-4,
     step: float = 1e-5,
     max_entries_per_param: int = 64,
     seed: int = 0,
@@ -442,8 +439,9 @@ def gradient_check(
     `module` must expose `parameters()` and `zero_grad()`; `loss_fn(module,
     batch)` must return a scalar loss and populate the gradient buffers (it
     is called repeatedly, so it must be deterministic: fixed batch, fixed
-    noise). Large tensors are sub-sampled. The relative error reported is
-    |analytic - numeric| / max(|analytic|, |numeric|, 1e-12).
+    noise). Large tensors are sub-sampled. The result reports the largest
+    relative error, |analytic - numeric| / max(|analytic|, |numeric|, 1e-12);
+    the caller compares it with its own tolerance.
     """
     module.zero_grad()
     base = float(loss_fn(module, batch))

@@ -40,16 +40,6 @@ class LossReport:
     classification: float
     total: float
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "recon_methyl": self.recon_methyl,
-            "recon_expr": self.recon_expr,
-            "kl": self.kl,
-            "vae": self.vae,
-            "classification": self.classification,
-            "total": self.total,
-        }
-
 
 def bce(target: Matrix, pred: Matrix) -> float:
     """Binary cross-entropy, mean over features then batch.

@@ -12,7 +12,7 @@ loss gradients at the towers' outputs and calls their backward.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .losses import (
     total_loss,
     vae_loss,
 )
-from .numerics import Matrix, RngState, gaussian_sample
+from .numerics import Matrix, RngState
 
 
 @dataclass
@@ -127,7 +127,7 @@ def reparameterize(
     if epsilon is None:
         if rng is None:
             raise ValidationError("train-mode reparameterization needs an rng or a fixed epsilon")
-        epsilon = gaussian_sample(rng, mu.shape[0], mu.shape[1])
+        epsilon = rng.standard_normal(mu.shape[0], mu.shape[1])
     elif epsilon.shape != mu.shape:
         raise ValidationError("epsilon shape must match mu")
     z = mu + np.exp(0.5 * logvar) * epsilon
@@ -333,8 +333,9 @@ class OmiVaeModel:
         weights: LossWeights,
         rng: RngState | None = None,
         epsilon: Matrix | None = None,
-    ) -> tuple[ForwardPass, LossReport]:
-        """One training forward plus hand-derived backward; writes every grad.
+    ) -> LossReport:
+        """One training forward plus hand-derived backward; writes every grad
+        and returns the batch's losses.
 
         Each parameter's grad is overwritten with this batch's gradient, so
         no `zero_grad` is needed between steps: a tower whose loss weight is
@@ -367,7 +368,7 @@ class OmiVaeModel:
         cls_loss = classification_loss(labels, probs) if beta > 0.0 else 0.0
         report = total_loss(recon_methyl, recon_e, kl, cls_loss, weights)
         if not np.isfinite(report.total):
-            raise NumericError(f"non-finite training loss: {report.as_dict()}")
+            raise NumericError(f"non-finite training loss: {asdict(report)}")
 
         # ---- backward ----
         if train_decoder:
@@ -400,14 +401,7 @@ class OmiVaeModel:
 
         mu_head, logvar_head = self.heads
         self.encoder.backward(mu_head.backward(d_mu) + logvar_head.backward(d_logvar))
-
-        fp = ForwardPass(
-            latent=latent,
-            recon_expr=recon_expr,
-            recon_methyl_blocks=recon_blocks,
-            class_probs=probs,
-        )
-        return fp, report
+        return report
 
 
 def build_model(config: ModelConfig, rng: RngState) -> OmiVaeModel:

@@ -11,6 +11,7 @@ import numpy as np
 from .errors import NumericError, ValidationError
 
 Matrix = np.ndarray
+SYMMETRY_TOL = 1e-10  # sym_eig's largest asymmetry, relative to the largest entry
 
 
 def check_finite(m: np.ndarray, context: str = "array") -> np.ndarray:
@@ -59,16 +60,11 @@ class RngState:
         return f"RngState(seed={self.seed}, path={self.path})"
 
 
-def gaussian_sample(rng: RngState, rows: int, cols: int) -> Matrix:
-    """i.i.d. standard normal draws; identical per (seed, path, call order)."""
-    return rng.standard_normal(rows, cols)
-
-
-def sym_eig(s: Matrix, symmetry_tol: float = 1e-10) -> tuple[np.ndarray, Matrix]:
+def sym_eig(s: Matrix) -> tuple[np.ndarray, Matrix]:
     """Eigendecomposition of a symmetric matrix (LAPACK, via `np.linalg.eigh`).
 
     Args:
-        s: square symmetric matrix (max asymmetry ``symmetry_tol`` relative
+        s: square symmetric matrix (max asymmetry ``SYMMETRY_TOL`` relative
             to its largest entry).
 
     Returns:
@@ -79,7 +75,7 @@ def sym_eig(s: Matrix, symmetry_tol: float = 1e-10) -> tuple[np.ndarray, Matrix]
         raise ValidationError(f"sym_eig expects a square matrix, got {s.shape}")
     check_finite(s, "sym_eig input")
     scale = max(1.0, float(np.max(np.abs(s))))
-    if float(np.max(np.abs(s - s.T))) > symmetry_tol * scale:
+    if float(np.max(np.abs(s - s.T))) > SYMMETRY_TOL * scale:
         raise ValidationError("sym_eig input is not symmetric")
     eigenvalues, v = np.linalg.eigh(0.5 * (s + s.T))
     order = np.argsort(-eigenvalues, kind="stable")

@@ -11,7 +11,7 @@ or a running statistic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -25,31 +25,24 @@ from .numerics import RngState
 CHECKPOINT_MAGIC = b"OMVAE1"
 CHECKPOINT_VERSION = 1
 ADAM_CHUNK = 32_768  # elements per array per pass: 256 KB, so each pass runs in cache
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
     """Adam with bias correction; the step count increments before correcting.
 
-    One `m` and one `v` vector cover the whole arena, and a step runs over
-    it in chunks of `ADAM_CHUNK` elements, in place, with two preallocated
-    chunk buffers for the temporaries.
+    The decay rates and eps are `ADAM_BETA1`, `ADAM_BETA2` and `ADAM_EPS`;
+    only the learning rate is a parameter. One `m` and one `v` vector cover
+    the whole arena, and a step runs over it in chunks of `ADAM_CHUNK`
+    elements, in place, with two preallocated chunk buffers for the
+    temporaries.
     """
 
-    def __init__(
-        self,
-        arena: ParameterArena,
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, arena: ParameterArena, lr: float = 1e-3):
         if lr <= 0.0:
             raise ValidationError("learning rate must be positive")
         self.arena = arena
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros(arena.values.size)
         self.v = np.zeros(arena.values.size)
@@ -64,7 +57,7 @@ class Adam:
             name = next(p.name for p in self.arena.params if not np.isfinite(p.grad).all())
             raise NumericError(f"non-finite gradient in {name}; step aborted")
         self.t += 1
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, self.lr, ADAM_EPS
         c1 = 1.0 - b1**self.t
         c2 = 1.0 - b2**self.t
         values = self.arena.values
@@ -163,17 +156,7 @@ class TrainingHistory:
         for r in self.records:
             cells = [str(r.phase), str(r.epoch)]
             for rep in (r.train, r.val):
-                cells += [
-                    repr(float(x))
-                    for x in (
-                        rep.recon_methyl,
-                        rep.recon_expr,
-                        rep.kl,
-                        rep.vae,
-                        rep.classification,
-                        rep.total,
-                    )
-                ]
+                cells += [repr(float(x)) for x in astuple(rep)]
             cells.append(repr(float(r.val_accuracy)))
             lines.append("\t".join(cells))
         return "\n".join(lines) + "\n"
@@ -267,27 +250,13 @@ def _run_phase(
             x_expr, x_blocks = dataset.batch(chosen)
             batch_labels = labels[chosen] if weights.beta > 0.0 else None
             try:
-                _, report = model.forward_backward(
-                    x_expr, x_blocks, batch_labels, weights, rng=stream
-                )
+                report = model.forward_backward(x_expr, x_blocks, batch_labels, weights, rng=stream)
                 adam.step()
             except NumericError:
                 np.copyto(model.arena.state, saved)
                 history.diverged = True
                 return
-            sums += (
-                np.array(
-                    [
-                        report.recon_methyl,
-                        report.recon_expr,
-                        report.kl,
-                        report.vae,
-                        report.classification,
-                        report.total,
-                    ]
-                )
-                * chosen.size
-            )
+            sums += np.array(astuple(report)) * chosen.size
             seen += chosen.size
         if seen == 0:
             raise ValidationError("training split produced no usable batches")

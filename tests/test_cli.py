@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from omivae import cli
+from omivae.data import SyntheticSpec, synthesize
 from omivae.optim import load_checkpoint
 
 # case -> (argv, a fragment the error line must name)
@@ -32,6 +33,11 @@ BAD_INPUT = {
     "evaluate": (["evaluate", "--checkpoint", "{d}/garbage.omvae", "--data", "{d}/absent.omids",
                   "--out", "{d}/report.txt"], "bad magic"),
     "plot": (["plot", "--embedding", "{d}/absent.tsv", "--out", "{d}/plot.svg"], "absent.tsv"),
+    "plot-non-numeric": (["plot", "--embedding", "{d}/bad_cell.tsv", "--out", "{d}/plot.svg"],
+                         "bad_cell.tsv: non-numeric embedding value in row 3"),
+    "plot-header-only": (["plot", "--embedding", "{d}/header_only.tsv", "--out", "{d}/plot.svg"],
+                         "header_only.tsv: no embedding rows"),
+    "crossval-k2": (["crossval", "--data", "{cache}", "--k", "2", "--out", "{d}/cv"], "k=2"),
     "crossval-threads-word": (["crossval", "--data", "{d}/absent.omids", "--out", "{d}/cv"],
                               "OMIVAE_THREADS must be a positive integer, got 'two'"),
     "crossval-threads-zero": (["crossval", "--data", "{d}/absent.omids", "--out", "{d}/cv"],
@@ -41,16 +47,32 @@ BAD_INPUT = {
 }
 # case -> OMIVAE_THREADS, for the cases that set it
 THREADS = {"crossval-threads-word": "two", "crossval-threads-zero": "0"}
+# file name -> text, written for every case
+FILES = {
+    "garbage.omvae": "not a checkpoint",
+    "expr.tsv": "gene\tS1\tS2\tS3\ng1\t0.1\t0.2\t0.3\n",
+    "bad_cell.tsv": "sample_id\tdim_1\tdim_2\nS1\t0.5\t1.5\nS2\t0.25\toops\n",
+    "header_only.tsv": "sample_id\tdim_1\tdim_2\n",
+}
+
+
+@pytest.fixture(scope="module")
+def cache(tmp_path_factory):
+    """A small labeled dataset cache."""
+    path = str(tmp_path_factory.mktemp("cache") / "tiny.omids")
+    spec = SyntheticSpec(samples_per_class=4, num_blocks=2, features_per_block=4, expr_features=5)
+    synthesize(spec).save(path)
+    return path
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUT))
-def test_bad_input_prints_one_validation_line(tmp_path, capsys, monkeypatch, case):
-    (tmp_path / "garbage.omvae").write_bytes(b"not a checkpoint")
-    (tmp_path / "expr.tsv").write_text("gene\tS1\tS2\tS3\ng1\t0.1\t0.2\t0.3\n")
+def test_bad_input_prints_one_validation_line(tmp_path, capsys, monkeypatch, cache, case):
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text)
     if case in THREADS:
         monkeypatch.setenv("OMIVAE_THREADS", THREADS[case])
     argv, fragment = BAD_INPUT[case]
-    code = cli.main([arg.format(d=tmp_path) for arg in argv])
+    code = cli.main([arg.format(d=tmp_path, cache=cache) for arg in argv])
     err = capsys.readouterr().err
     assert code == 1
     assert err.count("\n") == 1 and err.startswith("omivae: error: validation: ")

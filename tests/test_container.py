@@ -48,6 +48,22 @@ def test_embed_on_non_utf8_name_prints_one_error_line(tmp_path, capsys):
     assert "tensor name is not valid UTF-8" in err
 
 
+def test_tensor_size_does_not_wrap_around(tmp_path):
+    # 2**31 * 2**31 * 4 elements is 2**64: a 64-bit product wraps to 0
+    path = str(tmp_path / "huge.omvae")
+    blob = (
+        CHECKPOINT_MAGIC
+        + struct.pack("<4I", CHECKPOINT_VERSION, 0, 1, 1)  # version, empty config, 1 tensor
+        + b"w"
+        + struct.pack("<4I", 3, 2**31, 2**31, 4)  # rank 3 and its dims, then no payload
+        + struct.pack("<I", 0)
+    )
+    with open(path, "wb") as fh:
+        fh.write(blob)
+    with pytest.raises(FormatError, match="truncated"):
+        read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+
+
 WRITE_AND_STAT = """
 import os, sys
 os.umask(int(sys.argv[2], 8))

@@ -1,0 +1,120 @@
+"""Corrupt containers: a truncated or bit-flipped checkpoint or dataset cache
+raises FormatError or ValidationError, never another exception."""
+
+import io
+import math
+import struct
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from omivae import container
+from omivae.data import OmicsDataset, SyntheticSpec, synthesize
+from omivae.errors import FormatError, ValidationError
+from omivae.model import ModelConfig, build_model
+from omivae.numerics import RngState
+from omivae.optim import load_checkpoint, save_checkpoint
+
+TINY = ModelConfig(
+    methyl_block_dims=(3,),
+    expr_dim=4,
+    per_block_hidden=2,
+    modality_dim=3,
+    fusion_dim=5,
+    latent_dim=2,
+    classifier_hidden=(3, 2),
+    num_classes=2,
+    expr_hidden=2,
+)
+SPEC = SyntheticSpec(
+    num_classes=2, samples_per_class=3, num_blocks=2, features_per_block=3, expr_features=4
+)
+# what each kind of file is read by, as the CLI reads it
+LOADERS = {
+    "checkpoint": lambda path: load_checkpoint(path).build(),
+    "dataset": OmicsDataset.load,
+}
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """kind -> the bytes of an intact file."""
+    d = tmp_path_factory.mktemp("corruption")
+    save_checkpoint(str(d / "tiny.omvae"), build_model(TINY, RngState(0)), metadata={"phase": "2"})
+    synthesize(SPEC).save(str(d / "tiny.omids"))
+    return {"checkpoint": (d / "tiny.omvae").read_bytes(), "dataset": (d / "tiny.omids").read_bytes()}
+
+
+def load(kind, blob):
+    """Load `blob` as a file of `kind`. The container reads a file with one
+    `open`; serving the bytes from memory keeps thousands of loads fast."""
+    with mock.patch.object(container, "open", lambda path, mode: io.BytesIO(blob), create=True):
+        return LOADERS[kind](f"corrupt.{kind}")
+
+
+def u32_fields(blob):
+    """Offsets of a container's u32 fields: version, lengths, count, ranks, dims."""
+
+    def u32(at):
+        return struct.unpack_from("<I", blob, at)[0]
+
+    fields = [6, 10]  # after the magic: the version, the config block's length
+    at = 14 + u32(10)
+    fields.append(at)  # the tensor count
+    count, at = u32(at), at + 4
+    for _ in range(count):
+        fields.append(at)  # the name's length
+        at += 4 + u32(at)
+        rank = u32(at)
+        fields += [at + 4 * i for i in range(1 + rank)]  # the rank and the dims
+        at += 4 + 4 * rank + 8 * math.prod(struct.unpack_from(f"<{rank}I", blob, at + 4))
+    assert at + 4 + u32(at) == len(blob)  # the metadata block ends the file
+    return fields + [at]  # and its length
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_the_intact_file_loads(files, kind):
+    load(kind, files[kind])
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_every_truncation_is_a_format_error(files, kind):
+    blob = files[kind]
+    for length in range(len(blob)):
+        with pytest.raises(FormatError):
+            load(kind, blob[:length])
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_every_flip_of_a_length_rank_or_dim_loads_or_is_a_validation_error(files, kind):
+    blob = files[kind]
+    for at in u32_fields(blob):
+        for bit in range(32):
+            corrupt = bytearray(blob)
+            corrupt[at + bit // 8] ^= 1 << bit % 8
+            try:
+                load(kind, bytes(corrupt))
+            except ValidationError:  # FormatError included
+                pass
+
+
+def test_a_block_count_that_is_not_a_number_is_a_format_error(files):
+    blob = files["dataset"].replace(b"num_blocks=2", b"num_blocks=:")
+    with pytest.raises(FormatError, match="malformed dataset cache"):
+        load("dataset", blob)
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_a_flipped_bit_loads_or_is_a_validation_error(files, kind, data):
+    blob = files[kind]
+    corrupt = bytearray(blob)
+    corrupt[data.draw(st.integers(0, len(blob) - 1))] ^= 1 << data.draw(st.integers(0, 7))
+    # a flip inside a float payload leaves a well-formed file, which loads
+    try:
+        load(kind, bytes(corrupt))
+    except ValidationError:  # FormatError included
+        pass

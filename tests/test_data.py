@@ -67,13 +67,6 @@ class TestLoadMatrixTsv:
         with pytest.raises(ValidationError, match="bogus"):
             load_matrix_tsv(path)
 
-    def test_samples_orientation(self, tmp_path):
-        path = self.write(tmp_path, "id\tf1\tf2\ns1\t1\t2\ns2\t3\t4\n")
-        raw = load_matrix_tsv(path, orientation="samples")
-        assert raw.sample_ids == ["s1", "s2"]
-        assert raw.feature_ids == ["f1", "f2"]
-        assert np.array_equal(raw.values, np.array([[1.0, 2.0], [3.0, 4.0]]))
-
     def test_round_trip_with_writer(self, tmp_path):
         raw = RawMatrix(
             sample_ids=["a", "b"],

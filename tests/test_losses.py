@@ -5,7 +5,6 @@ import pytest
 
 from omivae.errors import ValidationError
 from omivae.losses import (
-    LossReport,
     LossWeights,
     bce,
     classification_loss,
@@ -157,7 +156,3 @@ class TestTotalLoss:
             report = total_loss(rm, re, kl, cls, w)
             assert abs(report.vae - (rm + re + kl)) <= 1e-12
             assert abs(report.total - (w.alpha * report.vae + w.beta * cls)) <= 1e-12
-
-    def test_report_round_trip_dict(self):
-        report = total_loss(0.1, 0.2, 0.3, 0.4, LossWeights(1.0, 1.0))
-        assert LossReport(**report.as_dict()) == report
