@@ -1,8 +1,11 @@
 """Dataset representation, TSV ingestion, preprocessing, folds, synthesis.
 
 Matrix TSV files are feature-table shaped: header row of sample IDs, one row
-per feature, `NA` (or an empty cell) marking a missing value. Annotation
-files map feature IDs to chromosomes `1`..`22`, `X`, `Y`, or `NA`.
+per feature. A cell, after `strip()`, is `NA` or empty for a missing value,
+anything `float()` accepts for that double, and anything else is a
+`ValidationError` naming its row and column. Reading one holds about two
+float64 copies of the matrix at its peak. Annotation files map feature IDs to
+chromosomes `1`..`22`, `X`, `Y`, or `NA`.
 """
 
 from __future__ import annotations
@@ -75,7 +78,14 @@ def _open_tsv(path: str):
 
 def load_matrix_tsv(path: str) -> RawMatrix:
     """Read a feature-table TSV (the portal layout: one row per feature, one
-    column per sample) as a samples x features matrix."""
+    column per sample) as a samples x features matrix.
+
+    Each cell is stripped; `NA` or empty is missing (NaN), anything `float()`
+    accepts is that double, and anything else raises a `ValidationError`
+    naming the row and column of the first bad cell. Each row is stored as a
+    float64 array as it is read and the rows are stacked once, so the peak
+    memory is about two float64 copies of the matrix.
+    """
     with _open_tsv(path) as fh:
         reader = csv.reader(fh, delimiter="\t")
         try:
@@ -86,19 +96,23 @@ def load_matrix_tsv(path: str) -> RawMatrix:
             raise ValidationError(f"{path}: header must name at least one data column")
         sample_ids = [c.strip() for c in header[1:]]
         feature_ids: list[str] = []
-        rows: list[list[float]] = []
+        rows: list[np.ndarray] = []
         for lineno, record in enumerate(reader, start=2):
             if len(record) != len(header):
                 raise ValidationError(
                     f"{path}: ragged row {lineno}: {len(record)} cells, expected {len(header)}"
                 )
             feature_ids.append(record[0].strip())
-            rows.append(
-                [_parse_cell(c, path, lineno, j + 2) for j, c in enumerate(record[1:])]
-            )
+            cells = record[1:]
+            try:
+                row = [math.nan if c == "NA" or c == "" else float(c) for c in cells]
+            except ValueError:
+                # padded `NA`s and the first bad cell's error are `_parse_cell`'s
+                row = [_parse_cell(c, path, lineno, j + 2) for j, c in enumerate(cells)]
+            rows.append(np.array(row, dtype=np.float64))
     if not rows:
         raise ValidationError(f"{path}: no data rows")
-    values = np.ascontiguousarray(np.array(rows, dtype=np.float64).T)
+    values = np.stack(rows, axis=1)
     _check_unique(sample_ids, "sample", path)
     _check_unique(feature_ids, "feature", path)
     return RawMatrix(sample_ids=sample_ids, feature_ids=feature_ids, values=values)
@@ -144,10 +158,9 @@ def write_matrix_tsv(path: str, raw: RawMatrix) -> None:
     with open(path, "w") as fh:
         fh.write("id\t" + "\t".join(raw.sample_ids) + "\n")
         for j, fid in enumerate(raw.feature_ids):
-            cells = [
-                "NA" if np.isnan(v) else repr(float(v)) for v in raw.values[:, j]
-            ]
-            fh.write(fid + "\t" + "\t".join(cells) + "\n")
+            # "nan" is the only float repr that contains "nan"
+            cells = "\t".join(map(repr, raw.values[:, j].tolist())).replace("nan", "NA")
+            fh.write(fid + "\t" + cells + "\n")
 
 
 def write_annotations_tsv(path: str, annotations: dict[str, str]) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import colorsys
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,12 +179,6 @@ class ProbeClassifier:
         return np.hstack([scaled, np.ones((embedding.shape[0], 1))])
 
 
-def _softmax(logits: Matrix) -> Matrix:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def probe_fit(embedding: Matrix, labels) -> ProbeClassifier:
     """Fit the probe; deterministic for given data (zero init, fixed step).
 
@@ -212,8 +207,9 @@ def probe_fit(embedding: Matrix, labels) -> ProbeClassifier:
         feature_scale=scale,
     )
     x = probe._design(embedding)
+    rows = np.arange(n)
     onehot = np.zeros((n, num_classes))
-    onehot[np.arange(n), labels] = 1.0
+    onehot[rows, labels] = 1.0
 
     # softmax cross-entropy curvature is at most 0.5 * lmax(X^T X / n) + PROBE_L2
     lmax = float(sym_eig(x.T @ x / n)[0][0])
@@ -221,10 +217,11 @@ def probe_fit(embedding: Matrix, labels) -> ProbeClassifier:
     w = probe.weights
     for _ in range(PROBE_MAX_ITER):
         logits = x @ w
-        probs = _softmax(logits)
         shifted = logits - logits.max(axis=1, keepdims=True)
-        log_norm = np.log(np.exp(shifted).sum(axis=1))
-        ce = float((log_norm - shifted[np.arange(n), labels]).mean())
+        e = np.exp(shifted)
+        total = e.sum(axis=1, keepdims=True)
+        probs = e / total
+        ce = float((np.log(total[:, 0]) - shifted[rows, labels]).mean())
         loss = ce + 0.5 * PROBE_L2 * float((w * w).sum())
         probe.loss_history.append(loss)
         grad = x.T @ (probs - onehot) / n + PROBE_L2 * w
@@ -292,7 +289,11 @@ def export_embedding(source, dataset, path: str) -> Matrix:
 
 
 def read_embedding_tsv(path: str) -> tuple[list[str], np.ndarray, list[str] | None]:
-    """Parse an embedding TSV back into (sample_ids, matrix, class names or None)."""
+    """Parse an embedding TSV back into (sample_ids, matrix, class names or None).
+
+    Every embedding value must be a finite number; a row holding anything
+    else is a `ValidationError` naming the path and the row.
+    """
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
@@ -316,9 +317,12 @@ def read_embedding_tsv(path: str) -> tuple[list[str], np.ndarray, list[str] | No
             raise ValidationError(f"{path}: ragged row {lineno}")
         ids.append(cells[0])
         try:
-            rows.append([float(c) for c in cells[1 : 1 + dim_count]])
+            values = [float(c) for c in cells[1 : 1 + dim_count]]
         except ValueError:
             raise ValidationError(f"{path}: non-numeric embedding value in row {lineno}") from None
+        if not all(map(math.isfinite, values)):
+            raise ValidationError(f"{path}: non-finite embedding value in row {lineno}")
+        rows.append(values)
         if has_classes:
             classes.append(cells[-1])
     if not rows:

@@ -35,6 +35,8 @@ BAD_INPUT = {
     "plot": (["plot", "--embedding", "{d}/absent.tsv", "--out", "{d}/plot.svg"], "absent.tsv"),
     "plot-non-numeric": (["plot", "--embedding", "{d}/bad_cell.tsv", "--out", "{d}/plot.svg"],
                          "bad_cell.tsv: non-numeric embedding value in row 3"),
+    "plot-non-finite": (["plot", "--embedding", "{d}/non_finite.tsv", "--out", "{d}/plot.svg"],
+                        "non_finite.tsv: non-finite embedding value in row 2"),
     "plot-header-only": (["plot", "--embedding", "{d}/header_only.tsv", "--out", "{d}/plot.svg"],
                          "header_only.tsv: no embedding rows"),
     "crossval-k2": (["crossval", "--data", "{cache}", "--k", "2", "--out", "{d}/cv"], "k=2"),
@@ -53,6 +55,7 @@ FILES = {
     "expr.tsv": "gene\tS1\tS2\tS3\ng1\t0.1\t0.2\t0.3\n",
     "bad_cell.tsv": "sample_id\tdim_1\tdim_2\nS1\t0.5\t1.5\nS2\t0.25\toops\n",
     "header_only.tsv": "sample_id\tdim_1\tdim_2\n",
+    "non_finite.tsv": "sample_id\tdim_1\tdim_2\nS1\tnan\t1.5\nS2\t0.25\tinf\n",
 }
 
 

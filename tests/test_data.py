@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omivae.data import (
     OmicsDataset,
@@ -15,6 +19,7 @@ from omivae.data import (
     stratified_kfold,
     synthesize,
     write_matrix_tsv,
+    _parse_cell,
 )
 from omivae.errors import FormatError, ValidationError
 from omivae.numerics import RngState
@@ -68,19 +73,113 @@ class TestLoadMatrixTsv:
             load_matrix_tsv(path)
 
     def test_round_trip_with_writer(self, tmp_path):
-        raw = RawMatrix(
-            sample_ids=["a", "b"],
-            feature_ids=["f1", "f2"],
-            values=np.array([[0.125, np.nan], [2.0, 3.0]]),
-        )
+        """Bit-exact, NaN positions included, across the double range."""
+        rng = RngState(4)
+        values = rng.standard_normal(30, 12) * np.exp(rng.uniform(-30.0, 30.0, (30, 12)))
+        values[rng.uniform(0.0, 1.0, (30, 12)) < 0.1] = np.nan
+        values[0, : len(SPECIAL)] = SPECIAL
+        raw = RawMatrix([f"s{i}" for i in range(30)], [f"f{j}" for j in range(12)], values)
         path = str(tmp_path / "round.tsv")
         write_matrix_tsv(path, raw)
         back = load_matrix_tsv(path)
         assert back.sample_ids == raw.sample_ids
         assert back.feature_ids == raw.feature_ids
-        assert np.array_equal(np.isnan(back.values), np.isnan(raw.values))
-        mask = ~np.isnan(raw.values)
-        assert np.array_equal(back.values[mask], raw.values[mask])
+        assert back.values.tobytes() == values.tobytes()
+
+
+SPECIAL = [np.nan, -0.0, 0.0, 5e-324, np.inf, -np.inf, 1e16, 1e-5, 0.1, -2.5, 1e300, 123456789.0]
+
+# cells the matrix grammar accepts, rejects, or strips first; no tab, newline
+# or quote, which would change the record rather than the cell
+PADDING = st.sampled_from([" ", "  ", "\x0b", "\x0c", "\x1c", "\x1f"])
+NUMBERS = st.one_of(
+    st.floats().map(repr),
+    st.builds("{}e{}".format, st.integers(-99, 99), st.integers(-400, 400)),
+    st.builds("{}E+{}".format, st.floats(0, 10).map(repr), st.integers(0, 20)),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity", "-Infinity", "+1.5", "1_000",
+                     ".5", "5.", "00", "-0"]),
+)
+MISSING = st.sampled_from(["NA", ""])
+INVALID = st.sampled_from(["bogus", "N/A", "na", "1.2.3", "--1", "1e", "0x10", "1__0", "_1",
+                           "inf inity", "1,5", "NA NA"])
+CELLS = st.one_of(
+    NUMBERS,
+    MISSING,
+    st.builds("{}{}{}".format, PADDING, st.one_of(NUMBERS, MISSING), PADDING),
+    PADDING,
+    INVALID,
+)
+
+
+class TestMatrixGrammar:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(table=st.integers(1, 4).flatmap(
+        lambda cols: st.lists(st.lists(CELLS, min_size=cols, max_size=cols), min_size=1, max_size=4)
+    ))
+    def test_bulk_rows_match_the_cell_parser(self, tmp_path_factory, table):
+        """Values, NaN positions and signs, and the first bad cell's error are
+        those of `_parse_cell` applied cell by cell."""
+        path = str(tmp_path_factory.mktemp("grammar") / "m.tsv")
+        lines = ["id\t" + "\t".join(f"s{j}" for j in range(len(table[0])))]
+        lines += [f"f{r}\t" + "\t".join(row) for r, row in enumerate(table)]
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        try:
+            expected = np.array(
+                [[_parse_cell(c, path, r + 2, j + 2) for j, c in enumerate(row)]
+                 for r, row in enumerate(table)],
+                dtype=np.float64,
+            ).T
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as got:
+                load_matrix_tsv(path)
+            assert str(got.value) == str(exc)
+            return
+        raw = load_matrix_tsv(path)
+        assert raw.values.dtype == np.float64 and raw.values.flags.c_contiguous
+        assert raw.values.shape == expected.shape
+        assert raw.values.tobytes() == expected.tobytes()
+
+    def test_padded_cells_and_the_first_bad_column(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        path.write_text("id\ts1\ts2\ts3\nf1\t NA \t 2.5\x1c\t\x0b\nf2\t1\tx\ty\n")
+        with pytest.raises(ValidationError) as got:
+            load_matrix_tsv(str(path))
+        assert str(got.value) == f"{path}: unparseable numeric value 'x' at row 3, column 3"
+        path.write_text("id\ts1\ts2\ts3\nf1\t NA \t 2.5\x1c\t\x0b\n")
+        values = load_matrix_tsv(str(path)).values
+        assert np.isnan(values[0, 0]) and values[1, 0] == 2.5 and np.isnan(values[2, 0])
+
+    def test_peak_memory_is_about_two_copies(self, tmp_path):
+        """Rows become float64 arrays as they are read and are stacked once."""
+        rng = RngState(3)
+        values = np.round(rng.uniform(0.0, 1.0, (1000, 200)), 4)
+        values[values < 0.02] = np.nan
+        raw = RawMatrix([f"sample{i:04d}" for i in range(1000)],
+                        [f"probe{j:03d}" for j in range(200)], values)
+        path = str(tmp_path / "m.tsv")
+        write_matrix_tsv(path, raw)
+        tracemalloc.start()
+        try:
+            back = load_matrix_tsv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.values.tobytes() == values.tobytes()
+        assert peak <= 2.5 * back.values.nbytes, peak / back.values.nbytes
+
+
+class TestWriteMatrixTsv:
+    def test_bytes_equal_per_cell_formatting(self, tmp_path):
+        values = np.array([SPECIAL, SPECIAL[::-1]])
+        raw = RawMatrix(["a", "b"], [f"f{j}" for j in range(len(SPECIAL))], values)
+        path = tmp_path / "m.tsv"
+        write_matrix_tsv(str(path), raw)
+        expected = "id\ta\tb\n" + "".join(
+            f"f{j}\t" + "\t".join("NA" if np.isnan(v) else repr(float(v)) for v in values[:, j]) + "\n"
+            for j in range(values.shape[1])
+        )
+        assert path.read_bytes() == expected.encode()
 
 
 class TestAnnotationAndLabelFiles:

@@ -5,6 +5,9 @@ from omivae.data import SyntheticSpec, synthesize
 from omivae.errors import ValidationError
 from omivae.evaluation import (
     PALETTE,
+    PROBE_GRAD_TOL,
+    PROBE_L2,
+    PROBE_MAX_ITER,
     compute_metrics,
     dataset_matrix,
     export_embedding,
@@ -15,7 +18,7 @@ from omivae.evaluation import (
     read_embedding_tsv,
     render_scatter,
 )
-from omivae.numerics import RngState
+from omivae.numerics import RngState, sym_eig
 
 
 def brute_force_metrics(true, pred, num_classes):
@@ -192,6 +195,37 @@ class TestProbe:
     def test_single_class_rejected(self):
         with pytest.raises(ValidationError):
             probe_fit(np.zeros((5, 2)), np.zeros(5, dtype=int))
+
+    def test_bit_equal_to_the_two_exponential_form(self):
+        """One `exp` per step gives the weights and losses of the form that
+        took `exp` once for the probabilities and again for the normaliser."""
+        rng = RngState(10)
+        x = rng.standard_normal(150, 5) * np.array([1.0, 2.0, 0.5, 3.0, 1e-3]) + 0.7
+        y = np.argmax(x[:, :4] + np.asarray(rng.standard_normal(150, 4)), axis=1)
+        probe = probe_fit(x, y)
+        n = x.shape[0]
+        design = probe._design(x)
+        onehot = np.zeros((n, 4))
+        onehot[np.arange(n), y] = 1.0
+        step = 1.0 / (0.5 * float(sym_eig(design.T @ design / n)[0][0]) + PROBE_L2)
+        w = np.zeros((6, 4))
+        losses = []
+        for _ in range(PROBE_MAX_ITER):
+            logits = design @ w
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            e = np.exp(shifted)
+            probs = e / e.sum(axis=1, keepdims=True)
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            log_norm = np.log(np.exp(shifted).sum(axis=1))
+            ce = float((log_norm - shifted[np.arange(n), y]).mean())
+            losses.append(ce + 0.5 * PROBE_L2 * float((w * w).sum()))
+            grad = design.T @ (probs - onehot) / n + PROBE_L2 * w
+            if float(np.linalg.norm(grad)) < PROBE_GRAD_TOL:
+                break
+            w -= step * grad
+        assert len(losses) > 100
+        assert probe.loss_history == losses
+        assert probe.weights.tobytes() == w.tobytes()
 
 
 class TestEmbeddingExport:
