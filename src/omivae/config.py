@@ -116,9 +116,9 @@ def load_run_config(path: str | None = None, overrides: list[str] | None = None)
     values = {key: _parse_key(key, default) for key, (_, default) in SCHEMA.items()}
     if path is not None:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 lines = fh.readlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ValidationError(f"cannot read config file {path}: {exc}") from exc
         for lineno, line in enumerate(lines, start=1):
             stripped = line.strip()

@@ -47,7 +47,8 @@ def canonical_text(entries: dict[str, str]) -> str:
 
 def parse_canonical_text(text: str) -> dict[str, str]:
     entries: dict[str, str] = {}
-    for line in text.splitlines():
+    # "\n" is the only line break `canonical_text` emits; a value may hold others
+    for line in text.split("\n"):
         if not line:
             continue
         if "=" not in line:

@@ -5,11 +5,13 @@ per feature. A cell, after `strip()`, is `NA` or empty for a missing value,
 anything `float()` accepts for that double, and anything else is a
 `ValidationError` naming its row and column. Reading one holds about two
 float64 copies of the matrix at its peak. Annotation files map feature IDs to
-chromosomes `1`..`22`, `X`, `Y`, or `NA`.
+chromosomes `1`..`22`, `X`, `Y`, or `NA`. Every input TSV is read as UTF-8;
+a file that is not UTF-8 text is a `ValidationError`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from dataclasses import dataclass, field
@@ -68,12 +70,21 @@ def _check_unique(ids: list[str], what: str, path: str) -> None:
         seen.add(i)
 
 
+@contextlib.contextmanager
 def _open_tsv(path: str):
-    """Open an input TSV; a file that cannot be opened is a bad input."""
+    """Open an input TSV for a `with` block; a file that cannot be opened,
+    is not UTF-8 text or holds a cell `csv` rejects is a bad input."""
     try:
-        return open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            raise ValidationError(f"{path}: not UTF-8 text") from None
+        except csv.Error as exc:
+            raise ValidationError(f"{path}: {exc}") from None
 
 
 def load_matrix_tsv(path: str) -> RawMatrix:
@@ -95,6 +106,7 @@ def load_matrix_tsv(path: str) -> RawMatrix:
         if len(header) < 2:
             raise ValidationError(f"{path}: header must name at least one data column")
         sample_ids = [c.strip() for c in header[1:]]
+        _check_unique(sample_ids, "sample", path)
         feature_ids: list[str] = []
         rows: list[np.ndarray] = []
         for lineno, record in enumerate(reader, start=2):
@@ -113,7 +125,6 @@ def load_matrix_tsv(path: str) -> RawMatrix:
     if not rows:
         raise ValidationError(f"{path}: no data rows")
     values = np.stack(rows, axis=1)
-    _check_unique(sample_ids, "sample", path)
     _check_unique(feature_ids, "feature", path)
     return RawMatrix(sample_ids=sample_ids, feature_ids=feature_ids, values=values)
 
@@ -155,7 +166,7 @@ def load_labels(path: str) -> dict[str, str]:
 
 def write_matrix_tsv(path: str, raw: RawMatrix) -> None:
     """Write the feature-table layout read back by load_matrix_tsv."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("id\t" + "\t".join(raw.sample_ids) + "\n")
         for j, fid in enumerate(raw.feature_ids):
             # "nan" is the only float repr that contains "nan"
@@ -164,14 +175,14 @@ def write_matrix_tsv(path: str, raw: RawMatrix) -> None:
 
 
 def write_annotations_tsv(path: str, annotations: dict[str, str]) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("feature_id\tchromosome\n")
         for fid in annotations:
             fh.write(f"{fid}\t{annotations[fid]}\n")
 
 
 def write_labels_tsv(path: str, labels: dict[str, str]) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("sample_id\tclass_name\n")
         for sid in labels:
             fh.write(f"{sid}\t{labels[sid]}\n")

@@ -283,7 +283,7 @@ def export_embedding(source, dataset, path: str) -> Matrix:
             idx = int(dataset.labels[i])
             cells.append(dataset.class_vocab[idx] if idx >= 0 else "")
         lines.append("\t".join(cells))
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     return embedding
 
@@ -295,10 +295,14 @@ def read_embedding_tsv(path: str) -> tuple[list[str], np.ndarray, list[str] | No
     else is a `ValidationError` naming the path and the row.
     """
     try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read embedding {path}: {exc}") from exc
+    # "\n" is the only line break the writer emits; a sample ID may hold others
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
     if not lines:
         raise ValidationError(f"{path}: empty embedding file")
     header = lines[0].split("\t")

@@ -84,14 +84,6 @@ class ParameterArena:
         for m in modules:
             m.bind(lambda array: views[id(array)])
         self.params = [p for m in modules for p in m.parameters()]
-        self.bounds = np.cumsum([0] + [p.value.size for p in self.params])
-
-    def split(self, flat: np.ndarray) -> list[tuple[str, np.ndarray]]:
-        """(name, view) per parameter of a vector laid out like `values`."""
-        return [
-            (p.name, flat[start:stop].reshape(p.value.shape))
-            for p, start, stop in zip(self.params, self.bounds[:-1], self.bounds[1:])
-        ]
 
 
 def apply_activation(kind: ActivationKind, z: Matrix) -> Matrix:

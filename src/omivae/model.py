@@ -12,7 +12,7 @@ loss gradients at the towers' outputs and calls their backward.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -95,43 +95,26 @@ class ModelConfig:
         return max(8, min(4096, math.ceil(self.expr_dim / 14)))
 
 
-@dataclass
-class LatentSample:
-    mu: Matrix
-    logvar: Matrix
-    epsilon: Matrix
-    z: Matrix
-
-
-@dataclass
-class ForwardPass:
-    latent: LatentSample
-    recon_expr: Matrix | None
-    recon_methyl_blocks: list[Matrix] = field(default_factory=list)
-    class_probs: Matrix | None = None
-
-
 def reparameterize(
     mu: Matrix,
     logvar: Matrix,
     rng: RngState | None = None,
-    train: bool = True,
     epsilon: Matrix | None = None,
-) -> LatentSample:
-    """z = mu + exp(logvar/2) * eps in train mode; z = mu in infer mode."""
+) -> tuple[Matrix, Matrix]:
+    """The training-time latent sample: (z, epsilon) with
+    z = mu + exp(logvar/2) * epsilon, epsilon drawn from `rng` unless given.
+
+    Outside training the model reads the latent mean itself (`embed`).
+    """
     if mu.shape != logvar.shape:
         raise ValidationError(f"mu/logvar shape mismatch: {mu.shape} vs {logvar.shape}")
-    if not train:
-        eps = np.zeros_like(mu)
-        return LatentSample(mu=mu, logvar=logvar, epsilon=eps, z=mu.copy())
     if epsilon is None:
         if rng is None:
-            raise ValidationError("train-mode reparameterization needs an rng or a fixed epsilon")
+            raise ValidationError("reparameterization needs an rng or a fixed epsilon")
         epsilon = rng.standard_normal(mu.shape[0], mu.shape[1])
     elif epsilon.shape != mu.shape:
         raise ValidationError("epsilon shape must match mu")
-    z = mu + np.exp(0.5 * logvar) * epsilon
-    return LatentSample(mu=mu, logvar=logvar, epsilon=epsilon, z=z)
+    return mu + np.exp(0.5 * logvar) * epsilon, epsilon
 
 
 class OmiVaeModel:
@@ -296,25 +279,6 @@ class OmiVaeModel:
             )
         return apply_activation(ActivationKind.SOFTMAX, self.classifier.forward(mu, train))
 
-    def forward(
-        self,
-        x_expr: Matrix | None,
-        x_methyl_blocks: list[Matrix] | None,
-        train: bool = False,
-        rng: RngState | None = None,
-        epsilon: Matrix | None = None,
-    ) -> ForwardPass:
-        mu, logvar = self.encode(x_expr, x_methyl_blocks, train)
-        latent = reparameterize(mu, logvar, rng=rng, train=train, epsilon=epsilon)
-        recon_expr, recon_blocks = self.decode(latent.z, train)
-        probs = self.classify(mu, train)
-        return ForwardPass(
-            latent=latent,
-            recon_expr=recon_expr,
-            recon_methyl_blocks=recon_blocks,
-            class_probs=probs,
-        )
-
     def embed(self, x_expr: Matrix | None, x_methyl_blocks: list[Matrix] | None) -> Matrix:
         """Latent means in infer mode; the deterministic sample embedding."""
         mu, _ = self.encode(x_expr, x_methyl_blocks, train=False)
@@ -351,9 +315,9 @@ class OmiVaeModel:
             raise ValidationError("classification weight is positive but no labels were given")
 
         mu, logvar = self.encode(x_expr, x_methyl_blocks, train=True)
-        latent = reparameterize(mu, logvar, rng=rng, train=True, epsilon=epsilon)
+        z, epsilon = reparameterize(mu, logvar, rng=rng, epsilon=epsilon)
         train_decoder = alpha > 0.0
-        recon_expr, recon_blocks = self.decode(latent.z, train=train_decoder)
+        recon_expr, recon_blocks = self.decode(z, train=train_decoder)
         train_classifier = beta > 0.0
         probs = self.classify(mu, train=train_classifier)
 
@@ -384,10 +348,10 @@ class OmiVaeModel:
             d_z = self.decoder.backward(d_recon)
         else:
             self._decoder_grads.fill(0.0)
-            d_z = np.zeros_like(latent.z)
+            d_z = np.zeros_like(z)
 
         d_mu = d_z.copy()
-        d_logvar = 0.5 * d_z * latent.epsilon * np.exp(0.5 * logvar)
+        d_logvar = 0.5 * d_z * epsilon * np.exp(0.5 * logvar)
         if alpha > 0.0:
             d_mu += alpha * mu / batch
             d_logvar += alpha * (np.exp(logvar) - 1.0) / (2.0 * batch)

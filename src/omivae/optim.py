@@ -83,13 +83,6 @@ class Adam:
             np.divide(a, b, out=a)
             np.subtract(w, a, out=w)
 
-    def state_tensors(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for (name, m), (_, v) in zip(self.arena.split(self.m), self.arena.split(self.v)):
-            out.append((f"optim.m.{name}", m))
-            out.append((f"optim.v.{name}", v))
-        return out
-
 
 @dataclass
 class TrainConfig:
@@ -169,11 +162,13 @@ def evaluate_losses(
     weights: LossWeights,
     chunk: int = 1024,
 ) -> tuple[LossReport, float]:
-    """Infer-mode losses (z = mu) and accuracy over `indices`.
+    """Infer-mode losses and accuracy over `indices`.
 
-    The classification loss and the accuracy count only samples with a
-    label: each chunk's classification loss is weighted by its labeled
-    count. The accuracy is NaN when no sample has a label.
+    Each chunk runs the way `embed` and `predict_proba` do: `encode`, then
+    `decode` and `classify` of the latent mean, so the reconstruction is
+    scored at z = mu. The classification loss and the accuracy count only
+    samples with a label: each chunk's classification loss is weighted by
+    its labeled count. The accuracy is NaN when no sample has a label.
     """
     indices = np.asarray(indices)
     if indices.size == 0:
@@ -185,14 +180,11 @@ def evaluate_losses(
     for start in range(0, indices.size, chunk):
         part = indices[start : start + chunk]
         x_expr, x_blocks = dataset.batch(part)
-        fp = model.forward(x_expr, x_blocks, train=False)
+        mu, logvar = model.encode(x_expr, x_blocks)
+        recon_expr, recon_blocks = model.decode(mu)
+        probs = model.classify(mu)
         rm, re, kl = vae_loss(
-            x_blocks if x_blocks is not None else [],
-            fp.recon_methyl_blocks,
-            x_expr,
-            fp.recon_expr,
-            fp.latent.mu,
-            fp.latent.logvar,
+            x_blocks if x_blocks is not None else [], recon_blocks, x_expr, recon_expr, mu, logvar
         )
         sums += np.array([rm, re, kl]) * part.size
         if dataset.labels is not None:
@@ -200,8 +192,8 @@ def evaluate_losses(
             mask = lab >= 0
             part_labeled = int(mask.sum())
             if part_labeled:
-                cls_sum += classification_loss(lab[mask], fp.class_probs[mask]) * part_labeled
-                predicted = np.argmax(fp.class_probs[mask], axis=1)
+                cls_sum += classification_loss(lab[mask], probs[mask]) * part_labeled
+                predicted = np.argmax(probs[mask], axis=1)
                 correct += int((predicted == lab[mask]).sum())
                 labeled += part_labeled
     rm, re, kl = sums / indices.size
@@ -383,25 +375,23 @@ class Checkpoint:
         return model
 
 
-def save_checkpoint(
-    path: str,
-    model: OmiVaeModel,
-    adam: Adam | None = None,
-    metadata: dict[str, str] | None = None,
-) -> None:
-    tensors = list(model.state_tensors())
-    meta = dict(metadata or {})
-    if adam is not None:
-        tensors.extend(adam.state_tensors())
-        meta["optim.t"] = str(adam.t)
-        meta["optim.lr"] = repr(adam.lr)
+def save_checkpoint(path: str, model: OmiVaeModel, metadata: dict[str, str] | None = None) -> None:
+    """Write a checkpoint: the model config, the model's state tensors in
+    `model.state_tensors()` order and the caller's metadata, nothing else.
+
+    Each training phase starts a fresh `Adam`, so no optimizer state is kept.
+    """
     write_container(
-        path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, fields_to_text(model.config), tensors, meta
+        path,
+        CHECKPOINT_MAGIC,
+        CHECKPOINT_VERSION,
+        fields_to_text(model.config),
+        model.state_tensors(),
+        metadata or {},
     )
 
 
 def load_checkpoint(path: str) -> Checkpoint:
+    """Read what `save_checkpoint` wrote; `Checkpoint.build` makes the model."""
     config_flat, tensors, metadata = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
-    config = fields_from_text(ModelConfig, config_flat)
-    model_tensors = [(n, a) for n, a in tensors if not n.startswith("optim.")]
-    return Checkpoint(config=config, tensors=model_tensors, metadata=metadata)
+    return Checkpoint(fields_from_text(ModelConfig, config_flat), tensors, metadata)

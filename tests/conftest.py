@@ -1,9 +1,15 @@
-"""Shared fixtures: the hand-worked preprocessing golden case."""
+"""Shared fixtures: the hand-worked preprocessing golden case; and the one
+Hypothesis profile, under which every property test runs the same examples
+on every run and keeps no example database."""
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from omivae.data import RawMatrix
+
+settings.register_profile("omivae", derandomize=True, database=None, deadline=None)
+settings.load_profile("omivae")
 
 
 def _col(values):

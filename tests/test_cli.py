@@ -44,18 +44,37 @@ BAD_INPUT = {
                               "OMIVAE_THREADS must be a positive integer, got 'two'"),
     "crossval-threads-zero": (["crossval", "--data", "{d}/absent.omids", "--out", "{d}/cv"],
                               "OMIVAE_THREADS must be a positive integer, got '0'"),
+    "preprocess-non-utf8-expression": (
+        ["preprocess", "--expression", "{d}/latin1_matrix.tsv", "--out", "{d}/cache.omids"],
+        "latin1_matrix.tsv"),
+    "preprocess-non-utf8-annotations": (
+        ["preprocess", "--expression", "{d}/expr.tsv", "--annotations", "{d}/latin1_ann.tsv",
+         "--out", "{d}/cache.omids"], "latin1_ann.tsv"),
+    "preprocess-non-utf8-labels": (
+        ["preprocess", "--expression", "{d}/expr.tsv", "--labels", "{d}/latin1_labels.tsv",
+         "--out", "{d}/cache.omids"], "latin1_labels.tsv"),
+    "plot-non-utf8": (["plot", "--embedding", "{d}/latin1_embedding.tsv", "--out",
+                       "{d}/plot.svg"], "latin1_embedding.tsv"),
+    "train-non-utf8-config": (["train", "--config", "{d}/latin1.cfg", "--data", "{cache}",
+                               "--out", "{d}/model.omvae"], "latin1.cfg"),
     "usage-missing-option": (["train", "--data", "{d}/absent.omids"], "--out"),
     "usage-unknown-command": (["bogus"], "'bogus'"),
 }
 # case -> OMIVAE_THREADS, for the cases that set it
 THREADS = {"crossval-threads-word": "two", "crossval-threads-zero": "0"}
-# file name -> text, written for every case
+# file name -> bytes, written for every case
 FILES = {
-    "garbage.omvae": "not a checkpoint",
-    "expr.tsv": "gene\tS1\tS2\tS3\ng1\t0.1\t0.2\t0.3\n",
-    "bad_cell.tsv": "sample_id\tdim_1\tdim_2\nS1\t0.5\t1.5\nS2\t0.25\toops\n",
-    "header_only.tsv": "sample_id\tdim_1\tdim_2\n",
-    "non_finite.tsv": "sample_id\tdim_1\tdim_2\nS1\tnan\t1.5\nS2\t0.25\tinf\n",
+    "garbage.omvae": b"not a checkpoint",
+    "expr.tsv": b"gene\tS1\tS2\tS3\ng1\t0.1\t0.2\t0.3\n",
+    "bad_cell.tsv": b"sample_id\tdim_1\tdim_2\nS1\t0.5\t1.5\nS2\t0.25\toops\n",
+    "header_only.tsv": b"sample_id\tdim_1\tdim_2\n",
+    "non_finite.tsv": b"sample_id\tdim_1\tdim_2\nS1\tnan\t1.5\nS2\t0.25\tinf\n",
+    # one Latin-1 byte (0xff) in a file that is otherwise valid
+    "latin1_matrix.tsv": b"id\tS1\tS2\ng1\t\xff0.3\t0.4\n",
+    "latin1_ann.tsv": b"feature_id\tchromosome\ng1\t1\xff\n",
+    "latin1_labels.tsv": b"sample_id\tclass_name\nS1\tBRCA\xff\n",
+    "latin1_embedding.tsv": b"sample_id\tdim_1\nS\xff1\t0.5\n",
+    "latin1.cfg": b"# caf\xe9\ntrain.seed = 1\n",
 }
 
 
@@ -70,8 +89,8 @@ def cache(tmp_path_factory):
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUT))
 def test_bad_input_prints_one_validation_line(tmp_path, capsys, monkeypatch, cache, case):
-    for name, text in FILES.items():
-        (tmp_path / name).write_text(text)
+    for name, blob in FILES.items():
+        (tmp_path / name).write_bytes(blob)
     if case in THREADS:
         monkeypatch.setenv("OMIVAE_THREADS", THREADS[case])
     argv, fragment = BAD_INPUT[case]

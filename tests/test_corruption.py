@@ -1,8 +1,10 @@
-"""Corrupt containers: a truncated or bit-flipped checkpoint or dataset cache
-raises FormatError or ValidationError, never another exception."""
+"""Corrupt inputs: a truncated or bit-flipped checkpoint or dataset cache,
+and a mutated annotation, label or embedding TSV, load or raise FormatError
+or ValidationError, never another exception."""
 
 import io
 import math
+import re
 import struct
 from unittest import mock
 
@@ -11,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omivae import container
-from omivae.data import OmicsDataset, SyntheticSpec, synthesize
+from omivae.data import OmicsDataset, SyntheticSpec, load_annotations, load_labels, synthesize
 from omivae.errors import FormatError, ValidationError
+from omivae.evaluation import read_embedding_tsv
 from omivae.model import ModelConfig, build_model
 from omivae.numerics import RngState
 from omivae.optim import load_checkpoint, save_checkpoint
@@ -107,7 +110,7 @@ def test_a_block_count_that_is_not_a_number_is_a_format_error(files):
 
 
 @pytest.mark.parametrize("kind", sorted(LOADERS))
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(data=st.data())
 def test_a_flipped_bit_loads_or_is_a_validation_error(files, kind, data):
     blob = files[kind]
@@ -118,3 +121,68 @@ def test_a_flipped_bit_loads_or_is_a_validation_error(files, kind, data):
         load(kind, bytes(corrupt))
     except ValidationError:  # FormatError included
         pass
+
+
+# kind -> (reader, the rows of a valid file, whether the reader strips keys)
+TSV_READERS = {
+    "annotations": (
+        load_annotations, [b"feature_id\tchromosome", b"g1\t1", b"g2\tX", b"cg3\tNA"], True),
+    "labels": (load_labels, [b"sample_id\tclass_name", b"S1\tBRCA", b"S2\tLUAD"], True),
+    "embedding": (
+        read_embedding_tsv,
+        [b"sample_id\tdim_1\tdim_2\tclass_name", b"S1\t0.5\t-1.25\tBRCA", b"S2\t0\t3e-05\tLUAD"],
+        False,
+    ),
+}
+# stray tabs, NUL, non-UTF-8 bytes, line-break characters, non-finite numbers;
+# no '"', which the csv-based readers take as quoting
+TOKENS = [b"\t", b"\x00", b"\xff", b"\xc3", b"\n", b"\r", b"\r\n", "\u0085".encode(), b"\x1c",
+          "\u2028".encode(), b"nan", b"inf", b"-inf", b""]
+
+
+def mutate(rows, data):
+    """Apply one to three edits: insert a token, replace a cell by one, cut a
+    row short, or repeat a row (a duplicate key)."""
+    rows = list(rows)
+    for _ in range(data.draw(st.integers(1, 3))):
+        r = data.draw(st.integers(0, len(rows) - 1))
+        row = rows[r]
+        edit = data.draw(st.sampled_from(["insert", "cell", "cut", "repeat"]))
+        if edit == "insert":
+            at = data.draw(st.integers(0, len(row)))
+            rows[r] = row[:at] + data.draw(st.sampled_from(TOKENS)) + row[at:]
+        elif edit == "cell":
+            cells = row.split(b"\t")
+            cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(st.sampled_from(TOKENS))
+            rows[r] = b"\t".join(cells)
+        elif edit == "cut":
+            rows[r] = row[: data.draw(st.integers(0, max(len(row) - 1, 0)))]
+        else:
+            rows.insert(r, row)
+    return b"\n".join(rows) + b"\n"
+
+
+@pytest.fixture(scope="module")
+def tsv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("tsv") / "input.tsv"
+
+
+@pytest.mark.parametrize("kind", sorted(TSV_READERS))
+@settings(max_examples=200)
+@given(data=st.data())
+def test_a_mutated_tsv_loads_or_is_a_validation_error(tsv_path, kind, data):
+    reader, rows, strips = TSV_READERS[kind]
+    blob = mutate(rows, data)
+    tsv_path.write_bytes(blob)
+    try:
+        loaded = reader(str(tsv_path))
+    except ValidationError:
+        return
+    # what loads holds one key per line, the lines split where Python's
+    # text files split them: at "\r\n", "\r" and "\n" only
+    lines = re.split(rb"\r\n|\r|\n", blob)[1:-1]
+    keys = [line.split(b"\t")[0].decode("utf-8") for line in lines]
+    if strips:  # a dict keyed by the stripped first cell
+        assert list(loaded) == [k.strip() for k in keys]
+    else:  # (sample IDs, values, class names)
+        assert loaded[0] == keys

@@ -57,6 +57,11 @@ class TestLoadMatrixTsv:
         with pytest.raises(ValidationError, match="sX"):
             load_matrix_tsv(path)
 
+    def test_duplicate_sample_is_reported_before_any_row_is_parsed(self, tmp_path):
+        path = self.write(tmp_path, "id\tsX\tsX\nf1\t1\t2\nf2\t3\toops\n")
+        with pytest.raises(ValidationError, match="duplicate sample ID 'sX'"):
+            load_matrix_tsv(path)
+
     def test_duplicate_feature_row(self, tmp_path):
         path = self.write(tmp_path, "id\ts1\nf1\t1\nf1\t2\n")
         with pytest.raises(ValidationError, match="f1"):
@@ -112,7 +117,7 @@ CELLS = st.one_of(
 
 
 class TestMatrixGrammar:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(table=st.integers(1, 4).flatmap(
         lambda cols: st.lists(st.lists(CELLS, min_size=cols, max_size=cols), min_size=1, max_size=4)
     ))
@@ -193,6 +198,12 @@ class TestAnnotationAndLabelFiles:
         path = tmp_path / "ann.tsv"
         path.write_text("feature_id\tchromosome\nf1\tchr99\n")
         with pytest.raises(ValidationError, match="chr99"):
+            load_annotations(str(path))
+
+    def test_a_cell_longer_than_the_csv_field_limit(self, tmp_path):
+        path = tmp_path / "ann.tsv"
+        path.write_text("feature_id\tchromosome\n" + "g" * 200_000 + "\t1\n")
+        with pytest.raises(ValidationError, match="field larger than field limit"):
             load_annotations(str(path))
 
     def test_labels(self, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from omivae.data import SyntheticSpec, synthesize
+from omivae.data import OmicsDataset, SyntheticSpec, synthesize
 from omivae.errors import ValidationError
 from omivae.evaluation import (
     PALETTE,
@@ -253,6 +253,19 @@ class TestEmbeddingExport:
         with open(path) as fh:
             header = fh.readline().rstrip("\n").split("\t")
         assert header == ["sample_id", "dim_1", "dim_2", "class_name"]
+
+    def test_ids_holding_line_break_characters_round_trip(self, tmp_path):
+        ds = self.make_dataset()
+        # characters str.splitlines() breaks on; the writers only emit "\n"
+        ds.sample_ids = [f"S{c}{i}" for i, c in enumerate(["\u0085", "\x1c", "\u2028"] * 2)]
+        cache = str(tmp_path / "ds.omids")
+        ds.save(cache)
+        loaded = OmicsDataset.load(cache)
+        assert loaded.sample_ids == ds.sample_ids
+        path = str(tmp_path / "emb.tsv")
+        export_embedding(pca_fit(dataset_matrix(loaded), 2), loaded, path)
+        ids, _, _ = read_embedding_tsv(path)
+        assert ids == ds.sample_ids
 
     def test_unlabeled_omits_class_column(self, tmp_path):
         ds = self.make_dataset()

@@ -123,17 +123,17 @@ class TestBuild:
         config = tiny_config(use_methylation=False, methyl_block_dims=())
         model = build_model(config, RngState(2))
         x_expr, _ = tiny_batch(config)
-        fp = model.forward(x_expr, None, train=False)
-        assert fp.recon_expr.shape == x_expr.shape
-        assert fp.recon_methyl_blocks == []
+        recon_expr, recon_blocks = model.decode(model.embed(x_expr, None))
+        assert recon_expr.shape == x_expr.shape
+        assert recon_blocks == []
 
     def test_single_modality_methylation(self):
         config = tiny_config(use_expression=False, expr_dim=0)
         model = build_model(config, RngState(3))
         _, x_blocks = tiny_batch(config)
-        fp = model.forward(None, x_blocks, train=False)
-        assert fp.recon_expr is None
-        assert [b.shape for b in fp.recon_methyl_blocks] == [b.shape for b in x_blocks]
+        recon_expr, recon_blocks = model.decode(model.embed(None, x_blocks))
+        assert recon_expr is None
+        assert [b.shape for b in recon_blocks] == [b.shape for b in x_blocks]
 
     def test_deterministic_snapshot_for_seed(self):
         config = tiny_config()
@@ -198,36 +198,31 @@ class TestEncode:
 class TestReparameterize:
     def test_zero_epsilon_returns_mu(self):
         mu = RngState(8).standard_normal(4, 3)
-        sample = reparameterize(mu, np.zeros_like(mu), epsilon=np.zeros_like(mu))
-        assert np.array_equal(sample.z, mu)
+        z, _ = reparameterize(mu, np.zeros_like(mu), epsilon=np.zeros_like(mu))
+        assert np.array_equal(z, mu)
 
     def test_unit_sigma_adds_epsilon(self):
         rng = RngState(9)
         mu = rng.standard_normal(4, 3)
         eps = rng.standard_normal(4, 3)
-        sample = reparameterize(mu, np.zeros_like(mu), epsilon=eps)
-        assert np.array_equal(sample.z, mu + eps)
-
-    def test_infer_mode_is_mean(self):
-        mu = RngState(10).standard_normal(4, 3)
-        logvar = RngState(11).standard_normal(4, 3)
-        sample = reparameterize(mu, logvar, train=False)
-        assert np.array_equal(sample.z, mu)
+        z, epsilon = reparameterize(mu, np.zeros_like(mu), epsilon=eps)
+        assert epsilon is eps
+        assert np.array_equal(z, mu + eps)
 
     def test_moments(self):
         n = 100_000
         mu = np.ones((n, 1))
         logvar = np.full((n, 1), math.log(4.0))
-        sample = reparameterize(mu, logvar, rng=RngState(12))
-        assert abs(sample.z.mean() - 1.0) < 0.05
-        assert abs(sample.z.var() - 4.0) < 0.1
+        z, _ = reparameterize(mu, logvar, rng=RngState(12))
+        assert abs(z.mean() - 1.0) < 0.05
+        assert abs(z.var() - 4.0) < 0.1
 
     def test_invariant_formula_held_exactly(self):
         rng = RngState(13)
         mu = rng.standard_normal(5, 4)
         logvar = rng.standard_normal(5, 4)
-        sample = reparameterize(mu, logvar, rng=rng)
-        assert np.array_equal(sample.z, mu + np.exp(0.5 * logvar) * sample.epsilon)
+        z, epsilon = reparameterize(mu, logvar, rng=rng)
+        assert np.array_equal(z, mu + np.exp(0.5 * logvar) * epsilon)
 
 
 class TestDecode:
