@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 validation error (bad inputs, bad config), 2
 runtime or numeric error. Errors print a single machine-parseable line
 `omivae: error: <category>: <message>` on stderr. The OMIVAE_THREADS
 environment variable, a positive integer, caps fold-level parallelism in
-crossval (default 1).
+crossval (default 1). Every output file is written as UTF-8 and replaced
+atomically: a run that stops part-way leaves each file whole, old or new.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .config import RunConfig, load_run_config
+from .container import write_text_atomic
 from .data import (
     OmicsDataset,
     dataset_to_raw,
@@ -102,8 +104,7 @@ def cmd_preprocess(args) -> int:
     )
     dataset.save(args.out)
     report_path = args.report or args.out + ".report.txt"
-    with open(report_path, "w") as fh:
-        fh.write(report.to_text())
+    write_text_atomic(report_path, report.to_text())
     print(report.to_text(), end="")
     print(f"wrote {args.out}")
     return 0
@@ -141,8 +142,7 @@ def cmd_train(args) -> int:
         metadata[f"best_epoch.phase{ph}"] = str(history.best_epoch[ph])
     save_checkpoint(args.out, model, metadata=metadata)
     history_path = args.history or args.out + ".history.tsv"
-    with open(history_path, "w") as fh:
-        fh.write(history.to_tsv())
+    write_text_atomic(history_path, history.to_tsv())
     if history.diverged:
         print("training diverged; best snapshot saved", file=sys.stderr)
     last = history.records[-1] if history.records else None
@@ -195,12 +195,10 @@ def cmd_crossval(args) -> int:
 
     metric_rows = []
     for r, report, history in results:
-        with open(os.path.join(args.out, f"fold{r:02d}.report.txt"), "w") as fh:
-            fh.write(report.to_text(dataset.class_vocab))
-        with open(os.path.join(args.out, f"fold{r:02d}.confusion.tsv"), "w") as fh:
-            fh.write(report.confusion_tsv(dataset.class_vocab))
-        with open(os.path.join(args.out, f"fold{r:02d}.history.tsv"), "w") as fh:
-            fh.write(history.to_tsv())
+        prefix = os.path.join(args.out, f"fold{r:02d}")
+        write_text_atomic(prefix + ".report.txt", report.to_text(dataset.class_vocab))
+        write_text_atomic(prefix + ".confusion.tsv", report.confusion_tsv(dataset.class_vocab))
+        write_text_atomic(prefix + ".history.tsv", history.to_tsv())
         metric_rows.append(
             (report.accuracy, report.weighted_precision, report.weighted_recall, report.weighted_f1)
         )
@@ -214,9 +212,7 @@ def cmd_crossval(args) -> int:
         lines.append(f"{name}_sd={repr(float(sd))}")
     for r, report, _ in results:
         lines.append(f"fold{r:02d}.accuracy={repr(report.accuracy)}")
-    aggregate = "\n".join(lines) + "\n"
-    with open(os.path.join(args.out, "aggregate.txt"), "w") as fh:
-        fh.write(aggregate)
+    write_text_atomic(os.path.join(args.out, "aggregate.txt"), "\n".join(lines) + "\n")
     print(
         f"{args.k}-fold accuracy: {metrics[:, 0].mean() * 100:.2f}"
         f"±{(metrics[:, 0].std(ddof=1) if args.k > 1 else 0.0) * 100:.2f}%"
@@ -249,11 +245,9 @@ def cmd_evaluate(args) -> int:
     x_expr, x_blocks = dataset.batch(np.arange(dataset.num_samples))
     predicted = np.argmax(model.predict_proba(x_expr, x_blocks), axis=1)
     report = compute_metrics(dataset.labels, predicted, model.config.num_classes)
-    with open(args.out, "w") as fh:
-        fh.write(report.to_text(dataset.class_vocab))
+    write_text_atomic(args.out, report.to_text(dataset.class_vocab))
     if args.confusion:
-        with open(args.confusion, "w") as fh:
-            fh.write(report.confusion_tsv(dataset.class_vocab))
+        write_text_atomic(args.confusion, report.confusion_tsv(dataset.class_vocab))
     print(f"accuracy={report.accuracy:.4f} weighted_f1={report.weighted_f1:.4f}")
     return 0
 

@@ -15,6 +15,9 @@ Canonical key-value text is one `key=value` line per entry, sorted by key,
 newline-terminated. Values must not contain newlines; list values use tab
 separators. A config dataclass's fields are written and read as text by
 their annotations, the same codec that parses configuration files.
+
+Containers and text outputs (`write_text_atomic`) are written one way: to a
+temp file beside the target, then renamed over it.
 """
 
 from __future__ import annotations
@@ -159,13 +162,23 @@ def write_container(
     meta_bytes = canonical_text(metadata).encode("utf-8")
     parts.append(struct.pack("<I", len(meta_bytes)))
     parts.append(meta_bytes)
+    _replace_file(path, b"".join(parts))
 
+
+def write_text_atomic(path: str, text: str) -> None:
+    """Replace `path` with `text` as UTF-8, atomically like `write_container`."""
+    _replace_file(path, text.encode("utf-8"))
+
+
+def _replace_file(path: str, payload: bytes) -> None:
+    """Write `payload` to a temp file in the target directory, then rename it
+    over `path`: a reader sees the old file or the new one, never a part."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-container-")
+    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:
             os.fchmod(fh.fileno(), 0o666 & ~_UMASK)
-            fh.write(b"".join(parts))
+            fh.write(payload)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):

@@ -1,18 +1,20 @@
 """Dataset representation, TSV ingestion, preprocessing, folds, synthesis.
 
+Every TSV, read or written, is one dialect: UTF-8 text, cells separated by
+tabs with no quoting (a `"` is a plain character), lines ending at `\n`,
+`\r\n` or `\r`. A file that cannot be read or is not UTF-8 text is a
+`ValidationError`.
+
 Matrix TSV files are feature-table shaped: header row of sample IDs, one row
 per feature. A cell, after `strip()`, is `NA` or empty for a missing value,
 anything `float()` accepts for that double, and anything else is a
 `ValidationError` naming its row and column. Reading one holds about two
 float64 copies of the matrix at its peak. Annotation files map feature IDs to
-chromosomes `1`..`22`, `X`, `Y`, or `NA`. Every input TSV is read as UTF-8;
-a file that is not UTF-8 text is a `ValidationError`.
+chromosomes `1`..`22`, `X`, `Y`, or `NA`.
 """
 
 from __future__ import annotations
 
-import contextlib
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -23,6 +25,7 @@ from .container import (
     encode_str_list,
     read_container,
     write_container,
+    write_text_atomic,
 )
 from .errors import FormatError, ValidationError
 from .numerics import RngState
@@ -70,21 +73,24 @@ def _check_unique(ids: list[str], what: str, path: str) -> None:
         seen.add(i)
 
 
-@contextlib.contextmanager
-def _open_tsv(path: str):
-    """Open an input TSV for a `with` block; a file that cannot be opened,
-    is not UTF-8 text or holds a cell `csv` rejects is a bad input."""
+def _tsv_lines(path: str):
+    """Yield `(lineno, cells)` for each line of the TSV at `path`, from 1."""
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:  # universal newlines
+            for lineno, line in enumerate(fh, start=1):
+                yield lineno, line.removesuffix("\n").split("\t")
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        try:
-            yield fh
-        except UnicodeDecodeError:
-            raise ValidationError(f"{path}: not UTF-8 text") from None
-        except csv.Error as exc:
-            raise ValidationError(f"{path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path}: not UTF-8 text") from None
+
+
+def tsv_header(path: str):
+    """The header cells of the TSV at `path` and `_tsv_lines` of the rest."""
+    lines = _tsv_lines(path)
+    for _, header in lines:
+        return header, lines
+    raise ValidationError(f"{path}: empty file")
 
 
 def load_matrix_tsv(path: str) -> RawMatrix:
@@ -97,31 +103,26 @@ def load_matrix_tsv(path: str) -> RawMatrix:
     float64 array as it is read and the rows are stacked once, so the peak
     memory is about two float64 copies of the matrix.
     """
-    with _open_tsv(path) as fh:
-        reader = csv.reader(fh, delimiter="\t")
+    header, lines = tsv_header(path)
+    if len(header) < 2:
+        raise ValidationError(f"{path}: header must name at least one data column")
+    sample_ids = [c.strip() for c in header[1:]]
+    _check_unique(sample_ids, "sample", path)
+    feature_ids: list[str] = []
+    rows: list[np.ndarray] = []
+    for lineno, record in lines:
+        if len(record) != len(header):
+            raise ValidationError(
+                f"{path}: ragged row {lineno}: {len(record)} cells, expected {len(header)}"
+            )
+        feature_ids.append(record[0].strip())
+        cells = record[1:]
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        if len(header) < 2:
-            raise ValidationError(f"{path}: header must name at least one data column")
-        sample_ids = [c.strip() for c in header[1:]]
-        _check_unique(sample_ids, "sample", path)
-        feature_ids: list[str] = []
-        rows: list[np.ndarray] = []
-        for lineno, record in enumerate(reader, start=2):
-            if len(record) != len(header):
-                raise ValidationError(
-                    f"{path}: ragged row {lineno}: {len(record)} cells, expected {len(header)}"
-                )
-            feature_ids.append(record[0].strip())
-            cells = record[1:]
-            try:
-                row = [math.nan if c == "NA" or c == "" else float(c) for c in cells]
-            except ValueError:
-                # padded `NA`s and the first bad cell's error are `_parse_cell`'s
-                row = [_parse_cell(c, path, lineno, j + 2) for j, c in enumerate(cells)]
-            rows.append(np.array(row, dtype=np.float64))
+            row = [math.nan if c == "NA" or c == "" else float(c) for c in cells]
+        except ValueError:
+            # padded `NA`s and the first bad cell's error are `_parse_cell`'s
+            row = [_parse_cell(c, path, lineno, j + 2) for j, c in enumerate(cells)]
+        rows.append(np.array(row, dtype=np.float64))
     if not rows:
         raise ValidationError(f"{path}: no data rows")
     values = np.stack(rows, axis=1)
@@ -130,24 +131,19 @@ def load_matrix_tsv(path: str) -> RawMatrix:
 
 
 def _load_two_column_tsv(path: str, col_a: str, col_b: str) -> dict[str, str]:
-    with _open_tsv(path) as fh:
-        reader = csv.reader(fh, delimiter="\t")
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        if [c.strip() for c in header[:2]] != [col_a, col_b]:
-            raise ValidationError(
-                f"{path}: expected header columns {col_a!r}, {col_b!r}, got {header[:2]}"
-            )
-        mapping: dict[str, str] = {}
-        for lineno, record in enumerate(reader, start=2):
-            if len(record) < 2:
-                raise ValidationError(f"{path}: row {lineno} has fewer than two columns")
-            key, value = record[0].strip(), record[1].strip()
-            if key in mapping:
-                raise ValidationError(f"{path}: duplicate {col_a} {key!r}")
-            mapping[key] = value
+    header, lines = tsv_header(path)
+    if [c.strip() for c in header[:2]] != [col_a, col_b]:
+        raise ValidationError(
+            f"{path}: expected header columns {col_a!r}, {col_b!r}, got {header[:2]}"
+        )
+    mapping: dict[str, str] = {}
+    for lineno, record in lines:
+        if len(record) < 2:
+            raise ValidationError(f"{path}: row {lineno} has fewer than two columns")
+        key, value = record[0].strip(), record[1].strip()
+        if key in mapping:
+            raise ValidationError(f"{path}: duplicate {col_a} {key!r}")
+        mapping[key] = value
     return mapping
 
 
@@ -166,26 +162,24 @@ def load_labels(path: str) -> dict[str, str]:
 
 def write_matrix_tsv(path: str, raw: RawMatrix) -> None:
     """Write the feature-table layout read back by load_matrix_tsv."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("id\t" + "\t".join(raw.sample_ids) + "\n")
-        for j, fid in enumerate(raw.feature_ids):
-            # "nan" is the only float repr that contains "nan"
-            cells = "\t".join(map(repr, raw.values[:, j].tolist())).replace("nan", "NA")
-            fh.write(fid + "\t" + cells + "\n")
+    lines = ["id\t" + "\t".join(raw.sample_ids) + "\n"]
+    for j, fid in enumerate(raw.feature_ids):
+        # "nan" is the only float repr that contains "nan"
+        cells = "\t".join(map(repr, raw.values[:, j].tolist())).replace("nan", "NA")
+        lines.append(fid + "\t" + cells + "\n")
+    write_text_atomic(path, "".join(lines))
+
+
+def _write_pairs_tsv(path: str, header: str, pairs: dict[str, str]) -> None:
+    write_text_atomic(path, header + "\n" + "".join(f"{a}\t{b}\n" for a, b in pairs.items()))
 
 
 def write_annotations_tsv(path: str, annotations: dict[str, str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("feature_id\tchromosome\n")
-        for fid in annotations:
-            fh.write(f"{fid}\t{annotations[fid]}\n")
+    _write_pairs_tsv(path, "feature_id\tchromosome", annotations)
 
 
 def write_labels_tsv(path: str, labels: dict[str, str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("sample_id\tclass_name\n")
-        for sid in labels:
-            fh.write(f"{sid}\t{labels[sid]}\n")
+    _write_pairs_tsv(path, "sample_id\tclass_name", labels)
 
 
 @dataclass

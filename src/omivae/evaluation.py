@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import colorsys
+import html
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .container import write_text_atomic
+from .data import tsv_header
 from .errors import ValidationError
 from .numerics import Matrix, sym_eig
 
@@ -283,8 +286,7 @@ def export_embedding(source, dataset, path: str) -> Matrix:
             idx = int(dataset.labels[i])
             cells.append(dataset.class_vocab[idx] if idx >= 0 else "")
         lines.append("\t".join(cells))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
     return embedding
 
 
@@ -294,18 +296,9 @@ def read_embedding_tsv(path: str) -> tuple[list[str], np.ndarray, list[str] | No
     Every embedding value must be a finite number; a row holding anything
     else is a `ValidationError` naming the path and the row.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read embedding {path}: {exc}") from exc
-    # "\n" is the only line break the writer emits; a sample ID may hold others
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise ValidationError(f"{path}: empty embedding file")
-    header = lines[0].split("\t")
+    # lines end at "\n", "\r\n" or "\r" only; a sample ID may hold U+0085,
+    # U+2028 and the other characters `str.splitlines()` would also break at
+    header, lines = tsv_header(path)
     if header[0] != "sample_id":
         raise ValidationError(f"{path}: not an embedding TSV (header {header[:2]})")
     has_classes = header[-1] == "class_name"
@@ -315,8 +308,7 @@ def read_embedding_tsv(path: str) -> tuple[list[str], np.ndarray, list[str] | No
     ids: list[str] = []
     rows: list[list[float]] = []
     classes: list[str] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split("\t")
+    for lineno, cells in lines:
         if len(cells) != len(header):
             raise ValidationError(f"{path}: ragged row {lineno}")
         ids.append(cells[0])
@@ -392,8 +384,8 @@ def render_scatter(embedding_path: str, out_path: str) -> None:
             f'<rect x="{lx}" y="{ly - 8}" width="10" height="10" fill="{color_of[name]}"/>'
         )
         parts.append(
-            f'<text x="{lx + 14}" y="{ly}" font-family="sans-serif" font-size="10">{name}</text>'
+            f'<text x="{lx + 14}" y="{ly}" font-family="sans-serif" font-size="10">'
+            f"{html.escape(name, quote=False)}</text>"
         )
     parts.append("</svg>")
-    with open(out_path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    write_text_atomic(out_path, "\n".join(parts) + "\n")

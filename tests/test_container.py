@@ -1,14 +1,17 @@
-"""The binary container: corrupt names, file modes, the CLI on a bad file."""
+"""The binary container: corrupt names, file modes, atomic replacement, the
+CLI on a bad file."""
 
 import os
 import struct
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
 from omivae import cli
-from omivae.container import read_container
+from omivae.container import read_container, write_container
+from omivae.data import write_labels_tsv
 from omivae.errors import FormatError
 from omivae.optim import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
 
@@ -68,8 +71,11 @@ WRITE_AND_STAT = """
 import os, sys
 os.umask(int(sys.argv[2], 8))
 from omivae.container import write_container
+from omivae.data import write_labels_tsv
 write_container(sys.argv[1], b"TEST01", 1, {}, [], {})
-print(oct(os.stat(sys.argv[1]).st_mode & 0o777))
+write_labels_tsv(sys.argv[1] + ".tsv", {"S1": "BRCA"})
+for path in (sys.argv[1], sys.argv[1] + ".tsv"):
+    print(oct(os.stat(path).st_mode & 0o777))
 """
 
 
@@ -83,4 +89,18 @@ def test_written_file_honours_the_umask(tmp_path, umask, mode):
         [sys.executable, "-c", WRITE_AND_STAT, path, umask],
         capture_output=True, text=True, env=env, timeout=60, check=True,
     )
-    assert proc.stdout.strip() == mode
+    assert proc.stdout.split() == [mode, mode]  # the container, then the text file
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: write_container(path, b"TEST01", 1, {}, [], {}),
+    lambda path: write_labels_tsv(path, {"S1": "BRCA"}),
+], ids=["container", "text"])
+def test_a_write_that_fails_before_the_rename_leaves_the_old_file(tmp_path, write):
+    path = tmp_path / "out"
+    path.write_bytes(b"old contents\n")
+    with mock.patch.object(os, "replace", side_effect=OSError("rename failed")):
+        with pytest.raises(OSError, match="rename failed"):
+            write(str(path))
+    assert path.read_bytes() == b"old contents\n"
+    assert os.listdir(tmp_path) == ["out"]  # and no .tmp-* file

@@ -134,10 +134,10 @@ TSV_READERS = {
         False,
     ),
 }
-# stray tabs, NUL, non-UTF-8 bytes, line-break characters, non-finite numbers;
-# no '"', which the csv-based readers take as quoting
+# stray tabs, NUL, non-UTF-8 bytes, line-break characters, non-finite numbers,
+# and quotes, which are plain characters: alone and opening a cell
 TOKENS = [b"\t", b"\x00", b"\xff", b"\xc3", b"\n", b"\r", b"\r\n", "\u0085".encode(), b"\x1c",
-          "\u2028".encode(), b"nan", b"inf", b"-inf", b""]
+          "\u2028".encode(), b"nan", b"inf", b"-inf", b"", b'"', b'\t"']
 
 
 def mutate(rows, data):

@@ -1,3 +1,5 @@
+from xml.etree import ElementTree
+
 import numpy as np
 import pytest
 
@@ -309,6 +311,14 @@ class TestRenderScatter:
         render_scatter(path, out2)
         with open(out1, "rb") as a, open(out2, "rb") as b:
             assert a.read() == b.read()
+
+    def test_class_names_are_escaped(self, tmp_path):
+        path = tmp_path / "emb.tsv"
+        path.write_text("sample_id\tdim_1\tdim_2\tclass_name\ns1\t0\t0\tA&B\ns2\t1\t1\t<x>\n")
+        out = tmp_path / "plot.svg"
+        render_scatter(str(path), str(out))
+        texts = ElementTree.parse(out).getroot().iter("{http://www.w3.org/2000/svg}text")
+        assert [t.text for t in texts] == ["<x>", "A&B"]
 
     def test_palette_has_34_distinct_colors(self):
         assert len(PALETTE) == 34
