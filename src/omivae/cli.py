@@ -6,6 +6,9 @@ runtime or numeric error. Errors print a single machine-parseable line
 environment variable, a positive integer, caps fold-level parallelism in
 crossval (default 1). Every output file is written as UTF-8 and replaced
 atomically: a run that stops part-way leaves each file whole, old or new.
+Every pass outside training (validation, `embed`, `evaluate` and each
+crossval test fold) gathers at most `data.INFER_ROWS` rows at a time, so
+its memory scales with that chunk, not with the cohort.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .data import (
     write_matrix_tsv,
 )
 from .errors import OmiVaeError, ValidationError
-from .evaluation import compute_metrics, export_embedding, render_scatter
+from .evaluation import compute_metrics, export_embedding, predict_classes, render_scatter
 from .model import build_model
 from .numerics import RngState
 from .optim import TrainConfig, load_checkpoint, save_checkpoint, train_two_phase
@@ -160,11 +163,8 @@ def _run_fold(fold, dataset, run, base_cfg):
     stream = RngState(base_cfg.seed).derive(3).derive(r)
     model = build_model(run.model_config(dataset), stream.derive(0))
     history = train_two_phase(model, dataset, train_idx, val_idx, base_cfg, rng=stream)
-    x_expr, x_blocks = dataset.batch(test_idx)
-    predicted = np.argmax(model.predict_proba(x_expr, x_blocks), axis=1)
-    report = compute_metrics(
-        dataset.labels[test_idx], predicted, model.config.num_classes
-    )
+    predicted = predict_classes(model, dataset, test_idx)
+    report = compute_metrics(dataset.labels[test_idx], predicted, model.config.num_classes)
     return r, report, history
 
 
@@ -242,9 +242,14 @@ def cmd_evaluate(args) -> int:
     model, dataset = _load_trained(args)
     if dataset.labels is None or (dataset.labels < 0).any():
         raise ValidationError("evaluation requires a fully labeled dataset")
-    x_expr, x_blocks = dataset.batch(np.arange(dataset.num_samples))
-    predicted = np.argmax(model.predict_proba(x_expr, x_blocks), axis=1)
-    report = compute_metrics(dataset.labels, predicted, model.config.num_classes)
+    classes = model.config.num_classes
+    if len(dataset.class_vocab) < classes:
+        raise ValidationError(
+            f"the dataset names {len(dataset.class_vocab)} classes, "
+            f"fewer than the checkpoint's {classes}"
+        )
+    predicted = predict_classes(model, dataset, np.arange(dataset.num_samples))
+    report = compute_metrics(dataset.labels, predicted, classes)
     write_text_atomic(args.out, report.to_text(dataset.class_vocab))
     if args.confusion:
         write_text_atomic(args.confusion, report.confusion_tsv(dataset.class_vocab))

@@ -124,9 +124,11 @@ def fields_from_text(cls, entries: dict[str, str]):
 
 
 def encode_str_list(items) -> str:
+    """Tab-joined items; an item may not hold a tab, `\n` or `\r`, since the
+    tab separates items and every TSV reader ends a line at `\n` or `\r`."""
     joined = list(items)
     for item in joined:
-        if "\t" in item or "\n" in item:
+        if "\t" in item or "\n" in item or "\r" in item:
             raise FormatError(f"list item contains a separator: {item!r}")
     return "\t".join(joined)
 

@@ -33,6 +33,8 @@ from .numerics import RngState
 DATASET_MAGIC = b"OMIDS1"
 DATASET_VERSION = 1
 
+INFER_ROWS = 1024  # rows a pass outside training gathers at once (`OmicsDataset.chunks`)
+
 CHROMOSOMES = tuple(str(i) for i in range(1, 23)) + ("X",)
 VALID_ANNOTATIONS = CHROMOSOMES + ("Y", "NA")
 
@@ -260,6 +262,16 @@ class OmicsDataset:
             else None
         )
         return x_expr, x_blocks
+
+    def chunks(self, indices):
+        """`(rows, x_expr, x_blocks)` for consecutive runs of at most
+        `INFER_ROWS` of `indices`, in order. Every pass outside training
+        reads its inputs here, so its memory scales with the chunk, not
+        with the cohort."""
+        indices = np.asarray(indices)
+        for start in range(0, indices.size, INFER_ROWS):
+            rows = indices[start : start + INFER_ROWS]
+            yield (rows, *self.batch(rows))
 
     def save(self, path: str) -> None:
         config = {

@@ -5,6 +5,7 @@ from __future__ import annotations
 import colorsys
 import html
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,8 @@ PROBE_L2 = 1e-4
 PROBE_MAX_ITER = 5000
 PROBE_GRAD_TOL = 1e-6
 SCATTER_WIDTH, SCATTER_HEIGHT = 760, 520  # SVG pixels
+# characters XML 1.0 allows nowhere in a document, not even as a reference
+NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 @dataclass
@@ -254,16 +257,23 @@ def dataset_matrix(dataset) -> Matrix:
     return np.concatenate(parts, axis=1)
 
 
-def embed_dataset(source, dataset, chunk: int = 1024) -> Matrix:
-    """Embedding rows for every sample: latent means for a model, scores for PCA."""
+def embed_dataset(source, dataset) -> Matrix:
+    """Embedding rows for every sample: latent means for a model, scores for PCA.
+
+    A model runs over `dataset.chunks`, so memory beyond the embedding
+    itself scales with `INFER_ROWS`, not with the cohort.
+    """
     if isinstance(source, PcaModel):
         return pca_transform(source, dataset_matrix(dataset))
-    rows = []
-    n = dataset.num_samples
-    for start in range(0, n, chunk):
-        x_expr, x_blocks = dataset.batch(np.arange(start, min(start + chunk, n)))
-        rows.append(source.embed(x_expr, x_blocks))
-    return np.concatenate(rows, axis=0)
+    every = np.arange(dataset.num_samples)
+    return np.concatenate([source.embed(x_e, x_b) for _, x_e, x_b in dataset.chunks(every)])
+
+
+def predict_classes(model, dataset, indices) -> np.ndarray:
+    """The most probable class of each sample in `indices`, chunk by chunk."""
+    return np.concatenate([
+        np.argmax(model.predict_proba(x_e, x_b), axis=1) for _, x_e, x_b in dataset.chunks(indices)
+    ])
 
 
 def export_embedding(source, dataset, path: str) -> Matrix:
@@ -338,7 +348,8 @@ PALETTE = _build_palette()
 
 
 def render_scatter(embedding_path: str, out_path: str) -> None:
-    """Deterministic SVG scatter of the first two embedding dimensions."""
+    """Deterministic SVG scatter of the first two embedding dimensions; the
+    legend shows a character XML forbids in a class name as U+FFFD."""
     width, height = SCATTER_WIDTH, SCATTER_HEIGHT
     ids, embedding, classes = read_embedding_tsv(embedding_path)
     if embedding.shape[1] < 2:
@@ -385,7 +396,7 @@ def render_scatter(embedding_path: str, out_path: str) -> None:
         )
         parts.append(
             f'<text x="{lx + 14}" y="{ly}" font-family="sans-serif" font-size="10">'
-            f"{html.escape(name, quote=False)}</text>"
+            f"{html.escape(NOT_XML.sub(chr(0xFFFD), name), quote=False)}</text>"
         )
     parts.append("</svg>")
     write_text_atomic(out_path, "\n".join(parts) + "\n")

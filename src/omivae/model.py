@@ -319,7 +319,7 @@ class OmiVaeModel:
         train_decoder = alpha > 0.0
         recon_expr, recon_blocks = self.decode(z, train=train_decoder)
         train_classifier = beta > 0.0
-        probs = self.classify(mu, train=train_classifier)
+        probs = self.classify(mu, train=True) if train_classifier else None
 
         recon_methyl, recon_e, kl = vae_loss(
             list(x_methyl_blocks) if cfg.use_methylation else [],
@@ -329,7 +329,7 @@ class OmiVaeModel:
             mu,
             logvar,
         )
-        cls_loss = classification_loss(labels, probs) if beta > 0.0 else 0.0
+        cls_loss = classification_loss(labels, probs) if train_classifier else 0.0
         report = total_loss(recon_methyl, recon_e, kl, cls_loss, weights)
         if not np.isfinite(report.total):
             raise NumericError(f"non-finite training loss: {asdict(report)}")

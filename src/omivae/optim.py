@@ -160,15 +160,16 @@ def evaluate_losses(
     dataset,
     indices: np.ndarray,
     weights: LossWeights,
-    chunk: int = 1024,
 ) -> tuple[LossReport, float]:
     """Infer-mode losses and accuracy over `indices`.
 
-    Each chunk runs the way `embed` and `predict_proba` do: `encode`, then
-    `decode` and `classify` of the latent mean, so the reconstruction is
-    scored at z = mu. The classification loss and the accuracy count only
-    samples with a label: each chunk's classification loss is weighted by
-    its labeled count. The accuracy is NaN when no sample has a label.
+    The rows run in `dataset.chunks`, so memory scales with `INFER_ROWS`,
+    not with the split. Each chunk runs the way `embed` and `predict_proba`
+    do: `encode`, then `decode` and `classify` of the latent mean, so the
+    reconstruction is scored at z = mu. The classification loss and the
+    accuracy count only samples with a label: each chunk's classification
+    loss is weighted by its labeled count. The accuracy is NaN when no
+    sample has a label.
     """
     indices = np.asarray(indices)
     if indices.size == 0:
@@ -177,9 +178,7 @@ def evaluate_losses(
     cls_sum = 0.0
     correct = 0
     labeled = 0
-    for start in range(0, indices.size, chunk):
-        part = indices[start : start + chunk]
-        x_expr, x_blocks = dataset.batch(part)
+    for part, x_expr, x_blocks in dataset.chunks(indices):
         mu, logvar = model.encode(x_expr, x_blocks)
         recon_expr, recon_blocks = model.decode(mu)
         probs = model.classify(mu)

@@ -1,11 +1,14 @@
-"""The command line: one error line for every bad input, and the phase-2 resume."""
+"""The command line: one error line for every bad input, the phase-2 resume,
+and inference passes that gather at most `INFER_ROWS` rows at a time."""
 
 import numpy as np
 import pytest
 
-from omivae import cli
-from omivae.data import SyntheticSpec, synthesize
-from omivae.optim import load_checkpoint
+from omivae import cli, data
+from omivae.data import OmicsDataset, SyntheticSpec, synthesize
+from omivae.model import ModelConfig, build_model
+from omivae.numerics import RngState
+from omivae.optim import load_checkpoint, save_checkpoint
 
 # case -> (argv, a fragment the error line must name)
 BAD_INPUT = {
@@ -32,6 +35,9 @@ BAD_INPUT = {
                "--out", "{d}/embedding.tsv"], "absent.omvae"),
     "evaluate": (["evaluate", "--checkpoint", "{d}/garbage.omvae", "--data", "{d}/absent.omids",
                   "--out", "{d}/report.txt"], "bad magic"),
+    "evaluate-fewer-classes": (["evaluate", "--checkpoint", "{two}/three.omvae", "--data",
+                                "{two}/two.omids", "--out", "{d}/report.txt"],
+                               "the dataset names 2 classes, fewer than the checkpoint's 3"),
     "plot": (["plot", "--embedding", "{d}/absent.tsv", "--out", "{d}/plot.svg"], "absent.tsv"),
     "plot-non-numeric": (["plot", "--embedding", "{d}/bad_cell.tsv", "--out", "{d}/plot.svg"],
                          "bad_cell.tsv: non-numeric embedding value in row 3"),
@@ -87,14 +93,29 @@ def cache(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def two(tmp_path_factory):
+    """A directory holding a 2-class cache and an untrained 3-class checkpoint
+    of the same shape."""
+    d = tmp_path_factory.mktemp("two")
+    ds = synthesize(SyntheticSpec(num_classes=2, samples_per_class=4, num_blocks=2,
+                                  features_per_block=4, expr_features=5))
+    ds.save(str(d / "two.omids"))
+    config = ModelConfig(methyl_block_dims=ds.methyl_block_dims, expr_dim=ds.expr_dim,
+                         per_block_hidden=3, modality_dim=4, fusion_dim=4, latent_dim=2,
+                         classifier_hidden=(3, 3), num_classes=3)
+    save_checkpoint(str(d / "three.omvae"), build_model(config, RngState(0)))
+    return str(d)
+
+
 @pytest.mark.parametrize("case", sorted(BAD_INPUT))
-def test_bad_input_prints_one_validation_line(tmp_path, capsys, monkeypatch, cache, case):
+def test_bad_input_prints_one_validation_line(tmp_path, capsys, monkeypatch, cache, two, case):
     for name, blob in FILES.items():
         (tmp_path / name).write_bytes(blob)
     if case in THREADS:
         monkeypatch.setenv("OMIVAE_THREADS", THREADS[case])
     argv, fragment = BAD_INPUT[case]
-    code = cli.main([arg.format(d=tmp_path, cache=cache) for arg in argv])
+    code = cli.main([arg.format(d=tmp_path, cache=cache, two=two) for arg in argv])
     err = capsys.readouterr().err
     assert code == 1
     assert err.count("\n") == 1 and err.startswith("omivae: error: validation: ")
@@ -151,3 +172,31 @@ def test_phase2_resume_reproduces_the_continuous_run(tmp_path, capsys):
         if full.metadata.get(key) != resumed.metadata.get(key)
     }
     assert differ == {"best_metric.phase1", "best_epoch.phase1", "epochs_run"}
+
+
+def test_no_inference_pass_gathers_more_than_infer_rows(tmp_path, monkeypatch):
+    """`evaluate`, `embed`, validation and each crossval test fold read the
+    60-sample cohort in chunks of `data.INFER_ROWS`; training gathers
+    batches of 8, so no gather may exceed the 8-row chunk."""
+    rows = 8
+    monkeypatch.setattr(data, "INFER_ROWS", rows)
+    d = str(tmp_path)
+    assert cli.main(["synth", *SYNTH, "--out", f"{d}/synth"]) == 0
+    gathered = []
+    batch = OmicsDataset.batch
+
+    def spy(self, indices):
+        gathered.append(len(indices))
+        return batch(self, indices)
+
+    monkeypatch.setattr(OmicsDataset, "batch", spy)
+    cache = f"{d}/synth/dataset.omids"
+    epochs = ["--set", "train.phase1_epochs=1", "--set", "train.phase2_epochs=1"]
+    assert cli.main(["train", "--data", cache, *MODEL, *epochs, "--out", f"{d}/m.omvae"]) == 0
+    assert cli.main(["crossval", "--data", cache, *MODEL, *epochs, "--k", "3",
+                     "--out", f"{d}/cv"]) == 0
+    assert max(gathered) == rows
+    for command in (["embed", "--out", f"{d}/e.tsv"], ["evaluate", "--out", f"{d}/r.txt"]):
+        gathered.clear()
+        assert cli.main([*command, "--checkpoint", f"{d}/m.omvae", "--data", cache]) == 0
+        assert gathered == [rows] * 7 + [4]

@@ -11,7 +11,7 @@ import pytest
 
 from omivae import cli
 from omivae.container import read_container, write_container
-from omivae.data import write_labels_tsv
+from omivae.data import SyntheticSpec, synthesize, write_labels_tsv
 from omivae.errors import FormatError
 from omivae.optim import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
 
@@ -49,6 +49,19 @@ def test_embed_on_non_utf8_name_prints_one_error_line(tmp_path, capsys):
     assert code == 1
     assert err.count("\n") == 1 and err.startswith("omivae: error: validation: ")
     assert "tensor name is not valid UTF-8" in err
+
+
+@pytest.mark.parametrize("separator", ["\t", "\n", "\r"])
+def test_an_id_holding_a_tab_or_line_end_is_not_saved(tmp_path, separator):
+    # every TSV reader ends a line at "\r", so an exported embedding would
+    # split such an ID's row in two
+    ds = synthesize(SyntheticSpec(num_classes=2, samples_per_class=3, num_blocks=1,
+                                  features_per_block=4, expr_features=5))
+    ds.sample_ids = [f"S{separator}{i}" for i in range(ds.num_samples)]
+    path = tmp_path / "ds.omids"
+    with pytest.raises(FormatError, match="list item contains a separator"):
+        ds.save(str(path))
+    assert not path.exists()
 
 
 def test_tensor_size_does_not_wrap_around(tmp_path):

@@ -3,6 +3,7 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
+from omivae import data
 from omivae.data import OmicsDataset, SyntheticSpec, synthesize
 from omivae.errors import ValidationError
 from omivae.evaluation import (
@@ -12,15 +13,20 @@ from omivae.evaluation import (
     PROBE_MAX_ITER,
     compute_metrics,
     dataset_matrix,
+    embed_dataset,
     export_embedding,
     pca_fit,
     pca_transform,
+    predict_classes,
     probe_fit,
     probe_predict,
     read_embedding_tsv,
     render_scatter,
 )
+from omivae.losses import LossWeights
+from omivae.model import ModelConfig, build_model
 from omivae.numerics import RngState, sym_eig
+from omivae.optim import evaluate_losses
 
 
 def brute_force_metrics(true, pred, num_classes):
@@ -281,6 +287,56 @@ class TestEmbeddingExport:
         assert header == ["sample_id", "dim_1", "dim_2"]
 
 
+R = 8  # the inference chunk the tests below patch in
+
+
+class TestChunkedInference:
+    """Validation, embedding and prediction run in chunks of `INFER_ROWS`
+    rows and match one whole-batch pass, bit-equal while the rows fit one
+    chunk."""
+
+    def first_rows(self, n):
+        ds = synthesize(SyntheticSpec(num_classes=3, samples_per_class=6, num_blocks=2,
+                                      features_per_block=5, expr_features=7, seed=4))
+        return OmicsDataset(
+            sample_ids=ds.sample_ids[:n],
+            expression=ds.expression[:n],
+            methylation_blocks=[b[:n] for b in ds.methylation_blocks],
+            labels=ds.labels[:n],
+            class_vocab=ds.class_vocab,
+        )
+
+    @pytest.mark.parametrize("n", [R - 1, R, R + 1, 2 * R + 1])
+    def test_chunks_match_one_whole_batch(self, monkeypatch, n):
+        ds = self.first_rows(n)
+        config = ModelConfig(methyl_block_dims=(5, 5), expr_dim=7, per_block_hidden=4,
+                             modality_dim=6, fusion_dim=5, latent_dim=3,
+                             classifier_hidden=(4, 4), num_classes=3)
+        model = build_model(config, RngState(3))
+        every = np.arange(n)
+        x_expr, x_blocks = ds.batch(every)
+        whole_embedding = model.embed(x_expr, x_blocks)
+        whole_classes = np.argmax(model.predict_proba(x_expr, x_blocks), axis=1)
+        weights = LossWeights(1.0, 1.0)
+        monkeypatch.setattr(data, "INFER_ROWS", n)
+        whole_report, whole_accuracy = evaluate_losses(model, ds, every, weights)
+
+        monkeypatch.setattr(data, "INFER_ROWS", R)
+        embedding = embed_dataset(model, ds)
+        classes = predict_classes(model, ds, every)
+        report, accuracy = evaluate_losses(model, ds, every, weights)
+        assert np.array_equal(classes, whole_classes)
+        assert accuracy == whole_accuracy
+        if n <= R:
+            assert embedding.tobytes() == whole_embedding.tobytes()
+            assert report == whole_report
+        else:
+            np.testing.assert_allclose(embedding, whole_embedding, rtol=1e-12, atol=1e-15)
+            for field in ("recon_methyl", "recon_expr", "kl", "classification", "total"):
+                a, b = getattr(report, field), getattr(whole_report, field)
+                assert abs(a - b) <= 1e-12 * abs(b), field
+
+
 class TestRenderScatter:
     def write_embedding(self, tmp_path, labeled=True):
         lines = ["sample_id\tdim_1\tdim_2" + ("\tclass_name" if labeled else "")]
@@ -319,6 +375,14 @@ class TestRenderScatter:
         render_scatter(str(path), str(out))
         texts = ElementTree.parse(out).getroot().iter("{http://www.w3.org/2000/svg}text")
         assert [t.text for t in texts] == ["<x>", "A&B"]
+
+    def test_a_class_holding_a_character_xml_forbids_is_well_formed(self, tmp_path):
+        path = tmp_path / "emb.tsv"
+        path.write_text("sample_id\tdim_1\tdim_2\tclass_name\ns1\t0\t0\tA\x01B\ns2\t1\t1\tC\n")
+        out = tmp_path / "plot.svg"
+        render_scatter(str(path), str(out))
+        texts = ElementTree.parse(out).getroot().iter("{http://www.w3.org/2000/svg}text")
+        assert [t.text for t in texts] == ["A\ufffdB", "C"]
 
     def test_palette_has_34_distinct_colors(self):
         assert len(PALETTE) == 34

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from omivae import optim
+from omivae import data, optim
 from omivae.container import read_container
 from omivae.data import SyntheticSpec, synthesize
 from omivae.errors import NumericError
@@ -313,9 +313,9 @@ class TestRunPhaseRestore:
 
 
 class TestEvaluateLosses:
-    def test_classification_loss_weighted_by_labeled_count(self):
+    def test_classification_loss_weighted_by_labeled_count(self, monkeypatch):
         ds = tiny_dataset(samples_per_class=550)
-        assert ds.num_samples == 1100
+        assert ds.num_samples == 1100 and data.INFER_ROWS == 1024
         labels = ds.labels.copy()
         # first chunk: one sample in four keeps its label; second chunk: all 76 do
         labels[:1024][np.arange(1024) % 4 != 0] = -1
@@ -323,19 +323,21 @@ class TestEvaluateLosses:
         model = build_model(TINY, RngState(2))
         weights = LossWeights(1.0, 1.0)
         every = np.arange(ds.num_samples)
-        chunked, acc_chunked = optim.evaluate_losses(model, ds, every, weights, chunk=1024)
-        whole, acc_whole = optim.evaluate_losses(model, ds, every, weights, chunk=2048)
+        chunked, acc_chunked = optim.evaluate_losses(model, ds, every, weights)
+        monkeypatch.setattr(data, "INFER_ROWS", 2048)
+        whole, acc_whole = optim.evaluate_losses(model, ds, every, weights)
         assert acc_chunked == acc_whole
         for field in ("recon_methyl", "recon_expr", "kl", "classification", "total"):
             a, b = getattr(chunked, field), getattr(whole, field)
             assert abs(a - b) <= 1e-12 * abs(b), field
 
-    def test_unlabeled_split_has_zero_classification_loss(self):
+    def test_unlabeled_split_has_zero_classification_loss(self, monkeypatch):
         ds = tiny_dataset()
         ds.labels = np.full(ds.num_samples, -1)
         model = build_model(TINY, RngState(2))
+        monkeypatch.setattr(data, "INFER_ROWS", 16)  # three chunks of the 40 samples
         report, accuracy = optim.evaluate_losses(
-            model, ds, np.arange(ds.num_samples), LossWeights(1.0, 1.0), chunk=16
+            model, ds, np.arange(ds.num_samples), LossWeights(1.0, 1.0)
         )
         assert report.classification == 0.0
         assert np.isnan(accuracy)
