@@ -202,21 +202,18 @@ def cmd_crossval(args) -> int:
         metric_rows.append(
             (report.accuracy, report.weighted_precision, report.weighted_recall, report.weighted_f1)
         )
-    metrics = np.array(metric_rows)
+    # a round needs k >= 3 folds, so every sd below is defined
+    columns = np.array(metric_rows).T
+    means = [float(c.mean()) for c in columns]
+    sds = [float(c.std(ddof=1)) for c in columns]
     names = ("accuracy", "weighted_precision", "weighted_recall", "weighted_f1")
     lines = []
-    for i, name in enumerate(names):
-        mean = metrics[:, i].mean()
-        sd = metrics[:, i].std(ddof=1) if metrics.shape[0] > 1 else 0.0
-        lines.append(f"{name}_mean={repr(float(mean))}")
-        lines.append(f"{name}_sd={repr(float(sd))}")
+    for name, mean, sd in zip(names, means, sds):
+        lines += [f"{name}_mean={mean!r}", f"{name}_sd={sd!r}"]
     for r, report, _ in results:
         lines.append(f"fold{r:02d}.accuracy={repr(report.accuracy)}")
     write_text_atomic(os.path.join(args.out, "aggregate.txt"), "\n".join(lines) + "\n")
-    print(
-        f"{args.k}-fold accuracy: {metrics[:, 0].mean() * 100:.2f}"
-        f"±{(metrics[:, 0].std(ddof=1) if args.k > 1 else 0.0) * 100:.2f}%"
-    )
+    print(f"{args.k}-fold accuracy: {means[0] * 100:.2f}±{sds[0] * 100:.2f}%")
     return 0
 
 

@@ -11,6 +11,8 @@ anything `float()` accepts for that double, and anything else is a
 `ValidationError` naming its row and column. Reading one holds about two
 float64 copies of the matrix at its peak. Annotation files map feature IDs to
 chromosomes `1`..`22`, `X`, `Y`, or `NA`.
+`preprocess` runs one fixed recipe; its two keys, `missing_threshold` and
+`log2_expression`, describe the input and switch no rule off.
 """
 
 from __future__ import annotations
@@ -216,7 +218,7 @@ class OmicsDataset:
             return ()
         return tuple(b.shape[1] for b in self.methylation_blocks)
 
-    def validate(self, allow_missing: bool = False, check_range: bool = True) -> None:
+    def validate(self, allow_missing: bool = False) -> None:
         n = self.num_samples
         if self.expression is None and self.methylation_blocks is None:
             raise ValidationError("dataset has no modality")
@@ -239,10 +241,11 @@ class OmicsDataset:
                 raise ValidationError(f"{name} has {m.shape[0]} rows, expected {n}")
             if not allow_missing and np.isnan(m).any():
                 raise ValidationError(f"{name} contains missing values")
-            if check_range:
-                finite = m[~np.isnan(m)] if allow_missing else m
-                if finite.size and (finite.min() < -1e-9 or finite.max() > 1.0 + 1e-9):
-                    raise ValidationError(f"{name} has values outside [0, 1]")
+            # fmin/fmax skip NaN without a copy or a warning; all-NaN gives NaN
+            if m.size and (
+                np.fmin.reduce(m, axis=None) < -1e-9 or np.fmax.reduce(m, axis=None) > 1.0 + 1e-9
+            ):
+                raise ValidationError(f"{name} has values outside [0, 1]")
         if self.labels is not None:
             if self.labels.shape != (n,):
                 raise ValidationError("labels length mismatch")
@@ -352,11 +355,11 @@ class OmicsDataset:
 
 @dataclass
 class PreprocessConfig:
+    """The input's description: the largest fraction of samples a kept
+    feature may miss, and whether expression is raw counts to take
+    `log2(x + 1)` of first. Every rule of `preprocess` always runs."""
+
     missing_threshold: float = 0.10
-    drop_y: bool = True
-    drop_all_zero: bool = True
-    drop_unmapped: bool = True
-    normalize_expression: bool = True
     log2_expression: bool = False
 
     def __post_init__(self):
@@ -407,25 +410,42 @@ def _impute_feature_means(values: np.ndarray) -> int:
     return count
 
 
+def _filter_features(
+    modality: str, values: np.ndarray, features: list[str], rules, threshold: float, removed: dict
+) -> tuple[np.ndarray, list[str], int]:
+    """Drop the features each `(rule, hit)` mask hits, in order, then those
+    missing in more than `threshold` of samples, counting each under the
+    first rule that hits it. Returns the kept columns, imputed, their IDs and
+    the imputed cell count."""
+    keep = np.ones(len(features), dtype=bool)
+    for rule, hit in [*rules, ("high_missing", np.isnan(values).mean(axis=0) > threshold)]:
+        hit &= keep
+        removed[rule] = int(hit.sum())
+        keep &= ~hit
+    features = [f for f, k in zip(features, keep) if k]
+    if not features:
+        raise ValidationError(f"no {modality} features survive filtering")
+    values = values[:, keep]
+    return values, features, _impute_feature_means(values)
+
+
 def preprocess(
     expression: RawMatrix | None,
     methylation: RawMatrix | None,
     annotations: dict[str, str],
     config: PreprocessConfig | None = None,
     labels: dict[str, str] | None = None,
-    train_sample_ids: list[str] | None = None,
 ) -> tuple[OmicsDataset, PreprocessReport]:
-    """Filter, impute, normalize, and group raw matrices into a dataset.
+    """Filter, impute, scale and group raw matrices into a dataset.
 
-    Rule order: drop unmapped/control methylation probes, drop Y-chromosome
-    features, drop all-zero expression features, drop features missing in
-    strictly more than the threshold fraction of samples, impute remaining
-    missing entries with feature means, min-max normalize expression, and
-    group methylation features by chromosome (1..22 then X).
-
-    Expression normalization statistics come from `train_sample_ids` when
-    given (values outside the training range clip to [0, 1]); by default
-    they come from all samples.
+    One fixed recipe, in order: take `log2(x + 1)` of expression if
+    `log2_expression`; drop methylation probes on no chromosome (`NA` or not
+    in `annotations`), features of both modalities on Y, and expression
+    features zero in every observed sample; drop features missing in
+    strictly more than `missing_threshold` of samples; fill missing cells
+    with feature means; min-max scale expression to [0, 1] (a constant
+    feature becomes 0); check that methylation is Beta values and group it
+    by chromosome (1..22, then X). An empty or absent class is unlabeled.
     """
     if expression is None and methylation is None:
         raise ValidationError("preprocess needs at least one modality")
@@ -447,96 +467,58 @@ def preprocess(
 
     def rows_for(raw: RawMatrix) -> np.ndarray:
         pos = {s: i for i, s in enumerate(raw.sample_ids)}
-        return raw.values[np.array([pos[s] for s in sample_ids])]
+        return raw.values[np.array([pos[s] for s in sample_ids])]  # a copy
+
+    def chromosomes(features: list[str]) -> np.ndarray:
+        return np.array([annotations.get(f, "NA") for f in features], dtype=str)
 
     threshold = config.missing_threshold
     expr_values = expr_features = None
     if expression is not None:
-        expr_values = rows_for(expression).copy()
-        expr_features = list(expression.feature_ids)
+        expr_values = rows_for(expression)
         if config.log2_expression:
             expr_values = np.log2(expr_values + 1.0)
-        keep = np.ones(len(expr_features), dtype=bool)
-        if config.drop_y:
-            is_y = np.array([annotations.get(f) == "Y" for f in expr_features])
-            report.expression_removed["y_chromosome"] = int(is_y.sum())
-            keep &= ~is_y
-        if config.drop_all_zero:
-            observed = ~np.isnan(expr_values)
-            nonzero = (np.nan_to_num(expr_values, nan=0.0) != 0.0).any(axis=0)
-            all_zero = keep & observed.any(axis=0) & ~nonzero
-            report.expression_removed["all_zero"] = int(all_zero.sum())
-            keep &= ~all_zero
-        missing_frac = np.isnan(expr_values).mean(axis=0)
-        high_missing = keep & (missing_frac > threshold)
-        report.expression_removed["high_missing"] = int(high_missing.sum())
-        keep &= ~high_missing
-        expr_values = expr_values[:, keep]
-        expr_features = [f for f, k in zip(expr_features, keep) if k]
-        if not expr_features:
-            raise ValidationError("no expression features survive filtering")
-        report.imputed_expression_cells = _impute_feature_means(expr_values)
-        if config.normalize_expression:
-            if train_sample_ids is not None:
-                wanted = set(train_sample_ids)
-                stat_rows = np.array([i for i, s in enumerate(sample_ids) if s in wanted])
-                if stat_rows.size == 0:
-                    raise ValidationError("train_sample_ids matches no samples")
-            else:
-                stat_rows = np.arange(len(sample_ids))
-            lo = expr_values[stat_rows].min(axis=0)
-            hi = expr_values[stat_rows].max(axis=0)
-            span = hi - lo
-            span[span == 0.0] = 1.0  # constant features normalize to 0
-            expr_values = np.clip((expr_values - lo) / span, 0.0, 1.0)
+        # an all-NaN column reduces to NaN, which is not zero
+        lo, hi = np.fmin.reduce(expr_values, axis=0), np.fmax.reduce(expr_values, axis=0)
+        rules = [("y_chromosome", chromosomes(expression.feature_ids) == "Y"),
+                 ("all_zero", (lo == 0.0) & (hi == 0.0))]
+        expr_values, expr_features, report.imputed_expression_cells = _filter_features(
+            "expression", expr_values, expression.feature_ids, rules, threshold,
+            report.expression_removed)
+        lo = expr_values.min(axis=0)
+        span = expr_values.max(axis=0) - lo
+        span[span == 0.0] = 1.0  # constant features scale to 0
+        expr_values -= lo  # (x - lo) / span rounds into [0, 1]: nothing to clip
+        expr_values /= span
         report.expression_kept = len(expr_features)
 
     blocks = block_features = block_chroms = None
     if methylation is not None:
-        methyl_values = rows_for(methylation).copy()
-        methyl_features = list(methylation.feature_ids)
-        keep = np.ones(len(methyl_features), dtype=bool)
-        if config.drop_unmapped:
-            unmapped = np.array(
-                [annotations.get(f, "NA") == "NA" for f in methyl_features]
-            )
-            report.methylation_removed["unmapped_or_control"] = int(unmapped.sum())
-            keep &= ~unmapped
-        if config.drop_y:
-            is_y = keep & np.array([annotations.get(f) == "Y" for f in methyl_features])
-            report.methylation_removed["y_chromosome"] = int(is_y.sum())
-            keep &= ~is_y
-        missing_frac = np.isnan(methyl_values).mean(axis=0)
-        high_missing = keep & (missing_frac > threshold)
-        report.methylation_removed["high_missing"] = int(high_missing.sum())
-        keep &= ~high_missing
-        methyl_values = methyl_values[:, keep]
-        methyl_features = [f for f, k in zip(methyl_features, keep) if k]
-        if not methyl_features:
-            raise ValidationError("no methylation features survive filtering")
-        report.imputed_methylation_cells = _impute_feature_means(methyl_values)
-        observed = methyl_values[~np.isnan(methyl_values)]
-        if observed.size and (observed.min() < -1e-6 or observed.max() > 1.0 + 1e-6):
+        chroms = chromosomes(methylation.feature_ids)
+        rules = [("unmapped_or_control", ~np.isin(chroms, CHROMOSOMES + ("Y",))),
+                 ("y_chromosome", chroms == "Y")]
+        methyl_values, methyl_features, report.imputed_methylation_cells = _filter_features(
+            "methylation", rows_for(methylation), methylation.feature_ids, rules, threshold,
+            report.methylation_removed)
+        if methyl_values.min() < -1e-6 or methyl_values.max() > 1.0 + 1e-6:
             raise ValidationError("methylation values must be Beta values in [0, 1]")
-        methyl_values = np.clip(methyl_values, 0.0, 1.0)
+        np.clip(methyl_values, 0.0, 1.0, out=methyl_values)
         blocks, block_features, block_chroms = [], [], []
-        chrom_of = [annotations[f] for f in methyl_features]
+        kept_chroms = chromosomes(methyl_features)
         for chrom in CHROMOSOMES:
-            cols = [i for i, c in enumerate(chrom_of) if c == chrom]
-            if not cols:
-                continue
-            blocks.append(np.ascontiguousarray(methyl_values[:, cols]))
-            block_features.append([methyl_features[i] for i in cols])
-            block_chroms.append(chrom)
+            cols = np.flatnonzero(kept_chroms == chrom)
+            if cols.size:
+                blocks.append(np.ascontiguousarray(methyl_values[:, cols]))
+                block_features.append([methyl_features[i] for i in cols])
+                block_chroms.append(chrom)
         report.methylation_kept = len(methyl_features)
 
     label_array = class_vocab = None
     if labels is not None:
-        class_vocab = sorted({labels[s] for s in sample_ids if s in labels})
+        named = [labels.get(s, "") for s in sample_ids]
+        class_vocab = sorted(set(named) - {""})
         index = {c: i for i, c in enumerate(class_vocab)}
-        label_array = np.array(
-            [index.get(labels.get(s, None), -1) for s in sample_ids], dtype=np.int64
-        )
+        label_array = np.array([index.get(c, -1) for c in named], dtype=np.int64)
         report.unlabeled_samples = int((label_array == -1).sum())
 
     dataset = OmicsDataset(
@@ -549,8 +531,7 @@ def preprocess(
         labels=label_array,
         class_vocab=class_vocab,
     )
-    # unit-interval values are guaranteed only when normalization ran
-    dataset.validate(check_range=config.normalize_expression)
+    dataset.validate()
     return dataset, report
 
 

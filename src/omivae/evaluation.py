@@ -164,11 +164,17 @@ def pca_fit(data: Matrix, components: int, method: str = "auto") -> PcaModel:
 
 
 def pca_transform(model: PcaModel, data: Matrix) -> Matrix:
+    return _centred_scores(model, np.array(data, dtype=np.float64))
+
+
+def _centred_scores(model: PcaModel, data: Matrix) -> Matrix:
+    """PCA scores of `data`, which this centres in place."""
     if data.shape[1] != model.mean.shape[0]:
         raise ValidationError(
             f"PCA transform expects {model.mean.shape[0]} features, got {data.shape[1]}"
         )
-    return (data - model.mean) @ model.axes
+    data -= model.mean
+    return data @ model.axes
 
 
 @dataclass
@@ -245,28 +251,29 @@ def probe_predict(probe: ProbeClassifier, embedding: Matrix) -> np.ndarray:
     return np.argmax(probe._design(embedding) @ probe.weights, axis=1)
 
 
-def dataset_matrix(dataset) -> Matrix:
-    """All features of a dataset as one matrix (methylation blocks, then expression)."""
-    parts = []
-    if dataset.methylation_blocks is not None:
-        parts.extend(dataset.methylation_blocks)
-    if dataset.expression is not None:
-        parts.append(dataset.expression)
+def _features(x_expr, x_blocks) -> Matrix:
+    """One new matrix of the methylation blocks, then the expression."""
+    parts = [*(x_blocks or []), *([] if x_expr is None else [x_expr])]
     if not parts:
         raise ValidationError("dataset has no features")
     return np.concatenate(parts, axis=1)
 
 
+def dataset_matrix(dataset) -> Matrix:
+    """All features of a dataset as one matrix (methylation blocks, then expression)."""
+    return _features(dataset.expression, dataset.methylation_blocks)
+
+
 def embed_dataset(source, dataset) -> Matrix:
     """Embedding rows for every sample: latent means for a model, scores for PCA.
 
-    A model runs over `dataset.chunks`, so memory beyond the embedding
-    itself scales with `INFER_ROWS`, not with the cohort.
+    Both run over `dataset.chunks`, so memory beyond the embedding itself
+    scales with `INFER_ROWS`, not with the cohort.
     """
-    if isinstance(source, PcaModel):
-        return pca_transform(source, dataset_matrix(dataset))
+    embed = source.embed if not isinstance(source, PcaModel) else (
+        lambda x_expr, x_blocks: _centred_scores(source, _features(x_expr, x_blocks)))
     every = np.arange(dataset.num_samples)
-    return np.concatenate([source.embed(x_e, x_b) for _, x_e, x_b in dataset.chunks(every)])
+    return np.concatenate([embed(x_e, x_b) for _, x_e, x_b in dataset.chunks(every)])
 
 
 def predict_classes(model, dataset, indices) -> np.ndarray:

@@ -1,11 +1,20 @@
-"""The command line: one error line for every bad input, the phase-2 resume,
-and inference passes that gather at most `INFER_ROWS` rows at a time."""
+"""The command line: one error line for every bad input, a cache every
+preprocess setting writes is loadable, the phase-2 resume, and inference
+passes that gather at most `INFER_ROWS` rows at a time."""
 
 import numpy as np
 import pytest
 
 from omivae import cli, data
-from omivae.data import OmicsDataset, SyntheticSpec, synthesize
+from omivae.config import SCHEMA
+from omivae.data import (
+    OmicsDataset,
+    SyntheticSpec,
+    synthesize,
+    write_annotations_tsv,
+    write_labels_tsv,
+    write_matrix_tsv,
+)
 from omivae.model import ModelConfig, build_model
 from omivae.numerics import RngState
 from omivae.optim import load_checkpoint, save_checkpoint
@@ -15,6 +24,9 @@ BAD_INPUT = {
     "synth": (["synth", "--set", "synth.class_signal=nan", "--out", "{d}/synth"],
               "'synth.class_signal'"),
     "preprocess": (["preprocess", "--out", "{d}/cache.omids"], "--expression"),
+    "preprocess-removed-key": (
+        ["preprocess", "--set", "preprocess.drop_y=false", "--expression", "{d}/expr.tsv",
+         "--out", "{d}/cache.omids"], "'preprocess.drop_y'"),
     "preprocess-missing-expression": (
         ["preprocess", "--expression", "{d}/absent_expr.tsv", "--out", "{d}/cache.omids"],
         "absent_expr.tsv"),
@@ -120,6 +132,44 @@ def test_bad_input_prints_one_validation_line(tmp_path, capsys, monkeypatch, cac
     assert code == 1
     assert err.count("\n") == 1 and err.startswith("omivae: error: validation: ")
     assert fragment in err
+
+
+# every boolean preprocess key at its non-default value, and the rule
+# switches earlier versions had, which are now unknown keys
+PREPROCESS_SWITCHES = sorted((
+    {key: "true" if default == "false" else "false"
+     for key, (kind, default) in SCHEMA.items()
+     if kind == "bool" and key.startswith("preprocess.")}
+    | {f"preprocess.{name}": "false"
+       for name in ("drop_y", "drop_all_zero", "drop_unmapped", "normalize_expression")}
+).items())
+
+
+@pytest.mark.parametrize("key, value", PREPROCESS_SWITCHES)
+def test_every_preprocess_switch_writes_a_loadable_cache_or_one_error_line(
+    tmp_path, capsys, golden_raw, key, value
+):
+    expression, methylation, annotations, labels = golden_raw
+    d = str(tmp_path)
+    write_matrix_tsv(f"{d}/expr.tsv", expression)
+    write_matrix_tsv(f"{d}/methyl.tsv", methylation)
+    write_annotations_tsv(f"{d}/ann.tsv", annotations)
+    write_labels_tsv(f"{d}/labels.tsv", labels)
+    code = cli.main([
+        "preprocess", "--set", f"{key}={value}", "--expression", f"{d}/expr.tsv",
+        "--methylation", f"{d}/methyl.tsv", "--annotations", f"{d}/ann.tsv",
+        "--labels", f"{d}/labels.tsv", "--out", f"{d}/cache.omids",
+    ])
+    err = capsys.readouterr().err
+    if code == 0:
+        dataset = OmicsDataset.load(f"{d}/cache.omids")
+        with open(f"{d}/cache.omids.report.txt") as fh:
+            report = dict(line.split("=") for line in fh.read().splitlines())
+        assert int(report["expression_kept"]) == dataset.expr_dim
+        assert int(report["methylation_kept"]) == sum(dataset.methyl_block_dims)
+    else:
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("omivae: error: ")
 
 
 def test_help_exits_zero(capsys):

@@ -65,10 +65,6 @@ PUBLIC_KEYS = {
     "train.shuffle": ("bool", "true"),
     "train.val_fraction": ("float", "0.1"),
     "preprocess.missing_threshold": ("float", "0.1"),
-    "preprocess.drop_y": ("bool", "true"),
-    "preprocess.drop_all_zero": ("bool", "true"),
-    "preprocess.drop_unmapped": ("bool", "true"),
-    "preprocess.normalize_expression": ("bool", "true"),
     "preprocess.log2_expression": ("bool", "false"),
     "synth.num_classes": ("int", "10"),
     "synth.samples_per_class": ("int", "60"),
@@ -90,7 +86,7 @@ PUBLIC_KEYS = {
 
 class TestPublicKeys:
     def test_keys_kinds_and_defaults_are_pinned(self):
-        assert len(PUBLIC_KEYS) == 39
+        assert len(PUBLIC_KEYS) == 35
         assert SCHEMA == PUBLIC_KEYS
 
 

@@ -262,11 +262,12 @@ class TestPreprocessGolden:
 
     def test_imputation_preserves_observed_means(self, golden_raw):
         expression, methylation, annotations, _ = golden_raw
-        config = PreprocessConfig(normalize_expression=False)
-        dataset, _ = preprocess(expression, methylation, annotations, config)
-        observed = expression.values[:, 3]  # eEdge pre-imputation
+        dataset, _ = preprocess(expression, methylation, annotations)
+        observed = methylation.values[:, 4]  # mEdge pre-imputation
         observed_mean = observed[~np.isnan(observed)].mean()
-        assert abs(dataset.expression[:, 0].mean() - observed_mean) < 1e-12
+        edge = dataset.methylation_blocks[0][:, 1]
+        assert dataset.methylation_block_features[0][1] == "mEdge"
+        assert abs(edge.mean() - observed_mean) < 1e-12
 
     def test_idempotent(self, golden_raw):
         # constant features are excluded: they normalize to 0 (by design) and
@@ -314,13 +315,26 @@ class TestPreprocessGolden:
         with pytest.raises(ValidationError, match="survive"):
             preprocess(None, methylation, {})  # nothing mapped -> all dropped
 
-    def test_train_only_normalization_stats_clip(self, golden_raw):
+    def test_probe_missing_from_annotations_is_dropped_and_counted(self, golden_raw):
+        _, methylation, annotations, _ = golden_raw
+        del annotations["mUnmapped"]
+        dataset, report = preprocess(None, methylation, annotations)
+        assert report.methylation_removed["unmapped_or_control"] == 1
+        grouped = [f for block in dataset.methylation_block_features for f in block]
+        assert "mUnmapped" not in grouped
+        assert len(grouped) == report.methylation_kept == 3
+
+    def test_an_empty_class_cell_leaves_the_sample_unlabeled(self, tmp_path, golden_raw):
         expression, _, annotations, _ = golden_raw
-        dataset, _ = preprocess(
-            expression, None, annotations, train_sample_ids=[f"P{i:02d}" for i in range(5)]
+        path = tmp_path / "labels.tsv"
+        path.write_text(
+            "sample_id\tclass_name\n"
+            + "".join(f"P{i:02d}\t{'' if i == 3 else 'tumourA'}\n" for i in range(10))
         )
-        assert dataset.expression.min() >= 0.0
-        assert dataset.expression.max() <= 1.0
+        dataset, report = preprocess(expression, None, annotations, labels=load_labels(str(path)))
+        assert dataset.class_vocab == ["tumourA"]
+        assert dataset.labels.tolist() == [0, 0, 0, -1] + [0] * 6
+        assert report.unlabeled_samples == 1
 
 
 class TestStratifiedKFold:
@@ -486,3 +500,35 @@ class TestDatasetContainer:
         assert expr_only.expression is not None
         with pytest.raises(ValidationError):
             restrict_modalities(dataset, expression=False, methylation=False)
+
+
+class TestValidateRange:
+    def methylation_only(self, block):
+        return OmicsDataset(sample_ids=[f"s{i}" for i in range(block.shape[0])],
+                            methylation_blocks=[block])
+
+    def test_missing_cells_are_skipped_and_the_range_still_checked(self):
+        block = np.array([[np.nan, 0.5], [1.0, 0.0]])
+        self.methylation_only(block).validate(allow_missing=True)
+        block[0, 1] = 1.5
+        with pytest.raises(ValidationError, match=r"outside \[0, 1\]"):
+            self.methylation_only(block).validate(allow_missing=True)
+        block[0, 1] = -0.5
+        with pytest.raises(ValidationError, match=r"outside \[0, 1\]"):
+            self.methylation_only(block).validate(allow_missing=True)
+
+    def test_all_missing_and_empty_matrices_pass_without_a_warning(self):
+        self.methylation_only(np.full((3, 2), np.nan)).validate(allow_missing=True)
+        self.methylation_only(np.zeros((3, 0))).validate()
+
+    def test_the_range_check_copies_no_matrix(self):
+        block = RngState(6).uniform(0.0, 1.0, (2000, 500))
+        block[block < 0.05] = np.nan
+        dataset = self.methylation_only(block)
+        tracemalloc.start()
+        try:
+            dataset.validate(allow_missing=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block.nbytes / 8, peak / block.nbytes

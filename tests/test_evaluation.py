@@ -1,3 +1,4 @@
+import tracemalloc
 from xml.etree import ElementTree
 
 import numpy as np
@@ -11,6 +12,7 @@ from omivae.evaluation import (
     PROBE_GRAD_TOL,
     PROBE_L2,
     PROBE_MAX_ITER,
+    PcaModel,
     compute_metrics,
     dataset_matrix,
     embed_dataset,
@@ -335,6 +337,34 @@ class TestChunkedInference:
             for field in ("recon_methyl", "recon_expr", "kl", "classification", "total"):
                 a, b = getattr(report, field), getattr(whole_report, field)
                 assert abs(a - b) <= 1e-12 * abs(b), field
+
+
+    @pytest.mark.parametrize("n", [R - 1, R, R + 1, 2 * R + 1])
+    def test_pca_scores_match_one_whole_transform(self, monkeypatch, n):
+        ds = self.first_rows(n)
+        pca = pca_fit(dataset_matrix(ds), 3)
+        whole = pca_transform(pca, dataset_matrix(ds))
+        monkeypatch.setattr(data, "INFER_ROWS", R)
+        scores = embed_dataset(pca, ds)
+        if n <= R:
+            assert scores.tobytes() == whole.tobytes()
+        else:
+            np.testing.assert_allclose(scores, whole, rtol=1e-12, atol=1e-15)
+
+    def test_pca_embedding_holds_less_than_one_cohort_copy(self):
+        ds = synthesize(SyntheticSpec(samples_per_class=300, seed=2))  # 3,000 x 1,400
+        features = sum(ds.methyl_block_dims) + ds.expr_dim
+        axes, _ = np.linalg.qr(RngState(5).standard_normal(features, 16))
+        pca = PcaModel(mean=np.full(features, 0.5), axes=axes, explained_variance=np.ones(16))
+        tracemalloc.start()
+        try:
+            scores = embed_dataset(pca, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cohort = ds.num_samples * features * 8
+        assert scores.shape == (3000, 16)
+        assert peak < cohort, peak / cohort
 
 
 class TestRenderScatter:
