@@ -114,13 +114,9 @@ def cmd_preprocess(args) -> int:
 
 
 def _fit(dataset, run: RunConfig, train_cfg: TrainConfig, stream: RngState, resume_path=None):
+    # the model checks every batch's modalities and widths against its own
     if resume_path is not None:
-        checkpoint = load_checkpoint(resume_path)
-        model = checkpoint.build()
-        if model.config.use_expression != (dataset.expression is not None) or (
-            model.config.use_methylation != (dataset.methylation_blocks is not None)
-        ):
-            raise ValidationError("checkpoint modalities do not match the dataset")
+        model = load_checkpoint(resume_path).build()
     else:
         model = build_model(run.model_config(dataset), stream.derive(0))
     train_idx, val_idx = _train_val_split(dataset, run, train_cfg.seed)
@@ -222,8 +218,8 @@ def _load_trained(args):
     model = load_checkpoint(args.checkpoint).build()
     dataset = restrict_modalities(
         OmicsDataset.load(args.data),
-        expression=model.config.use_expression,
-        methylation=model.config.use_methylation,
+        expression=model.config.has_expression,
+        methylation=model.config.has_methylation,
     )
     return model, dataset
 

@@ -29,7 +29,7 @@ SECTIONS = {
     "synth": SyntheticSpec,
 }
 # ModelConfig fields that `RunConfig.model_config` takes from the dataset
-DATASET_FIELDS = ("methyl_block_dims", "expr_dim", "num_classes", "use_expression", "use_methylation")
+DATASET_FIELDS = ("methyl_block_dims", "expr_dim", "num_classes")
 # key -> (kind, default) of the keys that are not dataclass fields
 EXTRA_KEYS = {
     "model.modalities": ("str", "methylation,expression"),
@@ -63,7 +63,7 @@ class RunConfig:
         return self.values[key]
 
     def modalities(self) -> tuple[bool, bool]:
-        """(use_expression, use_methylation) from model.modalities."""
+        """Whether model.modalities names (expression, methylation)."""
         names = [m.strip() for m in str(self["model.modalities"]).split(",") if m.strip()]
         for m in names:
             if m not in ("expression", "methylation"):
@@ -91,8 +91,6 @@ class RunConfig:
             methyl_block_dims=dataset.methyl_block_dims if use_methyl else (),
             expr_dim=dataset.expr_dim if use_expr else 0,
             num_classes=max(2, num_classes),
-            use_expression=use_expr,
-            use_methylation=use_methyl,
         )
 
     def train_config(self) -> TrainConfig:

@@ -7,9 +7,9 @@ tabs with no quoting (a `"` is a plain character), lines ending at `\n`,
 
 Matrix TSV files are feature-table shaped: header row of sample IDs, one row
 per feature. A cell, after `strip()`, is `NA` or empty for a missing value,
-anything `float()` accepts for that double, and anything else is a
-`ValidationError` naming its row and column. Reading one holds about two
-float64 copies of the matrix at its peak. Annotation files map feature IDs to
+any finite value `float()` accepts for that double, and anything else (an
+infinity too) is a `ValidationError` naming its row and column. Reading one
+holds about two float64 copies of the matrix at its peak. Annotation files map feature IDs to
 chromosomes `1`..`22`, `X`, `Y`, or `NA`.
 `preprocess` runs one fixed recipe; its two keys, `missing_threshold` and
 `log2_expression`, describe the input and switch no rule off.
@@ -102,10 +102,11 @@ def load_matrix_tsv(path: str) -> RawMatrix:
     column per sample) as a samples x features matrix.
 
     Each cell is stripped; `NA` or empty is missing (NaN), anything `float()`
-    accepts is that double, and anything else raises a `ValidationError`
-    naming the row and column of the first bad cell. Each row is stored as a
-    float64 array as it is read and the rows are stacked once, so the peak
-    memory is about two float64 copies of the matrix.
+    accepts is that double, and anything else, or a cell that parses to
+    +-inf, raises a `ValidationError` naming the row and column of the first
+    bad cell. Each row is stored as a float64 array as it is read and the
+    rows are stacked once, so the peak memory is about two float64 copies of
+    the matrix.
     """
     header, lines = tsv_header(path)
     if len(header) < 2:
@@ -130,6 +131,12 @@ def load_matrix_tsv(path: str) -> RawMatrix:
     if not rows:
         raise ValidationError(f"{path}: no data rows")
     values = np.stack(rows, axis=1)
+    # NaN-skipping extremes copy nothing; only a failure looks for the cell
+    if np.isinf(np.fmin.reduce(values, axis=None)) or np.isinf(np.fmax.reduce(values, axis=None)):
+        feature, sample = np.argwhere(np.isinf(values.T))[0]
+        raise ValidationError(
+            f"{path}: infinite value at row {feature + 2}, column {sample + 2}"
+        )
     _check_unique(feature_ids, "feature", path)
     return RawMatrix(sample_ids=sample_ids, feature_ids=feature_ids, values=values)
 
@@ -356,7 +363,7 @@ class OmicsDataset:
 @dataclass
 class PreprocessConfig:
     """The input's description: the largest fraction of samples a kept
-    feature may miss, and whether expression is raw counts to take
+    feature may miss, and whether expression is raw counts (>= 0) to take
     `log2(x + 1)` of first. Every rule of `preprocess` always runs."""
 
     missing_threshold: float = 0.10
@@ -439,13 +446,14 @@ def preprocess(
     """Filter, impute, scale and group raw matrices into a dataset.
 
     One fixed recipe, in order: take `log2(x + 1)` of expression if
-    `log2_expression`; drop methylation probes on no chromosome (`NA` or not
-    in `annotations`), features of both modalities on Y, and expression
-    features zero in every observed sample; drop features missing in
-    strictly more than `missing_threshold` of samples; fill missing cells
-    with feature means; min-max scale expression to [0, 1] (a constant
-    feature becomes 0); check that methylation is Beta values and group it
-    by chromosome (1..22, then X). An empty or absent class is unlabeled.
+    `log2_expression` (a negative count is a `ValidationError`); drop
+    methylation probes on no chromosome (`NA` or not in `annotations`),
+    features of both modalities on Y, and expression features zero in every
+    observed sample; drop features missing in strictly more than
+    `missing_threshold` of samples; fill missing cells with feature means;
+    min-max scale expression to [0, 1] (a constant feature becomes 0); check
+    that methylation is Beta values and group it by chromosome (1..22, then
+    X). An empty or absent class is unlabeled.
     """
     if expression is None and methylation is None:
         raise ValidationError("preprocess needs at least one modality")
@@ -477,6 +485,14 @@ def preprocess(
     if expression is not None:
         expr_values = rows_for(expression)
         if config.log2_expression:
+            negative = expr_values < 0.0
+            if negative.any():
+                sample, feature = np.argwhere(negative)[0]
+                raise ValidationError(
+                    f"log2_expression: expression feature {expression.feature_ids[feature]!r} "
+                    f"has a negative count {float(expr_values[sample, feature])!r} "
+                    f"in sample {sample_ids[sample]!r}"
+                )
             expr_values = np.log2(expr_values + 1.0)
         # an all-NaN column reduces to NaN, which is not zero
         lo, hi = np.fmin.reduce(expr_values, axis=0), np.fmax.reduce(expr_values, axis=0)

@@ -109,13 +109,13 @@ def _fix_signs(axes: np.ndarray) -> np.ndarray:
     return axes
 
 
-def pca_fit(data: Matrix, components: int, method: str = "auto") -> PcaModel:
+def pca_fit(data: Matrix, components: int) -> PcaModel:
     """Principal axes of `data` (samples x features).
 
-    `method` picks the eigenproblem: `covariance` solves the features x
-    features covariance directly; `gram` solves the samples x samples Gram
-    matrix (the rank trick for features >> samples); `auto` chooses by shape.
-    Both give identical axes up to the fixed sign convention.
+    The shape picks the eigenproblem, the smaller of the two: the features x
+    features covariance when features <= samples, else the samples x samples
+    Gram matrix (the rank trick for features >> samples). Both give the same
+    axes up to the fixed sign convention.
     """
     n, f = data.shape
     if n < 2:
@@ -124,13 +124,9 @@ def pca_fit(data: Matrix, components: int, method: str = "auto") -> PcaModel:
         raise ValidationError(
             f"components must be in [1, {min(n, f)}] for a {n}x{f} matrix"
         )
-    if method not in ("auto", "covariance", "gram"):
-        raise ValidationError(f"unknown PCA method {method!r}")
-    if method == "auto":
-        method = "covariance" if f <= n else "gram"
     mean = data.mean(axis=0)
     centered = data - mean
-    if method == "covariance":
+    if f <= n:
         cov = centered.T @ centered / (n - 1)
         eigenvalues, vectors = sym_eig(cov)
         axes = vectors[:, :components].copy()

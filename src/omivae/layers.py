@@ -1,7 +1,7 @@
-"""Fully connected blocks (linear -> optional batch norm -> ReLU or identity)
-and the composites that wire them into towers: a sequence, a column join of
-branches and a column split into branches. The sigmoid and softmax outputs
-are applied outside the blocks, with `apply_activation`.
+"""Fully connected blocks (linear -> batch norm -> ReLU) and the composites
+that wire them into towers: a sequence, a column join of branches and a
+column split into branches. The model's output layers are plain
+`LinearLayer`s; it applies `sigmoid` and `softmax` to their outputs itself.
 
 Forward and backward passes are written out by hand, once per block or
 composite; `gradient_check` compares any block's or model's gradients with
@@ -11,7 +11,6 @@ central finite differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -20,13 +19,6 @@ from .numerics import Matrix, RngState, check_finite
 
 BN_MOMENTUM = 0.1  # running <- (1 - momentum) * running + momentum * batch
 BN_EPSILON = 1e-5  # added to the variance before the square root
-
-
-class ActivationKind(Enum):
-    RELU = "relu"
-    SIGMOID = "sigmoid"
-    SOFTMAX = "softmax"
-    IDENTITY = "identity"
 
 
 @dataclass
@@ -39,8 +31,8 @@ class Parameter:
     `ParameterArena`, as are the batch-norm running statistics. Write them
     in place (`value[...] = x`, `np.matmul(..., out=grad)`,
     `running_mean *= c`) and never rebind them or the layer attributes they
-    come from: a rebound array leaves the arena, so the optimizer,
-    `zero_grad` and snapshots no longer see it.
+    come from: a rebound array leaves the arena, so the optimizer and
+    snapshots no longer see it.
     """
 
     name: str
@@ -86,34 +78,26 @@ class ParameterArena:
         self.params = [p for m in modules for p in m.parameters()]
 
 
-def apply_activation(kind: ActivationKind, z: Matrix) -> Matrix:
-    if kind is ActivationKind.RELU:
-        return np.maximum(z, 0.0)
-    if kind is ActivationKind.SIGMOID:
-        # 1/(1+e^-z) for z >= 0 and e^z/(1+e^z) otherwise, both from
-        # e^-|z| <= 1, which cannot overflow; min(z, -z) rather than -|z|
-        # keeps a NaN's sign, so the result is bit-equal to masking by sign
-        with np.errstate(under="ignore"):
-            out = np.minimum(z, -z)
-            np.exp(out, out=out)
-            denom = out + 1.0
-            np.divide(out, denom, out=out)
-            np.divide(1.0, denom, out=denom)
-        np.copyto(out, denom, where=z >= 0)
-        return out
-    if kind is ActivationKind.SOFTMAX:
-        shifted = z - z.max(axis=1, keepdims=True)
-        ez = np.exp(shifted)
-        return ez / ez.sum(axis=1, keepdims=True)
-    return z
+def sigmoid(z: Matrix) -> Matrix:
+    """The logistic function: 1/(1+e^-z) for z >= 0 and e^z/(1+e^z)
+    otherwise, both from e^-|z| <= 1, which cannot overflow. min(z, -z)
+    rather than -|z| keeps a NaN's sign, so the result is bit-equal to
+    masking by sign."""
+    with np.errstate(under="ignore"):
+        out = np.minimum(z, -z)
+        np.exp(out, out=out)
+        denom = out + 1.0
+        np.divide(out, denom, out=out)
+        np.divide(1.0, denom, out=denom)
+    np.copyto(out, denom, where=z >= 0)
+    return out
 
 
-def activation_backward(kind: ActivationKind, upstream: Matrix, out: Matrix) -> Matrix:
-    """Jacobian-vector product of a block activation (ReLU or identity), given
-    its forward output."""
-    if kind is ActivationKind.RELU:
-        return upstream * (out > 0.0)
-    return upstream
+def softmax(z: Matrix) -> Matrix:
+    """Row-wise softmax, shifted by each row's maximum."""
+    shifted = z - z.max(axis=1, keepdims=True)
+    ez = np.exp(shifted)
+    return ez / ez.sum(axis=1, keepdims=True)
 
 
 class LinearLayer:
@@ -269,9 +253,10 @@ class BatchNormLayer:
 
 
 class FcBlock:
-    """linear -> optional batch norm -> ReLU or identity, with a consumable cache.
+    """linear (no bias) -> batch norm -> ReLU, with a consumable cache.
 
-    The cache exists only between a train-mode forward and the backward that
+    The linear part has no bias because batch norm would cancel it. The
+    cache exists only between a train-mode forward and the backward that
     consumes it; infer-mode forwards clear it and mutate nothing but it.
     """
 
@@ -279,71 +264,44 @@ class FcBlock:
         self,
         in_dim: int,
         out_dim: int,
-        activation: ActivationKind,
         rng: RngState,
-        batch_norm: bool = True,
         name: str = "fc",
         needs_input_grad: bool = True,
     ):
-        if activation not in (ActivationKind.RELU, ActivationKind.IDENTITY):
-            raise ValidationError(
-                f"{name}: a block's activation must be relu or identity, got {activation.value}"
-            )
         self.name = name
         self.linear = LinearLayer(
-            in_dim,
-            out_dim,
-            rng,
-            name="linear",
-            use_bias=not batch_norm,
-            needs_input_grad=needs_input_grad,
+            in_dim, out_dim, rng, use_bias=False, needs_input_grad=needs_input_grad
         )
-        self.norm = BatchNormLayer(out_dim, name="norm") if batch_norm else None
-        self.activation = activation
+        self.norm = BatchNormLayer(out_dim)
         self._out: Matrix | None = None
 
     def forward(self, batch: Matrix, train: bool) -> Matrix:
-        z = self.linear.forward(batch, train)
-        if self.norm is not None:
-            z = self.norm.forward(z, train)
-        out = apply_activation(self.activation, z)
+        out = np.maximum(self.norm.forward(self.linear.forward(batch, train), train), 0.0)
         self._out = out if train else None
         return out
 
     def backward(self, upstream: Matrix) -> Matrix | None:
-        """Gradient through the activation, norm, and linear parts."""
+        """Gradient through the ReLU, norm, and linear parts."""
         if self._out is None:
             raise ValidationError(f"{self.name}: backward without a cached training forward")
         if upstream.shape != self._out.shape:
             raise ValidationError(
                 f"{self.name}: upstream shape {upstream.shape} != output shape {self._out.shape}"
             )
-        d = activation_backward(self.activation, upstream, self._out)
+        d = upstream * (self._out > 0.0)
         self._out = None
-        if self.norm is not None:
-            d = self.norm.backward(d)
-        return self.linear.backward(d)
+        return self.linear.backward(self.norm.backward(d))
 
     def parameters(self, prefix: str = "") -> list[Parameter]:
         p = f"{prefix}{self.name}."
-        params = self.linear.parameters(p)
-        if self.norm is not None:
-            params += self.norm.parameters(p)
-        return params
+        return self.linear.parameters(p) + self.norm.parameters(p)
 
     def state(self, prefix: str = "") -> list[tuple[str, np.ndarray]]:
-        if self.norm is None:
-            return []
         return self.norm.state(f"{prefix}{self.name}.")
 
     def bind(self, view) -> None:
         self.linear.bind(view)
-        if self.norm is not None:
-            self.norm.bind(view)
-
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.grad[:] = 0.0
+        self.norm.bind(view)
 
 
 class Sequence:
@@ -428,14 +386,12 @@ def gradient_check(
 ) -> GradCheckResult:
     """Compare analytic gradients of `loss_fn` against central differences.
 
-    `module` must expose `parameters()` and `zero_grad()`; `loss_fn(module,
-    batch)` must return a scalar loss and populate the gradient buffers (it
-    is called repeatedly, so it must be deterministic: fixed batch, fixed
-    noise). Large tensors are sub-sampled. The result reports the largest
+    `module` must expose `parameters()`; `loss_fn(module, batch)` must
+    return a scalar loss and write every gradient buffer whole (it is called
+    repeatedly, so it must be deterministic: fixed batch, fixed noise). Large tensors are sub-sampled. The result reports the largest
     relative error, |analytic - numeric| / max(|analytic|, |numeric|, 1e-12);
     the caller compares it with its own tolerance.
     """
-    module.zero_grad()
     base = float(loss_fn(module, batch))
     if not np.isfinite(base):
         raise NumericError("gradient_check: loss is not finite")
@@ -468,6 +424,5 @@ def gradient_check(
                 worst.max_rel_error = rel
                 worst.worst_param = p.name
                 worst.worst_index = int(idx)
-    module.zero_grad()
     check_finite(np.array([worst.max_rel_error]), "gradient_check result")
     return worst

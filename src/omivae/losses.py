@@ -62,8 +62,8 @@ def kl_gaussian(mu: Matrix, logvar: Matrix) -> float:
 
 
 def vae_loss(
-    methyl_targets: list[Matrix],
-    methyl_preds: list[Matrix],
+    methyl_targets: list[Matrix] | None,
+    methyl_preds: list[Matrix] | None,
     expr_target: Matrix | None,
     expr_pred: Matrix | None,
     mu: Matrix,
@@ -72,16 +72,20 @@ def vae_loss(
     """Reconstruction + divergence components: (recon_methyl, recon_expr, kl).
 
     The methylation term is the mean of the per-chromosome-block BCEs; the
-    expression term is a single BCE; either modality may be absent.
+    expression term is a single BCE. Either modality may be absent: its
+    target and prediction are then both None and its term is 0.
     """
-    if len(methyl_targets) != len(methyl_preds):
-        raise ValidationError(
-            f"block count mismatch: {len(methyl_targets)} targets vs {len(methyl_preds)} predictions"
-        )
+    if (methyl_targets is None) != (methyl_preds is None):
+        raise ValidationError("methylation target/prediction must both be present or both absent")
     if (expr_target is None) != (expr_pred is None):
         raise ValidationError("expression target/prediction must both be present or both absent")
     recon_methyl = 0.0
-    if methyl_targets:
+    if methyl_targets is not None:
+        if len(methyl_targets) != len(methyl_preds):
+            raise ValidationError(
+                f"block count mismatch: {len(methyl_targets)} targets vs "
+                f"{len(methyl_preds)} predictions"
+            )
         recon_methyl = float(
             np.mean([bce(t, p) for t, p in zip(methyl_targets, methyl_preds)])
         )

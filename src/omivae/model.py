@@ -2,11 +2,15 @@
 
 Structure: per-chromosome methylation blocks and a two-layer expression
 encoder meet in a fused hidden layer that feeds Gaussian latent heads; a
-mirror-image decoder reconstructs every input block through sigmoid output
-layers; a three-layer classifier reads the latent mean. The graph is declared
-once, in `OmiVaeModel.__init__`, as an encoder, a decoder and a classifier
-tower whose blocks run their own backward; `forward_backward` supplies the
-loss gradients at the towers' outputs and calls their backward.
+mirror-image decoder reconstructs every input block through linear output
+layers and a sigmoid; a three-layer classifier reads the latent mean and ends
+in a linear layer and a softmax. Every hidden layer is an `FcBlock` (linear,
+batch norm, ReLU). A modality is present exactly when the config gives its
+widths, so the single-omics model is the same network with one input tower
+and its decoder branch left out. The graph is declared once, in
+`OmiVaeModel.__init__`, as an encoder, a decoder and a classifier tower whose
+blocks run their own backward; `forward_backward` supplies the loss
+gradients at the towers' outputs and calls their backward.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .layers import (
-    ActivationKind,
     FcBlock,
     Join,
     LinearLayer,
@@ -26,7 +29,8 @@ from .layers import (
     ParameterArena,
     Sequence,
     Split,
-    apply_activation,
+    sigmoid,
+    softmax,
 )
 from .losses import (
     LossReport,
@@ -42,6 +46,8 @@ from .numerics import Matrix, RngState
 class ModelConfig:
     """Every architectural knob, with defaults usable at full data scale.
 
+    The input widths say which modalities the model has: methylation when
+    `methyl_block_dims` lists any block, expression when `expr_dim` > 0.
     `expr_hidden` is the width of the first expression hidden layer; when
     left as None it is derived as one unit per ~14 input features, floored
     at 8 and capped at 4096, so tiny configurations scale down.
@@ -56,8 +62,6 @@ class ModelConfig:
     classifier_hidden: tuple[int, ...] = (128, 64)
     num_classes: int = 34
     expr_hidden: int | None = None
-    use_expression: bool = True
-    use_methylation: bool = True
 
     def __post_init__(self):
         self.methyl_block_dims = tuple(int(d) for d in self.methyl_block_dims)
@@ -65,15 +69,12 @@ class ModelConfig:
         self.validate()
 
     def validate(self) -> None:
-        if not (self.use_expression or self.use_methylation):
-            raise ValidationError("at least one modality must be enabled")
-        if self.use_methylation:
-            if len(self.methyl_block_dims) < 1:
-                raise ValidationError("methylation enabled but no block dimensions given")
-            if any(d < 1 for d in self.methyl_block_dims):
-                raise ValidationError("methylation block dimensions must be >= 1")
-        if self.use_expression and self.expr_dim < 1:
-            raise ValidationError("expression enabled but expr_dim < 1")
+        if any(d < 1 for d in self.methyl_block_dims):
+            raise ValidationError("methylation block dimensions must be >= 1")
+        if self.expr_dim < 0:
+            raise ValidationError("expr_dim must be >= 0")
+        if not (self.has_expression or self.has_methylation):
+            raise ValidationError("the model needs expression or methylation input widths")
         for name in ("per_block_hidden", "modality_dim", "fusion_dim", "latent_dim"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
@@ -85,8 +86,16 @@ class ModelConfig:
             raise ValidationError("expr_hidden must be >= 1 when set")
 
     @property
+    def has_expression(self) -> bool:
+        return self.expr_dim > 0
+
+    @property
+    def has_methylation(self) -> bool:
+        return len(self.methyl_block_dims) > 0
+
+    @property
     def num_blocks(self) -> int:
-        return len(self.methyl_block_dims) if self.use_methylation else 0
+        return len(self.methyl_block_dims)
 
     @property
     def resolved_expr_hidden(self) -> int:
@@ -129,7 +138,7 @@ class OmiVaeModel:
     def __init__(self, config: ModelConfig, rng: RngState):
         config.validate()
         self.config = cfg = config
-        n_mod = int(cfg.use_methylation) + int(cfg.use_expression)
+        n_mod = int(cfg.has_methylation) + int(cfg.has_expression)
         dims, m = cfg.methyl_block_dims, cfg.num_blocks
         pbh, mod, eh = cfg.per_block_hidden, cfg.modality_dim, cfg.resolved_expr_hidden
         self.blocks: list = []
@@ -139,24 +148,22 @@ class OmiVaeModel:
             return block
 
         def fc(in_dim: int, out_dim: int, name: str, **options) -> FcBlock:
-            return add(FcBlock(in_dim, out_dim, ActivationKind.RELU, rng, name=name, **options))
+            return add(FcBlock(in_dim, out_dim, rng, name=name, **options))
 
-        def out(in_dim: int, out_dim: int, name: str) -> FcBlock:
+        def out(in_dim: int, out_dim: int, name: str) -> LinearLayer:
             # sigmoid/softmax are applied by the model, so the fused loss
             # gradients enter through the pre-activation
-            return add(
-                FcBlock(in_dim, out_dim, ActivationKind.IDENTITY, rng, batch_norm=False, name=name)
-            )
+            return add(LinearLayer(in_dim, out_dim, rng, name=f"{name}.linear"))
 
         # the input layers skip the gradient with respect to the data
         branches = []
-        if cfg.use_methylation:
+        if cfg.has_methylation:
             encoders = [
                 fc(d, pbh, f"encoder.methyl.block{j:02d}", needs_input_grad=False)
                 for j, d in enumerate(dims)
             ]
             branches.append(Sequence(Join(encoders), fc(m * pbh, mod, "encoder.methyl.merge")))
-        if cfg.use_expression:
+        if cfg.has_expression:
             hidden1 = fc(cfg.expr_dim, eh, "encoder.expr.hidden1", needs_input_grad=False)
             branches.append(Sequence(hidden1, fc(eh, mod, "encoder.expr.hidden2")))
         self.encoder = Sequence(Join(branches), fc(n_mod * mod, cfg.fusion_dim, "encoder.fusion"))
@@ -172,11 +179,11 @@ class OmiVaeModel:
             fc(cfg.fusion_dim, n_mod * mod, "decoder.to_modalities"),
         )
         branches = []
-        if cfg.use_methylation:
+        if cfg.has_methylation:
             expand = fc(mod, m * pbh, "decoder.methyl.expand")
             outputs = [out(pbh, d, f"decoder.methyl.out{j:02d}") for j, d in enumerate(dims)]
             branches.append(Sequence(expand, Split([pbh] * m, outputs)))
-        if cfg.use_expression:
+        if cfg.has_expression:
             expand = fc(mod, eh, "decoder.expr.expand")
             branches.append(Sequence(expand, out(eh, cfg.expr_dim, "decoder.expr.out")))
         self.decoder = Sequence(*trunk, Split([mod] * n_mod, branches))
@@ -203,10 +210,6 @@ class OmiVaeModel:
     def parameters(self) -> list[Parameter]:
         return list(self.arena.params)
 
-    def zero_grad(self) -> None:
-        """Clear every grad; a training step does not need it (see forward_backward)."""
-        self.arena.grads.fill(0.0)
-
     def state_tensors(self) -> list[tuple[str, np.ndarray]]:
         """Parameters plus batch-norm running statistics, in a fixed order."""
         tensors: list[tuple[str, np.ndarray]] = []
@@ -215,32 +218,39 @@ class OmiVaeModel:
             tensors.extend(c.state())
         return tensors
 
-    def param_count(self) -> int:
-        return self.arena.values.size
-
     def _validate_inputs(self, x_expr, x_methyl_blocks) -> int:
-        rows = None
-        if self.config.use_expression:
-            if x_expr is None:
-                raise ValidationError("expression modality is enabled but no expression input given")
-            rows = x_expr.shape[0]
-        elif x_expr is not None:
-            raise ValidationError("expression input given but the modality is disabled")
-        if self.config.use_methylation:
-            if x_methyl_blocks is None:
+        """The batch's row count, once each input is present exactly when the
+        model has its modality and every input has its configured width."""
+        cfg = self.config
+        for name, present, given in (
+            ("expression", cfg.has_expression, x_expr is not None),
+            ("methylation", cfg.has_methylation, x_methyl_blocks is not None),
+        ):
+            if present and not given:
+                raise ValidationError(f"the model reads {name} but no {name} input was given")
+            if given and not present:
+                raise ValidationError(f"{name} input given but the model has no {name} modality")
+        inputs = []
+        if x_methyl_blocks is not None:
+            if len(x_methyl_blocks) != cfg.num_blocks:
                 raise ValidationError(
-                    "methylation modality is enabled but no methylation input given"
+                    f"the model reads {cfg.num_blocks} methylation blocks, "
+                    f"got {len(x_methyl_blocks)}"
                 )
-            if len(x_methyl_blocks) != self.config.num_blocks:
+            inputs += [
+                (f"methylation block {j:02d}", x, d)
+                for j, (x, d) in enumerate(zip(x_methyl_blocks, cfg.methyl_block_dims))
+            ]
+        if x_expr is not None:
+            inputs.append(("expression", x_expr, cfg.expr_dim))
+        rows = inputs[0][1].shape[0]
+        for name, x, width in inputs:
+            if x.shape[1] != width:
                 raise ValidationError(
-                    f"expected {self.config.num_blocks} methylation blocks, got {len(x_methyl_blocks)}"
+                    f"{name} input has {x.shape[1]} features, the model reads {width}"
                 )
-            for j, b in enumerate(x_methyl_blocks):
-                if rows is not None and b.shape[0] != rows:
-                    raise ValidationError("modalities disagree on batch size")
-                rows = b.shape[0]
-        elif x_methyl_blocks:
-            raise ValidationError("methylation input given but the modality is disabled")
+            if x.shape[0] != rows:
+                raise ValidationError("modalities disagree on batch size")
         return rows
 
     # ------------------------------------------------------------------ forward
@@ -252,24 +262,24 @@ class OmiVaeModel:
         train: bool = False,
     ) -> tuple[Matrix, Matrix]:
         self._validate_inputs(x_expr, x_methyl_blocks)
-        inputs = [x_methyl_blocks] if self.config.use_methylation else []
-        if self.config.use_expression:
-            inputs.append(x_expr)
+        inputs = [x for x in (x_methyl_blocks, x_expr) if x is not None]
         fused = self.encoder.forward(inputs, train)
         mu_head, logvar_head = self.heads
         return mu_head.forward(fused, train), logvar_head.forward(fused, train)
 
-    def decode(self, z: Matrix, train: bool = False) -> tuple[Matrix | None, list[Matrix]]:
+    def decode(
+        self, z: Matrix, train: bool = False
+    ) -> tuple[Matrix | None, list[Matrix] | None]:
+        """(expression, methylation blocks) reconstructions of `z`; an absent
+        modality's entry is None."""
         if z.shape[1] != self.config.latent_dim:
             raise ValidationError(
                 f"latent width {z.shape[1]} != configured latent_dim {self.config.latent_dim}"
             )
         outs = self.decoder.forward(z, train)  # pre-activations, one entry per modality
-        sigmoid = ActivationKind.SIGMOID
-        recon_blocks = []
-        if self.config.use_methylation:
-            recon_blocks = [apply_activation(sigmoid, b) for b in outs[0]]
-        recon_expr = apply_activation(sigmoid, outs[-1]) if self.config.use_expression else None
+        cfg = self.config
+        recon_blocks = [sigmoid(b) for b in outs[0]] if cfg.has_methylation else None
+        recon_expr = sigmoid(outs[-1]) if cfg.has_expression else None
         return recon_expr, recon_blocks
 
     def classify(self, mu: Matrix, train: bool = False) -> Matrix:
@@ -277,7 +287,7 @@ class OmiVaeModel:
             raise ValidationError(
                 f"classifier input width {mu.shape[1]} != latent_dim {self.config.latent_dim}"
             )
-        return apply_activation(ActivationKind.SOFTMAX, self.classifier.forward(mu, train))
+        return softmax(self.classifier.forward(mu, train))
 
     def embed(self, x_expr: Matrix | None, x_methyl_blocks: list[Matrix] | None) -> Matrix:
         """Latent means in infer mode; the deterministic sample embedding."""
@@ -302,7 +312,7 @@ class OmiVaeModel:
         and returns the batch's losses.
 
         Each parameter's grad is overwritten with this batch's gradient, so
-        no `zero_grad` is needed between steps: a tower whose loss weight is
+        grads need no clearing between steps: a tower whose loss weight is
         zero (the decoder when alpha is 0, the classifier when beta is 0)
         runs no backward and gets zero grads. The classifier reads the
         latent mean, so its gradient reaches the encoder through mu only and
@@ -322,12 +332,7 @@ class OmiVaeModel:
         probs = self.classify(mu, train=True) if train_classifier else None
 
         recon_methyl, recon_e, kl = vae_loss(
-            list(x_methyl_blocks) if cfg.use_methylation else [],
-            recon_blocks,
-            x_expr if cfg.use_expression else None,
-            recon_expr,
-            mu,
-            logvar,
+            x_methyl_blocks, recon_blocks, x_expr, recon_expr, mu, logvar
         )
         cls_loss = classification_loss(labels, probs) if train_classifier else 0.0
         report = total_loss(recon_methyl, recon_e, kl, cls_loss, weights)
@@ -337,13 +342,13 @@ class OmiVaeModel:
         # ---- backward ----
         if train_decoder:
             d_recon: list = []
-            if cfg.use_methylation:
+            if cfg.has_methylation:
                 m = cfg.num_blocks
                 d_recon.append([
                     alpha / (m * batch * dim) * (recon - x)
                     for dim, recon, x in zip(cfg.methyl_block_dims, recon_blocks, x_methyl_blocks)
                 ])
-            if cfg.use_expression:
+            if cfg.has_expression:
                 d_recon.append(alpha / (batch * cfg.expr_dim) * (recon_expr - x_expr))
             d_z = self.decoder.backward(d_recon)
         else:

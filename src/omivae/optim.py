@@ -3,8 +3,8 @@
 A model keeps every parameter, gradient and batch-norm running statistic
 in one float64 `ParameterArena`, and everything here works on its flat
 vectors: Adam updates `arena.values` from `arena.grads`, and a snapshot is
-one copy of `arena.state`. A training step needs no `zero_grad`, because
-`forward_backward` writes every grad of the arena. Code that changes a
+one copy of `arena.state`. A training step never clears the grads, because
+`forward_backward` writes every grad of the arena whole. Code that changes a
 tensor therefore writes it in place and never rebinds `.value`, `.grad`
 or a running statistic.
 """
@@ -182,9 +182,7 @@ def evaluate_losses(
         mu, logvar = model.encode(x_expr, x_blocks)
         recon_expr, recon_blocks = model.decode(mu)
         probs = model.classify(mu)
-        rm, re, kl = vae_loss(
-            x_blocks if x_blocks is not None else [], recon_blocks, x_expr, recon_expr, mu, logvar
-        )
+        rm, re, kl = vae_loss(x_blocks, recon_blocks, x_expr, recon_expr, mu, logvar)
         sums += np.array([rm, re, kl]) * part.size
         if dataset.labels is not None:
             lab = dataset.labels[part]

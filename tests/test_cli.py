@@ -50,6 +50,26 @@ BAD_INPUT = {
     "evaluate-fewer-classes": (["evaluate", "--checkpoint", "{two}/three.omvae", "--data",
                                 "{two}/two.omids", "--out", "{d}/report.txt"],
                                "the dataset names 2 classes, fewer than the checkpoint's 3"),
+    "embed-wider-cache": (["embed", "--checkpoint", "{narrow}/narrow.omvae", "--data",
+                           "{narrow}/wide.omids", "--out", "{d}/embedding.tsv"],
+                          "expression input has 6 features, the model reads 5"),
+    "evaluate-wider-cache": (["evaluate", "--checkpoint", "{narrow}/narrow.omvae", "--data",
+                              "{narrow}/wide.omids", "--out", "{d}/report.txt"],
+                             "expression input has 6 features, the model reads 5"),
+    "train-resume-wider-cache": (["train", "--resume", "{narrow}/narrow.omvae", "--data",
+                                  "{narrow}/wide.omids", "--out", "{d}/model.omvae"],
+                                 "expression input has 6 features, the model reads 5"),
+    "preprocess-log2-negative": (
+        ["preprocess", "--set", "preprocess.log2_expression=true", "--expression",
+         "{d}/negative.tsv", "--out", "{d}/cache.omids"],
+        "expression feature 'g2' has a negative count -5.0 in sample 'S2'"),
+    "preprocess-log2-minus-one": (
+        ["preprocess", "--set", "preprocess.log2_expression=true", "--expression",
+         "{d}/minus_one.tsv", "--out", "{d}/cache.omids"],
+        "expression feature 'g2' has a negative count -1.0 in sample 'S2'"),
+    "preprocess-infinite": (
+        ["preprocess", "--expression", "{d}/infinite.tsv", "--out", "{d}/cache.omids"],
+        "infinite.tsv: infinite value at row 3, column 4"),
     "plot": (["plot", "--embedding", "{d}/absent.tsv", "--out", "{d}/plot.svg"], "absent.tsv"),
     "plot-non-numeric": (["plot", "--embedding", "{d}/bad_cell.tsv", "--out", "{d}/plot.svg"],
                          "bad_cell.tsv: non-numeric embedding value in row 3"),
@@ -84,6 +104,9 @@ THREADS = {"crossval-threads-word": "two", "crossval-threads-zero": "0"}
 FILES = {
     "garbage.omvae": b"not a checkpoint",
     "expr.tsv": b"gene\tS1\tS2\tS3\ng1\t0.1\t0.2\t0.3\n",
+    "negative.tsv": b"gene\tS1\tS2\tS3\ng1\t1\t2\t3\ng2\t4\t-5\t6\n",
+    "minus_one.tsv": b"gene\tS1\tS2\tS3\ng1\t1\t2\t3\ng2\t4\t-1\t6\n",
+    "infinite.tsv": b"gene\tS1\tS2\tS3\ng1\t0.1\t0.2\t0.3\ng2\t0.4\t0.5\t-Infinity\n",
     "bad_cell.tsv": b"sample_id\tdim_1\tdim_2\nS1\t0.5\t1.5\nS2\t0.25\toops\n",
     "header_only.tsv": b"sample_id\tdim_1\tdim_2\n",
     "non_finite.tsv": b"sample_id\tdim_1\tdim_2\nS1\tnan\t1.5\nS2\t0.25\tinf\n",
@@ -120,14 +143,31 @@ def two(tmp_path_factory):
     return str(d)
 
 
+@pytest.fixture(scope="module")
+def narrow(tmp_path_factory):
+    """A directory holding a labeled cache of 6 expression features and an
+    untrained checkpoint that reads 5, alike in everything else."""
+    d = tmp_path_factory.mktemp("narrow")
+    ds = synthesize(SyntheticSpec(samples_per_class=10, num_blocks=2, features_per_block=4,
+                                  expr_features=6))
+    ds.save(str(d / "wide.omids"))
+    config = ModelConfig(methyl_block_dims=ds.methyl_block_dims, expr_dim=5,
+                         per_block_hidden=3, modality_dim=4, fusion_dim=4, latent_dim=2,
+                         classifier_hidden=(3, 3), num_classes=len(ds.class_vocab))
+    save_checkpoint(str(d / "narrow.omvae"), build_model(config, RngState(0)))
+    return str(d)
+
+
 @pytest.mark.parametrize("case", sorted(BAD_INPUT))
-def test_bad_input_prints_one_validation_line(tmp_path, capsys, monkeypatch, cache, two, case):
+def test_bad_input_prints_one_validation_line(
+    tmp_path, capsys, monkeypatch, cache, two, narrow, case
+):
     for name, blob in FILES.items():
         (tmp_path / name).write_bytes(blob)
     if case in THREADS:
         monkeypatch.setenv("OMIVAE_THREADS", THREADS[case])
     argv, fragment = BAD_INPUT[case]
-    code = cli.main([arg.format(d=tmp_path, cache=cache, two=two) for arg in argv])
+    code = cli.main([arg.format(d=tmp_path, cache=cache, two=two, narrow=narrow) for arg in argv])
     err = capsys.readouterr().err
     assert code == 1
     assert err.count("\n") == 1 and err.startswith("omivae: error: validation: ")

@@ -129,7 +129,7 @@ class TestErrors:
 
 class TestModelConfigFlatText:
     def test_auto_expr_hidden_single_modality_round_trip(self):
-        config = ModelConfig(expr_dim=40, use_methylation=False, latent_dim=16, num_classes=5)
+        config = ModelConfig(expr_dim=40, latent_dim=16, num_classes=5)
         flat = fields_to_text(config)
         assert flat == {
             "methyl_block_dims": "",
@@ -141,15 +141,20 @@ class TestModelConfigFlatText:
             "classifier_hidden": "128,64",
             "num_classes": "5",
             "expr_hidden": "auto",
-            "use_expression": "true",
-            "use_methylation": "false",
         }
         back = fields_from_text(ModelConfig, flat)
         assert back == config
         assert back.expr_hidden is None and back.resolved_expr_hidden == 8
 
-    def test_checkpoint_bools_are_strict(self):
-        flat = fields_to_text(ModelConfig(expr_dim=40, use_methylation=False))
-        flat["use_expression"] = "yes"
-        with pytest.raises(FormatError, match="'use_expression': cannot parse 'yes' as bool"):
+    def test_modality_flags_of_older_checkpoints_are_read_off_the_widths(self):
+        # older checkpoints also wrote use_expression/use_methylation, which
+        # always matched the widths
+        config = ModelConfig(expr_dim=40, latent_dim=16, num_classes=5)
+        flat = fields_to_text(config) | {"use_expression": "true", "use_methylation": "false"}
+        assert fields_from_text(ModelConfig, flat) == config
+
+    def test_checkpoint_fields_are_strict(self):
+        flat = fields_to_text(ModelConfig(expr_dim=40))
+        flat["latent_dim"] = "x"
+        with pytest.raises(FormatError, match="'latent_dim': cannot parse 'x' as int"):
             fields_from_text(ModelConfig, flat)

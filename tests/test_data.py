@@ -78,11 +78,12 @@ class TestLoadMatrixTsv:
             load_matrix_tsv(path)
 
     def test_round_trip_with_writer(self, tmp_path):
-        """Bit-exact, NaN positions included, across the double range."""
+        """Bit-exact, NaN positions included, across the finite double range."""
         rng = RngState(4)
         values = rng.standard_normal(30, 12) * np.exp(rng.uniform(-30.0, 30.0, (30, 12)))
         values[rng.uniform(0.0, 1.0, (30, 12)) < 0.1] = np.nan
-        values[0, : len(SPECIAL)] = SPECIAL
+        finite = [v for v in SPECIAL if not np.isinf(v)]
+        values[0, : len(finite)] = finite
         raw = RawMatrix([f"s{i}" for i in range(30)], [f"f{j}" for j in range(12)], values)
         path = str(tmp_path / "round.tsv")
         write_matrix_tsv(path, raw)
@@ -90,6 +91,14 @@ class TestLoadMatrixTsv:
         assert back.sample_ids == raw.sample_ids
         assert back.feature_ids == raw.feature_ids
         assert back.values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("cell", ["inf", "-Infinity", "1e400"])
+    def test_an_infinite_cell_is_named(self, tmp_path, cell):
+        path = tmp_path / "m.tsv"
+        path.write_text(f"id\ts1\ts2\ts3\nf1\t0.5\tNA\t0.25\nf2\t1\t2\t{cell}\n")
+        with pytest.raises(ValidationError) as got:
+            load_matrix_tsv(str(path))
+        assert str(got.value) == f"{path}: infinite value at row 3, column 4"
 
 
 SPECIAL = [np.nan, -0.0, 0.0, 5e-324, np.inf, -np.inf, 1e16, 1e-5, 0.1, -2.5, 1e300, 123456789.0]
@@ -123,7 +132,8 @@ class TestMatrixGrammar:
     ))
     def test_bulk_rows_match_the_cell_parser(self, tmp_path_factory, table):
         """Values, NaN positions and signs, and the first bad cell's error are
-        those of `_parse_cell` applied cell by cell."""
+        those of `_parse_cell` applied cell by cell; a table that parses
+        whole is then rejected at its first infinite cell."""
         path = str(tmp_path_factory.mktemp("grammar") / "m.tsv")
         lines = ["id\t" + "\t".join(f"s{j}" for j in range(len(table[0])))]
         lines += [f"f{r}\t" + "\t".join(row) for r, row in enumerate(table)]
@@ -139,6 +149,13 @@ class TestMatrixGrammar:
             with pytest.raises(ValidationError) as got:
                 load_matrix_tsv(path)
             assert str(got.value) == str(exc)
+            return
+        infinite = np.argwhere(np.isinf(expected.T))
+        if infinite.size:
+            with pytest.raises(ValidationError) as got:
+                load_matrix_tsv(path)
+            r, j = infinite[0]
+            assert str(got.value) == f"{path}: infinite value at row {r + 2}, column {j + 2}"
             return
         raw = load_matrix_tsv(path)
         assert raw.values.dtype == np.float64 and raw.values.flags.c_contiguous

@@ -120,19 +120,23 @@ class TestPca:
         assert model.explained_variance[0] / total > 1.0 - 1e-9
         assert model.explained_variance[1] < 1e-9
 
-    def test_gram_route_matches_covariance_oracle(self):
+    @pytest.mark.parametrize(
+        "shape", [(20, 8), (9, 14)], ids=["features<=samples", "features>samples"]
+    )
+    def test_matches_an_eigh_oracle(self, shape):
+        # np.linalg.eigh of the sample covariance, independent of pca_fit's route
         rng = RngState(1)
         for _ in range(5):
-            data = rng.uniform(0.0, 1.0, (20, 8))
-            direct = pca_fit(data, 4, method="covariance")
-            gram = pca_fit(data, 4, method="gram")
+            data = rng.uniform(0.0, 1.0, shape)
+            model = pca_fit(data, 4)
+            centered = data - data.mean(axis=0)
+            eigenvalues, vectors = np.linalg.eigh(centered.T @ centered / (shape[0] - 1))
+            assert np.allclose(model.explained_variance, eigenvalues[::-1][:4], rtol=0, atol=1e-10)
             for c in range(4):
-                dot = abs(float(direct.axes[:, c] @ gram.axes[:, c]))
-                assert abs(dot - 1.0) < 1e-8
-                assert abs(direct.explained_variance[c] - gram.explained_variance[c]) < 1e-8
-            embedding_a = pca_transform(direct, data)
-            embedding_b = pca_transform(gram, data)
-            assert np.max(np.abs(np.abs(embedding_a) - np.abs(embedding_b))) < 1e-8
+                assert abs(abs(float(model.axes[:, c] @ vectors[:, -1 - c])) - 1.0) < 1e-8
+            scores = pca_transform(model, data)
+            oracle_scores = centered @ vectors[:, ::-1][:, :4]
+            assert np.allclose(np.abs(scores), np.abs(oracle_scores), rtol=0, atol=1e-8)
 
     def test_axes_orthonormal(self):
         data = RngState(2).uniform(0.0, 1.0, (12, 30))  # features > samples: gram route

@@ -3,59 +3,58 @@ import pytest
 
 from omivae.errors import ValidationError
 from omivae.layers import (
-    ActivationKind,
+    BN_EPSILON,
     BatchNormLayer,
     FcBlock,
     LinearLayer,
-    activation_backward,
-    apply_activation,
+    Sequence,
     gradient_check,
+    sigmoid,
 )
 from omivae.numerics import RngState
 
 
-def make_block(in_dim, out_dim, activation, batch_norm=True, seed=0):
-    return FcBlock(in_dim, out_dim, activation, RngState(seed), batch_norm=batch_norm)
+def make_block(in_dim, out_dim, seed=0):
+    return FcBlock(in_dim, out_dim, RngState(seed))
 
 
 class TestForward:
     def test_identity_configuration(self):
-        block = make_block(3, 3, ActivationKind.IDENTITY, batch_norm=False)
-        block.linear.weights[:] = np.eye(3)
-        block.linear.bias[:] = 0.0
+        # an output layer is a plain linear layer: with identity weights and
+        # its zero initial bias it passes the input through
+        layer = LinearLayer(3, 3, RngState(0))
+        layer.weights[:] = np.eye(3)
         x = RngState(1).standard_normal(4, 3)
-        assert np.array_equal(block.forward(x, train=False), x)
+        assert np.array_equal(layer.forward(x, train=False), x)
 
     def test_relu_definition(self):
-        z = np.array([[-1.0, 0.0, 2.0]])
-        assert np.array_equal(apply_activation(ActivationKind.RELU, z), [[0.0, 0.0, 2.0]])
+        # identity weights and infer-mode batch norm that scales by 1/sqrt(1 + eps)
+        block = make_block(3, 3)
+        block.linear.weights[:] = np.eye(3)
+        out = block.forward(np.array([[-1.0, 0.0, 2.0]]), train=False)
+        assert np.array_equal(out[0, :2], [0.0, 0.0])
+        assert abs(out[0, 2] - 2.0 / np.sqrt(1.0 + BN_EPSILON)) < 1e-15
 
     def test_batchnorm_normalizes_in_train_mode(self):
-        block = make_block(6, 5, ActivationKind.IDENTITY, batch_norm=True)
+        norm = BatchNormLayer(6)
         x = RngState(2).standard_normal(32, 6) * 3.0 + 1.0
-        out = block.forward(x, train=True)
+        out = norm.forward(x, train=True)
         assert np.max(np.abs(out.mean(axis=0))) < 1e-6
         # biased batch variance is 1 up to the epsilon in the denominator
         assert np.max(np.abs(out.var(axis=0) - 1.0)) < 1e-4
 
     def test_train_batchnorm_rejects_single_sample(self):
-        block = make_block(3, 3, ActivationKind.RELU)
+        block = make_block(3, 3)
         with pytest.raises(ValidationError):
             block.forward(np.zeros((1, 3)), train=True)
 
-    @pytest.mark.parametrize("kind", [ActivationKind.SIGMOID, ActivationKind.SOFTMAX])
-    def test_block_rejects_output_activations(self, kind):
-        # the model applies sigmoid and softmax outside its blocks
-        with pytest.raises(ValidationError, match=kind.value):
-            make_block(3, 3, kind)
-
     def test_dimension_mismatch(self):
-        block = make_block(3, 2, ActivationKind.RELU)
+        block = make_block(3, 2)
         with pytest.raises(ValidationError):
             block.forward(np.zeros((4, 5)), train=False)
 
     def test_infer_mode_mutates_nothing(self):
-        block = make_block(4, 4, ActivationKind.RELU)
+        block = make_block(4, 4)
         x = RngState(3).standard_normal(8, 4)
         before_mean = block.norm.running_mean.copy()
         before_var = block.norm.running_var.copy()
@@ -70,7 +69,7 @@ class TestForward:
 
 class TestBackward:
     def test_zero_upstream_gives_zero_gradients(self):
-        block = make_block(4, 3, ActivationKind.RELU)
+        block = make_block(4, 3)
         x = RngState(4).standard_normal(6, 4)
         out = block.forward(x, train=True)
         din = block.backward(np.zeros_like(out))
@@ -89,7 +88,7 @@ class TestBackward:
         assert np.allclose(layer.grad_bias, [2.0, 2.0])
 
     def test_backward_requires_cache_and_consumes_it(self):
-        block = make_block(3, 3, ActivationKind.RELU)
+        block = make_block(3, 3)
         with pytest.raises(ValidationError):
             block.backward(np.zeros((2, 3)))
         out = block.forward(RngState(6).standard_normal(4, 3), train=True)
@@ -98,13 +97,13 @@ class TestBackward:
             block.backward(np.ones_like(out))
 
     def test_upstream_shape_checked(self):
-        block = make_block(3, 3, ActivationKind.RELU)
+        block = make_block(3, 3)
         block.forward(RngState(6).standard_normal(4, 3), train=True)
         with pytest.raises(ValidationError):
             block.backward(np.zeros((4, 7)))
 
     def test_forward_backward_leaves_parameters_unchanged(self):
-        block = make_block(5, 4, ActivationKind.RELU)
+        block = make_block(5, 4)
         snapshot = [p.value.copy() for p in block.parameters()]
         x = RngState(7).standard_normal(8, 5)
         out = block.forward(x, train=True)
@@ -117,10 +116,10 @@ class TestBackward:
         # NaN in every grad buffer, then two backwards: the grads are those
         # of the last one alone, bit for bit
         x, first, second = (RngState(s).standard_normal(6, 4) for s in (40, 41, 42))
-        fresh = make_block(4, 4, ActivationKind.RELU, seed=43)
+        fresh = make_block(4, 4, seed=43)
         fresh.forward(x, train=True)
         fresh.backward(second)
-        block = make_block(4, 4, ActivationKind.RELU, seed=43)
+        block = make_block(4, 4, seed=43)
         for p in block.parameters():
             p.grad[...] = np.nan
         for upstream in (first, second):
@@ -141,7 +140,7 @@ class TestBackward:
             grads.append([p.grad.copy() for p in layer.parameters()])
         for a, b in zip(*grads):
             assert a.tobytes() == b.tobytes()
-        block = FcBlock(3, 2, ActivationKind.RELU, RngState(46), needs_input_grad=False)
+        block = FcBlock(3, 2, RngState(46), needs_input_grad=False)
         block.forward(x, train=True)
         assert block.backward(upstream) is None
 
@@ -164,25 +163,9 @@ class TestSigmoid:
         with np.errstate(under="ignore"):
             expected = masked_sigmoid(z)
         with np.errstate(all="raise"):
-            got = apply_activation(ActivationKind.SIGMOID, z)
+            got = sigmoid(z)
         assert got.tobytes() == expected.tobytes()
         assert np.array_equal(got[0, :6], [0.5, 0.5, 1.0, 0.0, 1.0, 0.0])
-
-
-class TestActivationJacobians:
-    @pytest.mark.parametrize("kind", [ActivationKind.RELU, ActivationKind.IDENTITY])
-    def test_jvp_matches_finite_differences(self, kind):
-        rng = RngState(10)
-        z = rng.standard_normal(1, 5)
-        z[np.abs(z) < 0.1] = 0.3  # keep away from the ReLU kink
-        direction = rng.standard_normal(1, 5)
-        out = apply_activation(kind, z)
-        analytic = activation_backward(kind, direction, out)
-        h = 1e-6
-        numeric = (
-            apply_activation(kind, z + h * direction) - apply_activation(kind, z - h * direction)
-        ) / (2.0 * h)
-        assert np.max(np.abs(analytic - numeric)) < 1e-6
 
 
 def weighted_sum_loss(weights):
@@ -194,25 +177,27 @@ def weighted_sum_loss(weights):
     return loss_fn
 
 
+class Stack(Sequence):
+    """A sequence that lists its modules' parameters, for `gradient_check`."""
+
+    def parameters(self):
+        return [p for m in self.modules for p in m.parameters()]
+
+
 class TestGradientCheck:
     def test_linear_relu_block(self):
-        block = make_block(4, 3, ActivationKind.RELU, batch_norm=False, seed=20)
+        # a block feeding a plain linear layer, as before each model output
+        block = make_block(4, 3, seed=20)
+        head = LinearLayer(3, 2, RngState(28), name="head")
+        module = Stack(block, head)
         x = RngState(21).standard_normal(6, 4)
-        w = RngState(22).standard_normal(6, 3)
-        result = gradient_check(block, weighted_sum_loss(w), x)
+        w = RngState(22).standard_normal(6, 2)
+        result = gradient_check(module, weighted_sum_loss(w), x)
         assert result.max_rel_error <= 1e-4
 
     def test_linear_batchnorm_relu_block(self):
-        block = make_block(5, 4, ActivationKind.RELU, batch_norm=True, seed=23)
+        block = make_block(5, 4, seed=23)
         x = RngState(24).standard_normal(8, 5)
         w = RngState(25).standard_normal(8, 4)
         result = gradient_check(block, weighted_sum_loss(w), x)
         assert result.max_rel_error <= 1e-4
-
-    def test_gradient_check_zeroes_grads_after(self):
-        block = make_block(3, 3, ActivationKind.RELU, batch_norm=False)
-        x = RngState(26).standard_normal(4, 3)
-        w = RngState(27).standard_normal(4, 3)
-        gradient_check(block, weighted_sum_loss(w), x)
-        for p in block.parameters():
-            assert np.array_equal(p.grad, np.zeros_like(p.grad))

@@ -93,7 +93,7 @@ class TestVaeLoss:
         rng = RngState(4)
         t = rng.uniform(0.0, 1.0, (4, 5))
         p = rng.uniform(0.1, 0.9, (4, 5))
-        rm, re, kl = vae_loss([], [], t, p, np.zeros((4, 2)), np.zeros((4, 2)))
+        rm, re, kl = vae_loss(None, None, t, p, np.zeros((4, 2)), np.zeros((4, 2)))
         assert rm == 0.0
         assert re == bce(t, p)
         assert kl == 0.0
@@ -113,6 +113,8 @@ class TestVaeLoss:
     def test_block_count_mismatch(self):
         with pytest.raises(ValidationError):
             vae_loss([np.zeros((2, 2))], [], None, None, np.zeros((2, 1)), np.zeros((2, 1)))
+        with pytest.raises(ValidationError, match="methylation"):
+            vae_loss([np.zeros((2, 2))], None, None, None, np.zeros((2, 1)), np.zeros((2, 1)))
 
 
 class TestClassification:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from omivae.errors import ValidationError
-from omivae.layers import ActivationKind, apply_activation, gradient_check
+from omivae.layers import gradient_check, softmax
 from omivae.losses import LossWeights
 from omivae.model import ModelConfig, OmiVaeModel, build_model, reparameterize
 from omivae.numerics import RngState
@@ -28,10 +28,10 @@ def tiny_config(latent_dim=3, num_classes=4, **overrides):
 
 def tiny_batch(config, rows=4, seed=0):
     rng = RngState(seed)
-    x_expr = rng.uniform(0.05, 0.95, (rows, config.expr_dim)) if config.use_expression else None
+    x_expr = rng.uniform(0.05, 0.95, (rows, config.expr_dim)) if config.has_expression else None
     x_blocks = (
         [rng.uniform(0.05, 0.95, (rows, d)) for d in config.methyl_block_dims]
-        if config.use_methylation
+        if config.has_methylation
         else None
     )
     return x_expr, x_blocks
@@ -51,24 +51,24 @@ def expected_param_count(config: ModelConfig) -> int:
     def plain_block(i, o):
         return i * o + o
 
-    n_mod = int(config.use_expression) + int(config.use_methylation)
+    n_mod = int(config.has_expression) + int(config.has_methylation)
     m = config.num_blocks
     pbh = config.per_block_hidden
     total = 0
-    if config.use_methylation:
+    if config.has_methylation:
         total += sum(bn_block(d, pbh) for d in config.methyl_block_dims)
         total += bn_block(m * pbh, config.modality_dim)
-    if config.use_expression:
+    if config.has_expression:
         total += bn_block(config.expr_dim, config.resolved_expr_hidden)
         total += bn_block(config.resolved_expr_hidden, config.modality_dim)
     total += bn_block(n_mod * config.modality_dim, config.fusion_dim)
     total += 2 * plain_block(config.fusion_dim, config.latent_dim)  # mu and logvar heads
     total += bn_block(config.latent_dim, config.fusion_dim)
     total += bn_block(config.fusion_dim, n_mod * config.modality_dim)
-    if config.use_methylation:
+    if config.has_methylation:
         total += bn_block(config.modality_dim, m * pbh)
         total += sum(plain_block(pbh, d) for d in config.methyl_block_dims)
-    if config.use_expression:
+    if config.has_expression:
         total += bn_block(config.modality_dim, config.resolved_expr_hidden)
         total += plain_block(config.resolved_expr_hidden, config.expr_dim)
     h1, h2 = config.classifier_hidden
@@ -104,7 +104,7 @@ class TestBuild:
     def test_param_count_matches_closed_form(self):
         config = tiny_config()
         model = build_model(config, RngState(1))
-        assert model.param_count() == expected_param_count(config)
+        assert model.arena.values.size == expected_param_count(config)
 
     def test_full_scale_capacity_is_about_seven_hundred_million(self):
         # the published design at full TCGA scale carries ~7e8 learnable weights
@@ -120,15 +120,15 @@ class TestBuild:
         assert 6.0e8 < count < 8.0e8
 
     def test_single_modality_expression(self):
-        config = tiny_config(use_methylation=False, methyl_block_dims=())
+        config = tiny_config(methyl_block_dims=())
         model = build_model(config, RngState(2))
         x_expr, _ = tiny_batch(config)
         recon_expr, recon_blocks = model.decode(model.embed(x_expr, None))
         assert recon_expr.shape == x_expr.shape
-        assert recon_blocks == []
+        assert recon_blocks is None
 
     def test_single_modality_methylation(self):
-        config = tiny_config(use_expression=False, expr_dim=0)
+        config = tiny_config(expr_dim=0)
         model = build_model(config, RngState(3))
         _, x_blocks = tiny_batch(config)
         recon_expr, recon_blocks = model.decode(model.embed(None, x_blocks))
@@ -193,6 +193,27 @@ class TestEncode:
             model.encode(x_expr, None)
         with pytest.raises(ValidationError):
             model.encode(None, x_blocks)
+
+    def test_input_widths_checked_by_modality(self):
+        config = tiny_config()
+        model = build_model(config, RngState(7))
+        x_expr, x_blocks = tiny_batch(config)
+        expected = "^expression input has 8 features, the model reads 7$"
+        with pytest.raises(ValidationError, match=expected):
+            model.encode(np.zeros((4, 8)), x_blocks)
+        with pytest.raises(ValidationError, match="^methylation block 01 input has 4 features"):
+            model.encode(x_expr, [x_blocks[0], np.zeros((4, 4))])
+        with pytest.raises(ValidationError, match="reads 2 methylation blocks, got 1"):
+            model.encode(x_expr, x_blocks[:1])
+        with pytest.raises(ValidationError, match="disagree on batch size"):
+            model.encode(x_expr[:3], x_blocks)
+
+    def test_an_absent_modality_is_none(self):
+        model = build_model(tiny_config(methyl_block_dims=()), RngState(7))
+        x_expr, x_blocks = tiny_batch(model.config)
+        assert x_blocks is None
+        with pytest.raises(ValidationError, match="no methylation modality"):
+            model.encode(x_expr, [])
 
 
 class TestReparameterize:
@@ -275,8 +296,8 @@ class TestClassify:
 
     def test_softmax_shift_invariance(self):
         logits = RngState(22).standard_normal(3, 6)
-        a = apply_activation(ActivationKind.SOFTMAX, logits)
-        b = apply_activation(ActivationKind.SOFTMAX, logits + 123.456)
+        a = softmax(logits)
+        b = softmax(logits + 123.456)
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_infer_classification_is_deterministic(self):
@@ -349,8 +370,8 @@ class TestForwardBackward:
         [
             ({}, ["encoder.methyl.block00", "encoder.methyl.block01", "encoder.expr.hidden1"],
              [[None, None], None]),
-            (dict(use_methylation=False, methyl_block_dims=()), ["encoder.expr.hidden1"], [None]),
-            (dict(use_expression=False, expr_dim=0),
+            (dict(methyl_block_dims=()), ["encoder.expr.hidden1"], [None]),
+            (dict(expr_dim=0),
              ["encoder.methyl.block00", "encoder.methyl.block01"], [[None, None]]),
         ],
         ids=["both", "expression", "methylation"],
@@ -424,8 +445,8 @@ class TestForwardBackward:
     @pytest.mark.parametrize(
         "overrides",
         [
-            dict(use_methylation=False, methyl_block_dims=()),
-            dict(use_expression=False, expr_dim=0),
+            dict(methyl_block_dims=()),
+            dict(expr_dim=0),
         ],
         ids=["expression", "methylation"],
     )
