@@ -44,25 +44,21 @@ from .optim import TrainConfig, load_checkpoint, save_checkpoint, train_two_phas
 
 
 def _load_dataset(path: str, run: RunConfig) -> OmicsDataset:
-    dataset = OmicsDataset.load(path)
-    use_expr, use_methyl = run.modalities()
-    return restrict_modalities(
-        dataset,
-        expression=use_expr and dataset.expression is not None,
-        methylation=use_methyl and dataset.methylation_blocks is not None,
-    )
+    """The `--data` cache cut to the modalities `model.modalities` names."""
+    return restrict_modalities(OmicsDataset.load(path), *run.modalities())
 
 
-def _train_val_split(dataset: OmicsDataset, run: RunConfig, seed: int):
-    """Hold out one stratified fold for validation (random split if unlabeled)."""
-    n = dataset.num_samples
+def _train_val_split(dataset: OmicsDataset, config: TrainConfig):
+    """Hold out one stratified fold of about `val_fraction` of the samples
+    for validation (a random share if any sample is unlabeled)."""
+    folds = max(2, round(1.0 / config.val_fraction))
     if dataset.labels is not None and (dataset.labels >= 0).all():
-        folds = stratified_kfold(dataset.labels, run.validation_fold_count(), seed)
-        val_idx = folds.folds[0]
-        train_idx = np.sort(np.concatenate(folds.folds[1:]))
+        split = stratified_kfold(dataset.labels, folds, config.seed)
+        val_idx = split.folds[0]
+        train_idx = np.sort(np.concatenate(split.folds[1:]))
     else:
-        order = RngState(seed).derive(9).permutation(n)
-        n_val = max(1, round(n / run.validation_fold_count()))
+        order = RngState(config.seed).derive(9).permutation(dataset.num_samples)
+        n_val = max(1, round(dataset.num_samples / folds))
         val_idx = np.sort(order[:n_val])
         train_idx = np.sort(order[n_val:])
     return train_idx, val_idx
@@ -119,7 +115,7 @@ def _fit(dataset, run: RunConfig, train_cfg: TrainConfig, stream: RngState, resu
         model = load_checkpoint(resume_path).build()
     else:
         model = build_model(run.model_config(dataset), stream.derive(0))
-    train_idx, val_idx = _train_val_split(dataset, run, train_cfg.seed)
+    train_idx, val_idx = _train_val_split(dataset, train_cfg)
     history = train_two_phase(model, dataset, train_idx, val_idx, train_cfg, rng=stream)
     return model, history
 

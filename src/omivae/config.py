@@ -7,9 +7,10 @@ from the command line use the same keys.
 The schema is read off the config dataclasses: each field of `ModelConfig`,
 `TrainConfig`, `PreprocessConfig` and `SyntheticSpec` is the key
 `<section>.<field>`, with the field's annotation as its kind and the field's
-default as its default. A key is its field. The exceptions are the two keys
-in `EXTRA_KEYS`, which are not fields, and the `ModelConfig` fields in
-`DATASET_FIELDS`, which are bound to the dataset rather than to a key.
+default as its default. A key is its field. The exceptions are the one key
+in `EXTRA_KEYS`, `model.modalities`, which picks the dataset's modalities
+and is not a field, and the `ModelConfig` fields in `DATASET_FIELDS`, which
+are read off the dataset rather than a key.
 """
 
 from __future__ import annotations
@@ -31,12 +32,9 @@ SECTIONS = {
 # ModelConfig fields that `RunConfig.model_config` takes from the dataset
 DATASET_FIELDS = ("methyl_block_dims", "expr_dim", "num_classes")
 # key -> (kind, default) of the keys that are not dataclass fields
-EXTRA_KEYS = {
-    "model.modalities": ("str", "methylation,expression"),
-    "train.val_fraction": ("float", "0.1"),
-}
+EXTRA_KEYS = {"model.modalities": ("str", "methylation,expression")}
 
-# key -> (kind, default); kinds: int, float, bool, str, intlist, int_or_auto
+# key -> (kind, default); kinds: int, float, bool, str, intlist
 SCHEMA: dict[str, tuple[str, str]] = {
     f"{section}.{f.name}": (FIELD_KINDS[f.type], format_value(f.default))
     for section, cls in SECTIONS.items()
@@ -63,7 +61,8 @@ class RunConfig:
         return self.values[key]
 
     def modalities(self) -> tuple[bool, bool]:
-        """Whether model.modalities names (expression, methylation)."""
+        """Whether model.modalities names (expression, methylation): the
+        arguments of `data.restrict_modalities`."""
         names = [m.strip() for m in str(self["model.modalities"]).split(",") if m.strip()]
         for m in names:
             if m not in ("expression", "methylation"):
@@ -79,18 +78,12 @@ class RunConfig:
         return cls(**bound, **keyed)
 
     def model_config(self, dataset) -> ModelConfig:
-        """Bind architecture keys to a dataset's shapes and class count."""
-        use_expr, use_methyl = self.modalities()
-        if use_expr and dataset.expression is None:
-            raise ValidationError("configuration enables expression but the dataset lacks it")
-        if use_methyl and dataset.methylation_blocks is None:
-            raise ValidationError("configuration enables methylation but the dataset lacks it")
-        num_classes = len(dataset.class_vocab) if dataset.class_vocab else 2
+        """Bind the architecture keys to a dataset's widths and class count."""
         return self._section(
             "model",
-            methyl_block_dims=dataset.methyl_block_dims if use_methyl else (),
-            expr_dim=dataset.expr_dim if use_expr else 0,
-            num_classes=max(2, num_classes),
+            methyl_block_dims=dataset.methyl_block_dims,
+            expr_dim=dataset.expr_dim,
+            num_classes=max(2, len(dataset.class_vocab or ())),
         )
 
     def train_config(self) -> TrainConfig:
@@ -101,12 +94,6 @@ class RunConfig:
 
     def synthetic_spec(self) -> SyntheticSpec:
         return self._section("synth")
-
-    def validation_fold_count(self) -> int:
-        fraction = float(self["train.val_fraction"])
-        if not 0.0 < fraction < 0.5:
-            raise ValidationError("train.val_fraction must be in (0, 0.5)")
-        return max(2, round(1.0 / fraction))
 
 
 def load_run_config(path: str | None = None, overrides: list[str] | None = None) -> RunConfig:

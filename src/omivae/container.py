@@ -69,14 +69,11 @@ FIELD_KINDS = {
     "float": "float",
     "bool": "bool",
     "tuple[int, ...]": "intlist",
-    "int | None": "int_or_auto",
 }
 
 
 def format_value(value) -> str:
-    """The text of a config value: `true`/`false`, `auto` for None, comma lists."""
-    if value is None:
-        return "auto"
+    """The text of a config value: `true`/`false` for a bool, comma lists."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, tuple):
@@ -99,8 +96,6 @@ def parse_value(kind: str, raw: str):
         return raw == "true"
     if kind == "intlist":
         return tuple(int(v) for v in raw.split(",") if v != "")
-    if kind == "int_or_auto":
-        return None if raw == "auto" else int(raw)
     return raw
 
 
@@ -124,10 +119,13 @@ def fields_from_text(cls, entries: dict[str, str]):
 
 
 def encode_str_list(items) -> str:
-    """Tab-joined items; an item may not hold a tab, `\n` or `\r`, since the
-    tab separates items and every TSV reader ends a line at `\n` or `\r`."""
+    """Tab-joined items; an item may not be empty, since `[""]` would join to
+    the text of `[]`, nor hold a tab, `\n` or `\r`, since the tab separates
+    items and every TSV reader ends a line at `\n` or `\r`."""
     joined = list(items)
     for item in joined:
+        if not item:
+            raise FormatError("list item is empty")
         if "\t" in item or "\n" in item or "\r" in item:
             raise FormatError(f"list item contains a separator: {item!r}")
     return "\t".join(joined)

@@ -18,7 +18,7 @@ chromosomes `1`..`22`, `X`, `Y`, or `NA`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -112,6 +112,8 @@ def load_matrix_tsv(path: str) -> RawMatrix:
     if len(header) < 2:
         raise ValidationError(f"{path}: header must name at least one data column")
     sample_ids = [c.strip() for c in header[1:]]
+    if "" in sample_ids:
+        raise ValidationError(f"{path}: empty sample ID in column {sample_ids.index('') + 2}")
     _check_unique(sample_ids, "sample", path)
     feature_ids: list[str] = []
     rows: list[np.ndarray] = []
@@ -121,6 +123,8 @@ def load_matrix_tsv(path: str) -> RawMatrix:
                 f"{path}: ragged row {lineno}: {len(record)} cells, expected {len(header)}"
             )
         feature_ids.append(record[0].strip())
+        if not feature_ids[-1]:
+            raise ValidationError(f"{path}: empty feature ID in row {lineno}")
         cells = record[1:]
         try:
             row = [math.nan if c == "NA" or c == "" else float(c) for c in cells]
@@ -199,7 +203,8 @@ class OmicsDataset:
 
     Matrices are samples x features; methylation is one matrix per
     chromosome block. Values are in [0, 1] after preprocessing; NaN entries
-    may appear only in not-yet-preprocessed synthetic data.
+    may appear only in synthetic data made with a `missing_rate`, and `load`
+    refuses a cache that holds one.
     """
 
     sample_ids: list[str]
@@ -243,15 +248,18 @@ class OmicsDataset:
                 raise ValidationError("block chromosome list length mismatch")
             for j, b in enumerate(self.methylation_blocks):
                 matrices.append((f"methylation block {j}", b))
+        # one copy-free pass each gives the range and, as minimum/maximum
+        # propagate NaN, finds a missing cell; fmin/fmax skip it instead, and
+        # `initial` lets an empty or all-NaN matrix pass the range check
+        lowest, highest = (np.fmin, np.fmax) if allow_missing else (np.minimum, np.maximum)
         for name, m in matrices:
             if m.shape[0] != n:
                 raise ValidationError(f"{name} has {m.shape[0]} rows, expected {n}")
-            if not allow_missing and np.isnan(m).any():
+            lo = lowest.reduce(m, axis=None, initial=np.inf)
+            hi = highest.reduce(m, axis=None, initial=-np.inf)
+            if np.isnan(lo):
                 raise ValidationError(f"{name} contains missing values")
-            # fmin/fmax skip NaN without a copy or a warning; all-NaN gives NaN
-            if m.size and (
-                np.fmin.reduce(m, axis=None) < -1e-9 or np.fmax.reduce(m, axis=None) > 1.0 + 1e-9
-            ):
+            if lo < -1e-9 or hi > 1.0 + 1e-9:
                 raise ValidationError(f"{name} has values outside [0, 1]")
         if self.labels is not None:
             if self.labels.shape != (n,):
@@ -356,7 +364,10 @@ class OmicsDataset:
             raise FormatError(f"{path}: dataset cache is missing {exc}") from exc
         except ValueError as exc:
             raise FormatError(f"{path}: malformed dataset cache: {exc}") from exc
-        ds.validate(allow_missing=True)
+        try:
+            ds.validate()  # a cache holds preprocessed values only: no NaN
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
         return ds
 
 
@@ -586,25 +597,20 @@ def dataset_to_raw(
 def restrict_modalities(
     dataset: OmicsDataset, expression: bool = True, methylation: bool = True
 ) -> OmicsDataset:
-    """A view of the dataset with disabled modalities removed."""
+    """The dataset with only the named modalities, each of which it must have."""
     if not expression and not methylation:
         raise ValidationError("cannot disable every modality")
     if expression and dataset.expression is None:
         raise ValidationError("dataset has no expression modality")
     if methylation and dataset.methylation_blocks is None:
         raise ValidationError("dataset has no methylation modality")
-    return OmicsDataset(
-        sample_ids=dataset.sample_ids,
-        expression=dataset.expression if expression else None,
-        expression_feature_ids=dataset.expression_feature_ids if expression else None,
-        methylation_blocks=dataset.methylation_blocks if methylation else None,
-        methylation_block_features=(
-            dataset.methylation_block_features if methylation else None
-        ),
-        block_chromosomes=dataset.block_chromosomes if methylation else None,
-        labels=dataset.labels,
-        class_vocab=dataset.class_vocab,
-    )
+    if not expression:
+        return replace(dataset, expression=None, expression_feature_ids=None)
+    if not methylation:
+        return replace(
+            dataset, methylation_blocks=None, methylation_block_features=None, block_chromosomes=None
+        )
+    return replace(dataset)
 
 
 @dataclass
@@ -656,17 +662,27 @@ def stratified_kfold(labels, k: int, seed: int) -> FoldSplit:
     return FoldSplit(folds=[np.array(sorted(f), dtype=np.int64) for f in fold_lists])
 
 
+# the generator's fixed shape: the spread of the class signal around 0.5,
+# the share of each block's features that carry it, the dimension of the
+# class factor space, and the tanh gain of `nonlinear_mix`
+CLASS_SIGNAL = 0.35
+SIGNAL_FRACTION = 0.7
+LATENT_FACTORS = 6
+NONLINEAR_GAIN = 3.0
+
+
 @dataclass
 class SyntheticSpec:
     """Generator for class-structured data shaped like the real pipeline's output.
 
-    Each class owns a point in a low-dimensional factor space; samples add
-    within-class factor jitter, the factors mix through fixed random maps
-    into every feature block, and `nonlinear_mix` pushes the mixed signal
-    through a saturating tanh so that linear projections under-separate the
-    classes. With `split_signal`, expression sees only one factor subspace
-    and methylation only the other, so neither modality alone identifies the
-    class.
+    Each class owns a point in a `LATENT_FACTORS`-dimensional factor space,
+    shared by all its samples; the factors mix through fixed random maps
+    into a `SIGNAL_FRACTION` share of every feature block, scaled by
+    `CLASS_SIGNAL` around 0.5, and `nonlinear_mix` pushes the mixed signal
+    through a saturating tanh of gain `NONLINEAR_GAIN` so that linear
+    projections under-separate the classes. With `split_signal`, expression
+    sees only one factor subspace and methylation only the other, so neither
+    modality alone identifies the class. Noise and missing cells come last.
     """
 
     num_classes: int = 10
@@ -674,12 +690,7 @@ class SyntheticSpec:
     num_blocks: int = 5
     features_per_block: int = 200
     expr_features: int = 400
-    class_signal: float = 0.35
-    signal_fraction: float = 0.7
-    latent_factors: int = 6
-    within_class_sd: float = 0.0
     nonlinear_mix: bool = False
-    nonlinear_gain: float = 3.0
     noise_sd: float = 0.05
     missing_rate: float = 0.0
     split_signal: bool = False
@@ -694,14 +705,10 @@ class SyntheticSpec:
             raise ValidationError(f"num_blocks must be in [1, {len(CHROMOSOMES)}]")
         if self.features_per_block < 1 or self.expr_features < 1:
             raise ValidationError("feature counts must be >= 1")
-        if not 0.0 <= self.signal_fraction <= 1.0:
-            raise ValidationError("signal_fraction must be in [0, 1]")
         if not 0.0 <= self.missing_rate <= 1.0:
             raise ValidationError("missing_rate must be in [0, 1]")
-        if self.noise_sd < 0.0 or self.within_class_sd < 0.0:
-            raise ValidationError("noise levels must be >= 0")
-        if self.latent_factors < 2:
-            raise ValidationError("latent_factors must be >= 2")
+        if self.noise_sd < 0.0:
+            raise ValidationError("noise_sd must be >= 0")
 
 
 def synthesize(spec: SyntheticSpec) -> OmicsDataset:
@@ -711,9 +718,8 @@ def synthesize(spec: SyntheticSpec) -> OmicsDataset:
     rng_mix = root.derive(1)
     rng_noise = root.derive(2)
     rng_missing = root.derive(3)
-    rng_jitter = root.derive(4)
 
-    k, spc, latent = spec.num_classes, spec.samples_per_class, spec.latent_factors
+    k, spc, latent = spec.num_classes, spec.samples_per_class, LATENT_FACTORS
     n = k * spc
     if spec.split_signal:
         half = latent // 2
@@ -735,25 +741,21 @@ def synthesize(spec: SyntheticSpec) -> OmicsDataset:
 
     labels = np.repeat(np.arange(k, dtype=np.int64), spc)
     sample_factors = class_factors[labels]
-    if spec.within_class_sd > 0.0:
-        sample_factors = sample_factors + spec.within_class_sd * rng_jitter.standard_normal(
-            n, latent
-        )
 
     def make_group(num_features: int, factor_mask: np.ndarray) -> np.ndarray:
         mixing = rng_mix.standard_normal(latent, num_features) / np.sqrt(latent)
         phase = rng_mix.uniform(-1.0, 1.0, num_features)
-        signal_count = int(round(spec.signal_fraction * num_features))
+        signal_count = int(round(SIGNAL_FRACTION * num_features))
         signal_cols = np.sort(rng_mix.choice(num_features, size=signal_count, replace=False))
         mixed = (sample_factors * factor_mask) @ mixing
         values = np.full((n, num_features), 0.5)
         if spec.nonlinear_mix:
             values[:, signal_cols] = 0.5 + 0.5 * np.tanh(
-                spec.nonlinear_gain * spec.class_signal * mixed[:, signal_cols]
+                NONLINEAR_GAIN * CLASS_SIGNAL * mixed[:, signal_cols]
                 + phase[signal_cols]
             )
         else:
-            values[:, signal_cols] = 0.5 + spec.class_signal * mixed[:, signal_cols]
+            values[:, signal_cols] = 0.5 + CLASS_SIGNAL * mixed[:, signal_cols]
         return values
 
     blocks = [make_group(spec.features_per_block, methyl_mask) for _ in range(spec.num_blocks)]

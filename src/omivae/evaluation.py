@@ -34,7 +34,7 @@ class EvalReport:
     per_class_recall: np.ndarray
     per_class_f1: np.ndarray
 
-    def to_text(self, class_names: list[str] | None = None) -> str:
+    def to_text(self, class_names: list[str]) -> str:
         lines = [
             f"samples={int(self.confusion.sum())}",
             f"accuracy={repr(self.accuracy)}",
@@ -43,7 +43,7 @@ class EvalReport:
             f"weighted_f1={repr(self.weighted_f1)}",
         ]
         for c in range(self.confusion.shape[0]):
-            name = class_names[c] if class_names else str(c)
+            name = class_names[c]
             lines.append(
                 f"class.{name}.precision={repr(float(self.per_class_precision[c]))}"
             )
@@ -51,12 +51,10 @@ class EvalReport:
             lines.append(f"class.{name}.f1={repr(float(self.per_class_f1[c]))}")
         return "\n".join(lines) + "\n"
 
-    def confusion_tsv(self, class_names: list[str] | None = None) -> str:
-        k = self.confusion.shape[0]
-        names = class_names if class_names else [str(c) for c in range(k)]
-        lines = ["true\\predicted\t" + "\t".join(names)]
-        for c in range(k):
-            lines.append(names[c] + "\t" + "\t".join(str(int(v)) for v in self.confusion[c]))
+    def confusion_tsv(self, class_names: list[str]) -> str:
+        lines = ["true\\predicted\t" + "\t".join(class_names)]
+        for c, row in enumerate(self.confusion):
+            lines.append(class_names[c] + "\t" + "\t".join(str(int(v)) for v in row))
         return "\n".join(lines) + "\n"
 
 

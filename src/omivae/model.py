@@ -48,9 +48,9 @@ class ModelConfig:
 
     The input widths say which modalities the model has: methylation when
     `methyl_block_dims` lists any block, expression when `expr_dim` > 0.
-    `expr_hidden` is the width of the first expression hidden layer; when
-    left as None it is derived as one unit per ~14 input features, floored
-    at 8 and capped at 4096, so tiny configurations scale down.
+    The first expression hidden layer is no knob: its width `expr_hidden`
+    is one unit per ~14 input features, `max(8, min(4096, ceil(expr_dim /
+    14)))`, so tiny configurations scale down.
     """
 
     methyl_block_dims: tuple[int, ...] = ()
@@ -61,7 +61,6 @@ class ModelConfig:
     latent_dim: int = 128
     classifier_hidden: tuple[int, ...] = (128, 64)
     num_classes: int = 34
-    expr_hidden: int | None = None
 
     def __post_init__(self):
         self.methyl_block_dims = tuple(int(d) for d in self.methyl_block_dims)
@@ -82,8 +81,6 @@ class ModelConfig:
             raise ValidationError("classifier_hidden must list two positive hidden widths")
         if self.num_classes < 2:
             raise ValidationError("num_classes must be >= 2")
-        if self.expr_hidden is not None and self.expr_hidden < 1:
-            raise ValidationError("expr_hidden must be >= 1 when set")
 
     @property
     def has_expression(self) -> bool:
@@ -98,9 +95,7 @@ class ModelConfig:
         return len(self.methyl_block_dims)
 
     @property
-    def resolved_expr_hidden(self) -> int:
-        if self.expr_hidden is not None:
-            return self.expr_hidden
+    def expr_hidden(self) -> int:
         return max(8, min(4096, math.ceil(self.expr_dim / 14)))
 
 
@@ -140,7 +135,7 @@ class OmiVaeModel:
         self.config = cfg = config
         n_mod = int(cfg.has_methylation) + int(cfg.has_expression)
         dims, m = cfg.methyl_block_dims, cfg.num_blocks
-        pbh, mod, eh = cfg.per_block_hidden, cfg.modality_dim, cfg.resolved_expr_hidden
+        pbh, mod, eh = cfg.per_block_hidden, cfg.modality_dim, cfg.expr_hidden
         self.blocks: list = []
 
         def add(block):

@@ -38,7 +38,7 @@ class Adam:
     temporaries.
     """
 
-    def __init__(self, arena: ParameterArena, lr: float = 1e-3):
+    def __init__(self, arena: ParameterArena, lr: float):
         if lr <= 0.0:
             raise ValidationError("learning rate must be positive")
         self.arena = arena
@@ -86,16 +86,22 @@ class Adam:
 
 @dataclass
 class TrainConfig:
+    """Two-phase training settings. Each epoch visits the training samples
+    in a fresh random order, and a phase stops early after `patience`
+    epochs without any improvement of its validation metric. `val_fraction`
+    is the share of a `train` run's samples held out for validation, as one
+    stratified fold of `round(1 / val_fraction)`; crossval validates on one
+    of its own folds instead."""
+
     batch_size: int = 32
     learning_rate: float = 1e-3
     phase1_epochs: int = 200
     phase2_epochs: int = 300
     patience: int = 10
-    min_delta: float = 0.0
     alpha: float = 1.0
     phase2_beta: float = 1.0
     seed: int = 0
-    shuffle: bool = True
+    val_fraction: float = 0.1
 
     def __post_init__(self):
         if self.batch_size < 2:
@@ -106,8 +112,8 @@ class TrainConfig:
             raise ValidationError("epoch caps must be >= 0")
         if self.learning_rate <= 0.0:
             raise ValidationError("learning_rate must be positive")
-        if self.min_delta < 0.0:
-            raise ValidationError("min_delta must be >= 0")
+        if not 0.0 < self.val_fraction < 0.5:
+            raise ValidationError("val_fraction must be in (0, 0.5)")
 
 
 @dataclass
@@ -229,7 +235,7 @@ def _run_phase(
     best_epoch = 0
     wait = 0
     for epoch in range(1, epochs_max + 1):
-        order = stream.permutation(train_idx.size) if config.shuffle else np.arange(train_idx.size)
+        order = stream.permutation(train_idx.size)
         sums = np.zeros(6)
         seen = 0
         for start in range(0, train_idx.size, config.batch_size):
@@ -262,12 +268,12 @@ def _run_phase(
         )
         if phase == 1:
             metric = val_report.total
-            improved = best_metric is None or metric < best_metric - config.min_delta
+            improved = best_metric is None or metric < best_metric
         else:
             metric = val_accuracy
             if np.isnan(metric):
                 raise ValidationError("supervised phase requires labeled validation samples")
-            improved = best_metric is None or metric > best_metric + config.min_delta
+            improved = best_metric is None or metric > best_metric
         if improved:
             best_metric = metric
             np.copyto(saved, model.arena.state)

@@ -1,6 +1,9 @@
 """The command line: one error line for every bad input, a cache every
-preprocess setting writes is loadable, the phase-2 resume, and inference
-passes that gather at most `INFER_ROWS` rows at a time."""
+preprocess setting writes is loadable, the phase-2 resume, inference
+passes that gather at most `INFER_ROWS` rows at a time, and runs on one
+modality of a two-modality cache."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from omivae.config import SCHEMA
 from omivae.data import (
     OmicsDataset,
     SyntheticSpec,
+    restrict_modalities,
     synthesize,
     write_annotations_tsv,
     write_labels_tsv,
@@ -19,10 +23,15 @@ from omivae.model import ModelConfig, build_model
 from omivae.numerics import RngState
 from omivae.optim import load_checkpoint, save_checkpoint
 
+# a small model and one epoch per phase, for cases that would otherwise train
+SHORT = ["--set", "model.per_block_hidden=3", "--set", "model.modality_dim=4",
+         "--set", "model.fusion_dim=4", "--set", "model.latent_dim=2",
+         "--set", "model.classifier_hidden=3,3", "--set", "train.batch_size=4",
+         "--set", "train.phase1_epochs=1", "--set", "train.phase2_epochs=1"]
 # case -> (argv, a fragment the error line must name)
 BAD_INPUT = {
-    "synth": (["synth", "--set", "synth.class_signal=nan", "--out", "{d}/synth"],
-              "'synth.class_signal'"),
+    "synth": (["synth", "--set", "synth.noise_sd=nan", "--out", "{d}/synth"],
+              "'synth.noise_sd'"),
     "preprocess": (["preprocess", "--out", "{d}/cache.omids"], "--expression"),
     "preprocess-removed-key": (
         ["preprocess", "--set", "preprocess.drop_y=false", "--expression", "{d}/expr.tsv",
@@ -95,6 +104,31 @@ BAD_INPUT = {
                        "{d}/plot.svg"], "latin1_embedding.tsv"),
     "train-non-utf8-config": (["train", "--config", "{d}/latin1.cfg", "--data", "{cache}",
                                "--out", "{d}/model.omvae"], "latin1.cfg"),
+    "preprocess-empty-sample-id": (
+        ["preprocess", "--expression", "{d}/empty_sample.tsv", "--out", "{d}/cache.omids"],
+        "empty_sample.tsv: empty sample ID in column 3"),
+    "preprocess-empty-feature-id": (
+        ["preprocess", "--expression", "{d}/empty_feature.tsv", "--out", "{d}/cache.omids"],
+        "empty_feature.tsv: empty feature ID in row 3"),
+    "train-missing-cells": (["train", "--data", "{odd}/missing.omids", *SHORT,
+                             "--out", "{d}/model.omvae"], "contains missing values"),
+    "crossval-missing-cells": (["crossval", "--data", "{odd}/missing.omids", "--k", "3", *SHORT,
+                                "--out", "{d}/cv"], "contains missing values"),
+    "embed-missing-cells": (["embed", "--checkpoint", "{odd}/fits.omvae", "--data",
+                             "{odd}/missing.omids", "--out", "{d}/embedding.tsv"],
+                            "contains missing values"),
+    "evaluate-missing-cells": (["evaluate", "--checkpoint", "{odd}/fits.omvae", "--data",
+                                "{odd}/missing.omids", "--out", "{d}/report.txt"],
+                               "contains missing values"),
+    "train-expression-of-methylation-cache": (
+        ["train", "--set", "model.modalities=expression", "--data", "{odd}/methylation.omids",
+         *SHORT, "--out", "{d}/model.omvae"], "dataset has no expression modality"),
+    "train-default-modalities-of-expression-cache": (
+        ["train", "--data", "{odd}/expression.omids", *SHORT, "--out", "{d}/model.omvae"],
+        "dataset has no methylation modality"),
+    "crossval-val-fraction": (["crossval", "--set", "train.val_fraction=0.9", "--data", "{cache}",
+                               "--k", "3", *SHORT, "--out", "{d}/cv"],
+                              "val_fraction must be in (0, 0.5)"),
     "usage-missing-option": (["train", "--data", "{d}/absent.omids"], "--out"),
     "usage-unknown-command": (["bogus"], "'bogus'"),
 }
@@ -116,6 +150,8 @@ FILES = {
     "latin1_labels.tsv": b"sample_id\tclass_name\nS1\tBRCA\xff\n",
     "latin1_embedding.tsv": b"sample_id\tdim_1\nS\xff1\t0.5\n",
     "latin1.cfg": b"# caf\xe9\ntrain.seed = 1\n",
+    "empty_sample.tsv": b"gene\tS1\t \tS3\ng1\t0.1\t0.2\t0.3\n",
+    "empty_feature.tsv": b"gene\tS1\tS2\tS3\ng1\t0.1\t0.2\t0.3\n\t0.4\t0.5\t0.6\n",
 }
 
 
@@ -158,16 +194,35 @@ def narrow(tmp_path_factory):
     return str(d)
 
 
+@pytest.fixture(scope="module")
+def odd(tmp_path_factory):
+    """A directory holding a 30-sample cache with missing cells, an untrained
+    checkpoint of its shape, and a cache of each modality alone."""
+    d = tmp_path_factory.mktemp("odd")
+    spec = SyntheticSpec(num_classes=3, samples_per_class=10, num_blocks=2, features_per_block=4,
+                         expr_features=5)
+    synthesize(replace(spec, missing_rate=0.05)).save(str(d / "missing.omids"))
+    ds = synthesize(spec)
+    restrict_modalities(ds, expression=False).save(str(d / "methylation.omids"))
+    restrict_modalities(ds, methylation=False).save(str(d / "expression.omids"))
+    config = ModelConfig(methyl_block_dims=ds.methyl_block_dims, expr_dim=ds.expr_dim,
+                         per_block_hidden=3, modality_dim=4, fusion_dim=4, latent_dim=2,
+                         classifier_hidden=(3, 3), num_classes=len(ds.class_vocab))
+    save_checkpoint(str(d / "fits.omvae"), build_model(config, RngState(0)))
+    return str(d)
+
+
 @pytest.mark.parametrize("case", sorted(BAD_INPUT))
 def test_bad_input_prints_one_validation_line(
-    tmp_path, capsys, monkeypatch, cache, two, narrow, case
+    tmp_path, capsys, monkeypatch, cache, two, narrow, odd, case
 ):
     for name, blob in FILES.items():
         (tmp_path / name).write_bytes(blob)
     if case in THREADS:
         monkeypatch.setenv("OMIVAE_THREADS", THREADS[case])
     argv, fragment = BAD_INPUT[case]
-    code = cli.main([arg.format(d=tmp_path, cache=cache, two=two, narrow=narrow) for arg in argv])
+    dirs = dict(d=tmp_path, cache=cache, two=two, narrow=narrow, odd=odd)
+    code = cli.main([arg.format(**dirs) for arg in argv])
     err = capsys.readouterr().err
     assert code == 1
     assert err.count("\n") == 1 and err.startswith("omivae: error: validation: ")
@@ -290,3 +345,28 @@ def test_no_inference_pass_gathers_more_than_infer_rows(tmp_path, monkeypatch):
         gathered.clear()
         assert cli.main([*command, "--checkpoint", f"{d}/m.omvae", "--data", cache]) == 0
         assert gathered == [rows] * 7 + [4]
+
+
+@pytest.mark.parametrize("modality, other", [("expression", "methyl"), ("methylation", "expr")])
+def test_one_modality_trains_embeds_and_evaluates(tmp_path, capsys, modality, other):
+    d = str(tmp_path)
+    assert cli.main(["synth", *SYNTH, "--out", f"{d}/synth"]) == 0
+    cache = f"{d}/synth/dataset.omids"
+    assert cli.main([
+        "train", "--data", cache, *MODEL, "--set", f"model.modalities={modality}",
+        "--set", "train.phase1_epochs=2", "--set", "train.phase2_epochs=2",
+        "--out", f"{d}/m.omvae",
+    ]) == 0
+    checkpoint = load_checkpoint(f"{d}/m.omvae")
+    config = checkpoint.config
+    assert (config.has_expression, config.has_methylation) == (
+        modality == "expression", modality == "methylation")
+    assert not any(f".{other}." in name for name, _ in checkpoint.tensors)
+    inputs = ["--checkpoint", f"{d}/m.omvae", "--data", cache]
+    assert cli.main(["embed", *inputs, "--out", f"{d}/e.tsv"]) == 0
+    assert cli.main(["evaluate", *inputs, "--out", f"{d}/r.txt"]) == 0
+    capsys.readouterr()
+    with open(f"{d}/e.tsv") as fh:
+        assert len(fh.read().splitlines()) == 1 + 60
+    with open(f"{d}/r.txt") as fh:
+        assert "samples=60" in fh.read().splitlines()

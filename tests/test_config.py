@@ -3,7 +3,6 @@ configuration's flat text form."""
 
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from omivae.config import SCHEMA, RunConfig, load_run_config
@@ -30,17 +29,15 @@ class TestDefaults:
     def test_schema_defaults_equal_dataclass_defaults(self):
         config = RecordingConfig(load_run_config().values)
         dataset = SimpleNamespace(
-            expression=np.zeros((1, 4)),
             expr_dim=4,
-            methylation_blocks=[np.zeros((1, 3))],
             methyl_block_dims=(3,),
             class_vocab=[f"c{i}" for i in range(ModelConfig.num_classes)],
         )
+        assert config.modalities() == (True, True)
         assert config.model_config(dataset) == ModelConfig(methyl_block_dims=(3,), expr_dim=4)
         assert config.train_config() == TrainConfig()
         assert config.preprocess_config() == PreprocessConfig()
         assert config.synthetic_spec() == SyntheticSpec()
-        assert config.validation_fold_count() == 10
         # every schema key went through one of the comparisons above
         assert config.read == set(SCHEMA)
 
@@ -51,18 +48,15 @@ PUBLIC_KEYS = {
     "model.fusion_dim": ("int", "512"),
     "model.latent_dim": ("int", "128"),
     "model.classifier_hidden": ("intlist", "128,64"),
-    "model.expr_hidden": ("int_or_auto", "auto"),
     "model.modalities": ("str", "methylation,expression"),
     "train.batch_size": ("int", "32"),
     "train.learning_rate": ("float", "0.001"),
     "train.phase1_epochs": ("int", "200"),
     "train.phase2_epochs": ("int", "300"),
     "train.patience": ("int", "10"),
-    "train.min_delta": ("float", "0.0"),
     "train.alpha": ("float", "1.0"),
     "train.phase2_beta": ("float", "1.0"),
     "train.seed": ("int", "0"),
-    "train.shuffle": ("bool", "true"),
     "train.val_fraction": ("float", "0.1"),
     "preprocess.missing_threshold": ("float", "0.1"),
     "preprocess.log2_expression": ("bool", "false"),
@@ -71,12 +65,7 @@ PUBLIC_KEYS = {
     "synth.num_blocks": ("int", "5"),
     "synth.features_per_block": ("int", "200"),
     "synth.expr_features": ("int", "400"),
-    "synth.class_signal": ("float", "0.35"),
-    "synth.signal_fraction": ("float", "0.7"),
-    "synth.latent_factors": ("int", "6"),
-    "synth.within_class_sd": ("float", "0.0"),
     "synth.nonlinear_mix": ("bool", "false"),
-    "synth.nonlinear_gain": ("float", "3.0"),
     "synth.noise_sd": ("float", "0.05"),
     "synth.missing_rate": ("float", "0.0"),
     "synth.split_signal": ("bool", "false"),
@@ -86,38 +75,57 @@ PUBLIC_KEYS = {
 
 class TestPublicKeys:
     def test_keys_kinds_and_defaults_are_pinned(self):
-        assert len(PUBLIC_KEYS) == 35
+        assert len(PUBLIC_KEYS) == 27
         assert SCHEMA == PUBLIC_KEYS
 
 
+# keys of earlier versions that no run set: unknown keys now, like any other
+REMOVED_KEYS = {
+    "model.expr_hidden": "int_or_auto",
+    "train.min_delta": "float",
+    "train.shuffle": "bool",
+    "synth.class_signal": "float",
+    "synth.signal_fraction": "float",
+    "synth.latent_factors": "int",
+    "synth.within_class_sd": "float",
+    "synth.nonlinear_gain": "float",
+}
 FLOAT_KEYS = sorted(key for key, (kind, _) in PUBLIC_KEYS.items() if kind == "float")
+REMOVED_FLOAT_KEYS = sorted(key for key, kind in REMOVED_KEYS.items() if kind == "float")
 
 
 class TestErrors:
     def test_unknown_key(self, tmp_path):
-        with pytest.raises(ValidationError, match="unknown configuration key 'model.width'"):
-            load_run_config(overrides=["model.width=3"])
         path = tmp_path / "run.cfg"
-        path.write_text("train.seed = 3\nmodel.width = 3\n")
-        with pytest.raises(ValidationError, match=f"{path}:2: unknown configuration key"):
-            load_run_config(str(path))
+        for key in ["model.width", *REMOVED_KEYS]:
+            with pytest.raises(ValidationError, match=f"unknown configuration key '{key}'"):
+                load_run_config(overrides=[f"{key}=3"])
+            path.write_text(f"train.seed = 3\n{key} = 3\n")
+            with pytest.raises(ValidationError, match=f"{path}:2: unknown configuration key '{key}'"):
+                load_run_config(str(path))
 
     @pytest.mark.parametrize("raw", ["yes", "True", "1", ""])
     def test_malformed_bool(self, raw):
-        with pytest.raises(ValidationError, match="'train.shuffle': cannot parse"):
-            load_run_config(overrides=[f"train.shuffle={raw}"])
+        with pytest.raises(ValidationError, match="'synth.split_signal': cannot parse"):
+            load_run_config(overrides=[f"synth.split_signal={raw}"])
 
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    @pytest.mark.parametrize("key", sorted(FLOAT_KEYS + REMOVED_FLOAT_KEYS))
     def test_non_finite_float(self, key, raw):
-        with pytest.raises(ValidationError, match=f"'{key}': cannot parse '{raw}' as float"):
+        # a float key of an earlier version is refused before its value is read
+        message = (
+            f"unknown configuration key '{key}'"
+            if key in REMOVED_KEYS
+            else f"'{key}': cannot parse '{raw}' as float"
+        )
+        with pytest.raises(ValidationError, match=message):
             load_run_config(overrides=[f"{key}={raw}"])
 
     @pytest.mark.parametrize("fraction", ["0", "0.0", "0.5", "0.9", "-0.1"])
     def test_val_fraction_out_of_range(self, fraction):
         config = load_run_config(overrides=[f"train.val_fraction={fraction}"])
         with pytest.raises(ValidationError, match="val_fraction must be in"):
-            config.validation_fold_count()
+            config.train_config()
 
     def test_line_without_equals_reports_path_and_line(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -140,11 +148,10 @@ class TestModelConfigFlatText:
             "latent_dim": "16",
             "classifier_hidden": "128,64",
             "num_classes": "5",
-            "expr_hidden": "auto",
         }
         back = fields_from_text(ModelConfig, flat)
         assert back == config
-        assert back.expr_hidden is None and back.resolved_expr_hidden == 8
+        assert back.expr_hidden == 8
 
     def test_modality_flags_of_older_checkpoints_are_read_off_the_widths(self):
         # older checkpoints also wrote use_expression/use_methylation, which
@@ -152,6 +159,13 @@ class TestModelConfigFlatText:
         config = ModelConfig(expr_dim=40, latent_dim=16, num_classes=5)
         flat = fields_to_text(config) | {"use_expression": "true", "use_methylation": "false"}
         assert fields_from_text(ModelConfig, flat) == config
+
+    def test_auto_expr_hidden_of_older_checkpoints_is_the_width_rule(self):
+        # older checkpoints also wrote expr_hidden; `auto` meant today's rule
+        config = ModelConfig(expr_dim=400, latent_dim=16, num_classes=5)
+        flat = fields_to_text(config) | {"expr_hidden": "auto"}
+        assert fields_from_text(ModelConfig, flat) == config
+        assert config.expr_hidden == 29  # ceil(400 / 14)
 
     def test_checkpoint_fields_are_strict(self):
         flat = fields_to_text(ModelConfig(expr_dim=40))

@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 
 from omivae import cli
-from omivae.container import read_container, write_container
+from omivae.container import encode_str_list, read_container, write_container
 from omivae.data import SyntheticSpec, synthesize, write_labels_tsv
 from omivae.errors import FormatError
 from omivae.optim import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
@@ -60,6 +60,20 @@ def test_an_id_holding_a_tab_or_line_end_is_not_saved(tmp_path, separator):
     ds.sample_ids = [f"S{separator}{i}" for i in range(ds.num_samples)]
     path = tmp_path / "ds.omids"
     with pytest.raises(FormatError, match="list item contains a separator"):
+        ds.save(str(path))
+    assert not path.exists()
+
+
+def test_an_empty_id_is_not_saved(tmp_path):
+    # "" would be written as the text of an empty list
+    assert encode_str_list(["a", "b"]) == "a\tb"
+    with pytest.raises(FormatError, match="list item is empty"):
+        encode_str_list([""])
+    ds = synthesize(SyntheticSpec(num_classes=2, samples_per_class=3, num_blocks=1,
+                                  features_per_block=4, expr_features=5))
+    ds.expression_feature_ids[0] = ""
+    path = tmp_path / "ds.omids"
+    with pytest.raises(FormatError, match="list item is empty"):
         ds.save(str(path))
     assert not path.exists()
 

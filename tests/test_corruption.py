@@ -29,7 +29,6 @@ TINY = ModelConfig(
     latent_dim=2,
     classifier_hidden=(3, 2),
     num_classes=2,
-    expr_hidden=2,
 )
 SPEC = SyntheticSpec(
     num_classes=2, samples_per_class=3, num_blocks=2, features_per_block=3, expr_features=4

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from omivae.data import (
     OmicsDataset,
     PreprocessConfig,
     RawMatrix,
+    SIGNAL_FRACTION,
     SyntheticSpec,
     dataset_to_raw,
     load_annotations,
@@ -51,6 +53,15 @@ class TestLoadMatrixTsv:
         raw = load_matrix_tsv(path)
         assert np.isnan(raw.values[0, 0])
         assert raw.values[1, 0] == 2.0
+
+    @pytest.mark.parametrize("text, where", [
+        ("id\ts1\t \nf1\t1\t2\n", "empty sample ID in column 3"),
+        ("id\ts1\ts2\nf1\t1\t2\n\t3\t4\n", "empty feature ID in row 3"),
+    ])
+    def test_an_empty_id_is_named(self, tmp_path, text, where):
+        path = self.write(tmp_path, text)
+        with pytest.raises(ValidationError, match=f"{path}: {where}"):
+            load_matrix_tsv(path)
 
     def test_duplicate_sample_column_is_named(self, tmp_path):
         path = self.write(tmp_path, "id\tsX\tsX\nf1\t1\t2\n")
@@ -486,6 +497,24 @@ class TestSynthesize:
             ds.methylation_blocks[0][row0], ds.methylation_blocks[0][row2]
         )
 
+    def test_nonlinear_mix_reshapes_only_the_signal_columns(self):
+        spec = SyntheticSpec(num_classes=3, samples_per_class=4, num_blocks=2,
+                             features_per_block=20, expr_features=30, noise_sd=0.0, seed=5)
+        linear = synthesize(spec)
+        mixed = synthesize(replace(spec, nonlinear_mix=True))
+        again = synthesize(replace(spec, nonlinear_mix=True))
+        pairs = zip([linear.expression, *linear.methylation_blocks],
+                    [mixed.expression, *mixed.methylation_blocks],
+                    [again.expression, *again.methylation_blocks])
+        for a, b, c in pairs:
+            assert np.array_equal(b, c)
+            assert b.min() >= 0.0 and b.max() <= 1.0
+            # without noise a column is signal exactly when it is not 0.5
+            signal = (a != 0.5).any(axis=0)
+            assert signal.sum() == round(SIGNAL_FRACTION * a.shape[1])
+            assert np.array_equal((a != b).any(axis=0), signal)
+            assert np.array_equal((b != 0.5).any(axis=0), signal)
+
 
 class TestDatasetContainer:
     def test_save_load_round_trip(self, tmp_path, golden_raw):
@@ -508,6 +537,12 @@ class TestDatasetContainer:
         path.write_bytes(b"NOTMAG" + b"\x00" * 32)
         with pytest.raises(FormatError, match="magic"):
             OmicsDataset.load(str(path))
+
+    def test_a_cache_with_missing_cells_is_refused(self, tmp_path):
+        path = str(tmp_path / "missing.omids")
+        synthesize(SyntheticSpec(samples_per_class=3, missing_rate=0.05)).save(path)
+        with pytest.raises(ValidationError, match=f"{path}: expression contains missing values"):
+            OmicsDataset.load(path)
 
     def test_restrict_modalities(self, golden_raw):
         expression, methylation, annotations, labels = golden_raw

@@ -20,7 +20,6 @@ def tiny_config(latent_dim=3, num_classes=4, **overrides):
         latent_dim=latent_dim,
         classifier_hidden=(5, 4),
         num_classes=num_classes,
-        expr_hidden=4,
     )
     base.update(overrides)
     return ModelConfig(**base)
@@ -59,8 +58,8 @@ def expected_param_count(config: ModelConfig) -> int:
         total += sum(bn_block(d, pbh) for d in config.methyl_block_dims)
         total += bn_block(m * pbh, config.modality_dim)
     if config.has_expression:
-        total += bn_block(config.expr_dim, config.resolved_expr_hidden)
-        total += bn_block(config.resolved_expr_hidden, config.modality_dim)
+        total += bn_block(config.expr_dim, config.expr_hidden)
+        total += bn_block(config.expr_hidden, config.modality_dim)
     total += bn_block(n_mod * config.modality_dim, config.fusion_dim)
     total += 2 * plain_block(config.fusion_dim, config.latent_dim)  # mu and logvar heads
     total += bn_block(config.latent_dim, config.fusion_dim)
@@ -69,8 +68,8 @@ def expected_param_count(config: ModelConfig) -> int:
         total += bn_block(config.modality_dim, m * pbh)
         total += sum(plain_block(pbh, d) for d in config.methyl_block_dims)
     if config.has_expression:
-        total += bn_block(config.modality_dim, config.resolved_expr_hidden)
-        total += plain_block(config.resolved_expr_hidden, config.expr_dim)
+        total += bn_block(config.modality_dim, config.expr_hidden)
+        total += plain_block(config.expr_hidden, config.expr_dim)
     h1, h2 = config.classifier_hidden
     total += bn_block(config.latent_dim, h1)
     total += bn_block(h1, h2)
@@ -90,7 +89,6 @@ class TestBuild:
             latent_dim=4,
             classifier_hidden=(8, 6),
             num_classes=34,
-            expr_hidden=8,
         )
         model = build_model(config, RngState(0))
         encoders = [
@@ -142,9 +140,9 @@ class TestBuild:
         for pa, pb in zip(a.parameters(), b.parameters()):
             assert pa.name == pb.name
             assert np.array_equal(pa.value, pb.value)
-        # frozen fingerprint of the seed-7 initialization
+        # frozen fingerprint of the seed-7 initialization (expression hidden width 8)
         checksum = sum(float(np.abs(p.value).sum()) for p in a.parameters())
-        assert abs(checksum - 245.75293033620653) < 1e-9
+        assert abs(checksum - 281.7737392783085) < 1e-9
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValidationError):

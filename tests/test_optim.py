@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from omivae import data, optim
-from omivae.container import read_container
+from omivae.container import fields_to_text, read_container, write_container
 from omivae.data import SyntheticSpec, synthesize
-from omivae.errors import NumericError
+from omivae.errors import FormatError, NumericError
 from omivae.layers import LinearLayer, ParameterArena
 from omivae.losses import LossWeights
 from omivae.model import ModelConfig, build_model
@@ -26,7 +26,6 @@ TINY = ModelConfig(
     latent_dim=2,
     classifier_hidden=(3, 2),
     num_classes=2,
-    expr_hidden=2,
 )
 
 
@@ -357,12 +356,12 @@ MODEL_TENSORS = [
     ("encoder.methyl.merge.norm.beta_shift", (3,)),
     ("encoder.methyl.merge.norm.running_mean", (3,)),
     ("encoder.methyl.merge.norm.running_var", (3,)),
-    ("encoder.expr.hidden1.linear.weights", (2, 4)),
-    ("encoder.expr.hidden1.norm.gamma", (2,)),
-    ("encoder.expr.hidden1.norm.beta_shift", (2,)),
-    ("encoder.expr.hidden1.norm.running_mean", (2,)),
-    ("encoder.expr.hidden1.norm.running_var", (2,)),
-    ("encoder.expr.hidden2.linear.weights", (3, 2)),
+    ("encoder.expr.hidden1.linear.weights", (8, 4)),
+    ("encoder.expr.hidden1.norm.gamma", (8,)),
+    ("encoder.expr.hidden1.norm.beta_shift", (8,)),
+    ("encoder.expr.hidden1.norm.running_mean", (8,)),
+    ("encoder.expr.hidden1.norm.running_var", (8,)),
+    ("encoder.expr.hidden2.linear.weights", (3, 8)),
     ("encoder.expr.hidden2.norm.gamma", (3,)),
     ("encoder.expr.hidden2.norm.beta_shift", (3,)),
     ("encoder.expr.hidden2.norm.running_mean", (3,)),
@@ -393,12 +392,12 @@ MODEL_TENSORS = [
     ("decoder.methyl.expand.norm.running_var", (2,)),
     ("decoder.methyl.out00.linear.weights", (3, 2)),
     ("decoder.methyl.out00.linear.bias", (3,)),
-    ("decoder.expr.expand.linear.weights", (2, 3)),
-    ("decoder.expr.expand.norm.gamma", (2,)),
-    ("decoder.expr.expand.norm.beta_shift", (2,)),
-    ("decoder.expr.expand.norm.running_mean", (2,)),
-    ("decoder.expr.expand.norm.running_var", (2,)),
-    ("decoder.expr.out.linear.weights", (4, 2)),
+    ("decoder.expr.expand.linear.weights", (8, 3)),
+    ("decoder.expr.expand.norm.gamma", (8,)),
+    ("decoder.expr.expand.norm.beta_shift", (8,)),
+    ("decoder.expr.expand.norm.running_mean", (8,)),
+    ("decoder.expr.expand.norm.running_var", (8,)),
+    ("decoder.expr.out.linear.weights", (4, 8)),
     ("decoder.expr.out.linear.bias", (4,)),
     ("classifier.hidden1.linear.weights", (3, 2)),
     ("classifier.hidden1.norm.gamma", (3,)),
@@ -457,3 +456,18 @@ class TestCheckpointFormat:
         monkeypatch.setattr(RngState, "uniform", forbidden)
         rebuilt = checkpoint.build()
         assert rebuilt.arena.state.tobytes() == model.arena.state.tobytes()
+
+    def test_older_checkpoint_of_another_expression_width_is_refused(self, tmp_path, monkeypatch):
+        # earlier versions let `expr_hidden` override the width rule (8 for
+        # TINY); a checkpoint of another width loads and then fails to build
+        with monkeypatch.context() as patch:
+            patch.setattr(ModelConfig, "expr_hidden", property(lambda self: 2))
+            tensors = build_model(TINY, RngState(0)).state_tensors()
+        path = str(tmp_path / "model.omvae")
+        config = fields_to_text(TINY) | {"expr_hidden": "2"}
+        write_container(path, optim.CHECKPOINT_MAGIC, optim.CHECKPOINT_VERSION, config, tensors, {})
+        checkpoint = optim.load_checkpoint(path)
+        assert checkpoint.config == TINY
+        with pytest.raises(FormatError, match=r"'encoder\.expr\.hidden1\.linear\.weights' "
+                                              r"has shape \(2, 4\), expected \(8, 4\)"):
+            checkpoint.build()
