@@ -53,6 +53,14 @@ def _train_val_split(dataset: OmicsDataset, config: TrainConfig):
     for validation (a random share if any sample is unlabeled)."""
     folds = max(2, round(1.0 / config.val_fraction))
     if dataset.labels is not None and (dataset.labels >= 0).all():
+        counts = np.bincount(dataset.labels)
+        small = np.flatnonzero((counts > 0) & (counts < folds))
+        if small.size:
+            raise ValidationError(
+                f"train.val_fraction={config.val_fraction!r} holds out one of {folds} "
+                f"stratified folds, so each class needs {folds} samples; class "
+                f"{dataset.class_vocab[small[0]]!r} has {counts[small[0]]}"
+            )
         split = stratified_kfold(dataset.labels, folds, config.seed)
         val_idx = split.folds[0]
         train_idx = np.sort(np.concatenate(split.folds[1:]))
@@ -130,8 +138,9 @@ def cmd_train(args) -> int:
         train_cfg.phase1_epochs = 0
     stream = RngState(train_cfg.seed)
     model, history = _fit(dataset, run, train_cfg, stream, resume_path=args.resume)
-    phase = "1" if train_cfg.phase2_epochs == 0 else "2"
-    metadata = {"phase": phase, "epochs_run": str(len(history.records))}
+    last = history.records[-1] if history.records else None
+    # the last phase that finished an epoch, 0 if none did
+    metadata = {"phase": str(last.phase if last else 0), "epochs_run": str(len(history.records))}
     for ph, metric in history.best_metric.items():
         metadata[f"best_metric.phase{ph}"] = repr(float(metric))
         metadata[f"best_epoch.phase{ph}"] = str(history.best_epoch[ph])
@@ -140,7 +149,6 @@ def cmd_train(args) -> int:
     write_text_atomic(history_path, history.to_tsv())
     if history.diverged:
         print("training diverged; best snapshot saved", file=sys.stderr)
-    last = history.records[-1] if history.records else None
     if last is not None:
         print(
             f"trained {len(history.records)} epochs; "
@@ -178,6 +186,10 @@ def cmd_crossval(args) -> int:
     dataset = _load_dataset(args.data, run)
     if dataset.labels is None:
         raise ValidationError("cross-validation requires a labeled dataset")
+    if len(dataset.class_vocab) < 2:
+        raise ValidationError(
+            f"cross-validation needs at least two classes, the dataset names {dataset.class_vocab}"
+        )
     train_cfg = run.train_config()
     folds = stratified_kfold(dataset.labels, args.k, train_cfg.seed)
     work = [(r, folds.round(r)) for r in range(args.k)]

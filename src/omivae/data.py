@@ -13,6 +13,15 @@ holds about two float64 copies of the matrix at its peak. Annotation files map f
 chromosomes `1`..`22`, `X`, `Y`, or `NA`.
 `preprocess` runs one fixed recipe; its two keys, `missing_threshold` and
 `log2_expression`, describe the input and switch no rule off.
+
+A dataset cache (`.omids`) is a container of tensors and tab-joined name
+lists, with an empty config block. Tensors: `expression`, then
+`methyl.block00`, `methyl.block01`, ..., then `labels` (class indices as
+float64, -1 for unlabeled). Name lists: `sample_ids`; `expression_features`
+beside `expression`; `block_chromosomes` and one `blockNN.features` per
+block beside the blocks; `class_vocab` beside `labels`. The name lists
+alone give the layout, so a tensor they do not describe, or one they
+describe that is missing, is a `FormatError`.
 """
 
 from __future__ import annotations
@@ -199,12 +208,14 @@ def write_labels_tsv(path: str, labels: dict[str, str]) -> None:
 
 @dataclass
 class OmicsDataset:
-    """Aligned per-sample omics matrices, optionally labeled.
+    """Aligned per-sample omics matrices in [0, 1], optionally labeled.
 
-    Matrices are samples x features; methylation is one matrix per
-    chromosome block. Values are in [0, 1] after preprocessing; NaN entries
-    may appear only in synthetic data made with a `missing_rate`, and `load`
-    refuses a cache that holds one.
+    Matrices are samples x features, methylation one per chromosome block.
+    A present matrix names its columns: `validate` and `save` refuse
+    expression without `expression_feature_ids`, or a block without its
+    `methylation_block_features` list and `block_chromosomes` entry, so
+    only a dataset built in memory to embed may go nameless. NaN entries
+    may appear only in synthetic data made with a `missing_rate`.
     """
 
     sample_ids: list[str]
@@ -230,46 +241,58 @@ class OmicsDataset:
             return ()
         return tuple(b.shape[1] for b in self.methylation_blocks)
 
-    def validate(self, allow_missing: bool = False) -> None:
-        n = self.num_samples
-        if self.expression is None and self.methylation_blocks is None:
-            raise ValidationError("dataset has no modality")
+    def _matrices(self) -> list[tuple[str, np.ndarray, str, list[str]]]:
+        """`(tensor name, matrix, name-list key, feature IDs)` of each
+        present matrix, in cache order, once each is a samples x features
+        matrix with one feature ID per column."""
         matrices = []
         if self.expression is not None:
-            matrices.append(("expression", self.expression))
-            if self.expression_feature_ids is not None and len(
-                self.expression_feature_ids
-            ) != self.expression.shape[1]:
-                raise ValidationError("expression feature ID count mismatch")
+            matrices.append(
+                ("expression", self.expression, "expression_features", self.expression_feature_ids)
+            )
         if self.methylation_blocks is not None:
-            if self.block_chromosomes is not None and len(self.block_chromosomes) != len(
-                self.methylation_blocks
-            ):
-                raise ValidationError("block chromosome list length mismatch")
-            for j, b in enumerate(self.methylation_blocks):
-                matrices.append((f"methylation block {j}", b))
-        # one copy-free pass each gives the range and, as minimum/maximum
-        # propagate NaN, finds a missing cell; fmin/fmax skip it instead, and
-        # `initial` lets an empty or all-NaN matrix pass the range check
-        lowest, highest = (np.fmin, np.fmax) if allow_missing else (np.minimum, np.maximum)
-        for name, m in matrices:
-            if m.shape[0] != n:
-                raise ValidationError(f"{name} has {m.shape[0]} rows, expected {n}")
-            lo = lowest.reduce(m, axis=None, initial=np.inf)
-            hi = highest.reduce(m, axis=None, initial=-np.inf)
+            blocks, features = self.methylation_blocks, self.methylation_block_features or []
+            if not len(blocks) == len(features) == len(self.block_chromosomes or ()):
+                raise ValidationError(
+                    f"{len(blocks)} methylation blocks need as many feature ID lists and chromosomes"
+                )
+            matrices += [
+                (f"methyl.block{j:02d}", b, f"block{j:02d}.features", ids)
+                for j, (b, ids) in enumerate(zip(blocks, features))
+            ]
+        if not matrices:
+            raise ValidationError("dataset has no modality")
+        n = self.num_samples
+        for name, m, key, ids in matrices:
+            if m.ndim != 2 or m.shape[0] != n:
+                raise ValidationError(f"{name} has shape {m.shape}, expected {n} rows")
+            if ids is None or len(ids) != m.shape[1]:
+                raise ValidationError(
+                    f"{name} has {m.shape[1]} columns but {len(ids or ())} feature IDs in {key}"
+                )
+        return matrices
+
+    def validate(self) -> None:
+        """Refuse a dataset whose matrices lack a name for each column, hold
+        NaN or values outside [0, 1], or whose labels do not index
+        `class_vocab`."""
+        for name, m, _, _ in self._matrices():
+            # one copy-free pass each gives the range and, as minimum and
+            # maximum propagate NaN, finds a missing cell; `initial` lets a
+            # matrix without columns pass
+            lo = np.minimum.reduce(m, axis=None, initial=np.inf)
+            hi = np.maximum.reduce(m, axis=None, initial=-np.inf)
             if np.isnan(lo):
                 raise ValidationError(f"{name} contains missing values")
             if lo < -1e-9 or hi > 1.0 + 1e-9:
                 raise ValidationError(f"{name} has values outside [0, 1]")
         if self.labels is not None:
-            if self.labels.shape != (n,):
+            if self.labels.shape != (self.num_samples,):
                 raise ValidationError("labels length mismatch")
             if self.class_vocab is None:
                 raise ValidationError("labels present but class vocabulary missing")
-            if self.labels.max(initial=-1) >= len(self.class_vocab):
-                raise ValidationError("label index outside class vocabulary")
-            if self.labels.min(initial=0) < -1:
-                raise ValidationError("label indices must be >= -1")
+            if not np.isin(self.labels, np.arange(-1, len(self.class_vocab))).all():
+                raise ValidationError("labels are not indices into class_vocab, or -1")
 
     def batch(self, indices) -> tuple[np.ndarray | None, list[np.ndarray] | None]:
         indices = np.asarray(indices)
@@ -292,82 +315,60 @@ class OmicsDataset:
             yield (rows, *self.batch(rows))
 
     def save(self, path: str) -> None:
-        config = {
-            "num_samples": str(self.num_samples),
-            "has_expression": "true" if self.expression is not None else "false",
-            "num_blocks": str(
-                0 if self.methylation_blocks is None else len(self.methylation_blocks)
-            ),
-            "has_labels": "true" if self.labels is not None else "false",
-        }
-        tensors: list[tuple[str, np.ndarray]] = []
-        metadata = {"sample_ids": encode_str_list(self.sample_ids)}
-        if self.expression is not None:
-            tensors.append(("expression", self.expression))
-            if self.expression_feature_ids is not None:
-                metadata["expression_features"] = encode_str_list(self.expression_feature_ids)
+        """Write the cache: each matrix as a tensor beside its name list, the
+        labels beside `class_vocab`, and an empty config block."""
+        matrices = self._matrices()
+        tensors = [(name, m) for name, m, _, _ in matrices]
+        metadata = {key: encode_str_list(ids) for _, _, key, ids in matrices}
+        metadata["sample_ids"] = encode_str_list(self.sample_ids)
         if self.methylation_blocks is not None:
-            for j, b in enumerate(self.methylation_blocks):
-                tensors.append((f"methyl.block{j:02d}", b))
-                if self.methylation_block_features is not None:
-                    metadata[f"block{j:02d}.features"] = encode_str_list(
-                        self.methylation_block_features[j]
-                    )
-            if self.block_chromosomes is not None:
-                metadata["block_chromosomes"] = encode_str_list(self.block_chromosomes)
+            metadata["block_chromosomes"] = encode_str_list(self.block_chromosomes)
         if self.labels is not None:
             tensors.append(("labels", self.labels.astype(np.float64)))
             metadata["class_vocab"] = encode_str_list(self.class_vocab)
-        write_container(path, DATASET_MAGIC, DATASET_VERSION, config, tensors, metadata)
+        write_container(path, DATASET_MAGIC, DATASET_VERSION, {}, tensors, metadata)
 
     @classmethod
     def load(cls, path: str) -> "OmicsDataset":
-        config, tensor_list, metadata = read_container(path, DATASET_MAGIC, DATASET_VERSION)
+        """Read a cache, its layout off its name lists (see the module
+        docstring); a cache `validate` refuses is a `FormatError`. The
+        config block, which older caches filled, is not read."""
+        _, tensor_list, metadata = read_container(path, DATASET_MAGIC, DATASET_VERSION)
         tensors = dict(tensor_list)
-        try:
-            num_blocks = int(config["num_blocks"])
-            has_expression = config["has_expression"] == "true"
-            has_labels = config["has_labels"] == "true"
-            sample_ids = decode_str_list(metadata["sample_ids"])
-            expression = tensors["expression"] if has_expression else None
-            blocks = (
-                [tensors[f"methyl.block{j:02d}"] for j in range(num_blocks)]
-                if num_blocks
-                else None
+
+        def names(key: str) -> list[str] | None:
+            return decode_str_list(metadata[key]) if key in metadata else None
+
+        ds = cls(
+            sample_ids=names("sample_ids"),
+            expression_feature_ids=names("expression_features"),
+            block_chromosomes=names("block_chromosomes"),
+            class_vocab=names("class_vocab"),
+        )
+        blocks = [f"block{j:02d}" for j in range(len(ds.block_chromosomes or ()))]
+        described = (
+            ["expression"] * (ds.expression_feature_ids is not None)
+            + [f"methyl.{b}" for b in blocks]
+            + ["labels"] * (ds.class_vocab is not None)
+        )
+        found = [name for name, _ in tensor_list]
+        if found != described:
+            raise FormatError(
+                f"{path}: the cache holds tensors {found}, its name lists describe {described}"
             )
-            block_features = None
-            if num_blocks and "block00.features" in metadata:
-                block_features = [
-                    decode_str_list(metadata[f"block{j:02d}.features"]) for j in range(num_blocks)
-                ]
-            ds = cls(
-                sample_ids=sample_ids,
-                expression=expression,
-                expression_feature_ids=(
-                    decode_str_list(metadata["expression_features"])
-                    if "expression_features" in metadata
-                    else None
-                ),
-                methylation_blocks=blocks,
-                methylation_block_features=block_features,
-                block_chromosomes=(
-                    decode_str_list(metadata["block_chromosomes"])
-                    if "block_chromosomes" in metadata
-                    else None
-                ),
-                labels=tensors["labels"].astype(np.int64) if has_labels else None,
-                class_vocab=(
-                    decode_str_list(metadata["class_vocab"]) if has_labels else None
-                ),
-            )
-        except KeyError as exc:
-            raise FormatError(f"{path}: dataset cache is missing {exc}") from exc
-        except ValueError as exc:
-            raise FormatError(f"{path}: malformed dataset cache: {exc}") from exc
+        if ds.sample_ids is None:
+            raise FormatError(f"{path}: dataset cache is missing 'sample_ids'")
+        ds.expression = tensors.get("expression")
+        if ds.block_chromosomes is not None:
+            ds.methylation_blocks = [tensors[f"methyl.{b}"] for b in blocks]
+            ds.methylation_block_features = [names(f"{b}.features") for b in blocks]
+        ds.labels = tensors.get("labels")  # float64 class indices, cast once validated
         try:
             ds.validate()  # a cache holds preprocessed values only: no NaN
         except ValidationError as exc:
-            raise ValidationError(f"{path}: {exc}") from None
+            raise FormatError(f"{path}: {exc}") from None
+        if ds.labels is not None:
+            ds.labels = ds.labels.astype(np.int64)
         return ds
 
 
@@ -565,30 +566,20 @@ def preprocess(
 def dataset_to_raw(
     dataset: OmicsDataset,
 ) -> tuple[RawMatrix | None, RawMatrix | None, dict[str, str]]:
-    """Flatten a dataset back into raw matrices plus a chromosome annotation map."""
-    annotations: dict[str, str] = {}
-    expr = None
+    """Flatten a dataset back into raw matrices, under its own feature IDs,
+    plus a chromosome annotation map."""
+    expr = methyl = None
     if dataset.expression is not None:
-        ids = dataset.expression_feature_ids or [
-            f"expr{i:06d}" for i in range(dataset.expression.shape[1])
-        ]
-        expr = RawMatrix(list(dataset.sample_ids), list(ids), dataset.expression.copy())
-    methyl = None
+        expr = RawMatrix(
+            list(dataset.sample_ids), list(dataset.expression_feature_ids), dataset.expression.copy()
+        )
+    annotations: dict[str, str] = {}
     if dataset.methylation_blocks is not None:
-        all_ids: list[str] = []
-        for j, block in enumerate(dataset.methylation_blocks):
-            ids = (
-                dataset.methylation_block_features[j]
-                if dataset.methylation_block_features is not None
-                else [f"cg{j:02d}x{i:05d}" for i in range(block.shape[1])]
-            )
-            chrom = dataset.block_chromosomes[j] if dataset.block_chromosomes else str(j + 1)
-            for fid in ids:
-                annotations[fid] = chrom
-            all_ids.extend(ids)
+        for ids, chrom in zip(dataset.methylation_block_features, dataset.block_chromosomes):
+            annotations.update(dict.fromkeys(ids, chrom))
         methyl = RawMatrix(
             list(dataset.sample_ids),
-            all_ids,
+            [fid for ids in dataset.methylation_block_features for fid in ids],
             np.concatenate(dataset.methylation_blocks, axis=1),
         )
     return expr, methyl, annotations
@@ -773,7 +764,7 @@ def synthesize(spec: SyntheticSpec) -> OmicsDataset:
     blocks = [finish(b) for b in blocks]
     expression = finish(expression)
 
-    dataset = OmicsDataset(
+    return OmicsDataset(
         sample_ids=[f"S{i:05d}" for i in range(n)],
         expression=expression,
         expression_feature_ids=[f"gene{i:05d}" for i in range(spec.expr_features)],
@@ -786,5 +777,3 @@ def synthesize(spec: SyntheticSpec) -> OmicsDataset:
         labels=labels,
         class_vocab=[f"class{c:02d}" for c in range(k)],
     )
-    dataset.validate(allow_missing=spec.missing_rate > 0.0)
-    return dataset

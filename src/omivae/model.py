@@ -213,9 +213,10 @@ class OmiVaeModel:
             tensors.extend(c.state())
         return tensors
 
-    def _validate_inputs(self, x_expr, x_methyl_blocks) -> int:
-        """The batch's row count, once each input is present exactly when the
-        model has its modality and every input has its configured width."""
+    def _validate_inputs(self, x_expr, x_methyl_blocks) -> None:
+        """Refuse a batch unless each input is present exactly when the model
+        has its modality, every input has its configured width and all
+        inputs have the same rows."""
         cfg = self.config
         for name, present, given in (
             ("expression", cfg.has_expression, x_expr is not None),
@@ -246,7 +247,6 @@ class OmiVaeModel:
                 )
             if x.shape[0] != rows:
                 raise ValidationError("modalities disagree on batch size")
-        return rows
 
     # ------------------------------------------------------------------ forward
 
@@ -314,12 +314,12 @@ class OmiVaeModel:
         never through the sampled z.
         """
         cfg = self.config
-        batch = self._validate_inputs(x_expr, x_methyl_blocks)
         alpha, beta = weights.alpha, weights.beta
         if beta > 0.0 and labels is None:
             raise ValidationError("classification weight is positive but no labels were given")
 
-        mu, logvar = self.encode(x_expr, x_methyl_blocks, train=True)
+        mu, logvar = self.encode(x_expr, x_methyl_blocks, train=True)  # checks the inputs
+        batch = mu.shape[0]
         z, epsilon = reparameterize(mu, logvar, rng=rng, epsilon=epsilon)
         train_decoder = alpha > 0.0
         recon_expr, recon_blocks = self.decode(z, train=train_decoder)

@@ -129,6 +129,13 @@ BAD_INPUT = {
     "crossval-val-fraction": (["crossval", "--set", "train.val_fraction=0.9", "--data", "{cache}",
                                "--k", "3", *SHORT, "--out", "{d}/cv"],
                               "val_fraction must be in (0, 0.5)"),
+    "crossval-one-class": (["crossval", "--data", "{odd}/one_class.omids", "--k", "3", *SHORT,
+                            "--out", "{d}/cv"],
+                           "cross-validation needs at least two classes, the dataset names ['only']"),
+    "train-val-fraction-small-class": (
+        ["train", "--data", "{cache}", *SHORT, "--out", "{d}/model.omvae"],
+        "train.val_fraction=0.1 holds out one of 10 stratified folds, so each class needs "
+        "10 samples; class 'class00' has 4"),
     "usage-missing-option": (["train", "--data", "{d}/absent.omids"], "--out"),
     "usage-unknown-command": (["bogus"], "'bogus'"),
 }
@@ -197,7 +204,8 @@ def narrow(tmp_path_factory):
 @pytest.fixture(scope="module")
 def odd(tmp_path_factory):
     """A directory holding a 30-sample cache with missing cells, an untrained
-    checkpoint of its shape, and a cache of each modality alone."""
+    checkpoint of its shape, a cache of each modality alone and a cache
+    whose every sample is of the one class `only`."""
     d = tmp_path_factory.mktemp("odd")
     spec = SyntheticSpec(num_classes=3, samples_per_class=10, num_blocks=2, features_per_block=4,
                          expr_features=5)
@@ -205,6 +213,8 @@ def odd(tmp_path_factory):
     ds = synthesize(spec)
     restrict_modalities(ds, expression=False).save(str(d / "methylation.omids"))
     restrict_modalities(ds, methylation=False).save(str(d / "expression.omids"))
+    replace(ds, labels=np.zeros_like(ds.labels), class_vocab=["only"]).save(
+        str(d / "one_class.omids"))
     config = ModelConfig(methyl_block_dims=ds.methyl_block_dims, expr_dim=ds.expr_dim,
                          per_block_hidden=3, modality_dim=4, fusion_dim=4, latent_dim=2,
                          classifier_hidden=(3, 3), num_classes=len(ds.class_vocab))
@@ -317,6 +327,23 @@ def test_phase2_resume_reproduces_the_continuous_run(tmp_path, capsys):
         if full.metadata.get(key) != resumed.metadata.get(key)
     }
     assert differ == {"best_metric.phase1", "best_epoch.phase1", "epochs_run"}
+
+
+@pytest.mark.parametrize("options, phase", [
+    (["--set", "train.phase2_beta=0"], "1"),
+    (["--phase", "unsupervised-only"], "1"),
+    ([], "2"),
+])
+def test_the_checkpoint_names_the_last_phase_that_ran(tmp_path, capsys, options, phase):
+    d = str(tmp_path)
+    assert cli.main(["synth", *SYNTH, "--out", f"{d}/synth"]) == 0
+    assert cli.main([
+        "train", "--data", f"{d}/synth/dataset.omids", *MODEL, "--set", "train.phase1_epochs=1",
+        "--set", "train.phase2_epochs=1", *options, "--out", f"{d}/m.omvae",
+    ]) == 0
+    capsys.readouterr()
+    assert load_checkpoint(f"{d}/m.omvae").metadata["phase"] == phase
+    assert {line.split("\t")[0] for line in phase_rows(f"{d}/m.omvae.history.tsv", phase)} == {phase}
 
 
 def test_no_inference_pass_gathers_more_than_infer_rows(tmp_path, monkeypatch):

@@ -8,12 +8,21 @@ import re
 import struct
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omivae import container
-from omivae.data import OmicsDataset, SyntheticSpec, load_annotations, load_labels, synthesize
+from omivae.data import (
+    DATASET_MAGIC,
+    DATASET_VERSION,
+    OmicsDataset,
+    SyntheticSpec,
+    load_annotations,
+    load_labels,
+    synthesize,
+)
 from omivae.errors import FormatError, ValidationError
 from omivae.evaluation import read_embedding_tsv
 from omivae.model import ModelConfig, build_model
@@ -102,10 +111,53 @@ def test_every_flip_of_a_length_rank_or_dim_loads_or_is_a_validation_error(files
                 pass
 
 
-def test_a_block_count_that_is_not_a_number_is_a_format_error(files):
-    blob = files["dataset"].replace(b"num_blocks=2", b"num_blocks=:")
-    with pytest.raises(FormatError, match="malformed dataset cache"):
+def rewrite(tmp_path, blob, config=None, drop=()):
+    """The bytes of the container `blob` with `config` as its config block
+    and without the metadata keys in `drop`."""
+    path = str(tmp_path / "rewritten.omids")
+    with open(path, "wb") as fh:
+        fh.write(blob)
+    old, tensors, metadata = container.read_container(path, DATASET_MAGIC, DATASET_VERSION)
+    for key in drop:
+        del metadata[key]
+    container.write_container(path, DATASET_MAGIC, DATASET_VERSION,
+                              old if config is None else config, tensors, metadata)
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def test_a_feature_list_shorter_than_its_block_names_the_block(files):
+    blob = files["dataset"]
+    tab = blob.index(b"\t", blob.index(b"block01.features="))
+    with pytest.raises(FormatError, match="methyl.block01 has 3 columns but 2 feature IDs"):
+        load("dataset", blob[:tab] + b"_" + blob[tab + 1:])
+
+
+def test_a_tensor_without_its_name_list_is_a_format_error(files, tmp_path):
+    blob = rewrite(tmp_path, files["dataset"], drop=["expression_features"])
+    with pytest.raises(FormatError, match=r"corrupt.dataset: the cache holds tensors \['expression'"):
         load("dataset", blob)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.5, 2.0, -2.0])
+def test_a_label_that_is_no_class_index_is_a_format_error(files, value):
+    blob = files["dataset"]
+    # the labels tensor: name length, name, rank 1, its one dim, then the payload
+    at = blob.index(b"\x06\x00\x00\x00labels") + 4 + 6 + 4 + 4
+    corrupt = blob[:at] + struct.pack("<d", value) + blob[at + 8:]
+    with pytest.raises(FormatError, match="labels are not indices into class_vocab, or -1"):
+        load("dataset", corrupt)
+
+
+def test_the_config_block_is_empty_and_an_older_one_is_ignored(files, tmp_path):
+    assert struct.unpack_from("<I", files["dataset"], 10) == (0,)  # the config block's length
+    older = {"has_expression": "true", "has_labels": "true", "num_blocks": "2", "num_samples": "6"}
+    back = load("dataset", rewrite(tmp_path, files["dataset"], config=older))
+    intact = load("dataset", files["dataset"])
+    assert back.block_chromosomes == intact.block_chromosomes == ["1", "2"]
+    assert back.methylation_block_features == intact.methylation_block_features
+    assert np.array_equal(back.expression, intact.expression)
+    assert np.array_equal(back.labels, intact.labels)
 
 
 @pytest.mark.parametrize("kind", sorted(LOADERS))

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -394,7 +395,7 @@ class TestStratifiedKFold:
             stratified_kfold(labels, 5, seed=0)
 
     def test_partition_and_balance_invariants(self):
-        rng = RngState(5)
+        rng = np.random.default_rng(5)
         for trial in range(10):
             num_classes = 2 + trial % 4
             counts = [int(5 + rng.integers(0, 20)) for _ in range(num_classes)]
@@ -544,6 +545,29 @@ class TestDatasetContainer:
         with pytest.raises(ValidationError, match=f"{path}: expression contains missing values"):
             OmicsDataset.load(path)
 
+    def test_a_matrix_needs_one_feature_id_per_column(self, tmp_path):
+        ds = synthesize(SyntheticSpec(num_classes=2, samples_per_class=3, num_blocks=2,
+                                      features_per_block=3, expr_features=4))
+        first = ds.methylation_block_features[0]
+        cases = [
+            (dict(expression_feature_ids=None),
+             "expression has 4 columns but 0 feature IDs in expression_features"),
+            (dict(expression_feature_ids=ds.expression_feature_ids[1:]),
+             "expression has 4 columns but 3 feature IDs in expression_features"),
+            (dict(methylation_block_features=[first, first[1:]]),
+             "methyl.block01 has 3 columns but 2 feature IDs in block01.features"),
+            (dict(methylation_block_features=[first]), "2 methylation blocks need as many"),
+            (dict(block_chromosomes=None), "2 methylation blocks need as many"),
+        ]
+        path = tmp_path / "nameless.omids"
+        for edit, message in cases:
+            nameless = replace(ds, **edit)
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                nameless.validate()
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                nameless.save(str(path))
+        assert not path.exists()
+
     def test_restrict_modalities(self, golden_raw):
         expression, methylation, annotations, labels = golden_raw
         dataset, _ = preprocess(expression, methylation, annotations, labels=labels)
@@ -557,29 +581,32 @@ class TestDatasetContainer:
 class TestValidateRange:
     def methylation_only(self, block):
         return OmicsDataset(sample_ids=[f"s{i}" for i in range(block.shape[0])],
-                            methylation_blocks=[block])
+                            methylation_blocks=[block],
+                            methylation_block_features=[[f"cg{j}" for j in range(block.shape[1])]],
+                            block_chromosomes=["1"])
 
-    def test_missing_cells_are_skipped_and_the_range_still_checked(self):
-        block = np.array([[np.nan, 0.5], [1.0, 0.0]])
-        self.methylation_only(block).validate(allow_missing=True)
+    def test_the_range_is_checked(self):
+        block = np.array([[0.25, 0.5], [1.0, 0.0]])
+        self.methylation_only(block).validate()
         block[0, 1] = 1.5
         with pytest.raises(ValidationError, match=r"outside \[0, 1\]"):
-            self.methylation_only(block).validate(allow_missing=True)
+            self.methylation_only(block).validate()
         block[0, 1] = -0.5
         with pytest.raises(ValidationError, match=r"outside \[0, 1\]"):
-            self.methylation_only(block).validate(allow_missing=True)
+            self.methylation_only(block).validate()
 
-    def test_all_missing_and_empty_matrices_pass_without_a_warning(self):
-        self.methylation_only(np.full((3, 2), np.nan)).validate(allow_missing=True)
+    def test_a_missing_cell_is_refused_and_an_empty_matrix_passes(self):
+        block = np.array([[0.25, np.nan], [1.0, 0.0]])
+        with pytest.raises(ValidationError, match="methyl.block00 contains missing values"):
+            self.methylation_only(block).validate()
         self.methylation_only(np.zeros((3, 0))).validate()
 
     def test_the_range_check_copies_no_matrix(self):
         block = RngState(6).uniform(0.0, 1.0, (2000, 500))
-        block[block < 0.05] = np.nan
         dataset = self.methylation_only(block)
         tracemalloc.start()
         try:
-            dataset.validate(allow_missing=True)
+            dataset.validate()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -84,7 +84,7 @@ class TestComputeMetrics:
         assert report.per_class_precision[2] == 0.0
 
     def test_matches_brute_force_oracle(self):
-        rng = RngState(0)
+        rng = np.random.default_rng(0)
         for _ in range(25):
             k = int(2 + rng.integers(0, 5))
             n = int(10 + rng.integers(0, 40))
@@ -181,21 +181,21 @@ class TestProbe:
         assert accuracy >= 0.99
 
     def test_shuffled_labels_hit_chance(self):
-        rng = RngState(7)
-        x = rng.standard_normal(400, 2)
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((400, 2))
         y = np.asarray(rng.integers(0, 4, 400))
         probe = probe_fit(x[:200], y[:200])
         accuracy = float((probe_predict(probe, x[200:]) == y[200:]).mean())
         assert abs(accuracy - 0.25) <= 0.1
 
     def test_duplicating_training_points_changes_nothing(self):
-        rng = RngState(8)
-        x = rng.standard_normal(60, 3)
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((60, 3))
         y = np.asarray(rng.integers(0, 3, 60))
         once = probe_fit(x, y)
         twice = probe_fit(np.vstack([x, x]), np.concatenate([y, y]))
         assert np.allclose(once.weights, twice.weights, atol=1e-9)
-        grid = rng.standard_normal(50, 3)
+        grid = rng.standard_normal((50, 3))
         assert np.array_equal(probe_predict(once, grid), probe_predict(twice, grid))
 
     def test_loss_monotone_nonincreasing(self):

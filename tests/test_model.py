@@ -392,6 +392,20 @@ class TestForwardBackward:
                 x_expr, x_blocks, None, LossWeights(alpha=1.0, beta=1.0), rng=RngState(29)
             )
 
+    def test_a_training_batch_is_validated_once_and_labels_first(self, monkeypatch):
+        config = tiny_config()
+        model = build_model(config, RngState(28))
+        x_expr, x_blocks = tiny_batch(config, rows=4)
+        calls = []
+        check = OmiVaeModel._validate_inputs
+        monkeypatch.setattr(OmiVaeModel, "_validate_inputs",
+                            lambda self, *inputs: calls.append(1) or check(self, *inputs))
+        model.forward_backward(x_expr, x_blocks, None, LossWeights(1.0, 0.0), rng=RngState(29))
+        assert len(calls) == 1
+        with pytest.raises(ValidationError, match="no labels were given"):
+            model.forward_backward(np.zeros((4, 8)), x_blocks, None, LossWeights(1.0, 1.0))
+        assert len(calls) == 1
+
     def test_doubling_alpha_doubles_decoder_gradients(self):
         config = tiny_config()
         x_expr, x_blocks = tiny_batch(config, rows=6)
