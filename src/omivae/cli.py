@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 validation error (bad inputs, bad config), 2
 runtime or numeric error. Errors print a single machine-parseable line
 `omivae: error: <category>: <message>` on stderr. The OMIVAE_THREADS
 environment variable, a positive integer, caps fold-level parallelism in
-crossval (default 1). Every output file is written as UTF-8 and replaced
+crossval (default 1); while its folds run, numpy's bundled OpenBLAS uses at
+most `cores // OMIVAE_THREADS` threads, so fold threads and BLAS threads do
+not oversubscribe the cores. Every output file is written as UTF-8 and replaced
 atomically: a run that stops part-way leaves each file whole, old or new.
 Every pass outside training (validation, `embed`, `evaluate` and each
 crossval test fold) gathers at most `data.INFER_ROWS` rows at a time, so
@@ -14,6 +16,9 @@ its memory scales with that chunk, not with the cohort.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
+import glob
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -117,6 +122,14 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
+def _require_two_classes(dataset: OmicsDataset, what: str) -> None:
+    """Refuse a labeled dataset whose vocabulary names fewer than two classes."""
+    if dataset.labels is not None and len(dataset.class_vocab) < 2:
+        raise ValidationError(
+            f"{what} needs at least two classes, the dataset names {dataset.class_vocab}"
+        )
+
+
 def _fit(dataset, run: RunConfig, train_cfg: TrainConfig, stream: RngState, resume_path=None):
     # the model checks every batch's modalities and widths against its own
     if resume_path is not None:
@@ -136,6 +149,8 @@ def cmd_train(args) -> int:
         train_cfg.phase2_epochs = 0
     elif args.phase == "supervised-only":
         train_cfg.phase1_epochs = 0
+    if train_cfg.phase2_epochs > 0:
+        _require_two_classes(dataset, "the classifier phase (skipped by --phase unsupervised-only)")
     stream = RngState(train_cfg.seed)
     model, history = _fit(dataset, run, train_cfg, stream, resume_path=args.resume)
     last = history.records[-1] if history.records else None
@@ -180,21 +195,52 @@ def _fold_threads() -> int:
     return threads
 
 
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS bundled with
+    numpy, or None where numpy links another BLAS."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so*")):
+        try:
+            lib = ctypes.CDLL(path)  # the copy numpy loaded, not a second one
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _blas_threads_per_fold(fold_threads: int):
+    """Cap OpenBLAS at `max(1, cores // fold_threads)` threads for the body,
+    then restore the old count; lower a count only, never raise it."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    old = get()
+    set_(min(old, max(1, len(os.sched_getaffinity(0)) // fold_threads)))
+    try:
+        yield
+    finally:
+        set_(old)
+
+
 def cmd_crossval(args) -> int:
     threads = _fold_threads()
     run = load_run_config(args.config, args.set)
     dataset = _load_dataset(args.data, run)
     if dataset.labels is None:
         raise ValidationError("cross-validation requires a labeled dataset")
-    if len(dataset.class_vocab) < 2:
-        raise ValidationError(
-            f"cross-validation needs at least two classes, the dataset names {dataset.class_vocab}"
-        )
+    _require_two_classes(dataset, "cross-validation")
     train_cfg = run.train_config()
     folds = stratified_kfold(dataset.labels, args.k, train_cfg.seed)
     work = [(r, folds.round(r)) for r in range(args.k)]
     os.makedirs(args.out, exist_ok=True)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with _blas_threads_per_fold(threads), ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(lambda item: _run_fold(item, dataset, run, train_cfg), work))
 
     metric_rows = []

@@ -6,6 +6,13 @@ column split into branches. The model's output layers are plain
 Forward and backward passes are written out by hand, once per block or
 composite; `gradient_check` compares any block's or model's gradients with
 central finite differences.
+
+Arrays written in place: besides parameters, gradients and running
+statistics (see `Parameter`), only arrays that one module made and nothing
+else holds. `FcBlock` hands its fresh linear output to `BatchNormLayer`,
+which consumes it (normalizes it in place; in train mode it becomes the
+cached `x_hat`), and applies the ReLU in place on batch norm's output. No
+forward or backward writes the inputs or upstream gradients it is given.
 """
 
 from __future__ import annotations
@@ -183,7 +190,12 @@ class BatchNormLayer:
 
     Train mode normalizes by batch statistics (biased variance) and updates
     the running statistics with momentum `BN_MOMENTUM`. Infer mode normalizes
-    by the running statistics and mutates nothing.
+    by the running statistics and mutates nothing but its input.
+
+    `forward` consumes the array it is given: it normalizes it in place.
+    In train mode that array becomes the cached `x_hat` and the output is a
+    new array; in infer mode it is scaled and shifted in place and returned
+    as the output. The caller must hold no other reference to it.
     """
 
     def __init__(self, dim: int, name: str = "norm"):
@@ -197,40 +209,54 @@ class BatchNormLayer:
         self._cache: tuple | None = None
 
     def forward(self, x: Matrix, train: bool) -> Matrix:
+        # every element takes the same rounded operations, in the same
+        # order, as the out-of-place (x - mean) * inv_std * gamma + beta
         if train:
-            if x.shape[0] < 2:
+            n = x.shape[0]
+            if n < 2:
                 raise ValidationError(
-                    f"{self.name}: train-mode batch norm needs batch size >= 2, got {x.shape[0]}"
+                    f"{self.name}: train-mode batch norm needs batch size >= 2, got {n}"
                 )
             mean = x.mean(axis=0)
-            var = x.var(axis=0)
+            x -= mean
+            var = np.add.reduce(x * x, axis=0) / n  # numpy's own x.var(axis=0)
             inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
-            x_hat = (x - mean) * inv_std
+            x *= inv_std
             # in place: the running statistics may be views into an arena
             self.running_mean *= 1.0 - BN_MOMENTUM
             self.running_mean += BN_MOMENTUM * mean
             self.running_var *= 1.0 - BN_MOMENTUM
             self.running_var += BN_MOMENTUM * var
-            self._cache = (x_hat, inv_std)
+            self._cache = (x, inv_std)
+            out = self.gamma * x
         else:
-            inv_std = 1.0 / np.sqrt(self.running_var + BN_EPSILON)
-            x_hat = (x - self.running_mean) * inv_std
+            x -= self.running_mean
+            x *= 1.0 / np.sqrt(self.running_var + BN_EPSILON)
+            x *= self.gamma
+            out = x
             self._cache = None
-        return self.gamma * x_hat + self.beta_shift
+        out += self.beta_shift
+        return out
 
     def backward(self, upstream: Matrix) -> Matrix:
         if self._cache is None:
             raise ValidationError(f"{self.name}: backward without a cached training forward")
         x_hat, inv_std = self._cache
-        n = x_hat.shape[0]
-        np.sum(upstream * x_hat, axis=0, out=self.grad_gamma)
-        np.sum(upstream, axis=0, out=self.grad_beta_shift)
-        d_hat = upstream * self.gamma
-        # d/dx of (x - mean)/std going through mean and variance
-        din = (inv_std / n) * (
-            n * d_hat - d_hat.sum(axis=0) - x_hat * np.sum(d_hat * x_hat, axis=0)
-        )
         self._cache = None
+        n = x_hat.shape[0]
+        work = upstream * x_hat
+        np.sum(work, axis=0, out=self.grad_gamma)
+        np.sum(upstream, axis=0, out=self.grad_beta_shift)
+        # d/dx of (x - mean)/std going through mean and variance:
+        # (inv_std / n) * (n * d_hat - sum(d_hat) - x_hat * sum(d_hat * x_hat))
+        d_hat = upstream * self.gamma
+        d_hat_x_hat = np.sum(np.multiply(d_hat, x_hat, out=work), axis=0)
+        d_hat_sum = d_hat.sum(axis=0)
+        din = d_hat
+        din *= n
+        din -= d_hat_sum
+        din -= np.multiply(x_hat, d_hat_x_hat, out=work)
+        din *= inv_std / n
         return din
 
     def parameters(self, prefix: str = "") -> list[Parameter]:
@@ -256,8 +282,11 @@ class FcBlock:
     """linear (no bias) -> batch norm -> ReLU, with a consumable cache.
 
     The linear part has no bias because batch norm would cancel it. The
-    cache exists only between a train-mode forward and the backward that
-    consumes it; infer-mode forwards clear it and mutate nothing but it.
+    linear output is a new array that nothing else holds, so the block hands
+    it to batch norm to normalize in place and applies the ReLU in place on
+    batch norm's output; the `batch` argument is never written. The cache
+    exists only between a train-mode forward and the backward that consumes
+    it; infer-mode forwards clear it and mutate nothing else of the block.
     """
 
     def __init__(
@@ -276,7 +305,8 @@ class FcBlock:
         self._out: Matrix | None = None
 
     def forward(self, batch: Matrix, train: bool) -> Matrix:
-        out = np.maximum(self.norm.forward(self.linear.forward(batch, train), train), 0.0)
+        out = self.norm.forward(self.linear.forward(batch, train), train)
+        np.maximum(out, 0.0, out=out)
         self._out = out if train else None
         return out
 

@@ -1,9 +1,13 @@
 """The command line: one error line for every bad input, a cache every
 preprocess setting writes is loadable, the phase-2 resume, inference
-passes that gather at most `INFER_ROWS` rows at a time, and runs on one
-modality of a two-modality cache."""
+passes that gather at most `INFER_ROWS` rows at a time and encode every
+sample once, runs on one modality of a two-modality cache, and the BLAS
+thread cap crossval sets around its folds."""
 
 from dataclasses import replace
+
+import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -19,7 +23,8 @@ from omivae.data import (
     write_labels_tsv,
     write_matrix_tsv,
 )
-from omivae.model import ModelConfig, build_model
+from omivae.errors import NumericError
+from omivae.model import ModelConfig, OmiVaeModel, build_model
 from omivae.numerics import RngState
 from omivae.optim import load_checkpoint, save_checkpoint
 
@@ -132,6 +137,10 @@ BAD_INPUT = {
     "crossval-one-class": (["crossval", "--data", "{odd}/one_class.omids", "--k", "3", *SHORT,
                             "--out", "{d}/cv"],
                            "cross-validation needs at least two classes, the dataset names ['only']"),
+    "train-one-class": (["train", "--data", "{odd}/one_class.omids", *SHORT,
+                         "--out", "{d}/model.omvae"],
+                        "the classifier phase (skipped by --phase unsupervised-only) needs at "
+                        "least two classes, the dataset names ['only']"),
     "train-val-fraction-small-class": (
         ["train", "--data", "{cache}", *SHORT, "--out", "{d}/model.omvae"],
         "train.val_fraction=0.1 holds out one of 10 stratified folds, so each class needs "
@@ -397,3 +406,105 @@ def test_one_modality_trains_embeds_and_evaluates(tmp_path, capsys, modality, ot
         assert len(fh.read().splitlines()) == 1 + 60
     with open(f"{d}/r.txt") as fh:
         assert "samples=60" in fh.read().splitlines()
+
+
+def test_embed_and_evaluate_encode_every_sample_once_in_infer_mode(tmp_path, monkeypatch, capsys):
+    """The benchmark's `embed_samples_per_s` times infer-mode
+    `OmiVaeModel.encode` calls, so `embed` and `evaluate` must each put every
+    sample through one of them exactly once."""
+    monkeypatch.setattr(data, "INFER_ROWS", 8)
+    d = str(tmp_path)
+    ds = synthesize(SyntheticSpec(num_classes=3, samples_per_class=7, num_blocks=2,
+                                  features_per_block=4, expr_features=5))
+    ds.save(f"{d}/c.omids")
+    config = ModelConfig(methyl_block_dims=ds.methyl_block_dims, expr_dim=ds.expr_dim,
+                         per_block_hidden=3, modality_dim=4, fusion_dim=4, latent_dim=2,
+                         classifier_hidden=(3, 3), num_classes=3)
+    save_checkpoint(f"{d}/m.omvae", build_model(config, RngState(0)))
+    x_expr, x_blocks = OmicsDataset.load(f"{d}/c.omids").batch(np.arange(ds.num_samples))
+    cohort = sorted(row.tobytes() for row in np.hstack([*x_blocks, x_expr]))
+    encoded = []
+    encode = OmiVaeModel.encode
+
+    def spy(self, x_expr, x_methyl_blocks, train=False):
+        if not train:
+            encoded.extend(row.tobytes() for row in np.hstack([*x_methyl_blocks, x_expr]))
+        return encode(self, x_expr, x_methyl_blocks, train)
+
+    monkeypatch.setattr(OmiVaeModel, "encode", spy)
+    for command in (["embed", "--out", f"{d}/e.tsv"], ["evaluate", "--out", f"{d}/r.txt"]):
+        encoded.clear()
+        assert cli.main([*command, "--checkpoint", f"{d}/m.omvae", "--data", f"{d}/c.omids"]) == 0
+        assert sorted(encoded) == cohort, command[0]
+
+
+def test_a_one_class_cache_trains_the_vae_alone(tmp_path, capsys, odd):
+    assert cli.main(["train", "--data", f"{odd}/one_class.omids", *SHORT,
+                     "--phase", "unsupervised-only", "--out", f"{tmp_path}/m.omvae"]) == 0
+    assert load_checkpoint(f"{tmp_path}/m.omvae").metadata["phase"] == "1"
+
+
+CROSSVAL = ["--set", "train.phase1_epochs=1", "--set", "train.phase2_epochs=1", "--k", "3"]
+
+
+@pytest.mark.parametrize("fails", [False, True])
+@pytest.mark.parametrize("start, capped", [(8, 2), (1, 1)])
+def test_crossval_caps_blas_threads_per_fold_and_restores_them(
+    tmp_path, capsys, monkeypatch, fails, start, capped
+):
+    """A stand-in BLAS on 4 cores: two fold threads run with at most 4 // 2
+    BLAS threads (a lower count stands), and the old count comes back after
+    the folds, also when a fold fails."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    threads = [start]
+
+    def set_threads(count):
+        threads[0] = count
+
+    monkeypatch.setattr(cli, "_openblas_threads", lambda: (lambda: threads[0], set_threads))
+    monkeypatch.setenv("OMIVAE_THREADS", "2")
+    during = []
+    run_fold = cli._run_fold
+
+    def fold(*args):
+        during.append(threads[0])
+        if fails:
+            raise NumericError("fold diverged")
+        return run_fold(*args)
+
+    monkeypatch.setattr(cli, "_run_fold", fold)
+    d = str(tmp_path)
+    assert cli.main(["synth", *SYNTH, "--out", f"{d}/synth"]) == 0
+    code = cli.main(["crossval", "--data", f"{d}/synth/dataset.omids", *MODEL, *CROSSVAL,
+                     "--out", f"{d}/cv"])
+    assert code == (2 if fails else 0)
+    assert set(during) == {capped}
+    assert threads == [start]
+
+
+def test_crossval_under_the_blas_cap_matches_a_one_thread_run(tmp_path, capsys, monkeypatch):
+    """Two fold threads on two cores cap OpenBLAS at one thread, so the
+    outputs are those of a run with OpenBLAS pinned to one thread."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setenv("OMIVAE_THREADS", "2")
+    d = str(tmp_path)
+    assert cli.main(["synth", *SYNTH, "--out", f"{d}/synth"]) == 0
+    blas = cli._openblas_threads()
+    before = blas[0]() if blas else None
+    outputs = []
+    for pinned in (False, True):
+        if pinned:
+            monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
+            if blas:
+                blas[1](1)
+        out = f"{d}/cv{int(pinned)}"
+        try:
+            code = cli.main(["crossval", "--data", f"{d}/synth/dataset.omids", *MODEL,
+                             *CROSSVAL, "--out", out])
+        finally:
+            if blas and pinned:
+                blas[1](before)
+        assert code == 0
+        assert blas is None or blas[0]() == before
+        outputs.append({path.name: path.read_bytes() for path in pathlib.Path(out).iterdir()})
+    assert outputs[0] == outputs[1]

@@ -4,6 +4,7 @@ import pytest
 from omivae.errors import ValidationError
 from omivae.layers import (
     BN_EPSILON,
+    BN_MOMENTUM,
     BatchNormLayer,
     FcBlock,
     LinearLayer,
@@ -143,6 +144,87 @@ class TestBackward:
         block = FcBlock(3, 2, RngState(46), needs_input_grad=False)
         block.forward(x, train=True)
         assert block.backward(upstream) is None
+
+
+def out_of_place_block(block, batch, upstream, train):
+    """An `FcBlock`'s forward (and, in train mode, backward) in the
+    reference form: every intermediate a new array, batch norm by
+    `mean`/`var`, the ReLU mask a product. Returns each result by name,
+    with the gradients that enter batch norm and the linear layer."""
+    weights, norm = block.linear.weights, block.norm
+    gamma, beta_shift = norm.gamma, norm.beta_shift
+    x = batch @ weights.T
+    if train:
+        mean, var = x.mean(axis=0), x.var(axis=0)
+        running_mean = norm.running_mean * (1.0 - BN_MOMENTUM) + BN_MOMENTUM * mean
+        running_var = norm.running_var * (1.0 - BN_MOMENTUM) + BN_MOMENTUM * var
+    else:
+        mean, var = norm.running_mean, norm.running_var
+        running_mean, running_var = mean.copy(), var.copy()
+    inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
+    x_hat = (x - mean) * inv_std
+    out = np.maximum(gamma * x_hat + beta_shift, 0.0)
+    results = dict(out=out, running_mean=running_mean, running_var=running_var)
+    if train:
+        n = x.shape[0]
+        d = upstream * (out > 0.0)
+        d_hat = d * gamma
+        d_norm = (inv_std / n) * (
+            n * d_hat - d_hat.sum(axis=0) - x_hat * np.sum(d_hat * x_hat, axis=0)
+        )
+        results.update(
+            relu_grad=d,
+            norm_grad=d_norm,
+            din=d_norm @ weights,
+            grad_weights=d_norm.T @ batch,
+            grad_gamma=np.sum(d * x_hat, axis=0),
+            grad_beta_shift=d.sum(axis=0),
+        )
+    return results
+
+
+class TestOutOfPlaceOracle:
+    """`FcBlock` works in place on its linear output, yet every result is
+    bit-equal to the out-of-place reference form."""
+
+    @pytest.mark.parametrize("train", [True, False])
+    @pytest.mark.parametrize("rows, in_dim, out_dim", [(37, 9, 6), (1030, 20, 40)])
+    def test_bit_equal_to_the_reference(self, train, rows, in_dim, out_dim):
+        block = make_block(in_dim, out_dim, seed=60)
+        norm = block.norm
+        norm.gamma[:] = RngState(61).uniform(0.5, 1.5, (out_dim,))
+        norm.beta_shift[:] = RngState(62).standard_normal(1, out_dim)[0]
+        norm.beta_shift[0] = -50.0  # a dead unit: the ReLU zeroes its whole column
+        norm.running_mean[:] = RngState(63).standard_normal(1, out_dim)[0]
+        norm.running_var[:] = RngState(64).uniform(0.5, 2.0, (out_dim,))
+        batch = RngState(65).standard_normal(rows, in_dim) * 2.0 + 0.5
+        upstream = RngState(66).standard_normal(rows, out_dim)
+        # negative upstream on the dead unit: the masked gradient there is
+        # -0.0, which a mask by np.where would turn into +0.0
+        upstream[:, 0] = -np.abs(upstream[:, 0]) - 0.1
+        expected = out_of_place_block(block, batch, upstream, train)
+        given = batch.copy()
+        got = {}
+        for key, layer in (("relu_grad", norm), ("norm_grad", block.linear)):
+            def spy(grad, key=key, backward=layer.backward):
+                got[key] = grad.copy()
+                return backward(grad)
+
+            layer.backward = spy
+
+        got["out"] = block.forward(given, train=train).copy()
+        assert given.tobytes() == batch.tobytes()
+        if train:
+            got["din"] = block.backward(upstream)
+            got["grad_weights"] = block.linear.grad_weights
+            got["grad_gamma"] = norm.grad_gamma
+            got["grad_beta_shift"] = norm.grad_beta_shift
+            assert np.signbit(got["relu_grad"][:, 0]).all()
+        got["running_mean"] = norm.running_mean
+        got["running_var"] = norm.running_var
+        assert got.keys() == expected.keys()
+        for name, value in expected.items():
+            assert got[name].tobytes() == value.tobytes(), name
 
 
 def masked_sigmoid(z):
