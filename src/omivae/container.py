@@ -187,12 +187,15 @@ def _replace_file(path: str, payload: bytes) -> None:
 
 
 class _Reader:
+    """Reads a container's fields off a view of its bytes, so a tensor's
+    payload is copied once, into its array."""
+
     def __init__(self, blob: bytes, path: str):
-        self.blob = blob
+        self.blob = memoryview(blob)
         self.pos = 0
         self.path = path
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.blob):
             raise FormatError(f"{self.path}: truncated container (needed {n} more bytes)")
         out = self.blob[self.pos : self.pos + n]
@@ -204,7 +207,7 @@ class _Reader:
 
     def text(self, length: int, what: str) -> str:
         try:
-            return self.take(length).decode("utf-8")
+            return str(self.take(length), "utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"{self.path}: {what} is not valid UTF-8") from exc
 
@@ -221,7 +224,7 @@ def read_container(
     except OSError as exc:
         raise FormatError(f"cannot read container {path}: {exc}") from exc
     r = _Reader(blob, path)
-    found_magic = r.take(6)
+    found_magic = bytes(r.take(6))
     if found_magic != magic:
         raise FormatError(
             f"{path}: bad magic {found_magic!r}, expected {magic!r}"

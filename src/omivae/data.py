@@ -26,6 +26,7 @@ describe that is missing, is a `FormatError`.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -86,16 +87,31 @@ def _check_unique(ids: list[str], what: str, path: str) -> None:
         seen.add(i)
 
 
-def _tsv_lines(path: str):
-    """Yield `(lineno, cells)` for each line of the TSV at `path`, from 1."""
+def _raw_lines(path: str):
+    """Yield each line of the text file at `path` without its line end.
+
+    The one reader of TSV text: UTF-8, and a line ends at `\n`, `\r\n` or
+    `\r` only (universal newlines), so a cell may hold U+0085, U+2028 and
+    the other characters `str.splitlines()` would also break at. A file
+    that cannot be read or is not UTF-8 text is a `ValidationError`.
+    """
     try:
         with open(path, encoding="utf-8") as fh:  # universal newlines
-            for lineno, line in enumerate(fh, start=1):
-                yield lineno, line.removesuffix("\n").split("\t")
+            for line in fh:
+                yield line.removesuffix("\n")
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError:
         raise ValidationError(f"{path}: not UTF-8 text") from None
+
+
+def _tsv_lines(path: str):
+    """Yield `(lineno, cells)` for each of the `_raw_lines` of `path`, from
+    1, split at every tab. The per-cell loops of `load_matrix_tsv` and
+    `evaluation.read_embedding_tsv` read the body of a numeric file through
+    this only where `tsv_numeric_body` turns it down."""
+    for lineno, line in enumerate(_raw_lines(path), start=1):
+        yield lineno, line.split("\t")
 
 
 def tsv_header(path: str):
@@ -106,6 +122,64 @@ def tsv_header(path: str):
     raise ValidationError(f"{path}: empty file")
 
 
+# ASCII separators that `str.strip` and numpy's reader strip from around a
+# number and `float()` refuses
+STRIP_ONLY = "\x1c\x1d\x1e\x1f"
+
+
+class _Irregular(Exception):
+    """A body line that numpy's reader would read otherwise than the
+    per-cell loops."""
+
+
+def tsv_numeric_body(path: str, width: int, trailing: bool = False):
+    """`(first cells, rows x width float64 values, last cells)` of the lines
+    below the header of the TSV at `path`, read by numpy's C text reader;
+    `last cells` holds a row's trailing cell when `trailing` (an embedding's
+    class) and is empty otherwise. None where the per-cell loop must read
+    the file instead, so that only that loop reports errors.
+
+    An exact `NA` cell becomes `nan` first. Every cell the C reader then
+    accepts is `PyOS_string_to_double` of the stripped cell, which is what
+    `float()` returns for it. A cell only `float()` takes (`1_0`, non-ASCII
+    digits), one the replacement garbles (`NAN`), an empty or padded `NA`
+    cell, a line holding one of `STRIP_ONLY`, a row of another width, an
+    empty first cell or a file without data rows returns None.
+    """
+    ids: list[str] = []
+    tails: list[str] = []
+
+    def bodies(lines):
+        for line in lines:
+            if trailing:
+                line, _, tail = line.rpartition("\t")
+                tails.append(tail)
+            # a tab ends the first cell, so only body cells can change
+            head, _, body = line.replace("\tNA", "\tnan").partition("\t")
+            # the C reader skips an empty line
+            if not body or not head.strip() or any(map(body.__contains__, STRIP_ONLY)):
+                raise _Irregular
+            ids.append(head)
+            yield body
+
+    lines = _raw_lines(path)
+    next(lines, None)  # the header
+    rows = bodies(lines)
+    try:
+        first = next(rows, None)
+        if first is None:  # loadtxt warns on a file without data
+            return None
+        values = np.loadtxt(
+            itertools.chain((first,), rows), dtype=np.float64, delimiter="\t",
+            comments=None, quotechar=None, ndmin=2,
+        )
+    except (ValueError, _Irregular):
+        return None
+    if values.shape[1] != width:
+        return None
+    return ids, values, tails
+
+
 def load_matrix_tsv(path: str) -> RawMatrix:
     """Read a feature-table TSV (the portal layout: one row per feature, one
     column per sample) as a samples x features matrix.
@@ -113,9 +187,12 @@ def load_matrix_tsv(path: str) -> RawMatrix:
     Each cell is stripped; `NA` or empty is missing (NaN), anything `float()`
     accepts is that double, and anything else, or a cell that parses to
     +-inf, raises a `ValidationError` naming the row and column of the first
-    bad cell. Each row is stored as a float64 array as it is read and the
-    rows are stacked once, so the peak memory is about two float64 copies of
-    the matrix.
+    bad cell. A file of plain numbers and exact `NA`s, as `write_matrix_tsv`
+    and the portals write, is read by numpy's C reader (`tsv_numeric_body`)
+    and transposed once. Any other file is read by the per-cell loop
+    (`_matrix_cells`), the only one that reports a bad cell: it stores each
+    row as a float64 array as it is read and stacks the rows once. Either
+    way the peak memory is about two float64 copies of the matrix.
     """
     header, lines = tsv_header(path)
     if len(header) < 2:
@@ -124,6 +201,25 @@ def load_matrix_tsv(path: str) -> RawMatrix:
     if "" in sample_ids:
         raise ValidationError(f"{path}: empty sample ID in column {sample_ids.index('') + 2}")
     _check_unique(sample_ids, "sample", path)
+    body = tsv_numeric_body(path, len(sample_ids))
+    if body is not None:
+        feature_ids = [i.strip() for i in body[0]]
+        values = np.ascontiguousarray(body[1].T)
+    else:
+        feature_ids, values = _matrix_cells(path, header, lines)
+    # NaN-skipping extremes copy nothing; only a failure looks for the cell
+    if np.isinf(np.fmin.reduce(values, axis=None)) or np.isinf(np.fmax.reduce(values, axis=None)):
+        feature, sample = np.argwhere(np.isinf(values.T))[0]
+        raise ValidationError(
+            f"{path}: infinite value at row {feature + 2}, column {sample + 2}"
+        )
+    _check_unique(feature_ids, "feature", path)
+    return RawMatrix(sample_ids=sample_ids, feature_ids=feature_ids, values=values)
+
+
+def _matrix_cells(path: str, header: list[str], lines) -> tuple[list[str], np.ndarray]:
+    """The per-cell loop of `load_matrix_tsv`: the feature IDs and the
+    samples x features values of the `_tsv_lines` below its header."""
     feature_ids: list[str] = []
     rows: list[np.ndarray] = []
     for lineno, record in lines:
@@ -143,15 +239,7 @@ def load_matrix_tsv(path: str) -> RawMatrix:
         rows.append(np.array(row, dtype=np.float64))
     if not rows:
         raise ValidationError(f"{path}: no data rows")
-    values = np.stack(rows, axis=1)
-    # NaN-skipping extremes copy nothing; only a failure looks for the cell
-    if np.isinf(np.fmin.reduce(values, axis=None)) or np.isinf(np.fmax.reduce(values, axis=None)):
-        feature, sample = np.argwhere(np.isinf(values.T))[0]
-        raise ValidationError(
-            f"{path}: infinite value at row {feature + 2}, column {sample + 2}"
-        )
-    _check_unique(feature_ids, "feature", path)
-    return RawMatrix(sample_ids=sample_ids, feature_ids=feature_ids, values=values)
+    return feature_ids, np.stack(rows, axis=1)
 
 
 def _load_two_column_tsv(path: str, col_a: str, col_b: str) -> dict[str, str]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import colorsys
+import functools
 import html
 import math
 import re
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .container import write_text_atomic
-from .data import tsv_header
+from .data import tsv_header, tsv_numeric_body
 from .errors import ValidationError
 from .numerics import Matrix, sym_eig
 
@@ -216,6 +217,7 @@ def probe_fit(embedding: Matrix, labels) -> ProbeClassifier:
     rows = np.arange(n)
     onehot = np.zeros((n, num_classes))
     onehot[rows, labels] = 1.0
+    true_class = rows * num_classes + labels  # flat index of each row's label
 
     # softmax cross-entropy curvature is at most 0.5 * lmax(X^T X / n) + PROBE_L2
     lmax = float(sym_eig(x.T @ x / n)[0][0])
@@ -223,11 +225,12 @@ def probe_fit(embedding: Matrix, labels) -> ProbeClassifier:
     w = probe.weights
     for _ in range(PROBE_MAX_ITER):
         logits = x @ w
-        shifted = logits - logits.max(axis=1, keepdims=True)
+        # an elementwise fold over the columns is `max(axis=1)`, and faster
+        shifted = logits - functools.reduce(np.maximum, logits.T)[:, None]
         e = np.exp(shifted)
         total = e.sum(axis=1, keepdims=True)
         probs = e / total
-        ce = float((np.log(total[:, 0]) - shifted[rows, labels]).mean())
+        ce = float((np.log(total[:, 0]) - shifted.take(true_class)).mean())
         loss = ce + 0.5 * PROBE_L2 * float((w * w).sum())
         probe.loss_history.append(loss)
         grad = x.T @ (probs - onehot) / n + PROBE_L2 * w
@@ -304,11 +307,15 @@ def export_embedding(source, dataset, path: str) -> Matrix:
 def read_embedding_tsv(path: str) -> tuple[list[str], np.ndarray, list[str] | None]:
     """Parse an embedding TSV back into (sample_ids, matrix, class names or None).
 
-    Every embedding value must be a finite number; a row holding anything
-    else is a `ValidationError` naming the path and the row.
+    Every embedding value must be a finite number that `float()` accepts; a
+    row holding anything else is a `ValidationError` naming the path and the
+    row. A file of finite plain numbers, as `export_embedding` writes, is
+    read by numpy's C reader (`data.tsv_numeric_body`); any other file by
+    the per-cell loop below, the only one that reports a bad row. At 16
+    dimensions the numpy reader peaks at about 2.3 times the matrix's bytes,
+    with the sample IDs; the per-cell loop, which holds every value as a
+    Python float first, at about 7 times.
     """
-    # lines end at "\n", "\r\n" or "\r" only; a sample ID may hold U+0085,
-    # U+2028 and the other characters `str.splitlines()` would also break at
     header, lines = tsv_header(path)
     if header[0] != "sample_id":
         raise ValidationError(f"{path}: not an embedding TSV (header {header[:2]})")
@@ -316,6 +323,9 @@ def read_embedding_tsv(path: str) -> tuple[list[str], np.ndarray, list[str] | No
     dim_count = len(header) - 1 - int(has_classes)
     if dim_count < 1:
         raise ValidationError(f"{path}: no embedding dimensions")
+    body = tsv_numeric_body(path, dim_count, trailing=has_classes)
+    if body is not None and np.isfinite(body[1]).all():
+        return body[0], body[1], body[2] if has_classes else None
     ids: list[str] = []
     rows: list[list[float]] = []
     classes: list[str] = []
@@ -346,11 +356,13 @@ def _build_palette(count: int = 34) -> tuple[str, ...]:
 
 
 PALETTE = _build_palette()
+UNLABELED_COLOR = "#3366aa"  # not in PALETTE
 
 
 def render_scatter(embedding_path: str, out_path: str) -> None:
     """Deterministic SVG scatter of the first two embedding dimensions; the
-    legend shows a character XML forbids in a class name as U+FFFD."""
+    legend shows a character XML forbids in a class name as U+FFFD. A
+    sample without a class name is drawn in `UNLABELED_COLOR`."""
     width, height = SCATTER_WIDTH, SCATTER_HEIGHT
     ids, embedding, classes = read_embedding_tsv(embedding_path)
     if embedding.shape[1] < 2:
@@ -370,7 +382,8 @@ def render_scatter(embedding_path: str, out_path: str) -> None:
 
         return to_px
 
-    legend_names = sorted(set(classes)) if classes else []
+    # an unlabeled sample's class cell is empty: it gets no legend row
+    legend_names = sorted(set(classes or ()) - {""})
     legend_width = 150 if legend_names else 0
     plot_right = width - legend_width - 10
     sx = scaler(x, 45.0, plot_right)
@@ -384,7 +397,7 @@ def render_scatter(embedding_path: str, out_path: str) -> None:
     ]
     color_of = {name: PALETTE[i % len(PALETTE)] for i, name in enumerate(legend_names)}
     for i in range(len(ids)):
-        color = color_of[classes[i]] if classes else "#3366aa"
+        color = color_of.get(classes[i], UNLABELED_COLOR) if classes else UNLABELED_COLOR
         parts.append(
             f'<circle cx="{sx(float(x[i])):.2f}" cy="{sy(float(y[i])):.2f}" r="3" '
             f'fill="{color}" fill-opacity="0.8"/>'

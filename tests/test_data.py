@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 from dataclasses import replace
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omivae import data
 from omivae.data import (
     OmicsDataset,
     PreprocessConfig,
@@ -25,6 +27,7 @@ from omivae.data import (
     _parse_cell,
 )
 from omivae.errors import FormatError, ValidationError
+from omivae.evaluation import read_embedding_tsv
 from omivae.numerics import RngState
 
 
@@ -201,6 +204,198 @@ class TestMatrixGrammar:
             tracemalloc.stop()
         assert back.values.tobytes() == values.tobytes()
         assert peak <= 2.5 * back.values.nbytes, peak / back.values.nbytes
+
+
+# cells numpy's reader and `float()` may read differently, beside plain ones
+EDGE_CELLS = st.sampled_from([
+    " NA", "NA ", "", " ", "NAN", "NA\x00", "NAinf", "1_0", "١٢", "１", "1\x1c", "1\xa0",
+    "0x10", "#1", '"1"', "1 2", "1e500", "-nan", "nan", "-Infinity", "+.5e-3", "1\x00",
+])
+PLAIN_CELLS = st.one_of(st.floats(allow_infinity=False).map(repr), st.just("NA"))
+# half the tables are plain; in the rest a quarter of the cells are edge cases
+TABLES = st.sampled_from([PLAIN_CELLS, st.one_of(*[PLAIN_CELLS] * 3, EDGE_CELLS)]).flatmap(
+    lambda cells: st.integers(1, 4).flatmap(
+        lambda cols: st.lists(st.lists(cells, min_size=cols, max_size=cols), min_size=1, max_size=4)
+    )
+)
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+def grammar(cell: str) -> float | None:
+    """The documented matrix cell: stripped, `NA` or empty is NaN and
+    anything else is what `float()` returns for it; None where it refuses."""
+    cell = cell.strip()
+    if cell in ("NA", ""):
+        return math.nan
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+@pytest.fixture
+def per_cell_reads(monkeypatch):
+    """The lines each TSV read asks `_tsv_lines` for: 1, the header, unless
+    the per-cell loop reads the body too."""
+    pulls: list[int] = []
+    tsv_lines = data._tsv_lines
+
+    def counted(path):
+        lines = tsv_lines(path)
+        pulls.append(0)
+        while True:
+            pulls[-1] += 1
+            line = next(lines, None)
+            if line is None:
+                return
+            yield line
+
+    monkeypatch.setattr(data, "_tsv_lines", counted)
+    return pulls
+
+
+class TestNumericReader:
+    """Numeric bodies go through numpy's C reader and fall back to the
+    per-cell loop on anything the two could read differently."""
+
+    @settings(max_examples=300)
+    @given(table=TABLES, end=LINE_ENDS)
+    def test_a_matrix_reads_as_the_documented_grammar(self, tmp_path_factory, table, end):
+        path = tmp_path_factory.mktemp("numeric") / "m.tsv"
+        lines = ["id\t" + "\t".join(f"s{j}" for j in range(len(table[0])))]
+        lines += [f"f{r}\t" + "\t".join(row) for r, row in enumerate(table)]
+        path.write_bytes((end.join(lines) + end).encode())
+        path = str(path)
+        for r, row in enumerate(table):
+            bad = [j for j, c in enumerate(row) if grammar(c) is None]
+            if bad:
+                with pytest.raises(ValidationError) as got:
+                    load_matrix_tsv(path)
+                cell = row[bad[0]].strip()
+                assert str(got.value) == (
+                    f"{path}: unparseable numeric value {cell!r} at row {r + 2}, column {bad[0] + 2}"
+                )
+                return
+        expected = np.array([[grammar(c) for c in row] for row in table], dtype=np.float64)
+        infinite = np.argwhere(np.isinf(expected))
+        if infinite.size:
+            with pytest.raises(ValidationError) as got:
+                load_matrix_tsv(path)
+            r, j = infinite[0]
+            assert str(got.value) == f"{path}: infinite value at row {r + 2}, column {j + 2}"
+            return
+        raw = load_matrix_tsv(path)
+        assert raw.feature_ids == [f"f{r}" for r in range(len(table))]
+        assert raw.values.dtype == np.float64 and raw.values.flags.c_contiguous
+        assert raw.values.tobytes() == np.ascontiguousarray(expected.T).tobytes()
+
+    @settings(max_examples=300)
+    @given(table=TABLES, end=LINE_ENDS, name=st.sampled_from(["A", "", " b "]))
+    def test_an_embedding_reads_as_the_documented_grammar(
+        self, tmp_path_factory, table, end, name
+    ):
+        """A value is what `float()` returns for the cell, and must be finite."""
+        path = tmp_path_factory.mktemp("numeric") / "e.tsv"
+        dims = "\t".join(f"dim_{j + 1}" for j in range(len(table[0])))
+        lines = [f"sample_id\t{dims}\tclass_name"]
+        lines += [f"s{r}\t" + "\t".join(row) + f"\t{name}" for r, row in enumerate(table)]
+        path.write_bytes((end.join(lines) + end).encode())
+        path = str(path)
+        for r, row in enumerate(table):
+            try:
+                values = [float(c) for c in row]
+            except ValueError:
+                problem = "non-numeric"
+            else:
+                if all(map(math.isfinite, values)):
+                    continue
+                problem = "non-finite"
+            with pytest.raises(ValidationError) as got:
+                read_embedding_tsv(path)
+            assert str(got.value) == f"{path}: {problem} embedding value in row {r + 2}"
+            return
+        ids, values, classes = read_embedding_tsv(path)
+        assert ids == [f"s{r}" for r in range(len(table))]
+        assert classes == [name] * len(table)
+        expected = np.array([[float(c) for c in row] for row in table], dtype=np.float64)
+        assert values.dtype == np.float64 and values.flags.c_contiguous
+        assert values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("text, result", [
+        ("id\ts1\ts2\nf1\t0.5\tNA\nf2\t-1e-3\t2\n", [[0.5, -1e-3], [np.nan, 2.0]]),
+        ("id\ts1\nf1\tNA\n", [[np.nan]]),
+        ("id\ts1\ts2\n f1 \tnan\t1E2\n", [[np.nan], [100.0]]),
+    ])
+    def test_a_well_formed_matrix_skips_the_per_cell_loop(
+        self, tmp_path, per_cell_reads, text, result
+    ):
+        path = tmp_path / "m.tsv"
+        path.write_text(text)
+        raw = load_matrix_tsv(str(path))
+        assert per_cell_reads == [1]
+        assert raw.values.tobytes() == np.array(result).tobytes()
+
+    @pytest.mark.parametrize("text, result", [
+        ("id\ts1\ts2\nf1\t NA\t2\n", [[np.nan], [2.0]]),
+        ("id\ts1\ts2\nf1\tNAN\t1_0\n", [[np.nan], [10.0]]),
+        ("id\ts1\ts2\nf1\t\t١٢\n", [[np.nan], [12.0]]),
+        ("id\ts1\nf1\t\nf2\t1\n", [[np.nan, 1.0]]),
+        ("id\ts1\nf1\t1\x1f\n", [[1.0]]),
+        ("id\ts1\ts2\nf1\t1\nf2\t2\n", "ragged row 2: 2 cells, expected 3"),
+        ("id\ts1\ts2\n \t1\t2\n", "empty feature ID in row 2"),
+        ("id\ts1\n", "no data rows"),
+        ("id\ts1\ts2\nf1\t1\tbogus\n", "unparseable numeric value 'bogus' at row 2, column 3"),
+    ])
+    def test_an_irregular_matrix_takes_the_per_cell_loop(
+        self, tmp_path, per_cell_reads, text, result
+    ):
+        path = tmp_path / "m.tsv"
+        path.write_text(text)
+        if isinstance(result, str):
+            with pytest.raises(ValidationError) as got:
+                load_matrix_tsv(str(path))
+            assert str(got.value) == f"{path}: {result}"
+        else:
+            assert load_matrix_tsv(str(path)).values.tobytes() == np.array(result).tobytes()
+        assert per_cell_reads[0] >= 2
+
+    def test_a_well_formed_embedding_skips_the_per_cell_loop(self, tmp_path, per_cell_reads):
+        path = tmp_path / "e.tsv"
+        path.write_text("sample_id\tdim_1\tdim_2\tclass_name\ns1\t0.5\t-2\tA\ns2\t1e-3\t3\t\n")
+        ids, values, classes = read_embedding_tsv(str(path))
+        assert per_cell_reads == [1]
+        assert (ids, classes) == (["s1", "s2"], ["A", ""])
+        assert values.tobytes() == np.array([[0.5, -2.0], [1e-3, 3.0]]).tobytes()
+
+    @pytest.mark.parametrize("row, problem", [
+        ("s1\tinf\t1\tA", "non-finite embedding value in row 2"),
+        ("s1\tNA\t1\tA", "non-numeric embedding value in row 2"),
+        ("s1\t1\x1c\t1\tA", "non-numeric embedding value in row 2"),
+        ("s1\t1\tA", "ragged row 2"),
+        ("s1\t1\t2\t3\tA", "ragged row 2"),
+        ("\t1_0\t2\tA", None),
+        ("", "ragged row 2"),
+    ])
+    def test_an_irregular_embedding_takes_the_per_cell_loop(
+        self, tmp_path, per_cell_reads, row, problem
+    ):
+        path = tmp_path / "e.tsv"
+        path.write_text(f"sample_id\tdim_1\tdim_2\tclass_name\n{row}\n")
+        if problem is None:
+            ids, values, _ = read_embedding_tsv(str(path))
+            assert ids == [""] and values.tolist() == [[10.0, 2.0]]
+        else:
+            with pytest.raises(ValidationError) as got:
+                read_embedding_tsv(str(path))
+            assert str(got.value) == f"{path}: {problem}"
+        assert per_cell_reads[0] >= 2
+
+    def test_an_embedding_without_rows_takes_the_per_cell_loop(self, tmp_path, per_cell_reads):
+        path = tmp_path / "e.tsv"
+        path.write_text("sample_id\tdim_1\tdim_2\n")
+        with pytest.raises(ValidationError, match="no embedding rows"):
+            read_embedding_tsv(str(path))
+        assert per_cell_reads == [2]
 
 
 class TestWriteMatrixTsv:

@@ -13,6 +13,7 @@ from omivae.evaluation import (
     PROBE_L2,
     PROBE_MAX_ITER,
     PcaModel,
+    UNLABELED_COLOR,
     compute_metrics,
     dataset_matrix,
     embed_dataset,
@@ -417,6 +418,20 @@ class TestRenderScatter:
         render_scatter(str(path), str(out))
         texts = ElementTree.parse(out).getroot().iter("{http://www.w3.org/2000/svg}text")
         assert [t.text for t in texts] == ["A\ufffdB", "C"]
+
+    def test_an_unlabeled_sample_is_drawn_neutral_without_a_legend_row(self, tmp_path):
+        path = tmp_path / "emb.tsv"
+        path.write_text(
+            "sample_id\tdim_1\tdim_2\tclass_name\n"
+            "s1\t0\t0\tBRCA\ns2\t1\t1\t\ns3\t0.5\t0.2\tLUAD\n"
+        )
+        out = tmp_path / "plot.svg"
+        render_scatter(str(path), str(out))
+        root = ElementTree.parse(out).getroot()
+        svg = "{http://www.w3.org/2000/svg}"
+        fills = [c.get("fill") for c in root.iter(svg + "circle")]
+        assert fills == [PALETTE[0], UNLABELED_COLOR, PALETTE[1]]
+        assert [t.text for t in root.iter(svg + "text")] == ["BRCA", "LUAD"]
 
     def test_palette_has_34_distinct_colors(self):
         assert len(PALETTE) == 34

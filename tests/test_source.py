@@ -1,11 +1,14 @@
-"""The package reads TSVs without `csv` and opens files for writing in one
-place: the atomic-replace routine that every output goes through."""
+"""The package reads TSVs without `csv`, opens files for writing in one
+place, the atomic-replace routine that every output goes through, and opens
+text for reading in two: the raw-line reader of every TSV and the config
+file loader."""
 
 import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "omivae"
 WRITER = ("container.py", "_replace_file")
+TEXT_READERS = [("config.py", "load_run_config"), ("data.py", "_raw_lines")]
 
 
 def modules():
@@ -13,18 +16,29 @@ def modules():
         yield path.name, ast.parse(path.read_text(encoding="utf-8"), str(path))
 
 
-def may_write(call: ast.Call) -> bool:
-    """Whether an open()/fdopen() call's mode can write; a mode that is not a
-    literal counts as writing."""
+def mode_of(call: ast.Call) -> str | None:
+    """The mode of an open()/fdopen() call: "r" without one, None where it
+    is not a literal."""
     modes = [k.value for k in call.keywords if k.arg == "mode"] + call.args[1:2]
     if not modes:
-        return False
-    mode = modes[0]
-    return not isinstance(mode, ast.Constant) or any(c in str(mode.value) for c in "wax+")
+        return "r"
+    return str(modes[0].value) if isinstance(modes[0], ast.Constant) else None
 
 
-def write_opens(tree):
-    """(enclosing function, line) of every write-mode open() or fdopen()."""
+def may_write(call: ast.Call) -> bool:
+    """Whether the mode can write; a mode that is not a literal counts as writing."""
+    mode = mode_of(call)
+    return mode is None or any(c in mode for c in "wax+")
+
+
+def may_be_text(call: ast.Call) -> bool:
+    """Whether the mode is text; a mode that is not a literal counts as text."""
+    mode = mode_of(call)
+    return mode is None or "b" not in mode
+
+
+def opens(tree, which):
+    """(enclosing function, line) of every open() or fdopen() that `which` picks."""
     found = []
 
     def visit(node, function):
@@ -32,7 +46,7 @@ def write_opens(tree):
             if isinstance(child, ast.Call):
                 func = child.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in ("open", "fdopen") and may_write(child):
+                if name in ("open", "fdopen") and which(child):
                     found.append((function, child.lineno))
             is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if is_def else function)
@@ -50,6 +64,18 @@ def test_no_module_imports_csv():
                 assert node.module != "csv", f"{name}:{node.lineno}"
 
 
+def sites(which):
+    """(module, enclosing function) of each open() or fdopen() `which` picks,
+    and the list with line numbers to show on a failure."""
+    found = [(name, *site) for name, tree in modules() for site in opens(tree, which)]
+    return [(name, function) for name, function, _ in found], found
+
+
 def test_files_are_opened_for_writing_only_by_the_atomic_writer():
-    found = [(name, *site) for name, tree in modules() for site in write_opens(tree)]
-    assert [(name, function) for name, function, _ in found] == [WRITER], found
+    functions, found = sites(may_write)
+    assert functions == [WRITER], found
+
+
+def test_text_is_read_only_by_the_raw_line_reader_and_the_config_loader():
+    functions, found = sites(may_be_text)
+    assert functions == TEXT_READERS, found
