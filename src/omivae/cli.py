@@ -6,7 +6,12 @@ runtime or numeric error. Errors print a single machine-parseable line
 environment variable, a positive integer, caps fold-level parallelism in
 crossval (default 1); while its folds run, numpy's bundled OpenBLAS uses at
 most `cores // OMIVAE_THREADS` threads, so fold threads and BLAS threads do
-not oversubscribe the cores. Every output file is written as UTF-8 and replaced
+not oversubscribe the cores. OpenBLAS's GEMM results can differ in the last
+bits with its thread count (`(128x400) @ (400x256)` does at 1 and 2 threads),
+so the outputs of `train` and of `crossval` at one fold thread, which run
+OpenBLAS's default count, depend on the machine's cores;
+`OPENBLAS_NUM_THREADS=1` reproduces the bytes of a one-thread run anywhere.
+Every output file is written as UTF-8 and replaced
 atomically: a run that stops part-way leaves each file whole, old or new.
 Every pass outside training (validation, `embed`, `evaluate` and each
 crossval test fold) gathers at most `data.INFER_ROWS` rows at a time, so

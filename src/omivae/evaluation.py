@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import colorsys
-import functools
 import html
 import math
 import re
@@ -186,15 +185,59 @@ class ProbeClassifier:
         return np.hstack([scaled, np.ones((embedding.shape[0], 1))])
 
 
+def _class_sums(e: Matrix, out: np.ndarray, acc: np.ndarray) -> None:
+    """Write each sample's sum over the classes of class-major `e` to `out`,
+    bit-equal to numpy's row sums of the sample-major array.
+
+    numpy (2.4) sums a row of fewer than 8 values in order; up to 128 it
+    keeps 8 running sums r_j over the values j, j + 8, ..., joins them as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and then adds the
+    values left over in order. This takes those steps over whole class rows,
+    with `acc` (14 x samples) for the partial sums. Above 128 classes it
+    sums a sample-major copy with numpy itself.
+    """
+    k = e.shape[0]
+    if k > 128:
+        np.add.reduce(np.ascontiguousarray(e.T), axis=1, out=out)
+        return
+    if k < 8:
+        np.copyto(out, e[0])
+        rest = range(1, k)
+    else:
+        r, pairs, quads = e[:8], acc[8:12], acc[12:]
+        top = k - k % 8
+        for i in range(8, top, 8):
+            r = np.add(r, e[i : i + 8], out=acc[:8])
+        np.add(r[0::2], r[1::2], out=pairs)
+        np.add(pairs[0::2], pairs[1::2], out=quads)
+        np.add(quads[0], quads[1], out=out)
+        rest = range(top, k)
+    for i in rest:
+        np.add(out, e[i], out=out)
+
+
 def probe_fit(embedding: Matrix, labels) -> ProbeClassifier:
     """Fit the probe; deterministic for given data (zero init, fixed step).
 
     The loss is cross-entropy plus `PROBE_L2` times half the squared weights.
     The step size is 1 over the loss's curvature bound, which makes the
     training loss non-increasing. The fit stops after `PROBE_MAX_ITER` steps
-    or when the gradient norm falls below `PROBE_GRAD_TOL`.
+    or when the gradient norm falls below `PROBE_GRAD_TOL`. `labels` must be
+    a 1-D vector of non-negative integer class indices, one per row.
+
+    Each step works in buffers made once: the logits are copied class-major
+    (classes x samples), so the softmax runs along the samples, and the
+    gradient is `x.T @` that buffer's transpose. Every value takes the same
+    rounded operations, in the same order, as the plain row-major form
+    (`e.sum(axis=1)` for the normaliser, `np.linalg.norm` for the stopping
+    test), so the losses and weights are bit-equal to it.
     """
     labels = np.asarray(labels)
+    if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
+        raise ValidationError(
+            f"probe labels must be a 1-D vector of integers, got shape {labels.shape} "
+            f"of {labels.dtype}"
+        )
     if embedding.shape[0] != labels.shape[0]:
         raise ValidationError("embedding rows must match labels")
     classes = np.unique(labels)
@@ -215,28 +258,46 @@ def probe_fit(embedding: Matrix, labels) -> ProbeClassifier:
     )
     x = probe._design(embedding)
     rows = np.arange(n)
-    onehot = np.zeros((n, num_classes))
-    onehot[rows, labels] = 1.0
-    true_class = rows * num_classes + labels  # flat index of each row's label
+    onehot = np.zeros((num_classes, n))
+    onehot[labels, rows] = 1.0
+    true_class = labels * n + rows  # flat index of each sample's label, class-major
 
     # softmax cross-entropy curvature is at most 0.5 * lmax(X^T X / n) + PROBE_L2
     lmax = float(sym_eig(x.T @ x / n)[0][0])
     step = 1.0 / (0.5 * lmax + PROBE_L2)
     w = probe.weights
+    logits = np.empty((n, num_classes))
+    # class-major: shifted logits, then their exp, the probabilities and
+    # last the residuals `probs - onehot`
+    s = np.empty((num_classes, n))
+    row_max, total, ce_terms, picked = np.empty((4, n))
+    acc = np.empty((14, n))
+    grad, decay = np.empty((2, *w.shape))
+    flat_grad = grad.reshape(-1)
     for _ in range(PROBE_MAX_ITER):
-        logits = x @ w
-        # an elementwise fold over the columns is `max(axis=1)`, and faster
-        shifted = logits - functools.reduce(np.maximum, logits.T)[:, None]
-        e = np.exp(shifted)
-        total = e.sum(axis=1, keepdims=True)
-        probs = e / total
-        ce = float((np.log(total[:, 0]) - shifted.take(true_class)).mean())
-        loss = ce + 0.5 * PROBE_L2 * float((w * w).sum())
+        np.matmul(x, w, out=logits)
+        np.copyto(s, logits.T)
+        np.maximum.reduce(s, axis=0, out=row_max)
+        np.subtract(s, row_max, out=s)
+        s.take(true_class, out=picked, mode="clip")
+        np.exp(s, out=s)
+        _class_sums(s, total, acc)
+        np.log(total, out=ce_terms)
+        np.subtract(ce_terms, picked, out=ce_terms)
+        ce = float(np.add.reduce(ce_terms) / n)
+        np.multiply(w, w, out=decay)
+        loss = ce + 0.5 * PROBE_L2 * float(np.add.reduce(decay, axis=None))
         probe.loss_history.append(loss)
-        grad = x.T @ (probs - onehot) / n + PROBE_L2 * w
-        if float(np.linalg.norm(grad)) < PROBE_GRAD_TOL:
+        np.divide(s, total, out=s)
+        np.subtract(s, onehot, out=s)
+        np.matmul(x.T, s.T, out=grad)
+        np.divide(grad, n, out=grad)
+        np.multiply(w, PROBE_L2, out=decay)
+        np.add(grad, decay, out=grad)
+        if math.sqrt(flat_grad @ flat_grad) < PROBE_GRAD_TOL:
             break
-        w -= step * grad
+        np.multiply(grad, step, out=grad)
+        np.subtract(w, grad, out=w)
     return probe
 
 

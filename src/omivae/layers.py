@@ -87,16 +87,18 @@ class ParameterArena:
 
 def sigmoid(z: Matrix) -> Matrix:
     """The logistic function: 1/(1+e^-z) for z >= 0 and e^z/(1+e^z)
-    otherwise, both from e^-|z| <= 1, which cannot overflow. min(z, -z)
-    rather than -|z| keeps a NaN's sign, so the result is bit-equal to
-    masking by sign."""
+    otherwise, both from e = e^-|z| <= 1, which cannot overflow. The
+    numerator is max(e, z >= 0): 1 where z >= 0, since e <= 1, and e
+    elsewhere, so one division serves both signs with no masked copy.
+    min(z, -z) rather than -|z| keeps a NaN's sign, so the result is
+    bit-equal to masking by sign."""
     with np.errstate(under="ignore"):
-        out = np.minimum(z, -z)
-        np.exp(out, out=out)
-        denom = out + 1.0
-        np.divide(out, denom, out=out)
-        np.divide(1.0, denom, out=denom)
-    np.copyto(out, denom, where=z >= 0)
+        e = np.negative(z)
+        np.minimum(z, e, out=e)
+        np.exp(e, out=e)
+        out = np.maximum(e, z >= 0)
+        np.add(e, 1.0, out=e)
+        np.divide(out, e, out=out)
     return out
 
 

@@ -48,9 +48,16 @@ def bce(target: Matrix, pred: Matrix) -> float:
     """
     if target.shape != pred.shape:
         raise ValidationError(f"bce shape mismatch: {target.shape} vs {pred.shape}")
+    # -(target * log(p) + (1 - target) * log(1 - p)), in place in p and q
     p = np.clip(pred, LOG_CLAMP, 1.0 - LOG_CLAMP)
-    per_entry = -(target * np.log(p) + (1.0 - target) * np.log(1.0 - p))
-    return float(per_entry.mean())
+    q = np.subtract(1.0, p)
+    np.log(p, out=p)
+    np.log(q, out=q)
+    np.multiply(target, p, out=p)
+    np.multiply(1.0 - target, q, out=q)
+    np.add(p, q, out=p)
+    np.negative(p, out=p)
+    return float(p.mean())
 
 
 def kl_gaussian(mu: Matrix, logvar: Matrix) -> float:

@@ -49,6 +49,12 @@ class Adam:
         self._a = np.empty(ADAM_CHUNK)
         self._b = np.empty(ADAM_CHUNK)
 
+    def reset(self) -> None:
+        """Zero the moments and the step count, as in a fresh `Adam`."""
+        self.t = 0
+        self.m.fill(0.0)
+        self.v.fill(0.0)
+
     def step(self) -> None:
         grads = self.arena.grads
         # a finite sum of squares means every entry is finite; only a
@@ -217,7 +223,15 @@ def _run_phase(
     epochs_max: int,
     stream: RngState,
     history: TrainingHistory,
+    adam: Adam,
+    saved: np.ndarray,
 ) -> None:
+    """One training phase, stepping `adam` as the caller hands it over.
+
+    `saved`, a buffer the size of `model.arena.state`, holds the entry
+    state until an epoch improves and the best state so far after that; the
+    phase ends on that state.
+    """
     if epochs_max == 0:
         return
     labels = dataset.labels
@@ -228,9 +242,7 @@ def _run_phase(
         if train_idx.size == 0:
             raise ValidationError("supervised phase has no labeled training samples")
 
-    adam = Adam(model.arena, lr=config.learning_rate)
-    # the entry state until an epoch improves, then the best state so far
-    saved = model.arena.state.copy()
+    np.copyto(saved, model.arena.state)
     best_metric: float | None = None
     best_epoch = 0
     wait = 0
@@ -284,7 +296,8 @@ def _run_phase(
             if wait >= config.patience:
                 break
     if best_epoch:
-        np.copyto(model.arena.state, saved)
+        if best_epoch != epoch:  # else the state is still the one saved
+            np.copyto(model.arena.state, saved)
         history.best_epoch[phase] = best_epoch
         history.best_metric[phase] = best_metric
 
@@ -307,6 +320,9 @@ def train_two_phase(
     no randomness across phases and a phase-2-only resume reproduces the
     continuous run exactly. On divergence the best snapshot so far is
     restored and training stops.
+
+    Both phases share one snapshot buffer and one `Adam`, whose moments are
+    zeroed for phase 2; both are freed when this returns.
     """
     train_idx = np.asarray(train_idx, dtype=np.int64)
     val_idx = np.asarray(val_idx, dtype=np.int64)
@@ -314,6 +330,8 @@ def train_two_phase(
         raise ValidationError("training and validation splits must be non-empty")
     rng = rng if rng is not None else RngState(config.seed)
     history = TrainingHistory()
+    adam = Adam(model.arena, lr=config.learning_rate)
+    saved = np.empty_like(model.arena.state)
     _run_phase(
         model,
         dataset,
@@ -325,10 +343,13 @@ def train_two_phase(
         epochs_max=config.phase1_epochs,
         stream=rng.derive(1),
         history=history,
+        adam=adam,
+        saved=saved,
     )
     if history.diverged:
         return history
     if config.phase2_epochs > 0 and config.phase2_beta > 0.0:
+        adam.reset()
         _run_phase(
             model,
             dataset,
@@ -340,6 +361,8 @@ def train_two_phase(
             epochs_max=config.phase2_epochs,
             stream=rng.derive(2),
             history=history,
+            adam=adam,
+            saved=saved,
         )
     return history
 

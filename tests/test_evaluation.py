@@ -211,19 +211,39 @@ class TestProbe:
         with pytest.raises(ValidationError):
             probe_fit(np.zeros((5, 2)), np.zeros(5, dtype=int))
 
-    def test_bit_equal_to_the_two_exponential_form(self):
-        """One `exp` per step gives the weights and losses of the form that
-        took `exp` once for the probabilities and again for the normaliser."""
+    @pytest.mark.parametrize("labels", [
+        np.zeros((6, 1), dtype=int),  # a column: it would broadcast into a wrong one-hot
+        np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0]),
+        np.array([False, True, True, False, True, False]),
+    ], ids=["column", "float", "bool"])
+    def test_labels_must_be_a_vector_of_integers(self, labels):
+        with pytest.raises(ValidationError, match="1-D vector of integers"):
+            probe_fit(RngState(11).standard_normal(6, 2), labels)
+
+    # below 8 classes numpy sums a row in order, up to 128 in eight running
+    # sums, and above 128 the probe sums with numpy itself; 600 x 16 with
+    # 10 classes is the benchmark's fit
+    @pytest.mark.parametrize("rows, features, classes", [
+        (150, 5, 2), (150, 5, 4), (150, 5, 9), (150, 5, 10), (150, 5, 17), (150, 5, 33),
+        (600, 16, 10), (150, 5, 130),
+    ])
+    def test_bit_equal_to_the_two_exponential_form(self, rows, features, classes):
+        """The class-major loop with one `exp` per step gives the weights and
+        losses of the row-major form that took `exp` once for the
+        probabilities and again for the normaliser."""
         rng = RngState(10)
-        x = rng.standard_normal(150, 5) * np.array([1.0, 2.0, 0.5, 3.0, 1e-3]) + 0.7
-        y = np.argmax(x[:, :4] + np.asarray(rng.standard_normal(150, 4)), axis=1)
+        scales = np.resize([1.0, 2.0, 0.5, 3.0, 1e-3], features)
+        x = rng.standard_normal(rows, features) * scales + 0.7
+        mix = rng.standard_normal(features, classes)
+        y = np.argmax(x @ mix + np.asarray(rng.standard_normal(rows, classes)), axis=1)
+        y[:classes] = np.arange(classes)
         probe = probe_fit(x, y)
         n = x.shape[0]
         design = probe._design(x)
-        onehot = np.zeros((n, 4))
+        onehot = np.zeros((n, classes))
         onehot[np.arange(n), y] = 1.0
         step = 1.0 / (0.5 * float(sym_eig(design.T @ design / n)[0][0]) + PROBE_L2)
-        w = np.zeros((6, 4))
+        w = np.zeros((features + 1, classes))
         losses = []
         for _ in range(PROBE_MAX_ITER):
             logits = design @ w

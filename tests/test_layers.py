@@ -237,7 +237,32 @@ def masked_sigmoid(z):
     return out
 
 
+def two_division_sigmoid(z):
+    """The sigmoid that divides twice and picks the z >= 0 quotient with a
+    masked copy, the reference form of the one-division kernel."""
+    with np.errstate(under="ignore"):
+        out = np.minimum(z, -z)
+        np.exp(out, out=out)
+        denom = out + 1.0
+        np.divide(out, denom, out=out)
+        np.divide(1.0, denom, out=denom)
+    np.copyto(out, denom, where=z >= 0)
+    return out
+
+
 class TestSigmoid:
+    def test_bit_equal_to_the_two_division_form(self):
+        # signed zeros and NaNs, infinities, subnormals and the edges of
+        # exp's underflow, among a decoder-sized block of ordinary values
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                    708.0, -708.0, 745.2, -745.2, 746.0, -746.0, 1e-300, -1e-300]
+        z = RngState(48).standard_normal(128, 200) * 20.0
+        z.flat[: len(specials)] = specials
+        z[:, 7] = -z[:, 7]
+        for given in (z, z[:, 3:150], z.T):
+            got = sigmoid(given)
+            assert got.tobytes() == two_division_sigmoid(given).tobytes()
+
     def test_bit_equal_to_the_masked_form_without_warnings(self):
         specials = [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan, -np.nan]
         z = np.concatenate([specials, RngState(47).standard_normal(1, 40)[0] * 30.0])

@@ -54,6 +54,34 @@ class TestBce:
             assert bce(t, p) >= bce(t, t) - 1e-12
 
 
+def out_of_place_bce(target, pred):
+    """Binary cross-entropy as one expression of fresh arrays, the
+    reference form of the in-place kernel."""
+    p = np.clip(pred, 1e-7, 1.0 - 1e-7)
+    per_entry = -(target * np.log(p) + (1.0 - target) * np.log(1.0 - p))
+    return float(per_entry.mean())
+
+
+class TestBceOracle:
+    """`bce` works in place in two buffers, yet every result is bit-equal
+    to the out-of-place reference form."""
+
+    @pytest.mark.parametrize("special", [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0])
+    def test_bit_equal_to_the_out_of_place_form(self, special):
+        rng = RngState(3)
+        target = rng.uniform(0.0, 1.0, (128, 200))
+        pred = rng.uniform(0.0, 1.0, (128, 200))
+        target[0, :4] = [0.0, -0.0, 1.0, 0.5]
+        pred[1, :6] = [0.0, -0.0, 1.0, 1e-9, 1.0 - 1e-12, 0.5]
+        pred[2, 5] = special
+        target[3, 9] = special
+        pred[4, 11] = target[4, 11] = special
+        with np.errstate(invalid="ignore"):
+            for t, p in ((target, pred), (target[:, 3:150], pred[:, 3:150]), (target.T, pred.T)):
+                got = np.float64(bce(t, p))
+                assert got.tobytes() == np.float64(out_of_place_bce(t, p)).tobytes()
+
+
 class TestKl:
     def test_matching_distributions(self):
         assert kl_gaussian(np.zeros((5, 3)), np.zeros((5, 3))) == 0.0

@@ -287,6 +287,8 @@ class TestRunPhaseRestore:
             epochs_max=3,
             stream=RngState(5),
             history=history,
+            adam=Adam(model.arena, lr=config.learning_rate),
+            saved=np.empty_like(model.arena.state),
         )
         assert history.diverged
         assert len(calls) == fail_at

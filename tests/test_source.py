@@ -1,7 +1,7 @@
 """The package reads TSVs without `csv`, opens files for writing in one
 place, the atomic-replace routine that every output goes through, and opens
 text for reading in two: the raw-line reader of every TSV and the config
-file loader."""
+file loader. The modules a training step runs make no masked copies."""
 
 import ast
 import pathlib
@@ -9,6 +9,7 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "omivae"
 WRITER = ("container.py", "_replace_file")
 TEXT_READERS = [("config.py", "load_run_config"), ("data.py", "_raw_lines")]
+STEP_MODULES = ("layers.py", "losses.py", "model.py", "optim.py")
 
 
 def modules():
@@ -79,3 +80,27 @@ def test_files_are_opened_for_writing_only_by_the_atomic_writer():
 def test_text_is_read_only_by_the_raw_line_reader_and_the_config_loader():
     functions, found = sites(may_be_text)
     assert functions == TEXT_READERS, found
+
+
+def is_masked_copy(call: ast.Call) -> bool:
+    """`np.copyto(..., where=...)`, `np.putmask`, `np.place` or a
+    three-argument `np.where`: each walks a mask element by element, many
+    times slower than an unmasked ufunc on the same array."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name == "copyto":
+        return any(k.arg == "where" for k in call.keywords) or len(call.args) > 3
+    if name == "where":
+        return len(call.args) + len(call.keywords) == 3
+    return name in ("putmask", "place")
+
+
+def test_training_step_modules_make_no_masked_copies():
+    found = [
+        (name, node.lineno)
+        for name, tree in modules()
+        if name in STEP_MODULES
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and is_masked_copy(node)
+    ]
+    assert found == []
