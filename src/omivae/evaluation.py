@@ -260,7 +260,7 @@ def probe_fit(embedding: Matrix, labels) -> ProbeClassifier:
     rows = np.arange(n)
     onehot = np.zeros((num_classes, n))
     onehot[labels, rows] = 1.0
-    true_class = labels * n + rows  # flat index of each sample's label, class-major
+    true_class = np.ravel_multi_index((labels, rows), onehot.shape)  # into class-major arrays
 
     # softmax cross-entropy curvature is at most 0.5 * lmax(X^T X / n) + PROBE_L2
     lmax = float(sym_eig(x.T @ x / n)[0][0])

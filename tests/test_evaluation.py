@@ -220,6 +220,13 @@ class TestProbe:
         with pytest.raises(ValidationError, match="1-D vector of integers"):
             probe_fit(RngState(11).standard_normal(6, 2), labels)
 
+    def test_narrow_integer_labels_fit_like_int64(self):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((600, 3))
+        y = rng.integers(0, 5, 600)
+        wide, narrow = probe_fit(x, y), probe_fit(x, y.astype(np.uint8))
+        assert narrow.weights.tobytes() == wide.weights.tobytes()
+
     # below 8 classes numpy sums a row in order, up to 128 in eight running
     # sums, and above 128 the probe sums with numpy itself; 600 x 16 with
     # 10 classes is the benchmark's fit
