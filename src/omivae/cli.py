@@ -13,6 +13,8 @@ OpenBLAS's default count, depend on the machine's cores;
 `OPENBLAS_NUM_THREADS=1` reproduces the bytes of a one-thread run anywhere.
 Every output file is written as UTF-8 and replaced
 atomically: a run that stops part-way leaves each file whole, old or new.
+Checkpoints and dataset caches stream to and from disk one tensor at a
+time, so saving or loading one holds a single copy of its tensors.
 Every pass outside training (validation, `embed`, `evaluate` and each
 crossval test fold) gathers at most `data.INFER_ROWS` rows at a time, so
 its memory scales with that chunk, not with the cohort.
@@ -168,7 +170,7 @@ def cmd_train(args) -> int:
     history_path = args.history or args.out + ".history.tsv"
     write_text_atomic(history_path, history.to_tsv())
     if history.diverged:
-        print("training diverged; best snapshot saved", file=sys.stderr)
+        print(f"training diverged ({history.diverged}); best snapshot saved", file=sys.stderr)
     if last is not None:
         print(
             f"trained {len(history.records)} epochs; "

@@ -18,6 +18,15 @@ their annotations, the same codec that parses configuration files.
 
 Containers and text outputs (`write_text_atomic`) are written one way: to a
 temp file beside the target, then renamed over it.
+
+A container streams one field at a time, so saving or loading holds one
+copy of the tensors: `write_container` writes each payload from a view of
+its own array (a tensor that is not contiguous float64 is copied alone,
+while it is written), and `read_container` checks every length against the
+bytes left in the file before it allocates, then reads each payload
+straight into its new array. Beyond the tensors, either adds memory of the
+order of the text blocks, and a file that is not a container is refused
+after its first six bytes.
 """
 
 from __future__ import annotations
@@ -143,42 +152,51 @@ def write_container(
     tensors: list[tuple[str, np.ndarray]],
     metadata: dict[str, str],
 ) -> None:
-    """Write atomically: a temp file in the target directory, then rename."""
+    """Write atomically: a temp file in the target directory, then rename.
+
+    Each payload is written from a view of its own array, so the write
+    holds no second copy of the tensors.
+    """
     if len(magic) != 6:
         raise FormatError("container magic must be exactly 6 bytes")
-    parts: list[bytes] = [magic, struct.pack("<I", version)]
     config_bytes = canonical_text(config).encode("utf-8")
-    parts.append(struct.pack("<I", len(config_bytes)))
-    parts.append(config_bytes)
-    parts.append(struct.pack("<I", len(tensors)))
-    for name, arr in tensors:
-        name_bytes = name.encode("utf-8")
-        arr = np.ascontiguousarray(arr, dtype=np.float64)
-        parts.append(struct.pack("<I", len(name_bytes)))
-        parts.append(name_bytes)
-        parts.append(struct.pack("<I", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
-        parts.append(arr.astype("<f8").tobytes())
     meta_bytes = canonical_text(metadata).encode("utf-8")
-    parts.append(struct.pack("<I", len(meta_bytes)))
-    parts.append(meta_bytes)
-    _replace_file(path, b"".join(parts))
+
+    def chunks():
+        yield magic
+        yield struct.pack("<II", version, len(config_bytes))
+        yield config_bytes
+        yield struct.pack("<I", len(tensors))
+        for name, arr in tensors:
+            name_bytes = name.encode("utf-8")
+            # a copy, of this one tensor, only if it is not contiguous <f8 already
+            arr = np.ascontiguousarray(arr, dtype="<f8")
+            yield struct.pack("<I", len(name_bytes))
+            yield name_bytes
+            yield struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape)
+            yield memoryview(arr)
+        yield struct.pack("<I", len(meta_bytes))
+        yield meta_bytes
+
+    _replace_file(path, chunks())
 
 
 def write_text_atomic(path: str, text: str) -> None:
     """Replace `path` with `text` as UTF-8, atomically like `write_container`."""
-    _replace_file(path, text.encode("utf-8"))
+    _replace_file(path, [text.encode("utf-8")])
 
 
-def _replace_file(path: str, payload: bytes) -> None:
-    """Write `payload` to a temp file in the target directory, then rename it
-    over `path`: a reader sees the old file or the new one, never a part."""
+def _replace_file(path: str, chunks) -> None:
+    """Write the bytes-like `chunks` in turn to a temp file in the target
+    directory, then rename it over `path`: a reader sees the old file or
+    the new one, never a part."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:
             os.fchmod(fh.fileno(), 0o666 & ~_UMASK)
-            fh.write(payload)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -187,19 +205,28 @@ def _replace_file(path: str, payload: bytes) -> None:
 
 
 class _Reader:
-    """Reads a container's fields off a view of its bytes, so a tensor's
-    payload is copied once, into its array."""
+    """Reads a container's fields off its open file, checking every length
+    against the bytes left before anything is allocated or read."""
 
-    def __init__(self, blob: bytes, path: str):
-        self.blob = memoryview(blob)
-        self.pos = 0
+    def __init__(self, fh, path: str):
+        self.fh = fh
         self.path = path
+        self.left = fh.seek(0, os.SEEK_END)
+        fh.seek(0)
 
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.blob):
-            raise FormatError(f"{self.path}: truncated container (needed {n} more bytes)")
-        out = self.blob[self.pos : self.pos + n]
-        self.pos += n
+    def truncated(self, n: int) -> FormatError:
+        return FormatError(f"{self.path}: truncated container (needed {n} more bytes)")
+
+    def need(self, n: int) -> None:
+        if n > self.left:
+            raise self.truncated(n)
+        self.left -= n
+
+    def take(self, n: int) -> bytes:
+        self.need(n)
+        out = self.fh.read(n)
+        if len(out) != n:  # the file shrank while it was read
+            raise self.truncated(n)
         return out
 
     def u32(self) -> int:
@@ -214,17 +241,31 @@ class _Reader:
     def text_block(self, what: str) -> str:
         return self.text(self.u32(), f"{what} block")
 
+    def array(self, name: str, dims: tuple[int, ...]) -> np.ndarray:
+        n = 8 * math.prod(dims)  # exact: np.prod would wrap at 2**63
+        self.need(n)
+        try:
+            arr = np.empty(dims, dtype="<f8")
+        except ValueError as exc:  # a zero dim beside dims too large for numpy
+            raise FormatError(f"{self.path}: impossible shape {dims} for {name!r}") from exc
+        if self.fh.readinto(arr) != n:
+            raise self.truncated(n)
+        return arr
+
 
 def read_container(
     path: str, magic: bytes, version: int
 ) -> tuple[dict[str, str], list[tuple[str, np.ndarray]], dict[str, str]]:
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            return _read_fields(_Reader(fh, path), magic, version)
     except OSError as exc:
         raise FormatError(f"cannot read container {path}: {exc}") from exc
-    r = _Reader(blob, path)
-    found_magic = bytes(r.take(6))
+
+
+def _read_fields(r: _Reader, magic: bytes, version: int):
+    path = r.path
+    found_magic = r.take(6)
     if found_magic != magic:
         raise FormatError(
             f"{path}: bad magic {found_magic!r}, expected {magic!r}"
@@ -242,14 +283,9 @@ def read_container(
         rank = r.u32()
         if rank > 8:
             raise FormatError(f"{path}: implausible tensor rank {rank} for {name!r}")
-        dims = struct.unpack(f"<{rank}I", r.take(4 * rank)) if rank else ()
-        payload = r.take(8 * math.prod(dims))  # exact: np.prod would wrap at 2**63
-        try:
-            arr = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)
-        except ValueError as exc:  # a zero dim beside dims too large for numpy
-            raise FormatError(f"{path}: impossible shape {dims} for {name!r}") from exc
-        tensors.append((name, arr))
+        dims = struct.unpack(f"<{rank}I", r.take(4 * rank))
+        tensors.append((name, r.array(name, dims)))
     metadata = parse_canonical_text(r.text_block("metadata"))
-    if r.pos != len(blob):
-        raise FormatError(f"{path}: {len(blob) - r.pos} trailing bytes after metadata")
+    if r.left:
+        raise FormatError(f"{path}: {r.left} trailing bytes after metadata")
     return config, tensors, metadata

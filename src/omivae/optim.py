@@ -136,7 +136,8 @@ class TrainingHistory:
     records: list[EpochRecord] = field(default_factory=list)
     best_epoch: dict[int, int] = field(default_factory=dict)
     best_metric: dict[int, float] = field(default_factory=dict)
-    diverged: bool = False
+    # why training stopped on a non-finite value, where it did; "" if it did not
+    diverged: str = ""
 
     TSV_COLUMNS = (
         "phase",
@@ -246,6 +247,7 @@ def _run_phase(
     best_metric: float | None = None
     best_epoch = 0
     wait = 0
+    step = 0
     for epoch in range(1, epochs_max + 1):
         order = stream.permutation(train_idx.size)
         sums = np.zeros(6)
@@ -256,12 +258,13 @@ def _run_phase(
                 continue  # batch norm cannot run on a single sample
             x_expr, x_blocks = dataset.batch(chosen)
             batch_labels = labels[chosen] if weights.beta > 0.0 else None
+            step += 1
             try:
                 report = model.forward_backward(x_expr, x_blocks, batch_labels, weights, rng=stream)
                 adam.step()
-            except NumericError:
+            except NumericError as exc:
                 np.copyto(model.arena.state, saved)
-                history.diverged = True
+                history.diverged = f"phase {phase}, epoch {epoch}, step {step}: {exc}"
                 return
             sums += np.array(astuple(report)) * chosen.size
             seen += chosen.size
@@ -319,7 +322,8 @@ def train_two_phase(
     draws from its own stream derived from the master seed, so a run reuses
     no randomness across phases and a phase-2-only resume reproduces the
     continuous run exactly. On divergence the best snapshot so far is
-    restored and training stops.
+    restored, training stops, and `history.diverged` names the phase, epoch
+    and step and the `NumericError` that stopped it.
 
     Both phases share one snapshot buffer and one `Adam`, whose moments are
     zeroed for phase 2; both are freed when this returns.

@@ -355,6 +355,33 @@ def test_the_checkpoint_names_the_last_phase_that_ran(tmp_path, capsys, options,
     assert {line.split("\t")[0] for line in phase_rows(f"{d}/m.omvae.history.tsv", phase)} == {phase}
 
 
+def test_train_names_where_and_why_it_diverged(tmp_path, capsys, monkeypatch):
+    """A NaN gradient on the third step of phase 1 stops training; the
+    stderr line keeps the error's tensor name and the step."""
+    d = str(tmp_path)
+    assert cli.main(["synth", *SYNTH, "--out", f"{d}/synth"]) == 0
+    forward_backward = OmiVaeModel.forward_backward
+    steps = []
+
+    def poisoned(self, *args, **kwargs):
+        out = forward_backward(self, *args, **kwargs)
+        steps.append(1)
+        if len(steps) == 3:
+            self.parameters()[0].grad[0] = np.nan
+        return out
+
+    monkeypatch.setattr(OmiVaeModel, "forward_backward", poisoned)
+    capsys.readouterr()
+    assert cli.main(["train", "--data", f"{d}/synth/dataset.omids", *MODEL,
+                     "--out", f"{d}/m.omvae"]) == 0
+    err = capsys.readouterr().err
+    name = load_checkpoint(f"{d}/m.omvae").build().parameters()[0].name
+    assert err == (
+        f"training diverged (phase 1, epoch 1, step 3: non-finite gradient in {name}; "
+        "step aborted); best snapshot saved\n"
+    )
+
+
 def test_no_inference_pass_gathers_more_than_infer_rows(tmp_path, monkeypatch):
     """`evaluate`, `embed`, validation and each crossval test fold read the
     60-sample cohort in chunks of `data.INFER_ROWS`; training gathers

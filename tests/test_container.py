@@ -1,12 +1,15 @@
 """The binary container: corrupt names, file modes, atomic replacement, the
-CLI on a bad file."""
+CLI on a bad file, and the memory a save or load holds beyond its tensors."""
 
+import contextlib
 import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from omivae import cli
@@ -78,20 +81,68 @@ def test_an_empty_id_is_not_saved(tmp_path):
     assert not path.exists()
 
 
+MB = 2**20
+
+
+@contextlib.contextmanager
+def traced_peak():
+    """Yields a list that holds, after the block, the peak bytes numpy and
+    Python allocated inside it."""
+    peak = []
+    tracemalloc.start()
+    try:
+        yield peak
+        peak.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+
+
 def test_tensor_size_does_not_wrap_around(tmp_path):
-    # 2**31 * 2**31 * 4 elements is 2**64: a 64-bit product wraps to 0
     path = str(tmp_path / "huge.omvae")
-    blob = (
-        CHECKPOINT_MAGIC
-        + struct.pack("<4I", CHECKPOINT_VERSION, 0, 1, 1)  # version, empty config, 1 tensor
-        + b"w"
-        + struct.pack("<4I", 3, 2**31, 2**31, 4)  # rank 3 and its dims, then no payload
-        + struct.pack("<I", 0)
-    )
+    # 2**31 * 2**31 * 4 elements is 2**64: a 64-bit product wraps to 0; and
+    # 4096 * 4096 elements is 128 MB, more than the file holds
+    for dims in [(2**31, 2**31, 4), (4096, 4096)]:
+        blob = (
+            CHECKPOINT_MAGIC
+            + struct.pack("<4I", CHECKPOINT_VERSION, 0, 1, 1)  # version, empty config, 1 tensor
+            + b"w"
+            + struct.pack(f"<{1 + len(dims)}I", len(dims), *dims)  # rank, dims, no payload
+            + struct.pack("<I", 0)
+        )
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        with traced_peak() as peak, pytest.raises(FormatError, match="truncated"):
+            read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+        assert peak[0] < 64 * 1024, dims  # refused before anything is allocated
+
+
+def test_a_save_holds_no_second_copy_of_the_tensors(tmp_path):
+    path = str(tmp_path / "big.bin")
+    tensor = np.linspace(0.0, 1.0, MB)  # 8 MB
+    with traced_peak() as peak:
+        write_container(path, b"TEST01", 1, {"k": "v"}, [("w", tensor)], {"m": "1"})
+    assert peak[0] < MB  # beyond the tensor
+    assert os.path.getsize(path) > tensor.nbytes
+
+
+def test_a_load_holds_one_copy_of_the_tensors(tmp_path):
+    path = str(tmp_path / "big.bin")
+    tensor = np.linspace(0.0, 1.0, MB)
+    write_container(path, b"TEST01", 1, {"k": "v"}, [("w", tensor)], {"m": "1"})
+    with traced_peak() as peak:
+        _, tensors, _ = read_container(path, b"TEST01", 1)
+    assert peak[0] < tensor.nbytes + MB  # the tensor read back, and little else
+    assert tensors[0][1].tobytes() == tensor.tobytes()
+
+
+def test_a_file_that_is_no_container_is_refused_after_its_header(tmp_path):
+    # `omivae embed --checkpoint` given a large TSV must not read it whole
+    path = tmp_path / "zeros.omvae"
     with open(path, "wb") as fh:
-        fh.write(blob)
-    with pytest.raises(FormatError, match="truncated"):
-        read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+        fh.truncate(50 * MB)
+    with traced_peak() as peak, pytest.raises(FormatError, match="bad magic"):
+        read_container(str(path), CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    assert peak[0] < MB
 
 
 WRITE_AND_STAT = """

@@ -290,7 +290,11 @@ class TestRunPhaseRestore:
             adam=Adam(model.arena, lr=config.learning_rate),
             saved=np.empty_like(model.arena.state),
         )
-        assert history.diverged
+        name = model.parameters()[3].name
+        epoch = 1 if fail_at == 2 else 2
+        assert history.diverged == (
+            f"phase 1, epoch {epoch}, step {fail_at}: non-finite gradient in {name}; step aborted"
+        )
         assert len(calls) == fail_at
         expected = entry if fail_at == 2 else evaluated[0]
         assert len(evaluated) == (0 if fail_at == 2 else 1)
