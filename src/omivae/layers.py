@@ -1,7 +1,9 @@
 """Fully connected blocks (linear -> batch norm -> ReLU) and the composites
 that wire them into towers: a sequence, a column join of branches and a
 column split into branches. The model's output layers are plain
-`LinearLayer`s; it applies `sigmoid` and `softmax` to their outputs itself.
+`LinearLayer`s that give logits; the model applies `sigmoid` and `softmax`
+only where it needs probabilities: for the output gradients in
+`forward_backward`, and `softmax` in `predict_proba`.
 
 Forward and backward passes are written out by hand, once per block or
 composite; `gradient_check` compares any block's or model's gradients with

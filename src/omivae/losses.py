@@ -1,5 +1,14 @@
 """Reconstruction, divergence, and classification losses.
 
+Both data terms read the model's output logits, not probabilities, and are
+computed in a form that stays exact at any finite logit: binary
+cross-entropy as `max(z, 0) - t*z + log1p(exp(-|z|))` and classification as
+log-softmax. So each reported loss is the function whose gradient the
+model's backward uses (`sigmoid(z) - t` and `softmax(z) - onehot`), with
+no clamp: a saturated output still moves the loss and the early-stopping
+metric. An infinite logit gives a non-finite loss, which training reports
+as divergence.
+
 Reduction convention: binary cross-entropy averages over features and then
 over the batch; the KL term sums over latent dimensions and averages over
 the batch; classification cross-entropy averages over the batch. Keeping
@@ -15,8 +24,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .numerics import Matrix
-
-LOG_CLAMP = 1e-7
 
 
 @dataclass(frozen=True)
@@ -41,23 +48,20 @@ class LossReport:
     total: float
 
 
-def bce(target: Matrix, pred: Matrix) -> float:
-    """Binary cross-entropy, mean over features then batch.
-
-    Predictions are clamped to [1e-7, 1-1e-7] before the logs.
-    """
-    if target.shape != pred.shape:
-        raise ValidationError(f"bce shape mismatch: {target.shape} vs {pred.shape}")
-    # -(target * log(p) + (1 - target) * log(1 - p)), in place in p and q
-    p = np.clip(pred, LOG_CLAMP, 1.0 - LOG_CLAMP)
-    q = np.subtract(1.0, p)
-    np.log(p, out=p)
-    np.log(q, out=q)
-    np.multiply(target, p, out=p)
-    np.multiply(1.0 - target, q, out=q)
-    np.add(p, q, out=p)
-    np.negative(p, out=p)
-    return float(p.mean())
+def bce(target: Matrix, logits: Matrix) -> float:
+    """Binary cross-entropy of `target` against sigmoid(`logits`), mean over
+    features then batch."""
+    if target.shape != logits.shape:
+        raise ValidationError(f"bce shape mismatch: {target.shape} vs {logits.shape}")
+    # max(z, 0) - t*z + log1p(exp(-|z|)), in place in a and b
+    a = np.abs(logits)
+    np.negative(a, out=a)
+    np.exp(a, out=a)
+    np.log1p(a, out=a)
+    b = np.maximum(logits, 0.0)
+    np.subtract(b, target * logits, out=b)
+    np.add(b, a, out=b)
+    return float(b.mean())
 
 
 def kl_gaussian(mu: Matrix, logvar: Matrix) -> float:
@@ -70,9 +74,9 @@ def kl_gaussian(mu: Matrix, logvar: Matrix) -> float:
 
 def vae_loss(
     methyl_targets: list[Matrix] | None,
-    methyl_preds: list[Matrix] | None,
+    methyl_logits: list[Matrix] | None,
     expr_target: Matrix | None,
-    expr_pred: Matrix | None,
+    expr_logits: Matrix | None,
     mu: Matrix,
     logvar: Matrix,
 ) -> tuple[float, float, float]:
@@ -80,37 +84,37 @@ def vae_loss(
 
     The methylation term is the mean of the per-chromosome-block BCEs; the
     expression term is a single BCE. Either modality may be absent: its
-    target and prediction are then both None and its term is 0.
+    target and logits are then both None and its term is 0.
     """
-    if (methyl_targets is None) != (methyl_preds is None):
-        raise ValidationError("methylation target/prediction must both be present or both absent")
-    if (expr_target is None) != (expr_pred is None):
-        raise ValidationError("expression target/prediction must both be present or both absent")
+    if (methyl_targets is None) != (methyl_logits is None):
+        raise ValidationError("methylation target/logits must both be present or both absent")
+    if (expr_target is None) != (expr_logits is None):
+        raise ValidationError("expression target/logits must both be present or both absent")
     recon_methyl = 0.0
     if methyl_targets is not None:
-        if len(methyl_targets) != len(methyl_preds):
+        if len(methyl_targets) != len(methyl_logits):
             raise ValidationError(
                 f"block count mismatch: {len(methyl_targets)} targets vs "
-                f"{len(methyl_preds)} predictions"
+                f"{len(methyl_logits)} logits"
             )
-        recon_methyl = float(
-            np.mean([bce(t, p) for t, p in zip(methyl_targets, methyl_preds)])
-        )
-    recon_expr = bce(expr_target, expr_pred) if expr_target is not None else 0.0
+        recon_methyl = float(np.mean([bce(t, z) for t, z in zip(methyl_targets, methyl_logits)]))
+    recon_expr = bce(expr_target, expr_logits) if expr_target is not None else 0.0
     return recon_methyl, recon_expr, kl_gaussian(mu, logvar)
 
 
-def classification_loss(labels: np.ndarray, probs: Matrix) -> float:
-    """Mean negative log-probability of the true class."""
+def classification_loss(labels: np.ndarray, logits: Matrix) -> float:
+    """Mean negative log-softmax of the true class: logsumexp(z) - z[label],
+    with each row shifted by its maximum."""
     labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.shape[0] != probs.shape[0]:
+    if labels.ndim != 1 or labels.shape[0] != logits.shape[0]:
         raise ValidationError("labels must be a vector matching the batch size")
-    if labels.min() < 0 or labels.max() >= probs.shape[1]:
+    if labels.min() < 0 or labels.max() >= logits.shape[1]:
         raise ValidationError(
-            f"label out of range [0, {probs.shape[1]}): {int(labels.min())}..{int(labels.max())}"
+            f"label out of range [0, {logits.shape[1]}): {int(labels.min())}..{int(labels.max())}"
         )
-    picked = probs[np.arange(labels.shape[0]), labels]
-    return float(-np.log(np.clip(picked, 1e-300, 1.0)).mean())
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    picked = shifted[np.arange(labels.shape[0]), labels]
+    return float((np.log(np.exp(shifted).sum(axis=1)) - picked).mean())
 
 
 def total_loss(

@@ -3,8 +3,11 @@
 Structure: per-chromosome methylation blocks and a two-layer expression
 encoder meet in a fused hidden layer that feeds Gaussian latent heads; a
 mirror-image decoder reconstructs every input block through linear output
-layers and a sigmoid; a three-layer classifier reads the latent mean and ends
-in a linear layer and a softmax. Every hidden layer is an `FcBlock` (linear,
+layers; a three-layer classifier reads the latent mean and ends in a linear
+layer. `decode` and `classify` return those output layers' logits, which the
+losses read; the sigmoid runs only for the decoder gradient in
+`forward_backward`, and the softmax for the classifier gradient there and
+in `predict_proba`. Every hidden layer is an `FcBlock` (linear,
 batch norm, ReLU). A modality is present exactly when the config gives its
 widths, so the single-omics model is the same network with one input tower
 and its decoder branch left out. The graph is declared once, in
@@ -99,25 +102,15 @@ class ModelConfig:
         return max(8, min(4096, math.ceil(self.expr_dim / 14)))
 
 
-def reparameterize(
-    mu: Matrix,
-    logvar: Matrix,
-    rng: RngState | None = None,
-    epsilon: Matrix | None = None,
-) -> tuple[Matrix, Matrix]:
+def reparameterize(mu: Matrix, logvar: Matrix, rng: RngState) -> tuple[Matrix, Matrix]:
     """The training-time latent sample: (z, epsilon) with
-    z = mu + exp(logvar/2) * epsilon, epsilon drawn from `rng` unless given.
+    z = mu + exp(logvar/2) * epsilon, epsilon drawn from `rng`.
 
     Outside training the model reads the latent mean itself (`embed`).
     """
     if mu.shape != logvar.shape:
         raise ValidationError(f"mu/logvar shape mismatch: {mu.shape} vs {logvar.shape}")
-    if epsilon is None:
-        if rng is None:
-            raise ValidationError("reparameterization needs an rng or a fixed epsilon")
-        epsilon = rng.standard_normal(mu.shape[0], mu.shape[1])
-    elif epsilon.shape != mu.shape:
-        raise ValidationError("epsilon shape must match mu")
+    epsilon = rng.standard_normal(mu.shape[0], mu.shape[1])
     return mu + np.exp(0.5 * logvar) * epsilon, epsilon
 
 
@@ -146,8 +139,7 @@ class OmiVaeModel:
             return add(FcBlock(in_dim, out_dim, rng, name=name, **options))
 
         def out(in_dim: int, out_dim: int, name: str) -> LinearLayer:
-            # sigmoid/softmax are applied by the model, so the fused loss
-            # gradients enter through the pre-activation
+            # the losses read the logits, so their gradients enter here
             return add(LinearLayer(in_dim, out_dim, rng, name=f"{name}.linear"))
 
         # the input layers skip the gradient with respect to the data
@@ -265,24 +257,24 @@ class OmiVaeModel:
     def decode(
         self, z: Matrix, train: bool = False
     ) -> tuple[Matrix | None, list[Matrix] | None]:
-        """(expression, methylation blocks) reconstructions of `z`; an absent
-        modality's entry is None."""
+        """(expression, methylation blocks) reconstruction logits of `z`; an
+        absent modality's entry is None."""
         if z.shape[1] != self.config.latent_dim:
             raise ValidationError(
                 f"latent width {z.shape[1]} != configured latent_dim {self.config.latent_dim}"
             )
-        outs = self.decoder.forward(z, train)  # pre-activations, one entry per modality
+        outs = self.decoder.forward(z, train)  # one entry per modality
         cfg = self.config
-        recon_blocks = [sigmoid(b) for b in outs[0]] if cfg.has_methylation else None
-        recon_expr = sigmoid(outs[-1]) if cfg.has_expression else None
-        return recon_expr, recon_blocks
+        return (outs[-1] if cfg.has_expression else None,
+                outs[0] if cfg.has_methylation else None)
 
     def classify(self, mu: Matrix, train: bool = False) -> Matrix:
+        """Class logits of the latent means `mu`."""
         if mu.shape[1] != self.config.latent_dim:
             raise ValidationError(
                 f"classifier input width {mu.shape[1]} != latent_dim {self.config.latent_dim}"
             )
-        return softmax(self.classifier.forward(mu, train))
+        return self.classifier.forward(mu, train)
 
     def embed(self, x_expr: Matrix | None, x_methyl_blocks: list[Matrix] | None) -> Matrix:
         """Latent means in infer mode; the deterministic sample embedding."""
@@ -290,7 +282,7 @@ class OmiVaeModel:
         return mu
 
     def predict_proba(self, x_expr: Matrix | None, x_methyl_blocks: list[Matrix] | None) -> Matrix:
-        return self.classify(self.embed(x_expr, x_methyl_blocks), train=False)
+        return softmax(self.classify(self.embed(x_expr, x_methyl_blocks), train=False))
 
     # ------------------------------------------------------------------ training step
 
@@ -300,8 +292,7 @@ class OmiVaeModel:
         x_methyl_blocks: list[Matrix] | None,
         labels: np.ndarray | None,
         weights: LossWeights,
-        rng: RngState | None = None,
-        epsilon: Matrix | None = None,
+        rng: RngState,
     ) -> LossReport:
         """One training forward plus hand-derived backward; writes every grad
         and returns the batch's losses.
@@ -320,16 +311,16 @@ class OmiVaeModel:
 
         mu, logvar = self.encode(x_expr, x_methyl_blocks, train=True)  # checks the inputs
         batch = mu.shape[0]
-        z, epsilon = reparameterize(mu, logvar, rng=rng, epsilon=epsilon)
+        z, epsilon = reparameterize(mu, logvar, rng)
         train_decoder = alpha > 0.0
         recon_expr, recon_blocks = self.decode(z, train=train_decoder)
         train_classifier = beta > 0.0
-        probs = self.classify(mu, train=True) if train_classifier else None
+        logits = self.classify(mu, train=True) if train_classifier else None
 
         recon_methyl, recon_e, kl = vae_loss(
             x_methyl_blocks, recon_blocks, x_expr, recon_expr, mu, logvar
         )
-        cls_loss = classification_loss(labels, probs) if train_classifier else 0.0
+        cls_loss = classification_loss(labels, logits) if train_classifier else 0.0
         report = total_loss(recon_methyl, recon_e, kl, cls_loss, weights)
         if not np.isfinite(report.total):
             raise NumericError(f"non-finite training loss: {asdict(report)}")
@@ -340,11 +331,11 @@ class OmiVaeModel:
             if cfg.has_methylation:
                 m = cfg.num_blocks
                 d_recon.append([
-                    alpha / (m * batch * dim) * (recon - x)
+                    alpha / (m * batch * dim) * (sigmoid(recon) - x)
                     for dim, recon, x in zip(cfg.methyl_block_dims, recon_blocks, x_methyl_blocks)
                 ])
             if cfg.has_expression:
-                d_recon.append(alpha / (batch * cfg.expr_dim) * (recon_expr - x_expr))
+                d_recon.append(alpha / (batch * cfg.expr_dim) * (sigmoid(recon_expr) - x_expr))
             d_z = self.decoder.backward(d_recon)
         else:
             self._decoder_grads.fill(0.0)
@@ -357,9 +348,9 @@ class OmiVaeModel:
             d_logvar += alpha * (np.exp(logvar) - 1.0) / (2.0 * batch)
 
         if train_classifier:
-            onehot = np.zeros_like(probs)
-            onehot[np.arange(batch), np.asarray(labels)] = 1.0
-            d_mu += self.classifier.backward(beta * (probs - onehot) / batch)
+            d_logits = softmax(logits)
+            d_logits[np.arange(batch), labels] -= 1.0
+            d_mu += self.classifier.backward(beta * d_logits / batch)
         else:
             self._classifier_grads.fill(0.0)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .container import fields_from_text, fields_to_text, read_container, write_container
 from .errors import FormatError, NumericError, ValidationError
-from .layers import ParameterArena
+from .layers import ParameterArena, softmax
 from .losses import LossReport, LossWeights, classification_loss, total_loss, vae_loss
 from .model import ModelConfig, OmiVaeModel, build_model
 from .numerics import RngState
@@ -181,8 +181,10 @@ def evaluate_losses(
     do: `encode`, then `decode` and `classify` of the latent mean, so the
     reconstruction is scored at z = mu. The classification loss and the
     accuracy count only samples with a label: each chunk's classification
-    loss is weighted by its labeled count. The accuracy is NaN when no
-    sample has a label.
+    loss is weighted by its labeled count. A prediction is the argmax of
+    the softmax, as in `predict_proba`, so logits that round to one
+    probability tie the same way. The accuracy is NaN when no sample has a
+    label.
     """
     indices = np.asarray(indices)
     if indices.size == 0:
@@ -194,7 +196,6 @@ def evaluate_losses(
     for part, x_expr, x_blocks in dataset.chunks(indices):
         mu, logvar = model.encode(x_expr, x_blocks)
         recon_expr, recon_blocks = model.decode(mu)
-        probs = model.classify(mu)
         rm, re, kl = vae_loss(x_blocks, recon_blocks, x_expr, recon_expr, mu, logvar)
         sums += np.array([rm, re, kl]) * part.size
         if dataset.labels is not None:
@@ -202,8 +203,9 @@ def evaluate_losses(
             mask = lab >= 0
             part_labeled = int(mask.sum())
             if part_labeled:
-                cls_sum += classification_loss(lab[mask], probs[mask]) * part_labeled
-                predicted = np.argmax(probs[mask], axis=1)
+                logits = model.classify(mu)[mask]
+                cls_sum += classification_loss(lab[mask], logits) * part_labeled
+                predicted = np.argmax(softmax(logits), axis=1)
                 correct += int((predicted == lab[mask]).sum())
                 labeled += part_labeled
     rm, re, kl = sums / indices.size
@@ -336,38 +338,17 @@ def train_two_phase(
     history = TrainingHistory()
     adam = Adam(model.arena, lr=config.learning_rate)
     saved = np.empty_like(model.arena.state)
-    _run_phase(
-        model,
-        dataset,
-        train_idx,
-        val_idx,
-        config,
-        LossWeights(alpha=config.alpha, beta=0.0),
-        phase=1,
-        epochs_max=config.phase1_epochs,
-        stream=rng.derive(1),
-        history=history,
-        adam=adam,
-        saved=saved,
-    )
-    if history.diverged:
-        return history
+    phases = [(1, config.phase1_epochs, 0.0)]
     if config.phase2_epochs > 0 and config.phase2_beta > 0.0:
-        adam.reset()
-        _run_phase(
-            model,
-            dataset,
-            train_idx,
-            val_idx,
-            config,
-            LossWeights(alpha=config.alpha, beta=config.phase2_beta),
-            phase=2,
-            epochs_max=config.phase2_epochs,
-            stream=rng.derive(2),
-            history=history,
-            adam=adam,
-            saved=saved,
-        )
+        phases.append((2, config.phase2_epochs, config.phase2_beta))
+    for phase, epochs_max, beta in phases:
+        if phase == 2:
+            adam.reset()
+        weights = LossWeights(alpha=config.alpha, beta=beta)
+        _run_phase(model, dataset, train_idx, val_idx, config, weights, phase, epochs_max,
+                   rng.derive(phase), history, adam, saved)
+        if history.diverged:
+            break
     return history
 
 

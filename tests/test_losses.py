@@ -30,17 +30,29 @@ def mc_kl_estimate(mu, logvar, draws, rng):
 
 class TestBce:
     def test_half_everywhere_is_ln2(self):
-        t = np.full((3, 4), 0.5)
-        assert abs(bce(t, t) - math.log(2.0)) < 1e-12
+        # a zero logit predicts 1/2, whatever the target
+        t = RngState(0).uniform(0.0, 1.0, (3, 4))
+        assert abs(bce(t, np.zeros((3, 4))) - math.log(2.0)) < 1e-12
 
-    def test_perfect_binary_reconstruction_hits_clamp_floor(self):
+    def test_confident_binary_reconstruction_costs_almost_nothing(self):
         t = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert bce(t, t) <= 1e-6
+        assert 0.0 < bce(t, 40.0 * (2.0 * t - 1.0)) <= 1e-17
 
     def test_closed_form_point(self):
+        # logit log(9) predicts 0.9
         t = np.zeros((1, 1))
-        p = np.full((1, 1), 0.9)
-        assert abs(bce(t, p) - (-math.log(0.1))) < 1e-12
+        z = np.full((1, 1), math.log(9.0))
+        assert abs(bce(t, z) - (-math.log(0.1))) < 1e-12
+
+    def test_a_saturated_logit_costs_its_size(self):
+        assert bce(np.zeros((1, 1)), np.full((1, 1), 40.0)) == 40.0
+        assert bce(np.ones((1, 1)), np.full((1, 1), -40.0)) == 40.0
+
+    def test_an_infinite_logit_gives_a_non_finite_loss(self):
+        with np.errstate(invalid="ignore"):
+            for t in (0.0, 1.0):
+                for z in (np.inf, -np.inf):
+                    assert not np.isfinite(bce(np.full((1, 1), t), np.full((1, 1), z)))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
@@ -49,37 +61,48 @@ class TestBce:
     def test_target_is_the_minimizer(self):
         rng = RngState(0)
         for _ in range(10):
-            t = np.clip(rng.uniform(0.0, 1.0, (4, 6)), 0.0, 1.0)
-            p = np.clip(rng.uniform(0.01, 0.99, (4, 6)), 0.01, 0.99)
-            assert bce(t, p) >= bce(t, t) - 1e-12
+            t = rng.uniform(0.01, 0.99, (4, 6))
+            z = rng.uniform(-5.0, 5.0, (4, 6))
+            assert bce(t, z) >= bce(t, np.log(t) - np.log1p(-t)) - 1e-12
 
 
-def out_of_place_bce(target, pred):
+def out_of_place_bce(target, logits):
     """Binary cross-entropy as one expression of fresh arrays, the
     reference form of the in-place kernel."""
-    p = np.clip(pred, 1e-7, 1.0 - 1e-7)
-    per_entry = -(target * np.log(p) + (1.0 - target) * np.log(1.0 - p))
+    per_entry = np.maximum(logits, 0.0) - target * logits + np.log1p(np.exp(-np.abs(logits)))
     return float(per_entry.mean())
 
 
 class TestBceOracle:
     """`bce` works in place in two buffers, yet every result is bit-equal
-    to the out-of-place reference form."""
+    to the out-of-place reference form, and each entry agrees with the
+    independent form log(1 + e^z) - t*z."""
 
     @pytest.mark.parametrize("special", [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0])
     def test_bit_equal_to_the_out_of_place_form(self, special):
         rng = RngState(3)
         target = rng.uniform(0.0, 1.0, (128, 200))
-        pred = rng.uniform(0.0, 1.0, (128, 200))
+        logits = rng.uniform(-40.0, 40.0, (128, 200))
         target[0, :4] = [0.0, -0.0, 1.0, 0.5]
-        pred[1, :6] = [0.0, -0.0, 1.0, 1e-9, 1.0 - 1e-12, 0.5]
-        pred[2, 5] = special
+        logits[1, :6] = [0.0, -0.0, 5e-324, -5e-324, 800.0, -800.0]
+        logits[2, 5] = special
         target[3, 9] = special
-        pred[4, 11] = target[4, 11] = special
+        logits[4, 11] = target[4, 11] = special
         with np.errstate(invalid="ignore"):
-            for t, p in ((target, pred), (target[:, 3:150], pred[:, 3:150]), (target.T, pred.T)):
-                got = np.float64(bce(t, p))
-                assert got.tobytes() == np.float64(out_of_place_bce(t, p)).tobytes()
+            for t, z in ((target, logits), (target[:, 3:150], logits[:, 3:150]),
+                         (target.T, logits.T)):
+                got = np.float64(bce(t, z))
+                assert got.tobytes() == np.float64(out_of_place_bce(t, z)).tobytes()
+
+    @pytest.mark.parametrize("t", [0.0, 0.25, 1.0])
+    def test_agrees_with_logaddexp_to_a_few_ulp(self, t):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        for z in (0.0, -0.0, tiny, -tiny, 2.2e-308, -2.2e-308, 1e-9, -1e-9, 1.0, -1.0,
+                  16.0, -16.0, 30.0, -30.0, 40.0, -40.0, 800.0, -800.0, 1e300, -1e300):
+            got = bce(np.full((1, 1), t), np.full((1, 1), z))
+            oracle = np.logaddexp(0.0, z) - t * z
+            scale = max(np.logaddexp(0.0, z), abs(t * z))
+            assert abs(got - oracle) <= 4.0 * np.spacing(scale), (t, z, got, oracle)
 
 
 class TestKl:
@@ -147,16 +170,19 @@ class TestVaeLoss:
 
 class TestClassification:
     def test_perfect_prediction(self):
-        probs = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert classification_loss(np.array([0, 1]), probs) == 0.0
+        logits = np.array([[800.0, 0.0], [0.0, 800.0]])
+        assert classification_loss(np.array([0, 1]), logits) == 0.0
 
     def test_uniform_over_34(self):
-        probs = np.full((2, 34), 1.0 / 34.0)
-        assert abs(classification_loss(np.array([3, 20]), probs) - math.log(34.0)) < 1e-12
+        logits = np.zeros((2, 34))
+        assert abs(classification_loss(np.array([3, 20]), logits) - math.log(34.0)) < 1e-12
 
     def test_quarter_probability(self):
-        probs = np.array([[0.25, 0.75]])
-        assert abs(classification_loss(np.array([0]), probs) - math.log(4.0)) < 1e-12
+        logits = np.log([[0.25, 0.75]])
+        assert abs(classification_loss(np.array([0]), logits) - math.log(4.0)) < 1e-12
+
+    def test_a_gap_of_800_costs_800(self):
+        assert classification_loss(np.array([0]), np.array([[0.0, 800.0]])) == 800.0
 
     def test_out_of_range_label(self):
         with pytest.raises(ValidationError):

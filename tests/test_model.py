@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from omivae.errors import ValidationError
-from omivae.layers import gradient_check, softmax
+from omivae.layers import gradient_check, sigmoid, softmax
 from omivae.losses import LossWeights
 from omivae.model import ModelConfig, OmiVaeModel, build_model, reparameterize
 from omivae.numerics import RngState
@@ -215,18 +215,16 @@ class TestEncode:
 
 
 class TestReparameterize:
-    def test_zero_epsilon_returns_mu(self):
+    def test_vanishing_variance_returns_mu(self):
         mu = RngState(8).standard_normal(4, 3)
-        z, _ = reparameterize(mu, np.zeros_like(mu), epsilon=np.zeros_like(mu))
+        z, _ = reparameterize(mu, np.full_like(mu, -np.inf), RngState(10))
         assert np.array_equal(z, mu)
 
     def test_unit_sigma_adds_epsilon(self):
-        rng = RngState(9)
-        mu = rng.standard_normal(4, 3)
-        eps = rng.standard_normal(4, 3)
-        z, epsilon = reparameterize(mu, np.zeros_like(mu), epsilon=eps)
-        assert epsilon is eps
-        assert np.array_equal(z, mu + eps)
+        mu = RngState(9).standard_normal(4, 3)
+        z, epsilon = reparameterize(mu, np.zeros_like(mu), RngState(11))
+        assert epsilon.tobytes() == RngState(11).standard_normal(4, 3).tobytes()
+        assert np.array_equal(z, mu + epsilon)
 
     def test_moments(self):
         n = 100_000
@@ -246,13 +244,29 @@ class TestReparameterize:
 
 class TestDecode:
     def test_outputs_strictly_inside_unit_interval(self):
+        # the reconstruction the logits predict, sigmoid(logits)
         config = tiny_config()
         model = build_model(config, RngState(14))
         z = RngState(15).standard_normal(4, config.latent_dim) * 3.0
         recon_expr, recon_blocks = model.decode(z)
         for m in [recon_expr] + recon_blocks:
-            assert np.all(m > 0.0)
-            assert np.all(m < 1.0)
+            assert np.all(sigmoid(m) > 0.0)
+            assert np.all(sigmoid(m) < 1.0)
+
+    def test_outputs_are_the_output_layers_logits(self):
+        # zero weights: each output is its layer's bias, well outside [0, 1]
+        config = tiny_config()
+        model = build_model(config, RngState(14))
+        biases = []
+        for name in ("decoder.expr.out", "decoder.methyl.out00", "decoder.methyl.out01"):
+            (w,) = params_under(model, f"{name}.linear.weights")
+            (b,) = params_under(model, f"{name}.linear.bias")
+            w.value[:] = 0.0
+            b.value[:] = np.linspace(-30.0, 30.0, b.value.size)
+            biases.append(b.value.copy())
+        recon_expr, recon_blocks = model.decode(RngState(15).standard_normal(4, config.latent_dim))
+        for got, bias in zip([recon_expr] + recon_blocks, biases):
+            assert got.tobytes() == np.tile(bias, (4, 1)).tobytes()
 
     def test_shapes_mirror_inputs(self):
         config = tiny_config()
@@ -282,15 +296,16 @@ class TestClassify:
         model = build_model(config, RngState(19))
         for p in params_under(model, "classifier."):
             p.value[:] = 0.0
-        probs = model.classify(RngState(20).standard_normal(3, config.latent_dim))
-        assert np.allclose(probs, 0.2)
+        logits = model.classify(RngState(20).standard_normal(3, config.latent_dim))
+        assert np.array_equal(logits, np.zeros((3, 5)))
+        assert np.allclose(softmax(logits), 0.2)
 
     def test_34_way_output_width(self):
         config = tiny_config(num_classes=34)
         model = build_model(config, RngState(21))
-        probs = model.classify(np.zeros((2, config.latent_dim)))
-        assert probs.shape == (2, 34)
-        assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
+        logits = model.classify(np.zeros((2, config.latent_dim)))
+        assert logits.shape == (2, 34)
+        assert np.allclose(softmax(logits).sum(axis=1), 1.0, atol=1e-9)
 
     def test_softmax_shift_invariance(self):
         logits = RngState(22).standard_normal(3, 6)
@@ -346,13 +361,12 @@ class TestForwardBackward:
         config = tiny_config()
         x_expr, x_blocks = tiny_batch(config, rows=6)
         labels = np.array([0, 1, 2, 3, 0, 1]) if beta else None
-        eps = RngState(36).standard_normal(6, config.latent_dim)
         grads = []
         for start in (0.0, np.nan):
             model = build_model(config, RngState(37))
             model.arena.grads.fill(start)
             model.forward_backward(
-                x_expr, x_blocks, labels, LossWeights(alpha=alpha, beta=beta), epsilon=eps
+                x_expr, x_blocks, labels, LossWeights(alpha=alpha, beta=beta), RngState(36)
             )
             grads.append(model.arena.grads.copy())
         assert grads[1].tobytes() == grads[0].tobytes()
@@ -403,18 +417,19 @@ class TestForwardBackward:
         model.forward_backward(x_expr, x_blocks, None, LossWeights(1.0, 0.0), rng=RngState(29))
         assert len(calls) == 1
         with pytest.raises(ValidationError, match="no labels were given"):
-            model.forward_backward(np.zeros((4, 8)), x_blocks, None, LossWeights(1.0, 1.0))
+            model.forward_backward(
+                np.zeros((4, 8)), x_blocks, None, LossWeights(1.0, 1.0), RngState(29)
+            )
         assert len(calls) == 1
 
     def test_doubling_alpha_doubles_decoder_gradients(self):
         config = tiny_config()
         x_expr, x_blocks = tiny_batch(config, rows=6)
-        eps = RngState(30).standard_normal(6, config.latent_dim)
         grads = []
         for alpha in (1.0, 2.0):
             model = build_model(config, RngState(31))
             model.forward_backward(
-                x_expr, x_blocks, None, LossWeights(alpha=alpha, beta=0.0), epsilon=eps
+                x_expr, x_blocks, None, LossWeights(alpha=alpha, beta=0.0), RngState(30)
             )
             (weights,) = params_under(model, "decoder.expr.out.linear.weights")
             grads.append(weights.grad.copy())
@@ -427,9 +442,8 @@ class TestForwardBackward:
             p.value[:] = 0.0
         x_expr = np.zeros((4, config.expr_dim))
         x_blocks = [np.zeros((4, d)) for d in config.methyl_block_dims]
-        eps = np.zeros((4, config.latent_dim))
         report = model.forward_backward(
-            x_expr, x_blocks, None, LossWeights(alpha=1.0, beta=0.0), epsilon=eps
+            x_expr, x_blocks, None, LossWeights(alpha=1.0, beta=0.0), RngState(32)
         )
         assert abs(report.recon_methyl - math.log(2.0)) < 1e-9
         assert abs(report.recon_expr - math.log(2.0)) < 1e-9
@@ -437,16 +451,60 @@ class TestForwardBackward:
         assert abs(report.total - 2.0 * math.log(2.0)) < 1e-9
 
     @staticmethod
+    def saturated_step(out_layer, bias, labels, weights):
+        """(central difference of the reported total, the backward's grad)
+        with respect to output 0's bias of `out_layer`, whose weights are
+        zero, so output 0's logit is `bias[0]` in every row."""
+        config = tiny_config()
+        model = build_model(config, RngState(39))
+        (w,) = params_under(model, f"{out_layer}.linear.weights")
+        (b,) = params_under(model, f"{out_layer}.linear.bias")
+        w.value[:] = 0.0
+        b.value[:] = bias
+        x_expr, x_blocks = tiny_batch(config, rows=6)
+        x_blocks[0][:, 0] = 0.0  # target 0 under decoder.methyl.out00's output 0
+
+        def total():
+            return model.forward_backward(x_expr, x_blocks, labels, weights, RngState(40)).total
+
+        h = 1e-3
+        b.value[0] = bias[0] + h
+        up = total()
+        b.value[0] = bias[0] - h
+        down = total()
+        b.value[0] = bias[0]
+        total()
+        return (up - down) / (2.0 * h), b.grad[0]
+
+    def test_a_saturated_decoder_logit_moves_the_reported_loss(self):
+        # logit 30 against target 0: the loss still rises at slope sigmoid(30)
+        bias = np.zeros(6)
+        bias[0] = 30.0
+        slope, grad = self.saturated_step(
+            "decoder.methyl.out00", bias, None, LossWeights(alpha=1.0, beta=0.0)
+        )
+        assert abs(grad - 1.0 / (2 * 6)) < 1e-12  # alpha / (blocks * width), summed over rows
+        assert abs(slope - grad) <= 1e-6 * grad
+
+    def test_a_trailing_class_logit_moves_the_reported_loss(self):
+        # the true class trails the others by 800: the loss still falls at slope 1
+        bias = np.array([-800.0, 0.0, 0.0, 0.0])
+        slope, grad = self.saturated_step(
+            "classifier.out", bias, np.zeros(6, dtype=np.int64), LossWeights(alpha=1.0, beta=1.0)
+        )
+        assert abs(grad + 1.0) < 1e-12
+        assert abs(slope - grad) <= 1e-6
+
+    @staticmethod
     def check_full_model_gradients(config):
         model = build_model(config, RngState(33))
         x_expr, x_blocks = tiny_batch(config, rows=8, seed=34)
         labels = np.array([0, 1, 2, 3, 0, 1, 2, 3])
-        eps = RngState(35).standard_normal(8, config.latent_dim)
         weights = LossWeights(alpha=1.0, beta=1.0)
 
         def loss_fn(m, batch):
             be, bb = batch
-            return m.forward_backward(be, bb, labels, weights, epsilon=eps).total
+            return m.forward_backward(be, bb, labels, weights, RngState(35)).total
 
         result = gradient_check(model, loss_fn, (x_expr, x_blocks), max_entries_per_param=8)
         assert result.max_rel_error <= 1e-3, str(result)

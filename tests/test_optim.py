@@ -222,6 +222,38 @@ def test_training_never_clears_the_grads():
     assert np.isfinite(model.arena.grads).all()
 
 
+@pytest.mark.parametrize(
+    "overrides, diverge, phases",
+    [
+        ({}, False, [1, 2]),
+        (dict(phase2_epochs=0), False, [1]),
+        (dict(phase2_beta=0.0), False, [1]),
+        (dict(phase1_epochs=0), False, [2]),
+        ({}, True, []),
+    ],
+    ids=["both", "no-phase2-epochs", "no-phase2-beta", "phase2-only", "phase1-diverges"],
+)
+def test_the_phases_that_run_and_the_moment_reset(monkeypatch, overrides, diverge, phases):
+    """Phase 2 runs only with epochs and a positive weight, and not after a
+    divergence; Adam's moments are zeroed before phase 2 and only then."""
+    resets = []
+    reset = Adam.reset
+    monkeypatch.setattr(Adam, "reset", lambda self: resets.append(self.t) or reset(self))
+    if diverge:
+        def step(self):
+            raise NumericError("non-finite gradient in x; step aborted")
+
+        monkeypatch.setattr(Adam, "step", step)
+    model = build_model(TINY, RngState(0))
+    config = TrainConfig(**{**dict(batch_size=8, phase1_epochs=1, phase2_epochs=1,
+                                    patience=100), **overrides})
+    history = optim.train_two_phase(model, tiny_dataset(), np.arange(32), np.arange(32, 40), config)
+    assert [r.phase for r in history.records] == phases
+    assert bool(history.diverged) == diverge
+    # one reset, after phase 1's four steps (none when phase 1 has no epochs)
+    assert resets == ([4 * config.phase1_epochs] if 2 in phases else [])
+
+
 def test_threads_training_at_once_match_serial_runs():
     """Each model owns its arena, m, v and chunk buffers: crossval's fold
     threads must not see each other's state."""
