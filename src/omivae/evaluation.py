@@ -113,7 +113,10 @@ def pca_fit(data: Matrix, components: int) -> PcaModel:
     The shape picks the eigenproblem, the smaller of the two: the features x
     features covariance when features <= samples, else the samples x samples
     Gram matrix (the rank trick for features >> samples). Both give the same
-    axes up to the fixed sign convention.
+    axes up to the fixed sign convention. The Gram route maps its
+    eigenvectors to feature space with one product and orthonormalizes them
+    with one QR, which also completes an orthonormal set where the data has
+    fewer directions than `components`.
     """
     n, f = data.shape
     if n < 2:
@@ -130,30 +133,12 @@ def pca_fit(data: Matrix, components: int) -> PcaModel:
         axes = vectors[:, :components].copy()
         explained = np.maximum(eigenvalues[:components], 0.0)
     else:
-        gram = centered @ centered.T
-        eigenvalues, vectors = sym_eig(gram)
-        scale = float(np.abs(eigenvalues).max()) if eigenvalues.size else 1.0
-        tol = max(scale, 1.0) * 1e-12
-        axes = np.zeros((f, components))
-        explained = np.zeros(components)
-        for c in range(components):
-            g = eigenvalues[c]
-            if g > tol:
-                axis = centered.T @ vectors[:, c] / np.sqrt(g)
-                axes[:, c] = axis / np.linalg.norm(axis)
-                explained[c] = g / (n - 1)
-            else:
-                # rank-deficient direction: deterministic orthonormal filler
-                axis = np.zeros(f)
-                for basis in range(f):
-                    candidate = np.zeros(f)
-                    candidate[basis] = 1.0
-                    candidate -= axes[:, :c] @ (axes[:, :c].T @ candidate)
-                    norm = np.linalg.norm(candidate)
-                    if norm > 1e-6:
-                        axis = candidate / norm
-                        break
-                axes[:, c] = axis
+        eigenvalues, vectors = sym_eig(centered @ centered.T)
+        # a null direction's variance is 0 below the rank cutoff
+        axes = np.linalg.qr(centered.T @ vectors[:, :components])[0]
+        top = eigenvalues[:components]
+        null = top <= max(float(np.abs(eigenvalues).max()), 1.0) * 1e-12
+        explained = np.where(null, 0.0, top) / (n - 1)
     return PcaModel(mean=mean, axes=_fix_signs(axes), explained_variance=explained)
 
 
@@ -185,37 +170,6 @@ class ProbeClassifier:
         return np.hstack([scaled, np.ones((embedding.shape[0], 1))])
 
 
-def _class_sums(e: Matrix, out: np.ndarray, acc: np.ndarray) -> None:
-    """Write each sample's sum over the classes of class-major `e` to `out`,
-    bit-equal to numpy's row sums of the sample-major array.
-
-    numpy (2.4) sums a row of fewer than 8 values in order; up to 128 it
-    keeps 8 running sums r_j over the values j, j + 8, ..., joins them as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and then adds the
-    values left over in order. This takes those steps over whole class rows,
-    with `acc` (14 x samples) for the partial sums. Above 128 classes it
-    sums a sample-major copy with numpy itself.
-    """
-    k = e.shape[0]
-    if k > 128:
-        np.add.reduce(np.ascontiguousarray(e.T), axis=1, out=out)
-        return
-    if k < 8:
-        np.copyto(out, e[0])
-        rest = range(1, k)
-    else:
-        r, pairs, quads = e[:8], acc[8:12], acc[12:]
-        top = k - k % 8
-        for i in range(8, top, 8):
-            r = np.add(r, e[i : i + 8], out=acc[:8])
-        np.add(r[0::2], r[1::2], out=pairs)
-        np.add(pairs[0::2], pairs[1::2], out=quads)
-        np.add(quads[0], quads[1], out=out)
-        rest = range(top, k)
-    for i in rest:
-        np.add(out, e[i], out=out)
-
-
 def probe_fit(embedding: Matrix, labels) -> ProbeClassifier:
     """Fit the probe; deterministic for given data (zero init, fixed step).
 
@@ -225,12 +179,11 @@ def probe_fit(embedding: Matrix, labels) -> ProbeClassifier:
     or when the gradient norm falls below `PROBE_GRAD_TOL`. `labels` must be
     a 1-D vector of non-negative integer class indices, one per row.
 
-    Each step works in buffers made once: the logits are copied class-major
-    (classes x samples), so the softmax runs along the samples, and the
-    gradient is `x.T @` that buffer's transpose. Every value takes the same
-    rounded operations, in the same order, as the plain row-major form
-    (`e.sum(axis=1)` for the normaliser, `np.linalg.norm` for the stopping
-    test), so the losses and weights are bit-equal to it.
+    Each step works class-major (classes x samples) in buffers made once:
+    one product `w.T @ x.T` gives the logits, the softmax runs along the
+    samples, the normaliser adds the classes in order, and the gradient is
+    `x.T @` the residuals' transpose. The losses and weights are bit-equal
+    to the same steps written out of place.
     """
     labels = np.asarray(labels)
     if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
@@ -266,22 +219,20 @@ def probe_fit(embedding: Matrix, labels) -> ProbeClassifier:
     lmax = float(sym_eig(x.T @ x / n)[0][0])
     step = 1.0 / (0.5 * lmax + PROBE_L2)
     w = probe.weights
-    logits = np.empty((n, num_classes))
-    # class-major: shifted logits, then their exp, the probabilities and
-    # last the residuals `probs - onehot`
+    xt = np.ascontiguousarray(x.T)
+    # shifted logits, then their exp, the probabilities and last the
+    # residuals `probs - onehot`
     s = np.empty((num_classes, n))
     row_max, total, ce_terms, picked = np.empty((4, n))
-    acc = np.empty((14, n))
     grad, decay = np.empty((2, *w.shape))
     flat_grad = grad.reshape(-1)
     for _ in range(PROBE_MAX_ITER):
-        np.matmul(x, w, out=logits)
-        np.copyto(s, logits.T)
+        np.matmul(w.T, xt, out=s)
         np.maximum.reduce(s, axis=0, out=row_max)
         np.subtract(s, row_max, out=s)
         s.take(true_class, out=picked, mode="clip")
         np.exp(s, out=s)
-        _class_sums(s, total, acc)
+        np.add.reduce(s, axis=0, out=total)
         np.log(total, out=ce_terms)
         np.subtract(ce_terms, picked, out=ce_terms)
         ce = float(np.add.reduce(ce_terms) / n)
@@ -290,7 +241,7 @@ def probe_fit(embedding: Matrix, labels) -> ProbeClassifier:
         probe.loss_history.append(loss)
         np.divide(s, total, out=s)
         np.subtract(s, onehot, out=s)
-        np.matmul(x.T, s.T, out=grad)
+        np.matmul(xt, s.T, out=grad)
         np.divide(grad, n, out=grad)
         np.multiply(w, PROBE_L2, out=decay)
         np.add(grad, decay, out=grad)

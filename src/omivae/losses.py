@@ -32,10 +32,10 @@ class LossWeights:
     beta: float = 0.0
 
     def __post_init__(self):
-        if self.alpha < 0.0 or self.beta < 0.0:
-            raise ValidationError("loss weights must be non-negative")
-        if self.alpha + self.beta <= 0.0:
-            raise ValidationError("at least one loss weight must be positive")
+        if self.alpha <= 0.0:
+            raise ValidationError("the VAE loss weight alpha must be positive")
+        if self.beta < 0.0:
+            raise ValidationError("the classification loss weight beta must be non-negative")
 
 
 @dataclass

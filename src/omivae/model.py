@@ -160,7 +160,6 @@ class OmiVaeModel:
             add(LinearLayer(cfg.fusion_dim, cfg.latent_dim, rng, name="encoder.logvar_head")),
         )
 
-        first_decoder_block = len(self.blocks)
         trunk = (
             fc(cfg.latent_dim, cfg.fusion_dim, "decoder.from_latent"),
             fc(cfg.fusion_dim, n_mod * mod, "decoder.to_modalities"),
@@ -183,14 +182,10 @@ class OmiVaeModel:
             out(h2, cfg.num_classes, "classifier.out"),
         )
         self.arena = ParameterArena(self.blocks)
-        # each tower's grads are one run of the arena, since blocks are laid
-        # out in the order they were made
-        offsets = np.cumsum(
-            [0] + [sum(p.value.size for p in b.parameters()) for b in self.blocks]
-        )
-        grads = self.arena.grads
-        self._decoder_grads = grads[offsets[first_decoder_block] : offsets[first_classifier_block]]
-        self._classifier_grads = grads[offsets[first_classifier_block] :]
+        # the classifier's grads end the arena, since blocks are laid out in
+        # the order they were made
+        size = sum(p.value.size for b in self.blocks[first_classifier_block:] for p in b.parameters())
+        self._classifier_grads = self.arena.grads[self.arena.grads.size - size :]
 
     # ------------------------------------------------------------------ plumbing
 
@@ -298,8 +293,7 @@ class OmiVaeModel:
         and returns the batch's losses.
 
         Each parameter's grad is overwritten with this batch's gradient, so
-        grads need no clearing between steps: a tower whose loss weight is
-        zero (the decoder when alpha is 0, the classifier when beta is 0)
+        grads need no clearing between steps: when beta is 0 the classifier
         runs no backward and gets zero grads. The classifier reads the
         latent mean, so its gradient reaches the encoder through mu only and
         never through the sampled z.
@@ -312,8 +306,7 @@ class OmiVaeModel:
         mu, logvar = self.encode(x_expr, x_methyl_blocks, train=True)  # checks the inputs
         batch = mu.shape[0]
         z, epsilon = reparameterize(mu, logvar, rng)
-        train_decoder = alpha > 0.0
-        recon_expr, recon_blocks = self.decode(z, train=train_decoder)
+        recon_expr, recon_blocks = self.decode(z, train=True)
         train_classifier = beta > 0.0
         logits = self.classify(mu, train=True) if train_classifier else None
 
@@ -326,26 +319,19 @@ class OmiVaeModel:
             raise NumericError(f"non-finite training loss: {asdict(report)}")
 
         # ---- backward ----
-        if train_decoder:
-            d_recon: list = []
-            if cfg.has_methylation:
-                m = cfg.num_blocks
-                d_recon.append([
-                    alpha / (m * batch * dim) * (sigmoid(recon) - x)
-                    for dim, recon, x in zip(cfg.methyl_block_dims, recon_blocks, x_methyl_blocks)
-                ])
-            if cfg.has_expression:
-                d_recon.append(alpha / (batch * cfg.expr_dim) * (sigmoid(recon_expr) - x_expr))
-            d_z = self.decoder.backward(d_recon)
-        else:
-            self._decoder_grads.fill(0.0)
-            d_z = np.zeros_like(z)
-
-        d_mu = d_z.copy()
+        d_recon: list = []
+        if cfg.has_methylation:
+            m = cfg.num_blocks
+            d_recon.append([
+                alpha / (m * batch * dim) * (sigmoid(recon) - x)
+                for dim, recon, x in zip(cfg.methyl_block_dims, recon_blocks, x_methyl_blocks)
+            ])
+        if cfg.has_expression:
+            d_recon.append(alpha / (batch * cfg.expr_dim) * (sigmoid(recon_expr) - x_expr))
+        d_z = self.decoder.backward(d_recon)
+        d_mu = d_z + alpha * mu / batch
         d_logvar = 0.5 * d_z * epsilon * np.exp(0.5 * logvar)
-        if alpha > 0.0:
-            d_mu += alpha * mu / batch
-            d_logvar += alpha * (np.exp(logvar) - 1.0) / (2.0 * batch)
+        d_logvar += alpha * (np.exp(logvar) - 1.0) / (2.0 * batch)
 
         if train_classifier:
             d_logits = softmax(logits)

@@ -118,6 +118,8 @@ class TrainConfig:
             raise ValidationError("epoch caps must be >= 0")
         if self.learning_rate <= 0.0:
             raise ValidationError("learning_rate must be positive")
+        if self.alpha <= 0.0:
+            raise ValidationError("alpha must be positive: every phase trains the VAE loss")
         if not 0.0 < self.val_fraction < 0.5:
             raise ValidationError("val_fraction must be in (0, 0.5)")
 

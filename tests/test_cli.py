@@ -145,6 +145,8 @@ BAD_INPUT = {
         ["train", "--data", "{cache}", *SHORT, "--out", "{d}/model.omvae"],
         "train.val_fraction=0.1 holds out one of 10 stratified folds, so each class needs "
         "10 samples; class 'class00' has 4"),
+    "train-alpha-zero": (["train", "--set", "train.alpha=0", "--data", "{cache}", *SHORT,
+                          "--out", "{d}/model.omvae"], "alpha must be positive"),
     "usage-missing-option": (["train", "--data", "{d}/absent.omids"], "--out"),
     "usage-unknown-command": (["bogus"], "'bogus'"),
 }

@@ -127,6 +127,13 @@ class TestErrors:
         with pytest.raises(ValidationError, match="val_fraction must be in"):
             config.train_config()
 
+    @pytest.mark.parametrize("alpha", ["0", "0.0", "-1"])
+    def test_alpha_must_be_positive(self, alpha):
+        # every phase trains the VAE loss, so a zero weight is refused up front
+        config = load_run_config(overrides=[f"train.alpha={alpha}"])
+        with pytest.raises(ValidationError, match="alpha must be positive"):
+            config.train_config()
+
     def test_line_without_equals_reports_path_and_line(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# comment\n\ntrain.seed = 3\ntrain.batch_size 64\n")

@@ -144,6 +144,17 @@ class TestPca:
         model = pca_fit(data, 5)
         assert np.allclose(model.axes.T @ model.axes, np.eye(5), atol=1e-8)
 
+    @pytest.mark.parametrize("shape", [(20, 50), (12, 30), (6, 7)])
+    def test_rank_deficient_axes_complete_an_orthonormal_set(self, shape):
+        # n centred samples span n - 1 directions, so the last axis is filler
+        n = shape[0]
+        data = RngState(13).uniform(0.0, 1.0, shape)
+        model = pca_fit(data, n)
+        assert np.abs(model.axes.T @ model.axes - np.eye(n)).max() <= 1e-12
+        assert model.explained_variance[-1] == 0.0
+        assert np.all(model.explained_variance[:-1] > 1e-3)
+        assert np.abs(pca_transform(model, data)[:, -1]).max() <= 1e-12
+
     def test_transform_variance_equals_explained(self):
         data = RngState(3).uniform(0.0, 1.0, (25, 6))
         model = pca_fit(data, 4)
@@ -206,6 +217,13 @@ class TestProbe:
         probe = probe_fit(x, y)
         losses = np.array(probe.loss_history)
         assert np.all(np.diff(losses) <= 1e-12)
+        # the benchmark's fit: 600 x 16 PCA-like scores of 10 classes, held to
+        # its monotone check (a rise beyond 1e-12 relative marks a run incorrect)
+        y = np.arange(600) % 10
+        centres = rng.standard_normal(10, 16) * 2.0
+        x = (centres[y] + rng.standard_normal(600, 16)) * np.geomspace(8.0, 0.5, 16)
+        losses = np.array(probe_fit(x, y).loss_history)
+        assert np.all(losses[1:] <= losses[:-1] + 1e-12 * np.abs(losses[:-1]))
 
     def test_single_class_rejected(self):
         with pytest.raises(ValidationError):
@@ -227,16 +245,17 @@ class TestProbe:
         wide, narrow = probe_fit(x, y), probe_fit(x, y.astype(np.uint8))
         assert narrow.weights.tobytes() == wide.weights.tobytes()
 
-    # below 8 classes numpy sums a row in order, up to 128 in eight running
-    # sums, and above 128 the probe sums with numpy itself; 600 x 16 with
-    # 10 classes is the benchmark's fit
+    # numpy's own row sums (pairwise past 8 values) add the classes in
+    # another order than the class-major loop, so the row-major form agrees
+    # only to rounding; 600 x 16 with 10 classes is the benchmark's fit
     @pytest.mark.parametrize("rows, features, classes", [
         (150, 5, 2), (150, 5, 4), (150, 5, 9), (150, 5, 10), (150, 5, 17), (150, 5, 33),
         (600, 16, 10), (150, 5, 130),
     ])
     def test_bit_equal_to_the_two_exponential_form(self, rows, features, classes):
-        """The class-major loop with one `exp` per step gives the weights and
-        losses of the row-major form that took `exp` once for the
+        """The in-place loop gives the weights and losses of the same
+        class-major steps written out of place, bit for bit, and agrees to
+        rounding with the row-major form that took `exp` once for the
         probabilities and again for the normaliser."""
         rng = RngState(10)
         scales = np.resize([1.0, 2.0, 0.5, 3.0, 1e-3], features)
@@ -247,27 +266,45 @@ class TestProbe:
         probe = probe_fit(x, y)
         n = x.shape[0]
         design = probe._design(x)
-        onehot = np.zeros((n, classes))
-        onehot[np.arange(n), y] = 1.0
+        dt = np.ascontiguousarray(design.T)
+        cols = np.arange(n)
+        onehot = np.zeros((classes, n))
+        onehot[y, cols] = 1.0
+        onehot_rows = np.ascontiguousarray(onehot.T)
         step = 1.0 / (0.5 * float(sym_eig(design.T @ design / n)[0][0]) + PROBE_L2)
-        w = np.zeros((features + 1, classes))
-        losses = []
+
+        w, row_w = np.zeros((2, features + 1, classes))
+        losses, row_losses = [], []
         for _ in range(PROBE_MAX_ITER):
-            logits = design @ w
+            logits = w.T @ dt
+            shifted = logits - logits.max(axis=0)
+            e = np.exp(shifted)
+            total = e.sum(axis=0)
+            ce = float((np.log(total) - shifted[y, cols]).mean())
+            losses.append(ce + 0.5 * PROBE_L2 * float((w * w).sum()))
+            grad = dt @ (e / total - onehot).T / n + PROBE_L2 * w
+
+            logits = design @ row_w
             shifted = logits - logits.max(axis=1, keepdims=True)
             e = np.exp(shifted)
             probs = e / e.sum(axis=1, keepdims=True)
             shifted = logits - logits.max(axis=1, keepdims=True)
             log_norm = np.log(np.exp(shifted).sum(axis=1))
-            ce = float((log_norm - shifted[np.arange(n), y]).mean())
-            losses.append(ce + 0.5 * PROBE_L2 * float((w * w).sum()))
-            grad = design.T @ (probs - onehot) / n + PROBE_L2 * w
-            if float(np.linalg.norm(grad)) < PROBE_GRAD_TOL:
+            ce = float((log_norm - shifted[cols, y]).mean())
+            row_losses.append(ce + 0.5 * PROBE_L2 * float((row_w * row_w).sum()))
+            row_grad = design.T @ (probs - onehot_rows) / n + PROBE_L2 * row_w
+
+            stop = float(np.linalg.norm(grad)) < PROBE_GRAD_TOL
+            assert stop == (float(np.linalg.norm(row_grad)) < PROBE_GRAD_TOL)
+            if stop:
                 break
             w -= step * grad
+            row_w -= step * row_grad
         assert len(losses) > 100
         assert probe.loss_history == losses
         assert probe.weights.tobytes() == w.tobytes()
+        assert np.abs(row_w - w).max() <= 1e-13 * np.abs(row_w).max()
+        assert np.all(np.abs(np.subtract(row_losses, losses)) <= 1e-13 * np.abs(row_losses))
 
 
 class TestEmbeddingExport:

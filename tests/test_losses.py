@@ -203,6 +203,8 @@ class TestTotalLoss:
             LossWeights(alpha=-1.0, beta=1.0)
         with pytest.raises(ValidationError):
             LossWeights(alpha=0.0, beta=0.0)
+        with pytest.raises(ValidationError, match="alpha must be positive"):
+            LossWeights(alpha=0.0, beta=1.0)
 
     def test_report_internal_consistency(self):
         rng = RngState(6)

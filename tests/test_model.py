@@ -335,27 +335,10 @@ class TestForwardBackward:
         (fusion,) = params_under(model, "encoder.fusion.linear.weights")
         assert not np.array_equal(fusion.grad, np.zeros_like(fusion.grad))
 
-    def test_pure_classifier_leaves_decoder_untouched(self):
-        config = tiny_config()
-        model = build_model(config, RngState(26))
-        x_expr, x_blocks = tiny_batch(config, rows=6)
-        labels = np.array([0, 1, 2, 3, 0, 1])
-        model.forward_backward(
-            x_expr, x_blocks, labels, LossWeights(alpha=0.0, beta=1.0), rng=RngState(27)
-        )
-        decoder_params = params_under(model, "decoder.")
-        assert len(decoder_params) == 18
-        for p in decoder_params:
-            assert np.array_equal(p.grad, np.zeros_like(p.grad))
-        (mu_head,) = params_under(model, "encoder.mu_head.weights")
-        assert not np.array_equal(mu_head.grad, np.zeros_like(mu_head.grad))
-
     @pytest.mark.parametrize(
-        "alpha, beta, cleared",
-        [(1.0, 0.0, "classifier."), (0.0, 1.0, "decoder."), (1.0, 1.0, None)],
-        ids=["phase1", "alpha0", "joint"],
+        "beta, cleared", [(0.0, "classifier."), (1.0, None)], ids=["phase1", "joint"]
     )
-    def test_grads_are_written_whatever_they_held(self, alpha, beta, cleared):
+    def test_grads_are_written_whatever_they_held(self, beta, cleared):
         # a step from NaN-filled grads gives the grads of a step from zeros,
         # bit for bit, and the tower that runs no backward gets exact zeros
         config = tiny_config()
@@ -366,7 +349,7 @@ class TestForwardBackward:
             model = build_model(config, RngState(37))
             model.arena.grads.fill(start)
             model.forward_backward(
-                x_expr, x_blocks, labels, LossWeights(alpha=alpha, beta=beta), RngState(36)
+                x_expr, x_blocks, labels, LossWeights(alpha=1.0, beta=beta), RngState(36)
             )
             grads.append(model.arena.grads.copy())
         assert grads[1].tobytes() == grads[0].tobytes()
