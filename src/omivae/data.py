@@ -5,11 +5,15 @@ tabs with no quoting (a `"` is a plain character), lines ending at `\n`,
 `\r\n` or `\r`. A file that cannot be read or is not UTF-8 text is a
 `ValidationError`.
 
-Matrix TSV files are feature-table shaped: header row of sample IDs, one row
-per feature. A cell, after `strip()`, is `NA` or empty for a missing value,
-any finite value `float()` accepts for that double, and anything else (an
-infinity too) is a `ValidationError` naming its row and column. Reading one
-holds about two float64 copies of the matrix at its peak. Annotation files map feature IDs to
+Matrix and embedding TSVs share one numeric-cell grammar (`_parse_cell`):
+a cell, after `strip()`, is `NA` or empty for a missing value (NaN), any
+value `float()` accepts is that double, and anything else is a
+`ValidationError` naming its row and column. `read_numeric_body` reads the
+body of both. A matrix TSV is feature-table shaped, a header row of sample
+IDs and one row per feature; `load_matrix_tsv` refuses an empty or
+duplicate ID and an infinite cell. An embedding TSV
+(`evaluation.read_embedding_tsv`) refuses a missing or infinite value,
+naming its row and column. Annotation files map feature IDs to
 chromosomes `1`..`22`, `X`, `Y`, or `NA`.
 `preprocess` runs one fixed recipe; its two keys, `missing_threshold` and
 `log2_expression`, describe the input and switch no rule off.
@@ -107,9 +111,7 @@ def _raw_lines(path: str):
 
 def _tsv_lines(path: str):
     """Yield `(lineno, cells)` for each of the `_raw_lines` of `path`, from
-    1, split at every tab. The per-cell loops of `load_matrix_tsv` and
-    `evaluation.read_embedding_tsv` read the body of a numeric file through
-    this only where `tsv_numeric_body` turns it down."""
+    1, split at every tab."""
     for lineno, line in enumerate(_raw_lines(path), start=1):
         yield lineno, line.split("\t")
 
@@ -129,15 +131,16 @@ STRIP_ONLY = "\x1c\x1d\x1e\x1f"
 
 class _Irregular(Exception):
     """A body line that numpy's reader would read otherwise than the
-    per-cell loops."""
+    per-cell loop."""
 
 
 def tsv_numeric_body(path: str, width: int, trailing: bool = False):
     """`(first cells, rows x width float64 values, last cells)` of the lines
     below the header of the TSV at `path`, read by numpy's C text reader;
     `last cells` holds a row's trailing cell when `trailing` (an embedding's
-    class) and is empty otherwise. None where the per-cell loop must read
-    the file instead, so that only that loop reports errors.
+    class) and is empty otherwise. None where the per-cell loop of
+    `read_numeric_body` must read the file instead, so that only that loop
+    reports errors.
 
     An exact `NA` cell becomes `nan` first. Every cell the C reader then
     accepts is `PyOS_string_to_double` of the stripped cell, which is what
@@ -180,19 +183,42 @@ def tsv_numeric_body(path: str, width: int, trailing: bool = False):
     return ids, values, tails
 
 
+def read_numeric_body(path: str, header: list[str], lines, trailing: bool = False):
+    """`tsv_numeric_body` of the TSV at `path`, or where that turns the
+    file down, the same read by the one per-cell loop over the `_tsv_lines`
+    below `header`: `_parse_cell` of each value cell, the only reader that
+    reports a ragged row, a bad cell or a body without rows. The loop stores
+    each row as a float64 array and stacks the rows once, so either way the
+    peak memory is about two float64 copies of the values.
+    """
+    width = len(header) - 1 - trailing
+    body = tsv_numeric_body(path, width, trailing)
+    if body is not None:
+        return body
+    ids: list[str] = []
+    rows: list[np.ndarray] = []
+    tails: list[str] = []
+    for lineno, record in lines:
+        if len(record) != len(header):
+            raise ValidationError(
+                f"{path}: ragged row {lineno}: {len(record)} cells, expected {len(header)}"
+            )
+        ids.append(record[0])
+        tails += record[1 + width :]  # the trailing cell, if any
+        cells = enumerate(record[1 : 1 + width], start=2)
+        rows.append(np.array([_parse_cell(c, path, lineno, j) for j, c in cells]))
+    if not rows:
+        raise ValidationError(f"{path}: no data rows")
+    return ids, np.stack(rows), tails
+
+
 def load_matrix_tsv(path: str) -> RawMatrix:
     """Read a feature-table TSV (the portal layout: one row per feature, one
     column per sample) as a samples x features matrix.
 
-    Each cell is stripped; `NA` or empty is missing (NaN), anything `float()`
-    accepts is that double, and anything else, or a cell that parses to
-    +-inf, raises a `ValidationError` naming the row and column of the first
-    bad cell. A file of plain numbers and exact `NA`s, as `write_matrix_tsv`
-    and the portals write, is read by numpy's C reader (`tsv_numeric_body`)
-    and transposed once. Any other file is read by the per-cell loop
-    (`_matrix_cells`), the only one that reports a bad cell: it stores each
-    row as a float64 array as it is read and stacks the rows once. Either
-    way the peak memory is about two float64 copies of the matrix.
+    The body is `read_numeric_body`'s, transposed once. An empty or
+    duplicate ID, and a cell that parses to +-inf, named by its row and
+    column, are a `ValidationError` too.
     """
     header, lines = tsv_header(path)
     if len(header) < 2:
@@ -201,12 +227,11 @@ def load_matrix_tsv(path: str) -> RawMatrix:
     if "" in sample_ids:
         raise ValidationError(f"{path}: empty sample ID in column {sample_ids.index('') + 2}")
     _check_unique(sample_ids, "sample", path)
-    body = tsv_numeric_body(path, len(sample_ids))
-    if body is not None:
-        feature_ids = [i.strip() for i in body[0]]
-        values = np.ascontiguousarray(body[1].T)
-    else:
-        feature_ids, values = _matrix_cells(path, header, lines)
+    ids, values, _ = read_numeric_body(path, header, lines)
+    feature_ids = [i.strip() for i in ids]
+    if "" in feature_ids:
+        raise ValidationError(f"{path}: empty feature ID in row {feature_ids.index('') + 2}")
+    values = np.ascontiguousarray(values.T)
     # NaN-skipping extremes copy nothing; only a failure looks for the cell
     if np.isinf(np.fmin.reduce(values, axis=None)) or np.isinf(np.fmax.reduce(values, axis=None)):
         feature, sample = np.argwhere(np.isinf(values.T))[0]
@@ -215,31 +240,6 @@ def load_matrix_tsv(path: str) -> RawMatrix:
         )
     _check_unique(feature_ids, "feature", path)
     return RawMatrix(sample_ids=sample_ids, feature_ids=feature_ids, values=values)
-
-
-def _matrix_cells(path: str, header: list[str], lines) -> tuple[list[str], np.ndarray]:
-    """The per-cell loop of `load_matrix_tsv`: the feature IDs and the
-    samples x features values of the `_tsv_lines` below its header."""
-    feature_ids: list[str] = []
-    rows: list[np.ndarray] = []
-    for lineno, record in lines:
-        if len(record) != len(header):
-            raise ValidationError(
-                f"{path}: ragged row {lineno}: {len(record)} cells, expected {len(header)}"
-            )
-        feature_ids.append(record[0].strip())
-        if not feature_ids[-1]:
-            raise ValidationError(f"{path}: empty feature ID in row {lineno}")
-        cells = record[1:]
-        try:
-            row = [math.nan if c == "NA" or c == "" else float(c) for c in cells]
-        except ValueError:
-            # padded `NA`s and the first bad cell's error are `_parse_cell`'s
-            row = [_parse_cell(c, path, lineno, j + 2) for j, c in enumerate(cells)]
-        rows.append(np.array(row, dtype=np.float64))
-    if not rows:
-        raise ValidationError(f"{path}: no data rows")
-    return feature_ids, np.stack(rows, axis=1)
 
 
 def _load_two_column_tsv(path: str, col_a: str, col_b: str) -> dict[str, str]:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .container import write_text_atomic
-from .data import tsv_header, tsv_numeric_body
+from .data import read_numeric_body, tsv_header
 from .errors import ValidationError
 from .numerics import Matrix, sym_eig
 
@@ -111,12 +111,14 @@ def pca_fit(data: Matrix, components: int) -> PcaModel:
     """Principal axes of `data` (samples x features).
 
     The shape picks the eigenproblem, the smaller of the two: the features x
-    features covariance when features <= samples, else the samples x samples
-    Gram matrix (the rank trick for features >> samples). Both give the same
-    axes up to the fixed sign convention. The Gram route maps its
-    eigenvectors to feature space with one product and orthonormalizes them
-    with one QR, which also completes an orthonormal set where the data has
-    fewer directions than `components`.
+    features scatter matrix when features <= samples, else the samples x
+    samples Gram matrix (the rank trick for features >> samples). Both give
+    the same axes up to the fixed sign convention and share their non-zero
+    eigenvalues, so one rank cutoff makes a null direction's variance 0 on
+    either route. The Gram route maps its eigenvectors to feature space
+    with one product and orthonormalizes them with one QR, which also
+    completes an orthonormal set where the data has fewer directions than
+    `components`.
     """
     n, f = data.shape
     if n < 2:
@@ -128,17 +130,14 @@ def pca_fit(data: Matrix, components: int) -> PcaModel:
     mean = data.mean(axis=0)
     centered = data - mean
     if f <= n:
-        cov = centered.T @ centered / (n - 1)
-        eigenvalues, vectors = sym_eig(cov)
+        eigenvalues, vectors = sym_eig(centered.T @ centered)
         axes = vectors[:, :components].copy()
-        explained = np.maximum(eigenvalues[:components], 0.0)
     else:
         eigenvalues, vectors = sym_eig(centered @ centered.T)
-        # a null direction's variance is 0 below the rank cutoff
         axes = np.linalg.qr(centered.T @ vectors[:, :components])[0]
-        top = eigenvalues[:components]
-        null = top <= max(float(np.abs(eigenvalues).max()), 1.0) * 1e-12
-        explained = np.where(null, 0.0, top) / (n - 1)
+    top = eigenvalues[:components]
+    null = top <= max(float(np.abs(eigenvalues).max()), 1.0) * 1e-12
+    explained = np.where(null, 0.0, top) / (n - 1)
     return PcaModel(mean=mean, axes=_fix_signs(axes), explained_variance=explained)
 
 
@@ -319,44 +318,23 @@ def export_embedding(source, dataset, path: str) -> Matrix:
 def read_embedding_tsv(path: str) -> tuple[list[str], np.ndarray, list[str] | None]:
     """Parse an embedding TSV back into (sample_ids, matrix, class names or None).
 
-    Every embedding value must be a finite number that `float()` accepts; a
-    row holding anything else is a `ValidationError` naming the path and the
-    row. A file of finite plain numbers, as `export_embedding` writes, is
-    read by numpy's C reader (`data.tsv_numeric_body`); any other file by
-    the per-cell loop below, the only one that reports a bad row. At 16
-    dimensions the numpy reader peaks at about 2.3 times the matrix's bytes,
-    with the sample IDs; the per-cell loop, which holds every value as a
-    Python float first, at about 7 times.
+    The body is `data.read_numeric_body`'s, in the one numeric-cell grammar.
+    Every embedding value must be finite: a missing or infinite one is a
+    `ValidationError` naming its row and column.
     """
     header, lines = tsv_header(path)
     if header[0] != "sample_id":
         raise ValidationError(f"{path}: not an embedding TSV (header {header[:2]})")
     has_classes = header[-1] == "class_name"
-    dim_count = len(header) - 1 - int(has_classes)
-    if dim_count < 1:
+    if len(header) - has_classes < 2:
         raise ValidationError(f"{path}: no embedding dimensions")
-    body = tsv_numeric_body(path, dim_count, trailing=has_classes)
-    if body is not None and np.isfinite(body[1]).all():
-        return body[0], body[1], body[2] if has_classes else None
-    ids: list[str] = []
-    rows: list[list[float]] = []
-    classes: list[str] = []
-    for lineno, cells in lines:
-        if len(cells) != len(header):
-            raise ValidationError(f"{path}: ragged row {lineno}")
-        ids.append(cells[0])
-        try:
-            values = [float(c) for c in cells[1 : 1 + dim_count]]
-        except ValueError:
-            raise ValidationError(f"{path}: non-numeric embedding value in row {lineno}") from None
-        if not all(map(math.isfinite, values)):
-            raise ValidationError(f"{path}: non-finite embedding value in row {lineno}")
-        rows.append(values)
-        if has_classes:
-            classes.append(cells[-1])
-    if not rows:
-        raise ValidationError(f"{path}: no embedding rows")
-    return ids, np.array(rows), classes if has_classes else None
+    ids, values, classes = read_numeric_body(path, header, lines, trailing=has_classes)
+    finite = np.isfinite(values)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        what = "missing" if np.isnan(values[row, col]) else "infinite"
+        raise ValidationError(f"{path}: {what} embedding value at row {row + 2}, column {col + 2}")
+    return ids, values, classes if has_classes else None
 
 
 def _build_palette(count: int = 34) -> tuple[str, ...]:

@@ -120,6 +120,8 @@ class TrainConfig:
             raise ValidationError("learning_rate must be positive")
         if self.alpha <= 0.0:
             raise ValidationError("alpha must be positive: every phase trains the VAE loss")
+        if self.phase2_beta <= 0.0:
+            raise ValidationError("phase2_beta must be positive: phase2_epochs=0 skips phase 2")
         if not 0.0 < self.val_fraction < 0.5:
             raise ValidationError("val_fraction must be in (0, 0.5)")
 
@@ -231,14 +233,12 @@ def _run_phase(
     adam: Adam,
     saved: np.ndarray,
 ) -> None:
-    """One training phase, stepping `adam` as the caller hands it over.
+    """One phase of 1 to `epochs_max` epochs, stepping `adam` as handed over.
 
     `saved`, a buffer the size of `model.arena.state`, holds the entry
     state until an epoch improves and the best state so far after that; the
     phase ends on that state.
     """
-    if epochs_max == 0:
-        return
     labels = dataset.labels
     if weights.beta > 0.0:
         if labels is None:
@@ -302,11 +302,10 @@ def _run_phase(
             wait += 1
             if wait >= config.patience:
                 break
-    if best_epoch:
-        if best_epoch != epoch:  # else the state is still the one saved
-            np.copyto(model.arena.state, saved)
-        history.best_epoch[phase] = best_epoch
-        history.best_metric[phase] = best_metric
+    if best_epoch != epoch:  # else the state is still the one saved
+        np.copyto(model.arena.state, saved)
+    history.best_epoch[phase] = best_epoch
+    history.best_metric[phase] = best_metric
 
 
 def train_two_phase(
@@ -322,10 +321,11 @@ def train_two_phase(
     Phase 1 trains encoder and decoder on every training sample with the
     classification weight at zero and early-stops on validation total loss.
     Phase 2 keeps the learned parameters, turns the classifier on over the
-    labeled samples, and early-stops on validation accuracy. Each phase
-    draws from its own stream derived from the master seed, so a run reuses
-    no randomness across phases and a phase-2-only resume reproduces the
-    continuous run exactly. On divergence the best snapshot so far is
+    labeled samples, and early-stops on validation accuracy. A phase whose
+    epoch cap is 0 does not run. Each phase draws from its own stream
+    derived from the master seed, so a run reuses no randomness across
+    phases and a phase-2-only resume reproduces the continuous run
+    exactly. On divergence the best snapshot so far is
     restored, training stops, and `history.diverged` names the phase, epoch
     and step and the `NumericError` that stopped it.
 
@@ -340,10 +340,10 @@ def train_two_phase(
     history = TrainingHistory()
     adam = Adam(model.arena, lr=config.learning_rate)
     saved = np.empty_like(model.arena.state)
-    phases = [(1, config.phase1_epochs, 0.0)]
-    if config.phase2_epochs > 0 and config.phase2_beta > 0.0:
-        phases.append((2, config.phase2_epochs, config.phase2_beta))
+    phases = [(1, config.phase1_epochs, 0.0), (2, config.phase2_epochs, config.phase2_beta)]
     for phase, epochs_max, beta in phases:
+        if epochs_max == 0:
+            continue
         if phase == 2:
             adam.reset()
         weights = LossWeights(alpha=config.alpha, beta=beta)

@@ -86,11 +86,13 @@ BAD_INPUT = {
         "infinite.tsv: infinite value at row 3, column 4"),
     "plot": (["plot", "--embedding", "{d}/absent.tsv", "--out", "{d}/plot.svg"], "absent.tsv"),
     "plot-non-numeric": (["plot", "--embedding", "{d}/bad_cell.tsv", "--out", "{d}/plot.svg"],
-                         "bad_cell.tsv: non-numeric embedding value in row 3"),
+                         "bad_cell.tsv: unparseable numeric value 'oops' at row 3, column 3"),
     "plot-non-finite": (["plot", "--embedding", "{d}/non_finite.tsv", "--out", "{d}/plot.svg"],
-                        "non_finite.tsv: non-finite embedding value in row 2"),
+                        "non_finite.tsv: infinite embedding value at row 2, column 3"),
+    "plot-missing": (["plot", "--embedding", "{d}/missing_cell.tsv", "--out", "{d}/plot.svg"],
+                     "missing_cell.tsv: missing embedding value at row 3, column 2"),
     "plot-header-only": (["plot", "--embedding", "{d}/header_only.tsv", "--out", "{d}/plot.svg"],
-                         "header_only.tsv: no embedding rows"),
+                         "header_only.tsv: no data rows"),
     "crossval-k2": (["crossval", "--data", "{cache}", "--k", "2", "--out", "{d}/cv"], "k=2"),
     "crossval-threads-word": (["crossval", "--data", "{d}/absent.omids", "--out", "{d}/cv"],
                               "OMIVAE_THREADS must be a positive integer, got 'two'"),
@@ -147,6 +149,9 @@ BAD_INPUT = {
         "10 samples; class 'class00' has 4"),
     "train-alpha-zero": (["train", "--set", "train.alpha=0", "--data", "{cache}", *SHORT,
                           "--out", "{d}/model.omvae"], "alpha must be positive"),
+    "train-phase2-beta-zero": (["train", "--set", "train.phase2_beta=0", "--data", "{cache}",
+                                *SHORT, "--out", "{d}/model.omvae"],
+                               "phase2_beta must be positive"),
     "usage-missing-option": (["train", "--data", "{d}/absent.omids"], "--out"),
     "usage-unknown-command": (["bogus"], "'bogus'"),
 }
@@ -161,7 +166,8 @@ FILES = {
     "infinite.tsv": b"gene\tS1\tS2\tS3\ng1\t0.1\t0.2\t0.3\ng2\t0.4\t0.5\t-Infinity\n",
     "bad_cell.tsv": b"sample_id\tdim_1\tdim_2\nS1\t0.5\t1.5\nS2\t0.25\toops\n",
     "header_only.tsv": b"sample_id\tdim_1\tdim_2\n",
-    "non_finite.tsv": b"sample_id\tdim_1\tdim_2\nS1\tnan\t1.5\nS2\t0.25\tinf\n",
+    "non_finite.tsv": b"sample_id\tdim_1\tdim_2\nS1\t0.5\tinf\nS2\tnan\t1.5\n",
+    "missing_cell.tsv": b"sample_id\tdim_1\tdim_2\nS1\t0.5\t1.5\nS2\tNA\t1_0\n",
     # one Latin-1 byte (0xff) in a file that is otherwise valid
     "latin1_matrix.tsv": b"id\tS1\tS2\ng1\t\xff0.3\t0.4\n",
     "latin1_ann.tsv": b"feature_id\tchromosome\ng1\t1\xff\n",
@@ -341,7 +347,7 @@ def test_phase2_resume_reproduces_the_continuous_run(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("options, phase", [
-    (["--set", "train.phase2_beta=0"], "1"),
+    (["--set", "train.phase2_epochs=0"], "1"),
     (["--phase", "unsupervised-only"], "1"),
     ([], "2"),
 ])

@@ -134,6 +134,13 @@ class TestErrors:
         with pytest.raises(ValidationError, match="alpha must be positive"):
             config.train_config()
 
+    @pytest.mark.parametrize("beta", ["0", "0.0", "-1"])
+    def test_phase2_beta_must_be_positive(self, beta):
+        # phase2_epochs=0 is the one way to skip phase 2
+        config = load_run_config(overrides=[f"train.phase2_beta={beta}"])
+        with pytest.raises(ValidationError, match="phase2_beta must be positive"):
+            config.train_config()
+
     def test_line_without_equals_reports_path_and_line(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# comment\n\ntrain.seed = 3\ntrain.batch_size 64\n")

@@ -233,6 +233,17 @@ def grammar(cell: str) -> float | None:
         return None
 
 
+def first_unparseable(path: str, table: list[list[str]]) -> str | None:
+    """The error naming the first cell of `table` that `grammar` refuses,
+    as the body of the TSV at `path`; None if it refuses none."""
+    for r, row in enumerate(table):
+        for j, cell in enumerate(row):
+            if grammar(cell) is None:
+                where = f"at row {r + 2}, column {j + 2}"
+                return f"{path}: unparseable numeric value {cell.strip()!r} {where}"
+    return None
+
+
 @pytest.fixture
 def per_cell_reads(monkeypatch):
     """The lines each TSV read asks `_tsv_lines` for: 1, the header, unless
@@ -256,7 +267,8 @@ def per_cell_reads(monkeypatch):
 
 class TestNumericReader:
     """Numeric bodies go through numpy's C reader and fall back to the
-    per-cell loop on anything the two could read differently."""
+    per-cell loop on anything the two could read differently; matrices and
+    embeddings share the one cell grammar."""
 
     @settings(max_examples=300)
     @given(table=TABLES, end=LINE_ENDS)
@@ -266,16 +278,12 @@ class TestNumericReader:
         lines += [f"f{r}\t" + "\t".join(row) for r, row in enumerate(table)]
         path.write_bytes((end.join(lines) + end).encode())
         path = str(path)
-        for r, row in enumerate(table):
-            bad = [j for j, c in enumerate(row) if grammar(c) is None]
-            if bad:
-                with pytest.raises(ValidationError) as got:
-                    load_matrix_tsv(path)
-                cell = row[bad[0]].strip()
-                assert str(got.value) == (
-                    f"{path}: unparseable numeric value {cell!r} at row {r + 2}, column {bad[0] + 2}"
-                )
-                return
+        error = first_unparseable(path, table)
+        if error:
+            with pytest.raises(ValidationError) as got:
+                load_matrix_tsv(path)
+            assert str(got.value) == error
+            return
         expected = np.array([[grammar(c) for c in row] for row in table], dtype=np.float64)
         infinite = np.argwhere(np.isinf(expected))
         if infinite.size:
@@ -294,30 +302,33 @@ class TestNumericReader:
     def test_an_embedding_reads_as_the_documented_grammar(
         self, tmp_path_factory, table, end, name
     ):
-        """A value is what `float()` returns for the cell, and must be finite."""
+        """Values are the matrix grammar's, and a missing or infinite one is
+        refused by its row and column."""
         path = tmp_path_factory.mktemp("numeric") / "e.tsv"
         dims = "\t".join(f"dim_{j + 1}" for j in range(len(table[0])))
         lines = [f"sample_id\t{dims}\tclass_name"]
         lines += [f"s{r}\t" + "\t".join(row) + f"\t{name}" for r, row in enumerate(table)]
         path.write_bytes((end.join(lines) + end).encode())
         path = str(path)
-        for r, row in enumerate(table):
-            try:
-                values = [float(c) for c in row]
-            except ValueError:
-                problem = "non-numeric"
-            else:
-                if all(map(math.isfinite, values)):
-                    continue
-                problem = "non-finite"
+        error = first_unparseable(path, table)
+        if error:
             with pytest.raises(ValidationError) as got:
                 read_embedding_tsv(path)
-            assert str(got.value) == f"{path}: {problem} embedding value in row {r + 2}"
+            assert str(got.value) == error
+            return
+        expected = np.array([[grammar(c) for c in row] for row in table], dtype=np.float64)
+        refused = np.argwhere(~np.isfinite(expected))
+        if refused.size:
+            with pytest.raises(ValidationError) as got:
+                read_embedding_tsv(path)
+            r, j = refused[0]
+            what = "missing" if np.isnan(expected[r, j]) else "infinite"
+            where = f"at row {r + 2}, column {j + 2}"
+            assert str(got.value) == f"{path}: {what} embedding value {where}"
             return
         ids, values, classes = read_embedding_tsv(path)
         assert ids == [f"s{r}" for r in range(len(table))]
         assert classes == [name] * len(table)
-        expected = np.array([[float(c) for c in row] for row in table], dtype=np.float64)
         assert values.dtype == np.float64 and values.flags.c_contiguous
         assert values.tobytes() == expected.tobytes()
 
@@ -368,32 +379,76 @@ class TestNumericReader:
         assert values.tobytes() == np.array([[0.5, -2.0], [1e-3, 3.0]]).tobytes()
 
     @pytest.mark.parametrize("row, problem", [
-        ("s1\tinf\t1\tA", "non-finite embedding value in row 2"),
-        ("s1\tNA\t1\tA", "non-numeric embedding value in row 2"),
-        ("s1\t1\x1c\t1\tA", "non-numeric embedding value in row 2"),
-        ("s1\t1\tA", "ragged row 2"),
-        ("s1\t1\t2\t3\tA", "ragged row 2"),
+        ("s1\t1\x1c\t1\tA", None),
+        ("s1\t1\tA", "ragged row 2: 3 cells, expected 4"),
+        ("s1\t1\t2\t3\tA", "ragged row 2: 5 cells, expected 4"),
         ("\t1_0\t2\tA", None),
-        ("", "ragged row 2"),
+        ("", "ragged row 2: 1 cells, expected 4"),
     ])
     def test_an_irregular_embedding_takes_the_per_cell_loop(
         self, tmp_path, per_cell_reads, row, problem
     ):
+        """A row the loop accepts reads as the grammar's values; the first
+        cell is the sample ID as written."""
         path = tmp_path / "e.tsv"
         path.write_text(f"sample_id\tdim_1\tdim_2\tclass_name\n{row}\n")
         if problem is None:
             ids, values, _ = read_embedding_tsv(str(path))
-            assert ids == [""] and values.tolist() == [[10.0, 2.0]]
+            cells = row.split("\t")
+            assert ids == cells[:1]
+            assert values.tobytes() == np.array([[grammar(c) for c in cells[1:3]]]).tobytes()
         else:
             with pytest.raises(ValidationError) as got:
                 read_embedding_tsv(str(path))
             assert str(got.value) == f"{path}: {problem}"
         assert per_cell_reads[0] >= 2
 
+    @pytest.mark.parametrize("rows, loop, problem", [
+        ("s1\tinf\t1\tA", False, "infinite embedding value at row 2, column 2"),
+        ("s1\tNA\t1\tA", False, "missing embedding value at row 2, column 2"),
+        ("s1\t0.5\t1\t\ns2\tnan\t-inf\tB", False, "missing embedding value at row 3, column 2"),
+        ("s1\t1_0\t-1e400\tA", True, "infinite embedding value at row 2, column 3"),
+        ("s1\t2\t1\tA\ns2\t1\t NA\tB", True, "missing embedding value at row 3, column 3"),
+        ("s1\t\t1\x1c\tA", True, "missing embedding value at row 2, column 2"),
+    ], ids=["inf-numpy", "NA-numpy", "nan-numpy", "inf-loop", "NA-loop", "empty-loop"])
+    def test_a_missing_or_infinite_embedding_value_is_named(
+        self, tmp_path, per_cell_reads, rows, loop, problem
+    ):
+        """By its row and column, from numpy's reader and the loop alike."""
+        path = tmp_path / "e.tsv"
+        path.write_text(f"sample_id\tdim_1\tdim_2\tclass_name\n{rows}\n")
+        with pytest.raises(ValidationError) as got:
+            read_embedding_tsv(str(path))
+        assert str(got.value) == f"{path}: {problem}"
+        assert (per_cell_reads[0] >= 2) == loop
+
+    @pytest.mark.parametrize("irregular", [
+        "s1\t1_0\t-2.5\tA\ns2\t 2 \t0.125\t\n",
+        "s1\t10\t-2.5\x1c\tA\ns2\t2\t\u0661\u0662\t\n",
+        "s1\t+10.\t-25e-1\tA\ns2\t\x0b2\t1_2\t\n",
+    ])
+    def test_an_irregular_embedding_reads_as_its_plain_twin(
+        self, tmp_path, per_cell_reads, irregular
+    ):
+        """The loop and numpy's reader give the same bytes for the same values."""
+        header = "sample_id\tdim_1\tdim_2\tclass_name\n"
+        path = tmp_path / "irregular.tsv"
+        path.write_text(header + irregular)
+        ids, values, classes = read_embedding_tsv(str(path))
+        cells = [line.split("\t") for line in irregular.split("\n")[:-1]]  # not at "\x1c"
+        plain = "".join(f"{r[0]}\t{grammar(r[1])!r}\t{grammar(r[2])!r}\t{r[3]}\n" for r in cells)
+        twin = tmp_path / "plain.tsv"
+        twin.write_text(header + plain)
+        assert per_cell_reads[0] >= 2
+        twin_ids, twin_values, twin_classes = read_embedding_tsv(str(twin))
+        assert per_cell_reads[1] == 1
+        assert (ids, classes) == (twin_ids, twin_classes) == (["s1", "s2"], ["A", ""])
+        assert values.tobytes() == twin_values.tobytes()
+
     def test_an_embedding_without_rows_takes_the_per_cell_loop(self, tmp_path, per_cell_reads):
         path = tmp_path / "e.tsv"
         path.write_text("sample_id\tdim_1\tdim_2\n")
-        with pytest.raises(ValidationError, match="no embedding rows"):
+        with pytest.raises(ValidationError, match="no data rows"):
             read_embedding_tsv(str(path))
         assert per_cell_reads == [2]
 

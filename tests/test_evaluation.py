@@ -155,6 +155,14 @@ class TestPca:
         assert np.all(model.explained_variance[:-1] > 1e-3)
         assert np.abs(pca_transform(model, data)[:, -1]).max() <= 1e-12
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_null_direction_has_zero_variance_on_the_covariance_route(self, seed):
+        # 6 centred samples of 6 features span 5 directions: the sixth
+        # eigenvalue is rounding, which the rank cutoff reports as 0
+        model = pca_fit(RngState(seed).uniform(0.0, 1.0, (6, 6)), 6)
+        assert model.explained_variance[-1] == 0.0
+        assert np.all(model.explained_variance[:-1] > 1e-3)
+
     def test_transform_variance_equals_explained(self):
         data = RngState(3).uniform(0.0, 1.0, (25, 6))
         model = pca_fit(data, 4)

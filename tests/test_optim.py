@@ -227,15 +227,14 @@ def test_training_never_clears_the_grads():
     [
         ({}, False, [1, 2]),
         (dict(phase2_epochs=0), False, [1]),
-        (dict(phase2_beta=0.0), False, [1]),
         (dict(phase1_epochs=0), False, [2]),
         ({}, True, []),
     ],
-    ids=["both", "no-phase2-epochs", "no-phase2-beta", "phase2-only", "phase1-diverges"],
+    ids=["both", "no-phase2-epochs", "phase2-only", "phase1-diverges"],
 )
 def test_the_phases_that_run_and_the_moment_reset(monkeypatch, overrides, diverge, phases):
-    """Phase 2 runs only with epochs and a positive weight, and not after a
-    divergence; Adam's moments are zeroed before phase 2 and only then."""
+    """A phase runs only with epochs, and phase 2 not after a divergence;
+    Adam's moments are zeroed before phase 2 and only then."""
     resets = []
     reset = Adam.reset
     monkeypatch.setattr(Adam, "reset", lambda self: resets.append(self.t) or reset(self))

@@ -1,7 +1,8 @@
-"""The package reads TSVs without `csv`, opens files for writing in one
-place, the atomic-replace routine that every output goes through, and opens
-text for reading in two: the raw-line reader of every TSV and the config
-file loader. The modules a training step runs make no masked copies."""
+"""The package reads TSVs without `csv` and parses numeric TSV cells in
+`data` alone, opens files for writing in one place, the atomic-replace
+routine that every output goes through, and opens text for reading in two:
+the raw-line reader of every TSV and the config file loader. The modules a
+training step runs make no masked copies."""
 
 import ast
 import pathlib
@@ -10,6 +11,9 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "omivae"
 WRITER = ("container.py", "_replace_file")
 TEXT_READERS = [("config.py", "load_run_config"), ("data.py", "_raw_lines")]
 STEP_MODULES = ("layers.py", "losses.py", "model.py", "optim.py")
+# the names that read numeric TSV cells: numpy's reader, the C-reader path
+# and the cell parser of the per-cell loop
+CELL_PARSERS = ("loadtxt", "tsv_numeric_body", "_parse_cell")
 
 
 def modules():
@@ -63,6 +67,24 @@ def test_no_module_imports_csv():
                 assert all(a.name != "csv" for a in node.names), f"{name}:{node.lineno}"
             elif isinstance(node, ast.ImportFrom):
                 assert node.module != "csv", f"{name}:{node.lineno}"
+
+
+def test_only_data_parses_numeric_tsv_cells():
+    """Both numeric readers go through `data.read_numeric_body`, so no other
+    module names numpy's text reader or a cell parser."""
+    found = [
+        (name, node.lineno)
+        for name, tree in modules()
+        if name != "data.py"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id in CELL_PARSERS)
+        or (isinstance(node, ast.Attribute) and node.attr in CELL_PARSERS)
+        or (isinstance(node, ast.alias) and node.name in CELL_PARSERS)
+    ]
+    assert found == []
+    uses = {name for name, tree in modules() for node in ast.walk(tree)
+            if isinstance(node, ast.alias) and node.name == "read_numeric_body"}
+    assert uses == {"evaluation.py"}
 
 
 def sites(which):
