@@ -9,12 +9,12 @@ Matrix and embedding TSVs share one numeric-cell grammar (`_parse_cell`):
 a cell, after `strip()`, is `NA` or empty for a missing value (NaN), any
 value `float()` accepts is that double, and anything else is a
 `ValidationError` naming its row and column. `read_numeric_body` reads the
-body of both. A matrix TSV is feature-table shaped, a header row of sample
-IDs and one row per feature; `load_matrix_tsv` refuses an empty or
-duplicate ID and an infinite cell. An embedding TSV
-(`evaluation.read_embedding_tsv`) refuses a missing or infinite value,
-naming its row and column. Annotation files map feature IDs to
-chromosomes `1`..`22`, `X`, `Y`, or `NA`.
+body of both. Every reader strips its IDs and refuses an empty or repeated
+one (`checked_ids`). A matrix TSV is feature-table shaped, a header row of
+sample IDs and one row per feature; `load_matrix_tsv` refuses an infinite
+cell. An embedding TSV (`evaluation.read_embedding_tsv`) refuses a missing
+or infinite value, naming its row and column. Annotation files map feature
+IDs to chromosomes `1`..`22`, `X`, `Y`, or `NA`.
 `preprocess` runs one fixed recipe; its two keys, `missing_threshold` and
 `log2_expression`, describe the input and switch no rule off.
 
@@ -83,12 +83,18 @@ def _parse_cell(cell: str, path: str, row: int, col: int) -> float:
         ) from None
 
 
-def _check_unique(ids: list[str], what: str, path: str) -> None:
+def checked_ids(ids, what: str, where: str, path: str) -> list[str]:
+    """`ids` stripped. An empty one, named by its `where` (`row` or
+    `column`, the first ID at 2), or a repeated one is a `ValidationError`."""
+    ids = [i.strip() for i in ids]
+    if "" in ids:
+        raise ValidationError(f"{path}: empty {what} ID in {where} {ids.index('') + 2}")
     seen: set[str] = set()
     for i in ids:
         if i in seen:
             raise ValidationError(f"{path}: duplicate {what} ID {i!r}")
         seen.add(i)
+    return ids
 
 
 def _raw_lines(path: str):
@@ -216,29 +222,21 @@ def load_matrix_tsv(path: str) -> RawMatrix:
     """Read a feature-table TSV (the portal layout: one row per feature, one
     column per sample) as a samples x features matrix.
 
-    The body is `read_numeric_body`'s, transposed once. An empty or
-    duplicate ID, and a cell that parses to +-inf, named by its row and
-    column, are a `ValidationError` too.
+    The body is `read_numeric_body`'s, transposed once, and the IDs are
+    `checked_ids`. A cell that parses to +-inf is a `ValidationError`
+    naming its row and column.
     """
     header, lines = tsv_header(path)
     if len(header) < 2:
         raise ValidationError(f"{path}: header must name at least one data column")
-    sample_ids = [c.strip() for c in header[1:]]
-    if "" in sample_ids:
-        raise ValidationError(f"{path}: empty sample ID in column {sample_ids.index('') + 2}")
-    _check_unique(sample_ids, "sample", path)
+    sample_ids = checked_ids(header[1:], "sample", "column", path)
     ids, values, _ = read_numeric_body(path, header, lines)
-    feature_ids = [i.strip() for i in ids]
-    if "" in feature_ids:
-        raise ValidationError(f"{path}: empty feature ID in row {feature_ids.index('') + 2}")
+    feature_ids = checked_ids(ids, "feature", "row", path)
     values = np.ascontiguousarray(values.T)
     # NaN-skipping extremes copy nothing; only a failure looks for the cell
     if np.isinf(np.fmin.reduce(values, axis=None)) or np.isinf(np.fmax.reduce(values, axis=None)):
-        feature, sample = np.argwhere(np.isinf(values.T))[0]
-        raise ValidationError(
-            f"{path}: infinite value at row {feature + 2}, column {sample + 2}"
-        )
-    _check_unique(feature_ids, "feature", path)
+        row, col = np.argwhere(np.isinf(values.T))[0]  # in the file's layout
+        raise ValidationError(f"{path}: infinite value at row {row + 2}, column {col + 2}")
     return RawMatrix(sample_ids=sample_ids, feature_ids=feature_ids, values=values)
 
 
@@ -248,15 +246,13 @@ def _load_two_column_tsv(path: str, col_a: str, col_b: str) -> dict[str, str]:
         raise ValidationError(
             f"{path}: expected header columns {col_a!r}, {col_b!r}, got {header[:2]}"
         )
-    mapping: dict[str, str] = {}
+    keys, values = [], []
     for lineno, record in lines:
         if len(record) < 2:
             raise ValidationError(f"{path}: row {lineno} has fewer than two columns")
-        key, value = record[0].strip(), record[1].strip()
-        if key in mapping:
-            raise ValidationError(f"{path}: duplicate {col_a} {key!r}")
-        mapping[key] = value
-    return mapping
+        keys.append(record[0])
+        values.append(record[1].strip())
+    return dict(zip(checked_ids(keys, col_a.removesuffix("_id"), "row", path), values))
 
 
 def load_annotations(path: str) -> dict[str, str]:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .container import write_text_atomic
-from .data import read_numeric_body, tsv_header
+from .data import checked_ids, read_numeric_body, tsv_header
 from .errors import ValidationError
 from .numerics import Matrix, sym_eig
 
@@ -318,8 +318,8 @@ def export_embedding(source, dataset, path: str) -> Matrix:
 def read_embedding_tsv(path: str) -> tuple[list[str], np.ndarray, list[str] | None]:
     """Parse an embedding TSV back into (sample_ids, matrix, class names or None).
 
-    The body is `data.read_numeric_body`'s, in the one numeric-cell grammar.
-    Every embedding value must be finite: a missing or infinite one is a
+    The body is `data.read_numeric_body`'s, in the one numeric-cell grammar,
+    and its IDs are `data.checked_ids`. A missing or infinite value is a
     `ValidationError` naming its row and column.
     """
     header, lines = tsv_header(path)
@@ -329,6 +329,7 @@ def read_embedding_tsv(path: str) -> tuple[list[str], np.ndarray, list[str] | No
     if len(header) - has_classes < 2:
         raise ValidationError(f"{path}: no embedding dimensions")
     ids, values, classes = read_numeric_body(path, header, lines, trailing=has_classes)
+    ids = checked_ids(ids, "sample", "row", path)
     finite = np.isfinite(values)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]

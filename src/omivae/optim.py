@@ -3,7 +3,9 @@
 A model keeps every parameter, gradient and batch-norm running statistic
 in one float64 `ParameterArena`, and everything here works on its flat
 vectors: Adam updates `arena.values` from `arena.grads`, and a snapshot is
-one copy of `arena.state`. A training step never clears the grads, because
+one copy of `arena.state`. Adam takes Kingma & Ba's efficient form, so its
+`m` and `v` hold unscaled moments: `(1 - beta1) * m` and `(1 - beta2) * v`
+are the textbook ones. A training step never clears the grads, because
 `forward_backward` writes every grad of the arena whole. Code that changes a
 tensor therefore writes it in place and never rebinds `.value`, `.grad`
 or a running statistic.
@@ -29,13 +31,15 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Adam with bias correction; the step count increments before correcting.
+    """Adam in Kingma & Ba's efficient form (arXiv 1412.6980, §2): the bias
+    corrections and `(1 - b)` factors fold into a step size and an eps per
+    step, which is the textbook update in exact arithmetic.
 
     The decay rates and eps are `ADAM_BETA1`, `ADAM_BETA2` and `ADAM_EPS`;
-    only the learning rate is a parameter. One `m` and one `v` vector cover
-    the whole arena, and a step runs over it in chunks of `ADAM_CHUNK`
-    elements, in place, with two preallocated chunk buffers for the
-    temporaries.
+    only the learning rate is a parameter. One `m` and one `v` cover the
+    arena, unscaled, so `(1 - b1) * m` and `(1 - b2) * v` are the textbook
+    moments. A step runs over them in chunks of `ADAM_CHUNK` elements, in
+    place, with two preallocated chunk buffers for the temporaries.
     """
 
     def __init__(self, arena: ParameterArena, lr: float):
@@ -63,29 +67,24 @@ class Adam:
             name = next(p.name for p in self.arena.params if not np.isfinite(p.grad).all())
             raise NumericError(f"non-finite gradient in {name}; step aborted")
         self.t += 1
-        b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, self.lr, ADAM_EPS
-        c1 = 1.0 - b1**self.t
-        c2 = 1.0 - b2**self.t
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
+        r = np.sqrt((1.0 - b2**self.t) / (1.0 - b2))
+        size, eps = self.lr * (1.0 - b1) * r / (1.0 - b1**self.t), ADAM_EPS * r
         values = self.arena.values
         for start in range(0, values.size, ADAM_CHUNK):
             chunk = slice(start, start + ADAM_CHUNK)
             g, m, v, w = grads[chunk], self.m[chunk], self.v[chunk], values[chunk]
             a, b = self._a[: g.size], self._b[: g.size]
-            # m = b1*m + (1-b1)*g
+            # m = b1*m + g and v = b2*v + g**2
             np.multiply(m, b1, out=m)
-            np.multiply(g, 1.0 - b1, out=a)
-            np.add(m, a, out=m)
-            # v = b2*v + (1-b2)*g**2
+            np.add(m, g, out=m)
             np.multiply(v, b2, out=v)
             np.square(g, out=a)
-            np.multiply(a, 1.0 - b2, out=a)
             np.add(v, a, out=v)
-            # w -= lr*(m/c1) / (sqrt(v/c2) + eps)
-            np.divide(m, c1, out=a)
-            np.multiply(a, lr, out=a)
-            np.divide(v, c2, out=b)
-            np.sqrt(b, out=b)
+            # w -= size*m / (sqrt(v) + eps')
+            np.sqrt(v, out=b)
             np.add(b, eps, out=b)
+            np.multiply(m, size, out=a)
             np.divide(a, b, out=a)
             np.subtract(w, a, out=w)
 
@@ -370,21 +369,24 @@ class Checkpoint:
     metadata: dict[str, str]
 
     def build(self) -> OmiVaeModel:
-        """Reconstruct the model this checkpoint was saved from.
-
-        Every tensor is overwritten with its saved value, so the model is
-        built without drawing an initialization.
+        """Reconstruct the model this checkpoint was saved from, drawing no
+        initialization. The tensors must be the model's `state_tensors()`
+        names and shapes, in order; the first mismatch is a `FormatError`.
         """
         model = build_model(self.config, _NoDraw())
-        saved = dict(self.tensors)
-        for name, live in model.state_tensors():
-            if name not in saved:
-                raise FormatError(f"checkpoint is missing tensor {name!r}")
-            if saved[name].shape != live.shape:
-                raise FormatError(
-                    f"checkpoint tensor {name!r} has shape {saved[name].shape}, expected {live.shape}"
-                )
-            live[:] = saved[name]
+        live = model.state_tensors()
+        found = [(name, saved.shape) for name, saved in self.tensors]
+        expected = [(name, arr.shape) for name, arr in live]
+        if found != expected:
+            i = next((i for i, (f, e) in enumerate(zip(found, expected)) if f != e),
+                     min(len(found), len(expected)))
+            if i < min(len(found), len(expected)) and found[i][0] == expected[i][0]:
+                (name, shape), want = found[i], expected[i][1]
+                raise FormatError(f"checkpoint tensor {name!r} has shape {shape}, expected {want}")
+            got, want = (repr(t[i][0]) if i < len(t) else "no tensor" for t in (found, expected))
+            raise FormatError(f"checkpoint has {got} at position {i + 1}, expected {want}")
+        for (_, arr), (_, saved) in zip(live, self.tensors):
+            arr[:] = saved
         return model
 
 

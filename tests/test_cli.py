@@ -93,6 +93,10 @@ BAD_INPUT = {
                      "missing_cell.tsv: missing embedding value at row 3, column 2"),
     "plot-header-only": (["plot", "--embedding", "{d}/header_only.tsv", "--out", "{d}/plot.svg"],
                          "header_only.tsv: no data rows"),
+    "plot-duplicate-id": (["plot", "--embedding", "{d}/repeated_id.tsv", "--out", "{d}/plot.svg"],
+                          "repeated_id.tsv: duplicate sample ID 'S1'"),
+    "plot-empty-id": (["plot", "--embedding", "{d}/empty_id.tsv", "--out", "{d}/plot.svg"],
+                      "empty_id.tsv: empty sample ID in row 3"),
     "crossval-k2": (["crossval", "--data", "{cache}", "--k", "2", "--out", "{d}/cv"], "k=2"),
     "crossval-threads-word": (["crossval", "--data", "{d}/absent.omids", "--out", "{d}/cv"],
                               "OMIVAE_THREADS must be a positive integer, got 'two'"),
@@ -168,6 +172,8 @@ FILES = {
     "header_only.tsv": b"sample_id\tdim_1\tdim_2\n",
     "non_finite.tsv": b"sample_id\tdim_1\tdim_2\nS1\t0.5\tinf\nS2\tnan\t1.5\n",
     "missing_cell.tsv": b"sample_id\tdim_1\tdim_2\nS1\t0.5\t1.5\nS2\tNA\t1_0\n",
+    "repeated_id.tsv": b"sample_id\tdim_1\tdim_2\nS1\t0.5\t1.5\nS2\t1\t2\n S1\t0.25\t1\n",
+    "empty_id.tsv": b"sample_id\tdim_1\tdim_2\nS1\t0.5\t1.5\n \t0.25\t1\n",
     # one Latin-1 byte (0xff) in a file that is otherwise valid
     "latin1_matrix.tsv": b"id\tS1\tS2\ng1\t\xff0.3\t0.4\n",
     "latin1_ann.tsv": b"feature_id\tchromosome\ng1\t1\xff\n",

@@ -174,15 +174,14 @@ def test_a_flipped_bit_loads_or_is_a_validation_error(files, kind, data):
         pass
 
 
-# kind -> (reader, the rows of a valid file, whether the reader strips keys)
+# kind -> (reader, the rows of a valid file)
 TSV_READERS = {
     "annotations": (
-        load_annotations, [b"feature_id\tchromosome", b"g1\t1", b"g2\tX", b"cg3\tNA"], True),
-    "labels": (load_labels, [b"sample_id\tclass_name", b"S1\tBRCA", b"S2\tLUAD"], True),
+        load_annotations, [b"feature_id\tchromosome", b"g1\t1", b"g2\tX", b"cg3\tNA"]),
+    "labels": (load_labels, [b"sample_id\tclass_name", b"S1\tBRCA", b"S2\tLUAD"]),
     "embedding": (
         read_embedding_tsv,
         [b"sample_id\tdim_1\tdim_2\tclass_name", b"S1\t0.5\t-1.25\tBRCA", b"S2\t0\t3e-05\tLUAD"],
-        False,
     ),
 }
 # stray tabs, NUL, non-UTF-8 bytes, line-break characters, non-finite numbers,
@@ -222,18 +221,18 @@ def tsv_path(tmp_path_factory):
 @settings(max_examples=200)
 @given(data=st.data())
 def test_a_mutated_tsv_loads_or_is_a_validation_error(tsv_path, kind, data):
-    reader, rows, strips = TSV_READERS[kind]
+    reader, rows = TSV_READERS[kind]
     blob = mutate(rows, data)
     tsv_path.write_bytes(blob)
     try:
         loaded = reader(str(tsv_path))
     except ValidationError:
         return
-    # what loads holds one key per line, the lines split where Python's
-    # text files split them: at "\r\n", "\r" and "\n" only
+    # what loads holds one stripped key per line, unique and not empty, the
+    # lines split where Python's text files split them: at "\r\n", "\r"
+    # and "\n" only
     lines = re.split(rb"\r\n|\r|\n", blob)[1:-1]
-    keys = [line.split(b"\t")[0].decode("utf-8") for line in lines]
-    if strips:  # a dict keyed by the stripped first cell
-        assert list(loaded) == [k.strip() for k in keys]
-    else:  # (sample IDs, values, class names)
-        assert loaded[0] == keys
+    keys = [line.split(b"\t")[0].decode("utf-8").strip() for line in lines]
+    ids = loaded[0] if kind == "embedding" else list(loaded)  # (IDs, values, classes)
+    assert ids == keys
+    assert "" not in keys and len(set(keys)) == len(keys)

@@ -382,20 +382,21 @@ class TestNumericReader:
         ("s1\t1\x1c\t1\tA", None),
         ("s1\t1\tA", "ragged row 2: 3 cells, expected 4"),
         ("s1\t1\t2\t3\tA", "ragged row 2: 5 cells, expected 4"),
-        ("\t1_0\t2\tA", None),
+        ("\t1_0\t2\tA", "empty sample ID in row 2"),
+        (" s1 \t1_0\t2\tA", None),
         ("", "ragged row 2: 1 cells, expected 4"),
     ])
     def test_an_irregular_embedding_takes_the_per_cell_loop(
         self, tmp_path, per_cell_reads, row, problem
     ):
         """A row the loop accepts reads as the grammar's values; the first
-        cell is the sample ID as written."""
+        cell, stripped, is the sample ID."""
         path = tmp_path / "e.tsv"
         path.write_text(f"sample_id\tdim_1\tdim_2\tclass_name\n{row}\n")
         if problem is None:
             ids, values, _ = read_embedding_tsv(str(path))
             cells = row.split("\t")
-            assert ids == cells[:1]
+            assert ids == [cells[0].strip()]
             assert values.tobytes() == np.array([[grammar(c) for c in cells[1:3]]]).tobytes()
         else:
             with pytest.raises(ValidationError) as got:
@@ -494,6 +495,19 @@ class TestAnnotationAndLabelFiles:
         path = tmp_path / "lab.tsv"
         path.write_text("sample_id\tclass_name\ns1\tBRCA\ns2\tLUAD\n")
         assert load_labels(str(path)) == {"s1": "BRCA", "s2": "LUAD"}
+
+    @pytest.mark.parametrize("reader, text, problem", [
+        (load_labels, "sample_id\tclass_name\ns1\tBRCA\n\tBRCA\n", "empty sample ID in row 3"),
+        (load_labels, "sample_id\tclass_name\n \tBRCA\n", "empty sample ID in row 2"),
+        (load_labels, "sample_id\tclass_name\ns1\tA\ns1 \tB\n", "duplicate sample ID 's1'"),
+        (load_annotations, "feature_id\tchromosome\ng1\t1\n\t2\n", "empty feature ID in row 3"),
+    ], ids=["labels-empty", "labels-blank", "labels-repeated", "annotations-empty"])
+    def test_an_empty_or_repeated_key_is_named(self, tmp_path, reader, text, problem):
+        path = tmp_path / "pairs.tsv"
+        path.write_text(text)
+        with pytest.raises(ValidationError) as got:
+            reader(str(path))
+        assert str(got.value) == f"{path}: {problem}"
 
 
 class TestPreprocessGolden:

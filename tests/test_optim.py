@@ -54,6 +54,37 @@ def textbook_adam_step(values, grads, ms, vs, t, lr, beta1=0.9, beta2=0.999, eps
         w -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
+def flat(arrays):
+    return np.concatenate([a.ravel() for a in arrays])
+
+
+def follow_textbook(adam, tensors, set_grads, steps):
+    """Step `adam` and `textbook_adam_step` side by side from t = 1 to
+    `steps`, `set_grads(t)` writing step t's gradient into the arena.
+
+    After step t every weight is within 1e-12*lr*t of the textbook's, and
+    `(1 - b1) * m` and `(1 - b2) * v` are the textbook moments to 1e-14
+    relative. For m that is relative to the same average of |g|, since an
+    average of gradients of both signs may cancel to zero.
+    """
+    b1, b2 = optim.ADAM_BETA1, optim.ADAM_BETA2
+    values = [w.copy() for w, _ in tensors]
+    ms, vs, scales = ([np.zeros_like(w) for w in values] for _ in range(3))
+    for t in range(1, steps + 1):
+        set_grads(t)
+        grads = [g.copy() for _, g in tensors]
+        adam.step()
+        textbook_adam_step(values, grads, ms, vs, t, adam.lr)
+        for scale, g in zip(scales, grads):
+            scale *= b1
+            scale += (1.0 - b1) * np.abs(g)
+        assert adam.t == t
+        drift = np.abs(flat(w for w, _ in tensors) - flat(values)).max()
+        assert drift <= 1e-12 * adam.lr * t, (t, drift / (adam.lr * t))
+        assert np.all(np.abs((1.0 - b1) * adam.m - flat(ms)) <= 1e-14 * flat(scales)), t
+        assert np.all(np.abs((1.0 - b2) * adam.v - flat(vs)) <= 1e-14 * flat(vs)), t
+
+
 class TestArena:
     def test_every_tensor_is_a_view_into_the_arena(self):
         model = build_model(TINY, RngState(0))
@@ -102,69 +133,73 @@ class TestArena:
 
 
 class TestFusedAdam:
-    def test_equals_textbook_per_tensor_update_on_a_model(self):
+    def test_follows_the_textbook_update_on_a_model(self):
+        """24 steps: eight with the classifier's weight at zero, as in phase
+        1, then the joint loss; step 12 has a zero gradient and step 16 a
+        zero gradient on every third entry."""
         model = build_model(TINY, RngState(0))
         ds = tiny_dataset()
         adam = Adam(model.arena, lr=0.01)
         params = model.parameters()
-        values = [p.value.copy() for p in params]
-        ms = [np.zeros_like(v) for v in values]
-        vs = [np.zeros_like(v) for v in values]
-        for t in range(1, 7):
-            chosen = np.arange(8 * (t - 1), 8 * t) % ds.num_samples
-            model.forward_backward(
-                *ds.batch(chosen), ds.labels[chosen], LossWeights(1.0, 1.0), rng=RngState(t)
-            )
-            grads = [p.grad.copy() for p in params]
-            adam.step()
-            textbook_adam_step(values, grads, ms, vs, t, lr=0.01)
-            for p, w in zip(params, values):
-                assert p.value.tobytes() == w.tobytes(), (t, p.name)
-            # one m and one v over the arena, laid out like the parameters
-            assert adam.m.tobytes() == np.concatenate([m.ravel() for m in ms]).tobytes(), t
-            assert adam.v.tobytes() == np.concatenate([v.ravel() for v in vs]).tobytes(), t
-        assert adam.t == 6
+        classifier = [p for p in params if p.name.startswith("classifier.")]
+        entry = [p.value.copy() for p in classifier]
 
-    def test_equals_textbook_update_across_chunk_boundaries(self):
+        def set_grads(t):
+            chosen = np.arange(8 * (t - 1), 8 * t) % ds.num_samples
+            weights = LossWeights(1.0, 0.0 if t <= 8 else 1.0)
+            model.forward_backward(*ds.batch(chosen), ds.labels[chosen], weights, rng=RngState(t))
+            if t == 12:
+                model.arena.grads.fill(0.0)
+            if t == 16:
+                model.arena.grads[::3] = 0.0
+            if t == 9:  # a parameter whose gradient stayed zero has not moved
+                for p, w in zip(classifier, entry):
+                    assert p.value.tobytes() == w.tobytes(), p.name
+
+        follow_textbook(adam, [(p.value, p.grad) for p in params], set_grads, 24)
+        assert any(p.value.tobytes() != w.tobytes() for p, w in zip(classifier, entry))
+
+    def test_follows_the_textbook_update_across_chunk_boundaries(self):
         # 75,000 weights plus 250 biases: two whole chunks and a partial third
         layer = LinearLayer(300, 250, RngState(2))
         arena = ParameterArena([layer])
         assert arena.values.size > 2 * optim.ADAM_CHUNK
         assert arena.values.size % optim.ADAM_CHUNK != 0
-        adam = Adam(arena, lr=0.003)
-        values = [layer.weights.copy(), layer.bias.copy()]
-        ms = [np.zeros_like(v) for v in values]
-        vs = [np.zeros_like(v) for v in values]
         rng = np.random.default_rng(3)
-        for t in range(1, 4):
+
+        def set_grads(t):
             arena.grads[:] = rng.standard_normal(arena.grads.size) * 10.0 ** rng.integers(-6, 2)
-            grads = [layer.grad_weights.copy(), layer.grad_bias.copy()]
-            adam.step()
-            textbook_adam_step(values, grads, ms, vs, t, lr=0.003)
-            assert layer.weights.tobytes() == values[0].tobytes()
-            assert layer.bias.tobytes() == values[1].tobytes()
+            if t == 5:
+                arena.grads.fill(0.0)
+            if t == 9:
+                arena.grads[::3] = 0.0
+
+        tensors = [(layer.weights, layer.grad_weights), (layer.bias, layer.grad_bias)]
+        follow_textbook(Adam(arena, lr=0.003), tensors, set_grads, 24)
 
     def test_two_hand_worked_steps(self):
         layer = LinearLayer(2, 1, RngState(0), use_bias=False)
         arena = ParameterArena([layer])
         layer.weights[...] = [[1.0, -2.0]]
         adam = Adam(arena, lr=0.1)
-        # step 1, g = (0.5, -1): m = 0.1 g, v = 0.001 g^2, c1 = 0.1, c2 = 0.001,
-        # so m/c1 = g and v/c2 = g^2: each weight moves by 0.1 g / (|g| + eps)
+        # step 1, g = (0.5, -1): the unscaled moments are m = g and v = g^2;
+        # the textbook's 0.1 g / c1 and 0.001 g^2 / c2 are g and g^2 too, so
+        # each weight moves by 0.1 g / (|g| + eps)
         layer.grad_weights[...] = [[0.5, -1.0]]
         adam.step()
-        assert np.allclose(adam.m, [0.05, -0.1], rtol=1e-12, atol=0.0)
-        assert np.allclose(adam.v, [0.00025, 0.001], rtol=1e-12, atol=0.0)
+        assert np.allclose(adam.m, [0.5, -1.0], rtol=1e-12, atol=0.0)
+        assert np.allclose(adam.v, [0.25, 1.0], rtol=1e-12, atol=0.0)
         w1 = np.array([1.0 - 0.05 / (0.5 + 1e-8), -2.0 + 0.1 / (1.0 + 1e-8)])
         assert np.allclose(layer.weights[0], w1, rtol=1e-12, atol=0.0)
-        # step 2, g = (0.5, 1): m = 0.9 m + 0.1 g = (0.095, 0.01),
-        # v = 0.999 v + 0.001 g^2 = (0.00049975, 0.001999), c1 = 0.19, c2 = 0.001999,
-        # so m/c1 = (0.5, 1/19) and v/c2 = (0.25, 1)
+        # step 2, g = (0.5, 1): m = 0.9 m + g = (0.95, 0.1) and
+        # v = 0.999 v + g^2 = (0.49975, 1.999); c1 = 0.19 and c2 = 0.001999,
+        # so the textbook m/c1 = 0.1 m / c1 = (0.5, 1/19) and
+        # v/c2 = 0.001 v / c2 = (0.25, 1)
         layer.grad_weights[...] = [[0.5, 1.0]]
         adam.step()
         assert adam.t == 2
-        assert np.allclose(adam.m, [0.095, 0.01], rtol=1e-12, atol=0.0)
-        assert np.allclose(adam.v, [0.00049975, 0.001999], rtol=1e-12, atol=0.0)
+        assert np.allclose(adam.m, [0.95, 0.1], rtol=1e-12, atol=0.0)
+        assert np.allclose(adam.v, [0.49975, 1.999], rtol=1e-12, atol=0.0)
         w2 = w1 - np.array([0.05 / (0.5 + 1e-8), (0.1 / 19.0) / (1.0 + 1e-8)])
         assert np.allclose(layer.weights[0], w2, rtol=1e-12, atol=0.0)
 
@@ -197,6 +232,7 @@ class TestFusedAdam:
         adam = Adam(arena, lr=0.01)
         arena.grads[:] = np.linspace(-1.0, 1.0, arena.grads.size)
         arena.grads[2] = 1e200
+        entry = arena.values.copy()
         values = [layer.weights.copy(), layer.bias.copy()]
         grads = [layer.grad_weights.copy(), layer.grad_bias.copy()]
         ms = [np.zeros_like(v) for v in values]
@@ -205,8 +241,9 @@ class TestFusedAdam:
             adam.step()
             textbook_adam_step(values, grads, ms, vs, 1, lr=0.01)
         assert adam.t == 1
-        assert layer.weights.tobytes() == values[0].tobytes()
-        assert layer.bias.tobytes() == values[1].tobytes()
+        # its v is inf, so only the 1e200 entry does not move
+        assert list(np.flatnonzero(arena.values == entry)) == [2]
+        assert np.abs(arena.values - flat(values)).max() <= 1e-12 * 0.01
 
 
 def test_training_never_clears_the_grads():
@@ -508,3 +545,26 @@ class TestCheckpointFormat:
         with pytest.raises(FormatError, match=r"'encoder\.expr\.hidden1\.linear\.weights' "
                                               r"has shape \(2, 4\), expected \(8, 4\)"):
             checkpoint.build()
+
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda ts: ts + [("bogus", np.zeros(2))],
+         "has 'bogus' at position 66, expected no tensor"),
+        (lambda ts: ts[:5] + [(ts[4][0], ts[4][1] + 1.0)] + ts[5:],
+         "has 'encoder.methyl.block00.norm.running_var' at position 6, "
+         "expected 'encoder.methyl.merge.linear.weights'"),
+        (lambda ts: ts[::-1],
+         "has 'classifier.out.linear.bias' at position 1, "
+         "expected 'encoder.methyl.block00.linear.weights'"),
+        (lambda ts: ts[:-1], "has no tensor at position 65, expected 'classifier.out.linear.bias'"),
+    ], ids=["extra", "repeated", "reversed", "short"])
+    def test_any_other_tensor_list_is_refused(self, tmp_path, edit, problem):
+        """Only the model's `state_tensors()`, in order, build a model: the
+        first tensor out of place is named."""
+        model = build_model(TINY, RngState(0))
+        path = str(tmp_path / "model.omvae")
+        tensors = edit(model.state_tensors())
+        write_container(path, optim.CHECKPOINT_MAGIC, optim.CHECKPOINT_VERSION,
+                        fields_to_text(TINY), tensors, {})
+        with pytest.raises(FormatError) as got:
+            optim.load_checkpoint(path).build()
+        assert str(got.value) == f"checkpoint {problem}"
