@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import fields
 
 from .container import FIELD_KINDS, format_value, parse_value
-from .data import PreprocessConfig, SyntheticSpec
+from .data import PreprocessConfig, SyntheticSpec, _raw_lines
 from .errors import ValidationError
 from .model import ModelConfig
 from .optim import TrainConfig
@@ -100,12 +100,7 @@ def load_run_config(path: str | None = None, overrides: list[str] | None = None)
     """Defaults, then the file, then `key=value` overrides; unknown keys rejected."""
     values = {key: _parse_key(key, default) for key, (_, default) in SCHEMA.items()}
     if path is not None:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ValidationError(f"cannot read config file {path}: {exc}") from exc
-        for lineno, line in enumerate(lines, start=1):
+        for lineno, line in enumerate(_raw_lines(path), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue

@@ -100,7 +100,7 @@ def checked_ids(ids, what: str, where: str, path: str) -> list[str]:
 def _raw_lines(path: str):
     """Yield each line of the text file at `path` without its line end.
 
-    The one reader of TSV text: UTF-8, and a line ends at `\n`, `\r\n` or
+    The one reader of text files: UTF-8, and a line ends at `\n`, `\r\n` or
     `\r` only (universal newlines), so a cell may hold U+0085, U+2028 and
     the other characters `str.splitlines()` would also break at. A file
     that cannot be read or is not UTF-8 text is a `ValidationError`.
@@ -152,8 +152,8 @@ def tsv_numeric_body(path: str, width: int, trailing: bool = False):
     accepts is `PyOS_string_to_double` of the stripped cell, which is what
     `float()` returns for it. A cell only `float()` takes (`1_0`, non-ASCII
     digits), one the replacement garbles (`NAN`), an empty or padded `NA`
-    cell, a line holding one of `STRIP_ONLY`, a row of another width, an
-    empty first cell or a file without data rows returns None.
+    cell, a line holding one of `STRIP_ONLY`, a row of another width or a
+    file without data rows returns None; `checked_ids` checks the IDs.
     """
     ids: list[str] = []
     tails: list[str] = []
@@ -166,7 +166,7 @@ def tsv_numeric_body(path: str, width: int, trailing: bool = False):
             # a tab ends the first cell, so only body cells can change
             head, _, body = line.replace("\tNA", "\tnan").partition("\t")
             # the C reader skips an empty line
-            if not body or not head.strip() or any(map(body.__contains__, STRIP_ONLY)):
+            if not body or any(map(body.__contains__, STRIP_ONLY)):
                 raise _Irregular
             ids.append(head)
             yield body

@@ -1,9 +1,8 @@
 """Fully connected blocks (linear -> batch norm -> ReLU) and the composites
 that wire them into towers: a sequence, a column join of branches and a
 column split into branches. The model's output layers are plain
-`LinearLayer`s that give logits; the model applies `sigmoid` and `softmax`
-only where it needs probabilities: for the output gradients in
-`forward_backward`, and `softmax` in `predict_proba`.
+`LinearLayer`s that give logits: `losses` forms the gradients at them, and
+`softmax` turns class logits into probabilities.
 
 Forward and backward passes are written out by hand, once per block or
 composite; `gradient_check` compares any block's or model's gradients with
@@ -85,23 +84,6 @@ class ParameterArena:
         for m in modules:
             m.bind(lambda array: views[id(array)])
         self.params = [p for m in modules for p in m.parameters()]
-
-
-def sigmoid(z: Matrix) -> Matrix:
-    """The logistic function: 1/(1+e^-z) for z >= 0 and e^z/(1+e^z)
-    otherwise, both from e = e^-|z| <= 1, which cannot overflow. The
-    numerator is max(e, z >= 0): 1 where z >= 0, since e <= 1, and e
-    elsewhere, so one division serves both signs with no masked copy.
-    min(z, -z) rather than -|z| keeps a NaN's sign, so the result is
-    bit-equal to masking by sign."""
-    with np.errstate(under="ignore"):
-        e = np.negative(z)
-        np.minimum(z, e, out=e)
-        np.exp(e, out=e)
-        out = np.maximum(e, z >= 0)
-        np.add(e, 1.0, out=e)
-        np.divide(out, e, out=out)
-    return out
 
 
 def softmax(z: Matrix) -> Matrix:

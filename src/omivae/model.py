@@ -4,16 +4,15 @@ Structure: per-chromosome methylation blocks and a two-layer expression
 encoder meet in a fused hidden layer that feeds Gaussian latent heads; a
 mirror-image decoder reconstructs every input block through linear output
 layers; a three-layer classifier reads the latent mean and ends in a linear
-layer. `decode` and `classify` return those output layers' logits, which the
-losses read; the sigmoid runs only for the decoder gradient in
-`forward_backward`, and the softmax for the classifier gradient there and
-in `predict_proba`. Every hidden layer is an `FcBlock` (linear,
-batch norm, ReLU). A modality is present exactly when the config gives its
-widths, so the single-omics model is the same network with one input tower
-and its decoder branch left out. The graph is declared once, in
-`OmiVaeModel.__init__`, as an encoder, a decoder and a classifier tower whose
-blocks run their own backward; `forward_backward` supplies the loss
-gradients at the towers' outputs and calls their backward.
+layer. `decode` and `classify` return those output layers' logits, which
+the losses read. Every hidden layer is an `FcBlock` (linear, batch norm,
+ReLU). A modality is present exactly when the config gives its widths, so
+the single-omics model is the same network with one input tower and its
+decoder branch left out. The graph is declared once, in
+`OmiVaeModel.__init__`, as an encoder, a decoder and a classifier tower
+whose blocks run their own backward. `forward_backward` takes each loss's
+gradient from `losses`, which returns it with the value, and calls the
+towers' backward.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .layers import (
     ParameterArena,
     Sequence,
     Split,
-    sigmoid,
     softmax,
 )
 from .losses import (
@@ -289,54 +287,42 @@ class OmiVaeModel:
         weights: LossWeights,
         rng: RngState,
     ) -> LossReport:
-        """One training forward plus hand-derived backward; writes every grad
-        and returns the batch's losses.
+        """One training forward plus backward; writes every grad and returns
+        the batch's losses.
 
-        Each parameter's grad is overwritten with this batch's gradient, so
-        grads need no clearing between steps: when beta is 0 the classifier
-        runs no backward and gets zero grads. The classifier reads the
-        latent mean, so its gradient reaches the encoder through mu only and
-        never through the sampled z.
+        The losses return their gradients at the logits, mu and logvar; the
+        step adds the path through the sampled z. Each parameter's grad is
+        overwritten with this batch's gradient, so grads need no clearing
+        between steps: when beta is 0 the classifier runs no backward and
+        gets zero grads. The classifier reads the latent mean, so its
+        gradient reaches the encoder through mu only and never through z.
         """
-        cfg = self.config
         alpha, beta = weights.alpha, weights.beta
         if beta > 0.0 and labels is None:
             raise ValidationError("classification weight is positive but no labels were given")
 
         mu, logvar = self.encode(x_expr, x_methyl_blocks, train=True)  # checks the inputs
-        batch = mu.shape[0]
         z, epsilon = reparameterize(mu, logvar, rng)
         recon_expr, recon_blocks = self.decode(z, train=True)
         train_classifier = beta > 0.0
         logits = self.classify(mu, train=True) if train_classifier else None
 
-        recon_methyl, recon_e, kl = vae_loss(
-            x_methyl_blocks, recon_blocks, x_expr, recon_expr, mu, logvar
+        (recon_methyl, recon_e, kl), (d_blocks, d_expr, d_mu, d_logvar) = vae_loss(
+            x_methyl_blocks, recon_blocks, x_expr, recon_expr, mu, logvar, alpha
         )
-        cls_loss = classification_loss(labels, logits) if train_classifier else 0.0
+        cls_loss, d_logits = (
+            classification_loss(labels, logits, beta) if train_classifier else (0.0, None)
+        )
         report = total_loss(recon_methyl, recon_e, kl, cls_loss, weights)
         if not np.isfinite(report.total):
             raise NumericError(f"non-finite training loss: {asdict(report)}")
 
         # ---- backward ----
-        d_recon: list = []
-        if cfg.has_methylation:
-            m = cfg.num_blocks
-            d_recon.append([
-                alpha / (m * batch * dim) * (sigmoid(recon) - x)
-                for dim, recon, x in zip(cfg.methyl_block_dims, recon_blocks, x_methyl_blocks)
-            ])
-        if cfg.has_expression:
-            d_recon.append(alpha / (batch * cfg.expr_dim) * (sigmoid(recon_expr) - x_expr))
-        d_z = self.decoder.backward(d_recon)
-        d_mu = d_z + alpha * mu / batch
-        d_logvar = 0.5 * d_z * epsilon * np.exp(0.5 * logvar)
-        d_logvar += alpha * (np.exp(logvar) - 1.0) / (2.0 * batch)
-
+        d_z = self.decoder.backward([d for d in (d_blocks, d_expr) if d is not None])
+        d_mu += d_z
+        d_logvar += 0.5 * d_z * epsilon * np.exp(0.5 * logvar)
         if train_classifier:
-            d_logits = softmax(logits)
-            d_logits[np.arange(batch), labels] -= 1.0
-            d_mu += self.classifier.backward(beta * d_logits / batch)
+            d_mu += self.classifier.backward(d_logits)
         else:
             self._classifier_grads.fill(0.0)
 

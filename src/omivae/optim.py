@@ -199,7 +199,7 @@ def evaluate_losses(
     for part, x_expr, x_blocks in dataset.chunks(indices):
         mu, logvar = model.encode(x_expr, x_blocks)
         recon_expr, recon_blocks = model.decode(mu)
-        rm, re, kl = vae_loss(x_blocks, recon_blocks, x_expr, recon_expr, mu, logvar)
+        (rm, re, kl), _ = vae_loss(x_blocks, recon_blocks, x_expr, recon_expr, mu, logvar)
         sums += np.array([rm, re, kl]) * part.size
         if dataset.labels is not None:
             lab = dataset.labels[part]
@@ -207,7 +207,7 @@ def evaluate_losses(
             part_labeled = int(mask.sum())
             if part_labeled:
                 logits = model.classify(mu)[mask]
-                cls_sum += classification_loss(lab[mask], logits) * part_labeled
+                cls_sum += classification_loss(lab[mask], logits)[0] * part_labeled
                 predicted = np.argmax(softmax(logits), axis=1)
                 correct += int((predicted == lab[mask]).sum())
                 labeled += part_labeled

@@ -353,7 +353,6 @@ class TestNumericReader:
         ("id\ts1\nf1\t\nf2\t1\n", [[np.nan, 1.0]]),
         ("id\ts1\nf1\t1\x1f\n", [[1.0]]),
         ("id\ts1\ts2\nf1\t1\nf2\t2\n", "ragged row 2: 2 cells, expected 3"),
-        ("id\ts1\ts2\n \t1\t2\n", "empty feature ID in row 2"),
         ("id\ts1\n", "no data rows"),
         ("id\ts1\ts2\nf1\t1\tbogus\n", "unparseable numeric value 'bogus' at row 2, column 3"),
     ])
@@ -369,6 +368,14 @@ class TestNumericReader:
         else:
             assert load_matrix_tsv(str(path)).values.tobytes() == np.array(result).tobytes()
         assert per_cell_reads[0] >= 2
+
+    def test_an_empty_feature_id_is_refused_after_numpys_read(self, tmp_path, per_cell_reads):
+        path = tmp_path / "m.tsv"
+        path.write_text("id\ts1\ts2\n \t1\t2\n")
+        with pytest.raises(ValidationError) as got:
+            load_matrix_tsv(str(path))
+        assert str(got.value) == f"{path}: empty feature ID in row 2"
+        assert per_cell_reads == [1]
 
     def test_a_well_formed_embedding_skips_the_per_cell_loop(self, tmp_path, per_cell_reads):
         path = tmp_path / "e.tsv"

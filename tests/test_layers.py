@@ -10,7 +10,6 @@ from omivae.layers import (
     LinearLayer,
     Sequence,
     gradient_check,
-    sigmoid,
 )
 from omivae.numerics import RngState
 
@@ -225,54 +224,6 @@ class TestOutOfPlaceOracle:
         assert got.keys() == expected.keys()
         for name, value in expected.items():
             assert got[name].tobytes() == value.tobytes(), name
-
-
-def masked_sigmoid(z):
-    """The sigmoid split by sign with boolean masks, the reference form."""
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def two_division_sigmoid(z):
-    """The sigmoid that divides twice and picks the z >= 0 quotient with a
-    masked copy, the reference form of the one-division kernel."""
-    with np.errstate(under="ignore"):
-        out = np.minimum(z, -z)
-        np.exp(out, out=out)
-        denom = out + 1.0
-        np.divide(out, denom, out=out)
-        np.divide(1.0, denom, out=denom)
-    np.copyto(out, denom, where=z >= 0)
-    return out
-
-
-class TestSigmoid:
-    def test_bit_equal_to_the_two_division_form(self):
-        # signed zeros and NaNs, infinities, subnormals and the edges of
-        # exp's underflow, among a decoder-sized block of ordinary values
-        specials = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
-                    708.0, -708.0, 745.2, -745.2, 746.0, -746.0, 1e-300, -1e-300]
-        z = RngState(48).standard_normal(128, 200) * 20.0
-        z.flat[: len(specials)] = specials
-        z[:, 7] = -z[:, 7]
-        for given in (z, z[:, 3:150], z.T):
-            got = sigmoid(given)
-            assert got.tobytes() == two_division_sigmoid(given).tobytes()
-
-    def test_bit_equal_to_the_masked_form_without_warnings(self):
-        specials = [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan, -np.nan]
-        z = np.concatenate([specials, RngState(47).standard_normal(1, 40)[0] * 30.0])
-        z = z.reshape(4, -1)
-        with np.errstate(under="ignore"):
-            expected = masked_sigmoid(z)
-        with np.errstate(all="raise"):
-            got = sigmoid(z)
-        assert got.tobytes() == expected.tobytes()
-        assert np.array_equal(got[0, :6], [0.5, 0.5, 1.0, 0.0, 1.0, 0.0])
 
 
 def weighted_sum_loss(weights):

@@ -1,7 +1,7 @@
 """The package reads TSVs without `csv` and parses numeric TSV cells in
 `data` alone, opens files for writing in one place, the atomic-replace
-routine that every output goes through, and opens text for reading in two:
-the raw-line reader of every TSV and the config file loader. The modules a
+routine that every output goes through, and opens text for reading in one:
+the raw-line reader of every TSV and of the config file. The modules a
 training step runs make no masked copies."""
 
 import ast
@@ -9,7 +9,7 @@ import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "omivae"
 WRITER = ("container.py", "_replace_file")
-TEXT_READERS = [("config.py", "load_run_config"), ("data.py", "_raw_lines")]
+TEXT_READERS = [("data.py", "_raw_lines")]
 STEP_MODULES = ("layers.py", "losses.py", "model.py", "optim.py")
 # the names that read numeric TSV cells: numpy's reader, the C-reader path
 # and the cell parser of the per-cell loop
