@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 validation error (bad inputs, bad config), 2
 runtime or numeric error. Errors print a single machine-parseable line
-`omivae: error: <category>: <message>` on stderr. The OMIVAE_THREADS
+`omivae: error: <category>: <message>` on stderr. `train` runs both
+phases; `--set train.phase1_epochs=0` or `--set train.phase2_epochs=0`
+skips one, and `--resume` continues from a checkpoint. The OMIVAE_THREADS
 environment variable, a positive integer, caps fold-level parallelism in
 crossval (default 1); while its folds run, numpy's bundled OpenBLAS uses at
 most `cores // OMIVAE_THREADS` threads, so fold threads and BLAS threads do
@@ -152,12 +154,8 @@ def cmd_train(args) -> int:
     run = load_run_config(args.config, args.set)
     dataset = _load_dataset(args.data, run)
     train_cfg = run.train_config()
-    if args.phase == "unsupervised-only":
-        train_cfg.phase2_epochs = 0
-    elif args.phase == "supervised-only":
-        train_cfg.phase1_epochs = 0
     if train_cfg.phase2_epochs > 0:
-        _require_two_classes(dataset, "the classifier phase (skipped by --phase unsupervised-only)")
+        _require_two_classes(dataset, "the classifier phase (skipped by train.phase2_epochs=0)")
     stream = RngState(train_cfg.seed)
     model, history = _fit(dataset, run, train_cfg, stream, resume_path=args.resume)
     last = history.records[-1] if history.records else None
@@ -357,14 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output dataset cache (.omids)")
     p.set_defaults(fn=cmd_preprocess)
 
-    p = sub.add_parser("train", help="two-phase training on a dataset cache")
+    about = ("two-phase training on a dataset cache "
+             "(--set train.phase1_epochs=0 or train.phase2_epochs=0 skips a phase)")
+    p = sub.add_parser("train", help=about, description=about)
     _add_config_args(p)
     p.add_argument("--data", required=True, help="dataset cache (.omids)")
-    p.add_argument(
-        "--phase",
-        choices=["both", "unsupervised-only", "supervised-only"],
-        default="both",
-    )
     p.add_argument("--resume", help="checkpoint to continue from")
     p.add_argument("--history", help="where to write the per-epoch history TSV")
     p.add_argument("--out", required=True, help="output checkpoint (.omvae)")

@@ -347,6 +347,8 @@ class OmicsDataset:
         if not matrices:
             raise ValidationError("dataset has no modality")
         n = self.num_samples
+        if n == 0:
+            raise ValidationError("dataset has no samples")
         for name, m, key, ids in matrices:
             if m.ndim != 2 or m.shape[0] != n:
                 raise ValidationError(f"{name} has shape {m.shape}, expected {n} rows")
@@ -456,7 +458,7 @@ class OmicsDataset:
         return ds
 
 
-@dataclass
+@dataclass(frozen=True)
 class PreprocessConfig:
     """The input's description: the largest fraction of samples a kept
     feature may miss, and whether expression is raw counts (>= 0) to take
@@ -746,7 +748,7 @@ LATENT_FACTORS = 6
 NONLINEAR_GAIN = 3.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticSpec:
     """Generator for class-structured data shaped like the real pipeline's output.
 

@@ -154,14 +154,13 @@ class LinearLayer:
         self._input = None
         return upstream @ self.weights if self.needs_input_grad else None
 
-    def parameters(self, prefix: str = "") -> list[Parameter]:
-        p = f"{prefix}{self.name}"
-        params = [Parameter(f"{p}.weights", self.weights, self.grad_weights)]
+    def parameters(self) -> list[Parameter]:
+        params = [Parameter(f"{self.name}.weights", self.weights, self.grad_weights)]
         if self.bias is not None:
-            params.append(Parameter(f"{p}.bias", self.bias, self.grad_bias))
+            params.append(Parameter(f"{self.name}.bias", self.bias, self.grad_bias))
         return params
 
-    def state(self, prefix: str = "") -> list[tuple[str, np.ndarray]]:
+    def state(self) -> list[tuple[str, np.ndarray]]:
         return []
 
     def bind(self, view) -> None:
@@ -245,15 +244,14 @@ class BatchNormLayer:
         din *= inv_std / n
         return din
 
-    def parameters(self, prefix: str = "") -> list[Parameter]:
-        p = f"{prefix}{self.name}"
+    def parameters(self) -> list[Parameter]:
         return [
-            Parameter(f"{p}.gamma", self.gamma, self.grad_gamma),
-            Parameter(f"{p}.beta_shift", self.beta_shift, self.grad_beta_shift),
+            Parameter(f"{self.name}.gamma", self.gamma, self.grad_gamma),
+            Parameter(f"{self.name}.beta_shift", self.beta_shift, self.grad_beta_shift),
         ]
 
-    def state(self, prefix: str = "") -> list[tuple[str, np.ndarray]]:
-        p = f"{prefix}{self.name}"
+    def state(self) -> list[tuple[str, np.ndarray]]:
+        p = self.name
         return [(f"{p}.running_mean", self.running_mean), (f"{p}.running_var", self.running_var)]
 
     def bind(self, view) -> None:
@@ -284,10 +282,9 @@ class FcBlock:
         needs_input_grad: bool = True,
     ):
         self.name = name
-        self.linear = LinearLayer(
-            in_dim, out_dim, rng, use_bias=False, needs_input_grad=needs_input_grad
-        )
-        self.norm = BatchNormLayer(out_dim)
+        self.linear = LinearLayer(in_dim, out_dim, rng, name=f"{name}.linear", use_bias=False,
+                                  needs_input_grad=needs_input_grad)
+        self.norm = BatchNormLayer(out_dim, name=f"{name}.norm")
         self._out: Matrix | None = None
 
     def forward(self, batch: Matrix, train: bool) -> Matrix:
@@ -308,12 +305,11 @@ class FcBlock:
         self._out = None
         return self.linear.backward(self.norm.backward(d))
 
-    def parameters(self, prefix: str = "") -> list[Parameter]:
-        p = f"{prefix}{self.name}."
-        return self.linear.parameters(p) + self.norm.parameters(p)
+    def parameters(self) -> list[Parameter]:
+        return self.linear.parameters() + self.norm.parameters()
 
-    def state(self, prefix: str = "") -> list[tuple[str, np.ndarray]]:
-        return self.norm.state(f"{prefix}{self.name}.")
+    def state(self) -> list[tuple[str, np.ndarray]]:
+        return self.norm.state()
 
     def bind(self, view) -> None:
         self.linear.bind(view)

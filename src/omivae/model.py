@@ -43,7 +43,7 @@ from .losses import (
 from .numerics import Matrix, RngState
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     """Every architectural knob, with defaults usable at full data scale.
 
@@ -64,11 +64,8 @@ class ModelConfig:
     num_classes: int = 34
 
     def __post_init__(self):
-        self.methyl_block_dims = tuple(int(d) for d in self.methyl_block_dims)
-        self.classifier_hidden = tuple(int(d) for d in self.classifier_hidden)
-        self.validate()
-
-    def validate(self) -> None:
+        for name in ("methyl_block_dims", "classifier_hidden"):
+            object.__setattr__(self, name, tuple(int(d) for d in getattr(self, name)))
         if any(d < 1 for d in self.methyl_block_dims):
             raise ValidationError("methylation block dimensions must be >= 1")
         if self.expr_dim < 0:
@@ -122,7 +119,6 @@ class OmiVaeModel:
     """
 
     def __init__(self, config: ModelConfig, rng: RngState):
-        config.validate()
         self.config = cfg = config
         n_mod = int(cfg.has_methylation) + int(cfg.has_expression)
         dims, m = cfg.methyl_block_dims, cfg.num_blocks

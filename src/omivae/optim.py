@@ -1,5 +1,6 @@
 """Adam, two-phase training with early stopping, and checkpoints.
 
+`train.phase1_epochs=0` or `train.phase2_epochs=0` skips a training phase.
 A model keeps every parameter, gradient and batch-norm running statistic
 in one float64 `ParameterArena`, and everything here works on its flat
 vectors: Adam updates `arena.values` from `arena.grads`, and a snapshot is
@@ -89,7 +90,7 @@ class Adam:
             np.subtract(w, a, out=w)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Two-phase training settings. Each epoch visits the training samples
     in a fresh random order, and a phase stops early after `patience`
@@ -218,95 +219,6 @@ def evaluate_losses(
     return report, accuracy
 
 
-def _run_phase(
-    model: OmiVaeModel,
-    dataset,
-    train_idx: np.ndarray,
-    val_idx: np.ndarray,
-    config: TrainConfig,
-    weights: LossWeights,
-    phase: int,
-    epochs_max: int,
-    stream: RngState,
-    history: TrainingHistory,
-    adam: Adam,
-    saved: np.ndarray,
-) -> None:
-    """One phase of 1 to `epochs_max` epochs, stepping `adam` as handed over.
-
-    `saved`, a buffer the size of `model.arena.state`, holds the entry
-    state until an epoch improves and the best state so far after that; the
-    phase ends on that state.
-    """
-    labels = dataset.labels
-    if weights.beta > 0.0:
-        if labels is None:
-            raise ValidationError("supervised phase requires labels")
-        train_idx = train_idx[labels[train_idx] >= 0]
-        if train_idx.size == 0:
-            raise ValidationError("supervised phase has no labeled training samples")
-
-    np.copyto(saved, model.arena.state)
-    best_metric: float | None = None
-    best_epoch = 0
-    wait = 0
-    step = 0
-    for epoch in range(1, epochs_max + 1):
-        order = stream.permutation(train_idx.size)
-        sums = np.zeros(6)
-        seen = 0
-        for start in range(0, train_idx.size, config.batch_size):
-            chosen = train_idx[order[start : start + config.batch_size]]
-            if chosen.size < 2:
-                continue  # batch norm cannot run on a single sample
-            x_expr, x_blocks = dataset.batch(chosen)
-            batch_labels = labels[chosen] if weights.beta > 0.0 else None
-            step += 1
-            try:
-                report = model.forward_backward(x_expr, x_blocks, batch_labels, weights, rng=stream)
-                adam.step()
-            except NumericError as exc:
-                np.copyto(model.arena.state, saved)
-                history.diverged = f"phase {phase}, epoch {epoch}, step {step}: {exc}"
-                return
-            sums += np.array(astuple(report)) * chosen.size
-            seen += chosen.size
-        if seen == 0:
-            raise ValidationError("training split produced no usable batches")
-        train_report = LossReport(*(sums / seen))
-        val_report, val_accuracy = evaluate_losses(model, dataset, val_idx, weights)
-        history.records.append(
-            EpochRecord(
-                phase=phase,
-                epoch=epoch,
-                train=train_report,
-                val=val_report,
-                val_accuracy=val_accuracy,
-            )
-        )
-        if phase == 1:
-            metric = val_report.total
-            improved = best_metric is None or metric < best_metric
-        else:
-            metric = val_accuracy
-            if np.isnan(metric):
-                raise ValidationError("supervised phase requires labeled validation samples")
-            improved = best_metric is None or metric > best_metric
-        if improved:
-            best_metric = metric
-            np.copyto(saved, model.arena.state)
-            best_epoch = epoch
-            wait = 0
-        else:
-            wait += 1
-            if wait >= config.patience:
-                break
-    if best_epoch != epoch:  # else the state is still the one saved
-        np.copyto(model.arena.state, saved)
-    history.best_epoch[phase] = best_epoch
-    history.best_metric[phase] = best_metric
-
-
 def train_two_phase(
     model: OmiVaeModel,
     dataset,
@@ -321,21 +233,25 @@ def train_two_phase(
     classification weight at zero and early-stops on validation total loss.
     Phase 2 keeps the learned parameters, turns the classifier on over the
     labeled samples, and early-stops on validation accuracy. A phase whose
-    epoch cap is 0 does not run. Each phase draws from its own stream
-    derived from the master seed, so a run reuses no randomness across
-    phases and a phase-2-only resume reproduces the continuous run
-    exactly. On divergence the best snapshot so far is
-    restored, training stops, and `history.diverged` names the phase, epoch
-    and step and the `NumericError` that stopped it.
+    epoch cap is 0 does not run, so `phase1_epochs=0` or `phase2_epochs=0`
+    skips it. Each phase draws from its own stream derived from the master
+    seed, so a run reuses no randomness across phases and a phase-2-only
+    resume reproduces the continuous run exactly.
 
-    Both phases share one snapshot buffer and one `Adam`, whose moments are
-    zeroed for phase 2; both are freed when this returns.
+    Both phases share one snapshot buffer `saved` and one `Adam`, whose
+    moments are zeroed for phase 2; both are freed when this returns.
+    `saved` holds a phase's entry state until an epoch improves and the
+    best state so far after that; the phase ends on that state. On
+    divergence that state is restored, training stops, and
+    `history.diverged` names the phase, epoch and step and the
+    `NumericError` that stopped it.
     """
     train_idx = np.asarray(train_idx, dtype=np.int64)
     val_idx = np.asarray(val_idx, dtype=np.int64)
     if train_idx.size == 0 or val_idx.size == 0:
         raise ValidationError("training and validation splits must be non-empty")
     rng = rng if rng is not None else RngState(config.seed)
+    labels = dataset.labels
     history = TrainingHistory()
     adam = Adam(model.arena, lr=config.learning_rate)
     saved = np.empty_like(model.arena.state)
@@ -343,13 +259,68 @@ def train_two_phase(
     for phase, epochs_max, beta in phases:
         if epochs_max == 0:
             continue
+        rows = train_idx
         if phase == 2:
+            if labels is None:
+                raise ValidationError("supervised phase requires labels")
+            rows = train_idx[labels[train_idx] >= 0]
+            if rows.size == 0:
+                raise ValidationError("supervised phase has no labeled training samples")
             adam.reset()
         weights = LossWeights(alpha=config.alpha, beta=beta)
-        _run_phase(model, dataset, train_idx, val_idx, config, weights, phase, epochs_max,
-                   rng.derive(phase), history, adam, saved)
-        if history.diverged:
+        stream = rng.derive(phase)
+        np.copyto(saved, model.arena.state)
+        best_metric: float | None = None
+        best_epoch = wait = step = 0
+        try:
+            for epoch in range(1, epochs_max + 1):
+                order = stream.permutation(rows.size)
+                sums = np.zeros(6)
+                seen = 0
+                for start in range(0, rows.size, config.batch_size):
+                    chosen = rows[order[start : start + config.batch_size]]
+                    if chosen.size < 2:
+                        continue  # batch norm cannot run on a single sample
+                    x_expr, x_blocks = dataset.batch(chosen)
+                    batch_labels = labels[chosen] if phase == 2 else None
+                    step += 1
+                    report = model.forward_backward(
+                        x_expr, x_blocks, batch_labels, weights, rng=stream
+                    )
+                    adam.step()
+                    sums += np.array(astuple(report)) * chosen.size
+                    seen += chosen.size
+                if seen == 0:
+                    raise ValidationError("training split produced no usable batches")
+                val_report, val_accuracy = evaluate_losses(model, dataset, val_idx, weights)
+                history.records.append(
+                    EpochRecord(phase, epoch, LossReport(*(sums / seen)), val_report, val_accuracy)
+                )
+                if phase == 1:
+                    metric = val_report.total
+                    improved = best_metric is None or metric < best_metric
+                else:
+                    metric = val_accuracy
+                    if np.isnan(metric):
+                        raise ValidationError(
+                            "supervised phase requires labeled validation samples"
+                        )
+                    improved = best_metric is None or metric > best_metric
+                if improved:
+                    best_metric, best_epoch, wait = metric, epoch, 0
+                    np.copyto(saved, model.arena.state)
+                else:
+                    wait += 1
+                    if wait >= config.patience:
+                        break
+        except NumericError as exc:
+            np.copyto(model.arena.state, saved)
+            history.diverged = f"phase {phase}, epoch {epoch}, step {step}: {exc}"
             break
+        if best_epoch != epoch:  # else the state is still the one saved
+            np.copyto(model.arena.state, saved)
+        history.best_epoch[phase] = best_epoch
+        history.best_metric[phase] = best_metric
     return history
 
 

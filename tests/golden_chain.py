@@ -2,7 +2,8 @@
 
 `python3 tests/golden_chain.py DIR` runs, inside DIR and with relative
 paths, synth → preprocess → train → crossval → embed → evaluate → plot on a
-tiny shape, then a phase-2 `--resume` and an expression-only train. It
+tiny shape, then a phase-1-only train (`train.phase2_epochs=0`), its
+phase-2 `--resume` (`train.phase1_epochs=0`) and an expression-only train. It
 prints one JSON object: the numpy version and the sha256 of every file the
 chain wrote. `hashes` runs it in a fresh process with OpenBLAS pinned to
 one thread, so the bytes do not depend on the machine's cores.
@@ -40,9 +41,9 @@ CHAIN = [
     ["embed", *CHECKPOINT, "--out", "embedding.tsv"],
     ["evaluate", *CHECKPOINT, "--confusion", "confusion.tsv", "--out", "report.txt"],
     ["plot", "--embedding", "embedding.tsv", "--out", "embedding.svg"],
-    ["train", *SHAPE, "--data", "cache.omids", "--phase", "unsupervised-only",
+    ["train", *SHAPE, "--data", "cache.omids", "--set", "train.phase2_epochs=0",
      "--out", "phase1.omvae"],
-    ["train", *SHAPE, "--data", "cache.omids", "--phase", "supervised-only",
+    ["train", *SHAPE, "--data", "cache.omids", "--set", "train.phase1_epochs=0",
      "--resume", "phase1.omvae", "--out", "resumed.omvae"],
     ["train", *SHAPE, "--data", "cache.omids", "--set", "model.modalities=expression",
      "--out", "expression.omvae"],

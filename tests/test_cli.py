@@ -1,11 +1,12 @@
-"""The command line: one error line for every bad input, a cache every
-preprocess setting writes is loadable, the phase-2 resume, inference
-passes that gather at most `INFER_ROWS` rows at a time and encode every
-sample once, runs on one modality of a two-modality cache, and the BLAS
-thread cap crossval sets around its folds."""
+"""The command line: each subcommand's options, one error line for every
+bad input, a cache every preprocess setting writes is loadable, the
+phase-2 resume, inference passes that gather at most `INFER_ROWS` rows at
+a time and encode every sample once, runs on one modality of a
+two-modality cache, and the BLAS thread cap crossval sets around its folds."""
 
 from dataclasses import replace
 
+import argparse
 import os
 import pathlib
 
@@ -14,6 +15,7 @@ import pytest
 
 from omivae import cli, data
 from omivae.config import SCHEMA
+from omivae.container import encode_str_list, write_container
 from omivae.data import (
     OmicsDataset,
     SyntheticSpec,
@@ -145,7 +147,7 @@ BAD_INPUT = {
                            "cross-validation needs at least two classes, the dataset names ['only']"),
     "train-one-class": (["train", "--data", "{odd}/one_class.omids", *SHORT,
                          "--out", "{d}/model.omvae"],
-                        "the classifier phase (skipped by --phase unsupervised-only) needs at "
+                        "the classifier phase (skipped by train.phase2_epochs=0) needs at "
                         "least two classes, the dataset names ['only']"),
     "train-val-fraction-small-class": (
         ["train", "--data", "{cache}", *SHORT, "--out", "{d}/model.omvae"],
@@ -156,7 +158,20 @@ BAD_INPUT = {
     "train-phase2-beta-zero": (["train", "--set", "train.phase2_beta=0", "--data", "{cache}",
                                 *SHORT, "--out", "{d}/model.omvae"],
                                "phase2_beta must be positive"),
+    "train-no-samples": (["train", "--data", "{odd}/empty.omids", *SHORT,
+                          "--out", "{d}/model.omvae"], "empty.omids: dataset has no samples"),
+    "crossval-no-samples": (["crossval", "--data", "{odd}/empty.omids", "--k", "3", *SHORT,
+                             "--out", "{d}/cv"], "empty.omids: dataset has no samples"),
+    "embed-no-samples": (["embed", "--checkpoint", "{odd}/fits.omvae", "--data",
+                          "{odd}/empty.omids", "--out", "{d}/embedding.tsv"],
+                         "empty.omids: dataset has no samples"),
+    "evaluate-no-samples": (["evaluate", "--checkpoint", "{odd}/fits.omvae", "--data",
+                             "{odd}/empty.omids", "--out", "{d}/report.txt"],
+                            "empty.omids: dataset has no samples"),
     "usage-missing-option": (["train", "--data", "{d}/absent.omids"], "--out"),
+    "usage-removed-phase-option": (["train", "--phase", "unsupervised-only", "--data", "{cache}",
+                                    "--out", "{d}/model.omvae"],
+                                   "unrecognized arguments: --phase unsupervised-only"),
     "usage-unknown-command": (["bogus"], "'bogus'"),
 }
 # case -> OMIVAE_THREADS, for the cases that set it
@@ -227,8 +242,8 @@ def narrow(tmp_path_factory):
 @pytest.fixture(scope="module")
 def odd(tmp_path_factory):
     """A directory holding a 30-sample cache with missing cells, an untrained
-    checkpoint of its shape, a cache of each modality alone and a cache
-    whose every sample is of the one class `only`."""
+    checkpoint of its shape, a cache of each modality alone, a cache
+    whose every sample is of the one class `only` and a cache of no samples."""
     d = tmp_path_factory.mktemp("odd")
     spec = SyntheticSpec(num_classes=3, samples_per_class=10, num_blocks=2, features_per_block=4,
                          expr_features=5)
@@ -238,6 +253,15 @@ def odd(tmp_path_factory):
     restrict_modalities(ds, methylation=False).save(str(d / "expression.omids"))
     replace(ds, labels=np.zeros_like(ds.labels), class_vocab=["only"]).save(
         str(d / "one_class.omids"))
+    # written as `OmicsDataset.save` would, had it not refused zero samples
+    names = {"expression_features": ds.expression_feature_ids, "sample_ids": [],
+             "block_chromosomes": ds.block_chromosomes, "class_vocab": ds.class_vocab}
+    names |= {f"block{j:02d}.features": ids for j, ids in enumerate(ds.methylation_block_features)}
+    tensors = [("expression", ds.expression[:0])]
+    tensors += [(f"methyl.block{j:02d}", b[:0]) for j, b in enumerate(ds.methylation_blocks)]
+    write_container(str(d / "empty.omids"), data.DATASET_MAGIC, data.DATASET_VERSION, {},
+                    [*tensors, ("labels", np.zeros(0))],
+                    {key: encode_str_list(ids) for key, ids in names.items()})
     config = ModelConfig(methyl_block_dims=ds.methyl_block_dims, expr_dim=ds.expr_dim,
                          per_block_hidden=3, modality_dim=4, fusion_dim=4, latent_dim=2,
                          classifier_hidden=(3, 3), num_classes=len(ds.class_vocab))
@@ -260,6 +284,29 @@ def test_bad_input_prints_one_validation_line(
     assert code == 1
     assert err.count("\n") == 1 and err.startswith("omivae: error: validation: ")
     assert fragment in err
+
+
+# subcommand -> its option strings besides --help, pinned as `PUBLIC_KEYS` pins the config keys
+OPTIONS = {
+    "synth": ["--config", "--out", "--set"],
+    "preprocess": ["--annotations", "--config", "--expression", "--labels", "--methylation",
+                   "--out", "--report", "--set"],
+    "train": ["--config", "--data", "--history", "--out", "--resume", "--set"],
+    "crossval": ["--config", "--data", "--k", "--out", "--set"],
+    "embed": ["--checkpoint", "--data", "--out"],
+    "evaluate": ["--checkpoint", "--confusion", "--data", "--out"],
+    "plot": ["--embedding", "--out"],
+}
+
+
+def test_each_subcommand_takes_the_pinned_options():
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        name: sorted(s for a in p._actions for s in a.option_strings if s not in ("-h", "--help"))
+        for name, p in commands.choices.items()
+    }
+    assert found == OPTIONS
 
 
 # every boolean preprocess key at its non-default value, and the rule
@@ -330,10 +377,9 @@ def test_phase2_resume_reproduces_the_continuous_run(tmp_path, capsys):
         "--set", "train.phase1_epochs=3", "--set", "train.phase2_epochs=3",
     ]
     assert cli.main([*run, "--out", f"{d}/full.omvae"]) == 0
-    assert cli.main([*run, "--phase", "unsupervised-only", "--out", f"{d}/p1.omvae"]) == 0
-    assert cli.main(
-        [*run, "--phase", "supervised-only", "--resume", f"{d}/p1.omvae", "--out", f"{d}/p2.omvae"]
-    ) == 0
+    assert cli.main([*run, "--set", "train.phase2_epochs=0", "--out", f"{d}/p1.omvae"]) == 0
+    assert cli.main([*run, "--set", "train.phase1_epochs=0", "--resume", f"{d}/p1.omvae",
+                     "--out", f"{d}/p2.omvae"]) == 0
     capsys.readouterr()
 
     full, resumed = load_checkpoint(f"{d}/full.omvae"), load_checkpoint(f"{d}/p2.omvae")
@@ -354,7 +400,7 @@ def test_phase2_resume_reproduces_the_continuous_run(tmp_path, capsys):
 
 @pytest.mark.parametrize("options, phase", [
     (["--set", "train.phase2_epochs=0"], "1"),
-    (["--phase", "unsupervised-only"], "1"),
+    (["--set", "train.phase1_epochs=0"], "2"),
     ([], "2"),
 ])
 def test_the_checkpoint_names_the_last_phase_that_ran(tmp_path, capsys, options, phase):
@@ -481,7 +527,7 @@ def test_embed_and_evaluate_encode_every_sample_once_in_infer_mode(tmp_path, mon
 
 def test_a_one_class_cache_trains_the_vae_alone(tmp_path, capsys, odd):
     assert cli.main(["train", "--data", f"{odd}/one_class.omids", *SHORT,
-                     "--phase", "unsupervised-only", "--out", f"{tmp_path}/m.omvae"]) == 0
+                     "--set", "train.phase2_epochs=0", "--out", f"{tmp_path}/m.omvae"]) == 0
     assert load_checkpoint(f"{tmp_path}/m.omvae").metadata["phase"] == "1"
 
 

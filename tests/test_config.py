@@ -1,11 +1,12 @@
 """The flat configuration: schema defaults, parse errors and the model
 configuration's flat text form."""
 
+from dataclasses import FrozenInstanceError, fields
 from types import SimpleNamespace
 
 import pytest
 
-from omivae.config import SCHEMA, RunConfig, load_run_config
+from omivae.config import SCHEMA, SECTIONS, RunConfig, load_run_config
 from omivae.container import fields_from_text, fields_to_text
 from omivae.data import PreprocessConfig, SyntheticSpec
 from omivae.errors import FormatError, ValidationError
@@ -147,6 +148,21 @@ class TestErrors:
         with pytest.raises(ValidationError) as info:
             load_run_config(str(path))
         assert str(info.value) == f"{path}:4: expected key=value, got 'train.batch_size 64'"
+
+
+class TestFrozen:
+    @pytest.mark.parametrize("section", sorted(SECTIONS))
+    def test_no_field_can_be_assigned(self, section):
+        cls = SECTIONS[section]
+        config = cls(expr_dim=4) if cls is ModelConfig else cls()
+        for f in fields(cls):
+            with pytest.raises(FrozenInstanceError):
+                setattr(config, f.name, getattr(config, f.name))
+
+    def test_model_config_stores_its_widths_as_int_tuples(self):
+        config = ModelConfig(methyl_block_dims=[3, 4.0], classifier_hidden=[5, 6])
+        assert config.methyl_block_dims == (3, 4) and config.classifier_hidden == (5, 6)
+        assert all(type(d) is int for d in config.methyl_block_dims)
 
 
 class TestModelConfigFlatText:

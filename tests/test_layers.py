@@ -53,6 +53,20 @@ class TestForward:
         with pytest.raises(ValidationError):
             block.forward(np.zeros((4, 5)), train=False)
 
+    def test_a_block_names_its_parts_and_their_errors(self):
+        block = FcBlock(3, 2, RngState(0), name="encoder.fusion")
+        assert [p.name for p in block.parameters()] + [n for n, _ in block.state()] == [
+            "encoder.fusion.linear.weights",
+            "encoder.fusion.norm.gamma",
+            "encoder.fusion.norm.beta_shift",
+            "encoder.fusion.norm.running_mean",
+            "encoder.fusion.norm.running_var",
+        ]
+        with pytest.raises(ValidationError, match=r"^encoder\.fusion\.linear: expected 3 input"):
+            block.forward(np.zeros((4, 5)), train=False)
+        with pytest.raises(ValidationError, match=r"^encoder\.fusion\.norm: train-mode batch"):
+            block.forward(np.zeros((1, 3)), train=True)
+
     def test_infer_mode_mutates_nothing(self):
         block = make_block(4, 4)
         x = RngState(3).standard_normal(8, 4)

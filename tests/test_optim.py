@@ -342,21 +342,10 @@ class TestRunPhaseRestore:
 
         monkeypatch.setattr(optim, "evaluate_losses", recording_evaluate)
         monkeypatch.setattr(model, "forward_backward", failing_step)
-        history = TrainingHistory()
-        config = TrainConfig(batch_size=8, learning_rate=0.01, patience=100)
-        optim._run_phase(
-            model,
-            ds,
-            np.arange(32),
-            np.arange(32, 40),
-            config,
-            LossWeights(1.0, 0.0),
-            phase=1,
-            epochs_max=3,
-            stream=RngState(5),
-            history=history,
-            adam=Adam(model.arena, lr=config.learning_rate),
-            saved=np.empty_like(model.arena.state),
+        config = TrainConfig(batch_size=8, learning_rate=0.01, phase1_epochs=3, phase2_epochs=0,
+                             patience=100)
+        history = optim.train_two_phase(
+            model, ds, np.arange(32), np.arange(32, 40), config, RngState(5)
         )
         name = model.parameters()[3].name
         epoch = 1 if fail_at == 2 else 2
