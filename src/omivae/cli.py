@@ -16,7 +16,9 @@ OpenBLAS's default count, depend on the machine's cores;
 Every output file is written as UTF-8 and replaced
 atomically: a run that stops part-way leaves each file whole, old or new.
 Checkpoints and dataset caches stream to and from disk one tensor at a
-time, so saving or loading one holds a single copy of its tensors.
+time, so saving either, or loading a cache, holds a single copy of its
+tensors. Every command that loads a checkpoint holds two while it builds
+the model: the loaded tensors and the model's arena they are copied into.
 Every pass outside training (validation, `embed`, `evaluate` and each
 crossval test fold) gathers at most `data.INFER_ROWS` rows at a time, so
 its memory scales with that chunk, not with the cohort.

@@ -740,12 +740,11 @@ def stratified_kfold(labels, k: int, seed: int) -> FoldSplit:
 
 
 # the generator's fixed shape: the spread of the class signal around 0.5,
-# the share of each block's features that carry it, the dimension of the
-# class factor space, and the tanh gain of `nonlinear_mix`
+# the share of each block's features that carry it, and the dimension of
+# the class factor space
 CLASS_SIGNAL = 0.35
 SIGNAL_FRACTION = 0.7
 LATENT_FACTORS = 6
-NONLINEAR_GAIN = 3.0
 
 
 @dataclass(frozen=True)
@@ -755,9 +754,7 @@ class SyntheticSpec:
     Each class owns a point in a `LATENT_FACTORS`-dimensional factor space,
     shared by all its samples; the factors mix through fixed random maps
     into a `SIGNAL_FRACTION` share of every feature block, scaled by
-    `CLASS_SIGNAL` around 0.5, and `nonlinear_mix` pushes the mixed signal
-    through a saturating tanh of gain `NONLINEAR_GAIN` so that linear
-    projections under-separate the classes. With `split_signal`, expression
+    `CLASS_SIGNAL` around 0.5. With `split_signal`, expression
     sees only one factor subspace and methylation only the other, so neither
     modality alone identifies the class. Noise and missing cells come last.
     """
@@ -767,7 +764,6 @@ class SyntheticSpec:
     num_blocks: int = 5
     features_per_block: int = 200
     expr_features: int = 400
-    nonlinear_mix: bool = False
     noise_sd: float = 0.05
     missing_rate: float = 0.0
     split_signal: bool = False
@@ -821,18 +817,12 @@ def synthesize(spec: SyntheticSpec) -> OmicsDataset:
 
     def make_group(num_features: int, factor_mask: np.ndarray) -> np.ndarray:
         mixing = rng_mix.standard_normal(latent, num_features) / np.sqrt(latent)
-        phase = rng_mix.uniform(-1.0, 1.0, num_features)
+        rng_mix.uniform(-1.0, 1.0, num_features)  # unused: keeps every later draw the same
         signal_count = int(round(SIGNAL_FRACTION * num_features))
         signal_cols = np.sort(rng_mix.choice(num_features, size=signal_count, replace=False))
         mixed = (sample_factors * factor_mask) @ mixing
         values = np.full((n, num_features), 0.5)
-        if spec.nonlinear_mix:
-            values[:, signal_cols] = 0.5 + 0.5 * np.tanh(
-                NONLINEAR_GAIN * CLASS_SIGNAL * mixed[:, signal_cols]
-                + phase[signal_cols]
-            )
-        else:
-            values[:, signal_cols] = 0.5 + CLASS_SIGNAL * mixed[:, signal_cols]
+        values[:, signal_cols] = 0.5 + CLASS_SIGNAL * mixed[:, signal_cols]
         return values
 
     blocks = [make_group(spec.features_per_block, methyl_mask) for _ in range(spec.num_blocks)]

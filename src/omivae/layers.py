@@ -4,9 +4,16 @@ column split into branches. The model's output layers are plain
 `LinearLayer`s that give logits: `losses` forms the gradients at them, and
 `softmax` turns class logits into probabilities.
 
+A layer or block owns no arrays of its own. Its `declared()` rows name
+each tensor it will hold; a `ParameterArena` over the modules allocates them
+all at once, as views of one buffer, and sets them as the modules'
+attributes; then `init(rng)` draws a fresh initialization into them in
+place, or the arena copies in saved tensors. Declare, allocate, then
+initialize or load.
+
 Forward and backward passes are written out by hand, once per block or
-composite; `gradient_check` compares any block's or model's gradients with
-central finite differences.
+composite; `gradient_check` compares the gradients of anything that lists
+its `parameters()`, such as a model, with central finite differences.
 
 Arrays written in place: besides parameters, gradients and running
 statistics (see `Parameter`), only arrays that one module made and nothing
@@ -18,11 +25,12 @@ forward or backward writes the inputs or upstream gradients it is given.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import FormatError, NumericError, ValidationError
 from .numerics import Matrix, RngState, check_finite
 
 BN_MOMENTUM = 0.1  # running <- (1 - momentum) * running + momentum * batch
@@ -35,12 +43,11 @@ class Parameter:
 
     Each backward writes a parameter's gradient whole (every parameter gets
     exactly one contribution per step), so `grad` needs no clearing between
-    steps. In a model, `value` and `grad` are views into the model's
-    `ParameterArena`, as are the batch-norm running statistics. Write them
-    in place (`value[...] = x`, `np.matmul(..., out=grad)`,
-    `running_mean *= c`) and never rebind them or the layer attributes they
-    come from: a rebound array leaves the arena, so the optimizer and
-    snapshots no longer see it.
+    steps. `value` and `grad` are views into a `ParameterArena`, as are the
+    batch-norm running statistics. Write them in place (`value[...] = x`,
+    `np.matmul(..., out=grad)`, `running_mean *= c`) and never rebind them
+    or the layer attributes they come from: a rebound array leaves the
+    arena, so the optimizer and snapshots no longer see it.
     """
 
     name: str
@@ -51,39 +58,61 @@ class Parameter:
 class ParameterArena:
     """One contiguous float64 buffer behind a set of modules' tensors.
 
-    Layout: `[values | running statistics | grads]`, each region in the
-    order of the modules' `parameters()` and `state()`. `values` and `grads`
-    line up element for element, and `state` (values plus running
-    statistics) is everything a snapshot or checkpoint must keep. Building
-    the arena copies each module's values and statistics in and rebinds the
-    module's attributes to views; grads start at zero.
+    Each module's `declared()` gives one row per tensor: (owner,
+    attribute, grad attribute or None, name, shape), a parameter with the
+    attribute of its grad and a running statistic with None. The arena
+    allocates one zeroed buffer for every row and sets each attribute to
+    its view; nothing is copied in unless `saved` is given.
+
+    Layout: `[values | running statistics | grads]`, each region in
+    declaration order. `values` and `grads` line up element for element,
+    and `state` (values plus running statistics) is everything a snapshot
+    or checkpoint must keep. `tensors` lists each (name, view) of `state`
+    in declaration order, which is the order of checkpoints; `params` lists
+    the parameters.
+
+    `saved`, the (name, array) list of a checkpoint, must match the
+    declarations name for name and shape for shape. It is checked before
+    anything is allocated, so a config that claims an impossible width
+    fails on the first mismatch with a `FormatError`, and then copied in.
     """
 
-    def __init__(self, modules):
-        params = [p for m in modules for p in m.parameters()]
-        stats = [a for m in modules for _, a in m.state()]
-        n_values = sum(p.value.size for p in params)
-        n_state = n_values + sum(a.size for a in stats)
+    def __init__(self, modules, saved: list[tuple[str, np.ndarray]] | None = None):
+        rows = [row for m in modules for row in m.declared()]
+        if saved is not None:
+            found = [(name, array.shape) for name, array in saved]
+            expected = [(name, shape) for *_, name, shape in rows]
+            if found != expected:
+                i = next((i for i, (f, e) in enumerate(zip(found, expected)) if f != e),
+                         min(len(found), len(expected)))
+                if i < min(len(found), len(expected)) and found[i][0] == expected[i][0]:
+                    (name, shape), want = found[i], expected[i][1]
+                    raise FormatError(
+                        f"checkpoint tensor {name!r} has shape {shape}, expected {want}"
+                    )
+                got, want = (repr(t[i][0]) if i < len(t) else "no tensor"
+                             for t in (found, expected))
+                raise FormatError(f"checkpoint has {got} at position {i + 1}, expected {want}")
+        params = [row for row in rows if row[2] is not None]
+        stats = [row for row in rows if row[2] is None]
+        n_values = sum(math.prod(shape) for *_, shape in params)
+        n_state = n_values + sum(math.prod(shape) for *_, shape in stats)
         self.buffer = np.zeros(n_state + n_values)
         self.values = self.buffer[:n_values]
         self.state = self.buffer[:n_state]
         self.grads = self.buffer[n_state:]
-        views: dict[int, np.ndarray] = {}  # id of a module's array -> its arena view
         offset = 0
-        for p in params:
-            end = offset + p.value.size
-            value = views[id(p.value)] = self.values[offset:end].reshape(p.value.shape)
-            value[...] = p.value
-            views[id(p.grad)] = self.grads[offset:end].reshape(p.value.shape)
+        for owner, attr, grad, _, shape in params + stats:
+            end = offset + math.prod(shape)
+            setattr(owner, attr, self.state[offset:end].reshape(shape))
+            if grad is not None:
+                setattr(owner, grad, self.grads[offset:end].reshape(shape))
             offset = end
-        for a in stats:
-            end = offset + a.size
-            stat = views[id(a)] = self.state[offset:end].reshape(a.shape)
-            stat[...] = a
-            offset = end
-        for m in modules:
-            m.bind(lambda array: views[id(array)])
-        self.params = [p for m in modules for p in m.parameters()]
+        self.tensors = [(name, getattr(owner, attr)) for owner, attr, _, name, _ in rows]
+        self.params = [Parameter(name, getattr(owner, attr), getattr(owner, grad))
+                       for owner, attr, grad, name, _ in params]
+        for (_, view), (_, array) in zip(self.tensors, saved or ()):
+            view[...] = array
 
 
 def softmax(z: Matrix) -> Matrix:
@@ -107,34 +136,38 @@ class LinearLayer:
         self,
         in_dim: int,
         out_dim: int,
-        rng: RngState,
+        *,
         name: str = "linear",
         use_bias: bool = True,
         needs_input_grad: bool = True,
     ):
         if in_dim < 1 or out_dim < 1:
             raise ValidationError(f"{name}: dimensions must be >= 1, got {in_dim}x{out_dim}")
-        limit = np.sqrt(6.0 / (in_dim + out_dim))
         self.name = name
-        self.weights = rng.uniform(-limit, limit, (out_dim, in_dim))
-        self.bias = np.zeros(out_dim) if use_bias else None
-        self.grad_weights = np.zeros((out_dim, in_dim))
-        self.grad_bias = np.zeros(out_dim) if use_bias else None
+        self._tensors = [("weights", "grad_weights", f"{name}.weights", (out_dim, in_dim))]
+        self.bias = self.grad_bias = None
+        if use_bias:
+            self._tensors.append(("bias", "grad_bias", f"{name}.bias", (out_dim,)))
         self.needs_input_grad = needs_input_grad
         self._input: Matrix | None = None
 
-    @property
-    def in_dim(self) -> int:
-        return self.weights.shape[1]
+    def declared(self) -> list[tuple]:
+        # made on each call: a stored row would refer to the layer itself,
+        # and that cycle would keep a dropped model's arena alive until the
+        # cycle collector ran
+        return [(self, *row) for row in self._tensors]
 
-    @property
-    def out_dim(self) -> int:
-        return self.weights.shape[0]
+    def init(self, rng: RngState) -> None:
+        """Draw the weights from Glorot's uniform range; a bias stays zero."""
+        out_dim, in_dim = self.weights.shape
+        limit = np.sqrt(6.0 / (in_dim + out_dim))
+        self.weights[...] = rng.uniform(-limit, limit, (out_dim, in_dim))
 
     def forward(self, x: Matrix, train: bool) -> Matrix:
-        if x.shape[1] != self.in_dim:
+        in_dim = self.weights.shape[1]
+        if x.shape[1] != in_dim:
             raise ValidationError(
-                f"{self.name}: expected {self.in_dim} input features, got {x.shape[1]}"
+                f"{self.name}: expected {in_dim} input features, got {x.shape[1]}"
             )
         self._input = x if train else None
         out = x @ self.weights.T
@@ -146,28 +179,13 @@ class LinearLayer:
         """Write the parameter grads; return the input gradient if needed."""
         if self._input is None:
             raise ValidationError(f"{self.name}: backward without a cached training forward")
-        if upstream.shape != (self._input.shape[0], self.out_dim):
+        if upstream.shape != (self._input.shape[0], self.weights.shape[0]):
             raise ValidationError(f"{self.name}: upstream shape {upstream.shape} mismatch")
         np.matmul(upstream.T, self._input, out=self.grad_weights)
         if self.grad_bias is not None:
             np.sum(upstream, axis=0, out=self.grad_bias)
         self._input = None
         return upstream @ self.weights if self.needs_input_grad else None
-
-    def parameters(self) -> list[Parameter]:
-        params = [Parameter(f"{self.name}.weights", self.weights, self.grad_weights)]
-        if self.bias is not None:
-            params.append(Parameter(f"{self.name}.bias", self.bias, self.grad_bias))
-        return params
-
-    def state(self) -> list[tuple[str, np.ndarray]]:
-        return []
-
-    def bind(self, view) -> None:
-        """Replace every tensor attribute `a` by `view(a)` (see ParameterArena)."""
-        self.weights, self.grad_weights = view(self.weights), view(self.grad_weights)
-        if self.bias is not None:
-            self.bias, self.grad_bias = view(self.bias), view(self.grad_bias)
 
 
 class BatchNormLayer:
@@ -183,15 +201,24 @@ class BatchNormLayer:
     as the output. The caller must hold no other reference to it.
     """
 
-    def __init__(self, dim: int, name: str = "norm"):
+    def __init__(self, dim: int, *, name: str = "norm"):
         self.name = name
-        self.gamma = np.ones(dim)
-        self.beta_shift = np.zeros(dim)
-        self.grad_gamma = np.zeros(dim)
-        self.grad_beta_shift = np.zeros(dim)
-        self.running_mean = np.zeros(dim)
-        self.running_var = np.ones(dim)
+        self._tensors = [
+            ("gamma", "grad_gamma", f"{name}.gamma", (dim,)),
+            ("beta_shift", "grad_beta_shift", f"{name}.beta_shift", (dim,)),
+            ("running_mean", None, f"{name}.running_mean", (dim,)),
+            ("running_var", None, f"{name}.running_var", (dim,)),
+        ]
         self._cache: tuple | None = None
+
+    def declared(self) -> list[tuple]:
+        return [(self, *row) for row in self._tensors]  # made on each call, as in LinearLayer
+
+    def init(self, rng: RngState) -> None:
+        """Unit scale and running variance; the arena's zeros are the shift
+        and the running mean. Draws nothing from `rng`."""
+        self.gamma.fill(1.0)
+        self.running_var.fill(1.0)
 
     def forward(self, x: Matrix, train: bool) -> Matrix:
         # every element takes the same rounded operations, in the same
@@ -244,23 +271,6 @@ class BatchNormLayer:
         din *= inv_std / n
         return din
 
-    def parameters(self) -> list[Parameter]:
-        return [
-            Parameter(f"{self.name}.gamma", self.gamma, self.grad_gamma),
-            Parameter(f"{self.name}.beta_shift", self.beta_shift, self.grad_beta_shift),
-        ]
-
-    def state(self) -> list[tuple[str, np.ndarray]]:
-        p = self.name
-        return [(f"{p}.running_mean", self.running_mean), (f"{p}.running_var", self.running_var)]
-
-    def bind(self, view) -> None:
-        """Replace every tensor attribute `a` by `view(a)` (see ParameterArena)."""
-        for attr in (
-            "gamma", "beta_shift", "grad_gamma", "grad_beta_shift", "running_mean", "running_var"
-        ):
-            setattr(self, attr, view(getattr(self, attr)))
-
 
 class FcBlock:
     """linear (no bias) -> batch norm -> ReLU, with a consumable cache.
@@ -277,15 +287,22 @@ class FcBlock:
         self,
         in_dim: int,
         out_dim: int,
-        rng: RngState,
+        *,
         name: str = "fc",
         needs_input_grad: bool = True,
     ):
         self.name = name
-        self.linear = LinearLayer(in_dim, out_dim, rng, name=f"{name}.linear", use_bias=False,
+        self.linear = LinearLayer(in_dim, out_dim, name=f"{name}.linear", use_bias=False,
                                   needs_input_grad=needs_input_grad)
         self.norm = BatchNormLayer(out_dim, name=f"{name}.norm")
         self._out: Matrix | None = None
+
+    def declared(self) -> list[tuple]:
+        return self.linear.declared() + self.norm.declared()
+
+    def init(self, rng: RngState) -> None:
+        self.linear.init(rng)
+        self.norm.init(rng)
 
     def forward(self, batch: Matrix, train: bool) -> Matrix:
         out = self.norm.forward(self.linear.forward(batch, train), train)
@@ -304,16 +321,6 @@ class FcBlock:
         d = upstream * (self._out > 0.0)
         self._out = None
         return self.linear.backward(self.norm.backward(d))
-
-    def parameters(self) -> list[Parameter]:
-        return self.linear.parameters() + self.norm.parameters()
-
-    def state(self) -> list[tuple[str, np.ndarray]]:
-        return self.norm.state()
-
-    def bind(self, view) -> None:
-        self.linear.bind(view)
-        self.norm.bind(view)
 
 
 class Sequence:

@@ -13,6 +13,12 @@ decoder branch left out. The graph is declared once, in
 whose blocks run their own backward. `forward_backward` takes each loss's
 gradient from `losses`, which returns it with the value, and calls the
 towers' backward.
+
+A model is made in three steps: its blocks declare their tensors, one
+`ParameterArena` allocates them all, and then either each block draws its
+initialization into the arena in place, or the arena checks a
+checkpoint's tensors against the declarations and copies them in. Each
+tensor is allocated once.
 """
 
 from __future__ import annotations
@@ -113,12 +119,14 @@ class OmiVaeModel:
     """Encoder, mirror decoder, and latent-mean classifier as one unit.
 
     The graph is declared once, as towers of blocks (`layers.Sequence`,
-    `Join`, `Split`) that run their own backward. Every block is created,
-    and so draws its initialization, in the order it is collected in
-    `blocks`, which is also the order of the arena and of checkpoints.
+    `Join`, `Split`) that run their own backward. `blocks` collects the
+    blocks in the order they are declared, which is the order of the arena
+    and of checkpoints. `init` is either an `RngState`, from which each
+    block in `blocks` order draws its initialization, or a checkpoint's
+    (name, array) list, which the arena checks and copies in.
     """
 
-    def __init__(self, config: ModelConfig, rng: RngState):
+    def __init__(self, config: ModelConfig, init: RngState | list[tuple[str, np.ndarray]]):
         self.config = cfg = config
         n_mod = int(cfg.has_methylation) + int(cfg.has_expression)
         dims, m = cfg.methyl_block_dims, cfg.num_blocks
@@ -130,11 +138,11 @@ class OmiVaeModel:
             return block
 
         def fc(in_dim: int, out_dim: int, name: str, **options) -> FcBlock:
-            return add(FcBlock(in_dim, out_dim, rng, name=name, **options))
+            return add(FcBlock(in_dim, out_dim, name=name, **options))
 
         def out(in_dim: int, out_dim: int, name: str) -> LinearLayer:
             # the losses read the logits, so their gradients enter here
-            return add(LinearLayer(in_dim, out_dim, rng, name=f"{name}.linear"))
+            return add(LinearLayer(in_dim, out_dim, name=f"{name}.linear"))
 
         # the input layers skip the gradient with respect to the data
         branches = []
@@ -150,8 +158,8 @@ class OmiVaeModel:
         self.encoder = Sequence(Join(branches), fc(n_mod * mod, cfg.fusion_dim, "encoder.fusion"))
         # distribution heads stay unconstrained: plain linear, no norm
         self.heads = (
-            add(LinearLayer(cfg.fusion_dim, cfg.latent_dim, rng, name="encoder.mu_head")),
-            add(LinearLayer(cfg.fusion_dim, cfg.latent_dim, rng, name="encoder.logvar_head")),
+            add(LinearLayer(cfg.fusion_dim, cfg.latent_dim, name="encoder.mu_head")),
+            add(LinearLayer(cfg.fusion_dim, cfg.latent_dim, name="encoder.logvar_head")),
         )
 
         trunk = (
@@ -168,17 +176,19 @@ class OmiVaeModel:
             branches.append(Sequence(expand, out(eh, cfg.expr_dim, "decoder.expr.out")))
         self.decoder = Sequence(*trunk, Split([mod] * n_mod, branches))
 
-        first_classifier_block = len(self.blocks)
         h1, h2 = cfg.classifier_hidden
         self.classifier = Sequence(
             fc(cfg.latent_dim, h1, "classifier.hidden1"),
             fc(h1, h2, "classifier.hidden2"),
             out(h2, cfg.num_classes, "classifier.out"),
         )
-        self.arena = ParameterArena(self.blocks)
-        # the classifier's grads end the arena, since blocks are laid out in
-        # the order they were made
-        size = sum(p.value.size for b in self.blocks[first_classifier_block:] for p in b.parameters())
+        saved = None if isinstance(init, RngState) else init
+        self.arena = ParameterArena(self.blocks, saved)
+        if saved is None:
+            for block in self.blocks:
+                block.init(init)
+        # the classifier's grads end the arena, since it is declared last
+        size = sum(p.grad.size for p in self.arena.params if p.name.startswith("classifier."))
         self._classifier_grads = self.arena.grads[self.arena.grads.size - size :]
 
     # ------------------------------------------------------------------ plumbing
@@ -187,12 +197,8 @@ class OmiVaeModel:
         return list(self.arena.params)
 
     def state_tensors(self) -> list[tuple[str, np.ndarray]]:
-        """Parameters plus batch-norm running statistics, in a fixed order."""
-        tensors: list[tuple[str, np.ndarray]] = []
-        for c in self.blocks:
-            tensors.extend((p.name, p.value) for p in c.parameters())
-            tensors.extend(c.state())
-        return tensors
+        """Parameters plus batch-norm running statistics, in declaration order."""
+        return list(self.arena.tensors)
 
     def _validate_inputs(self, x_expr, x_methyl_blocks) -> None:
         """Refuse a batch unless each input is present exactly when the model

@@ -9,7 +9,10 @@ one copy of `arena.state`. Adam takes Kingma & Ba's efficient form, so its
 are the textbook ones. A training step never clears the grads, because
 `forward_backward` writes every grad of the arena whole. Code that changes a
 tensor therefore writes it in place and never rebinds `.value`, `.grad`
-or a running statistic.
+or a running statistic. A checkpoint's model is declared, allocated and
+loaded: `Checkpoint.build` hands the saved tensors to the new model, whose
+arena checks them against its declarations before it allocates and then
+copies them in, with no initialization drawn.
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from .container import fields_from_text, fields_to_text, read_container, write_container
-from .errors import FormatError, NumericError, ValidationError
+from .errors import NumericError, ValidationError
 from .layers import ParameterArena, softmax
 from .losses import LossReport, LossWeights, classification_loss, total_loss, vae_loss
-from .model import ModelConfig, OmiVaeModel, build_model
+from .model import ModelConfig, OmiVaeModel
 from .numerics import RngState
 
 CHECKPOINT_MAGIC = b"OMVAE1"
@@ -324,15 +327,6 @@ def train_two_phase(
     return history
 
 
-class _NoDraw:
-    """Stands in for the `RngState` of a model whose every tensor is then
-    overwritten: each draw is zeros, so no random numbers are made and a
-    large tensor takes no memory until the arena is filled."""
-
-    def uniform(self, low: float, high: float, shape) -> np.ndarray:
-        return np.zeros(shape)
-
-
 @dataclass
 class Checkpoint:
     config: ModelConfig
@@ -342,23 +336,10 @@ class Checkpoint:
     def build(self) -> OmiVaeModel:
         """Reconstruct the model this checkpoint was saved from, drawing no
         initialization. The tensors must be the model's `state_tensors()`
-        names and shapes, in order; the first mismatch is a `FormatError`.
+        names and shapes, in order; the arena checks them before it
+        allocates anything, and the first mismatch is a `FormatError`.
         """
-        model = build_model(self.config, _NoDraw())
-        live = model.state_tensors()
-        found = [(name, saved.shape) for name, saved in self.tensors]
-        expected = [(name, arr.shape) for name, arr in live]
-        if found != expected:
-            i = next((i for i, (f, e) in enumerate(zip(found, expected)) if f != e),
-                     min(len(found), len(expected)))
-            if i < min(len(found), len(expected)) and found[i][0] == expected[i][0]:
-                (name, shape), want = found[i], expected[i][1]
-                raise FormatError(f"checkpoint tensor {name!r} has shape {shape}, expected {want}")
-            got, want = (repr(t[i][0]) if i < len(t) else "no tensor" for t in (found, expected))
-            raise FormatError(f"checkpoint has {got} at position {i + 1}, expected {want}")
-        for (_, arr), (_, saved) in zip(live, self.tensors):
-            arr[:] = saved
-        return model
+        return OmiVaeModel(self.config, self.tensors)
 
 
 def save_checkpoint(path: str, model: OmiVaeModel, metadata: dict[str, str] | None = None) -> None:

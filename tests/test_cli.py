@@ -15,7 +15,7 @@ import pytest
 
 from omivae import cli, data
 from omivae.config import SCHEMA
-from omivae.container import encode_str_list, write_container
+from omivae.container import encode_str_list, read_container, write_container
 from omivae.data import (
     OmicsDataset,
     SyntheticSpec,
@@ -28,7 +28,7 @@ from omivae.data import (
 from omivae.errors import NumericError
 from omivae.model import ModelConfig, OmiVaeModel, build_model
 from omivae.numerics import RngState
-from omivae.optim import load_checkpoint, save_checkpoint
+from omivae.optim import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_checkpoint, save_checkpoint
 
 # a small model and one epoch per phase, for cases that would otherwise train
 SHORT = ["--set", "model.per_block_hidden=3", "--set", "model.modality_dim=4",
@@ -162,6 +162,10 @@ BAD_INPUT = {
                           "--out", "{d}/model.omvae"], "empty.omids: dataset has no samples"),
     "crossval-no-samples": (["crossval", "--data", "{odd}/empty.omids", "--k", "3", *SHORT,
                              "--out", "{d}/cv"], "empty.omids: dataset has no samples"),
+    "embed-impossible-width": (["embed", "--checkpoint", "{odd}/impossible.omvae", "--data",
+                                "{odd}/expression.omids", "--out", "{d}/embedding.tsv"],
+                               "checkpoint tensor 'encoder.expr.hidden1.linear.weights' has "
+                               "shape (8, 5), expected (4096, 1000000000000000)"),
     "embed-no-samples": (["embed", "--checkpoint", "{odd}/fits.omvae", "--data",
                           "{odd}/empty.omids", "--out", "{d}/embedding.tsv"],
                          "empty.omids: dataset has no samples"),
@@ -242,8 +246,9 @@ def narrow(tmp_path_factory):
 @pytest.fixture(scope="module")
 def odd(tmp_path_factory):
     """A directory holding a 30-sample cache with missing cells, an untrained
-    checkpoint of its shape, a cache of each modality alone, a cache
-    whose every sample is of the one class `only` and a cache of no samples."""
+    checkpoint of its shape and a copy whose config claims an expression
+    width no memory holds, a cache of each modality alone, a cache whose
+    every sample is of the one class `only` and a cache of no samples."""
     d = tmp_path_factory.mktemp("odd")
     spec = SyntheticSpec(num_classes=3, samples_per_class=10, num_blocks=2, features_per_block=4,
                          expr_features=5)
@@ -266,6 +271,10 @@ def odd(tmp_path_factory):
                          per_block_hidden=3, modality_dim=4, fusion_dim=4, latent_dim=2,
                          classifier_hidden=(3, 3), num_classes=len(ds.class_vocab))
     save_checkpoint(str(d / "fits.omvae"), build_model(config, RngState(0)))
+    fields, tensors, metadata = read_container(str(d / "fits.omvae"), CHECKPOINT_MAGIC,
+                                               CHECKPOINT_VERSION)
+    write_container(str(d / "impossible.omvae"), CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                    fields | {"expr_dim": str(10**15)}, tensors, metadata)
     return str(d)
 
 

@@ -66,7 +66,6 @@ PUBLIC_KEYS = {
     "synth.num_blocks": ("int", "5"),
     "synth.features_per_block": ("int", "200"),
     "synth.expr_features": ("int", "400"),
-    "synth.nonlinear_mix": ("bool", "false"),
     "synth.noise_sd": ("float", "0.05"),
     "synth.missing_rate": ("float", "0.0"),
     "synth.split_signal": ("bool", "false"),
@@ -76,7 +75,7 @@ PUBLIC_KEYS = {
 
 class TestPublicKeys:
     def test_keys_kinds_and_defaults_are_pinned(self):
-        assert len(PUBLIC_KEYS) == 27
+        assert len(PUBLIC_KEYS) == 26
         assert SCHEMA == PUBLIC_KEYS
 
 
@@ -90,6 +89,7 @@ REMOVED_KEYS = {
     "synth.latent_factors": "int",
     "synth.within_class_sd": "float",
     "synth.nonlinear_gain": "float",
+    "synth.nonlinear_mix": "bool",
 }
 FLOAT_KEYS = sorted(key for key, (kind, _) in PUBLIC_KEYS.items() if kind == "float")
 REMOVED_FLOAT_KEYS = sorted(key for key, kind in REMOVED_KEYS.items() if kind == "float")

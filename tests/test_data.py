@@ -13,7 +13,6 @@ from omivae.data import (
     OmicsDataset,
     PreprocessConfig,
     RawMatrix,
-    SIGNAL_FRACTION,
     SyntheticSpec,
     dataset_to_raw,
     load_annotations,
@@ -768,24 +767,6 @@ class TestSynthesize:
         assert not np.array_equal(
             ds.methylation_blocks[0][row0], ds.methylation_blocks[0][row2]
         )
-
-    def test_nonlinear_mix_reshapes_only_the_signal_columns(self):
-        spec = SyntheticSpec(num_classes=3, samples_per_class=4, num_blocks=2,
-                             features_per_block=20, expr_features=30, noise_sd=0.0, seed=5)
-        linear = synthesize(spec)
-        mixed = synthesize(replace(spec, nonlinear_mix=True))
-        again = synthesize(replace(spec, nonlinear_mix=True))
-        pairs = zip([linear.expression, *linear.methylation_blocks],
-                    [mixed.expression, *mixed.methylation_blocks],
-                    [again.expression, *again.methylation_blocks])
-        for a, b, c in pairs:
-            assert np.array_equal(b, c)
-            assert b.min() >= 0.0 and b.max() <= 1.0
-            # without noise a column is signal exactly when it is not 0.5
-            signal = (a != 0.5).any(axis=0)
-            assert signal.sum() == round(SIGNAL_FRACTION * a.shape[1])
-            assert np.array_equal((a != b).any(axis=0), signal)
-            assert np.array_equal((b != 0.5).any(axis=0), signal)
 
 
 class TestDatasetContainer:

@@ -12,17 +12,21 @@ from omivae.layers import (
     gradient_check,
 )
 from omivae.numerics import RngState
+from standalone import allocate
 
 
 def make_block(in_dim, out_dim, seed=0):
-    return FcBlock(in_dim, out_dim, RngState(seed))
+    block = FcBlock(in_dim, out_dim)
+    allocate(block, seed=seed)
+    return block
 
 
 class TestForward:
     def test_identity_configuration(self):
         # an output layer is a plain linear layer: with identity weights and
         # its zero initial bias it passes the input through
-        layer = LinearLayer(3, 3, RngState(0))
+        layer = LinearLayer(3, 3)
+        allocate(layer)
         layer.weights[:] = np.eye(3)
         x = RngState(1).standard_normal(4, 3)
         assert np.array_equal(layer.forward(x, train=False), x)
@@ -37,6 +41,7 @@ class TestForward:
 
     def test_batchnorm_normalizes_in_train_mode(self):
         norm = BatchNormLayer(6)
+        allocate(norm)
         x = RngState(2).standard_normal(32, 6) * 3.0 + 1.0
         out = norm.forward(x, train=True)
         assert np.max(np.abs(out.mean(axis=0))) < 1e-6
@@ -54,8 +59,8 @@ class TestForward:
             block.forward(np.zeros((4, 5)), train=False)
 
     def test_a_block_names_its_parts_and_their_errors(self):
-        block = FcBlock(3, 2, RngState(0), name="encoder.fusion")
-        assert [p.name for p in block.parameters()] + [n for n, _ in block.state()] == [
+        block = FcBlock(3, 2, name="encoder.fusion")
+        assert [name for name, _ in allocate(block).tensors] == [
             "encoder.fusion.linear.weights",
             "encoder.fusion.norm.gamma",
             "encoder.fusion.norm.beta_shift",
@@ -83,17 +88,19 @@ class TestForward:
 
 class TestBackward:
     def test_zero_upstream_gives_zero_gradients(self):
-        block = make_block(4, 3)
+        block = FcBlock(4, 3)
+        params = allocate(block).params
         x = RngState(4).standard_normal(6, 4)
         out = block.forward(x, train=True)
         din = block.backward(np.zeros_like(out))
         assert np.array_equal(din, np.zeros_like(x))
-        for p in block.parameters():
+        for p in params:
             assert np.array_equal(p.grad, np.zeros_like(p.grad))
 
     def test_sum_loss_gradient_is_column_sums(self):
         # loss = sum(outputs) of a bare linear layer: dW rows are input column sums
-        layer = LinearLayer(2, 2, RngState(5))
+        layer = LinearLayer(2, 2)
+        allocate(layer, seed=5)
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
         out = layer.forward(x, train=True)
         layer.backward(np.ones_like(out))
@@ -117,12 +124,13 @@ class TestBackward:
             block.backward(np.zeros((4, 7)))
 
     def test_forward_backward_leaves_parameters_unchanged(self):
-        block = make_block(5, 4)
-        snapshot = [p.value.copy() for p in block.parameters()]
+        block = FcBlock(5, 4)
+        params = allocate(block).params
+        snapshot = [p.value.copy() for p in params]
         x = RngState(7).standard_normal(8, 5)
         out = block.forward(x, train=True)
         block.backward(RngState(8).standard_normal(*out.shape))
-        for p, saved in zip(block.parameters(), snapshot):
+        for p, saved in zip(params, snapshot):
             assert np.array_equal(p.value, saved)
             assert not np.array_equal(p.grad, np.zeros_like(p.grad))
 
@@ -130,16 +138,16 @@ class TestBackward:
         # NaN in every grad buffer, then two backwards: the grads are those
         # of the last one alone, bit for bit
         x, first, second = (RngState(s).standard_normal(6, 4) for s in (40, 41, 42))
-        fresh = make_block(4, 4, seed=43)
+        fresh, block = FcBlock(4, 4), FcBlock(4, 4)
+        fresh_params, params = (allocate(b, seed=43).params for b in (fresh, block))
         fresh.forward(x, train=True)
         fresh.backward(second)
-        block = make_block(4, 4, seed=43)
-        for p in block.parameters():
+        for p in params:
             p.grad[...] = np.nan
         for upstream in (first, second):
             block.forward(x, train=True)
             block.backward(upstream)
-        for p, q in zip(block.parameters(), fresh.parameters()):
+        for p, q in zip(params, fresh_params):
             assert p.grad.tobytes() == q.grad.tobytes(), p.name
 
     def test_skipping_the_input_gradient_keeps_the_parameter_grads(self):
@@ -147,14 +155,16 @@ class TestBackward:
         upstream = RngState(45).standard_normal(5, 2)
         grads = []
         for needs_input_grad in (True, False):
-            layer = LinearLayer(3, 2, RngState(46), needs_input_grad=needs_input_grad)
+            layer = LinearLayer(3, 2, needs_input_grad=needs_input_grad)
+            params = allocate(layer, seed=46).params
             layer.forward(x, train=True)
             din = layer.backward(upstream)
             assert (din is None) == (not needs_input_grad)
-            grads.append([p.grad.copy() for p in layer.parameters()])
+            grads.append([p.grad.copy() for p in params])
         for a, b in zip(*grads):
             assert a.tobytes() == b.tobytes()
-        block = FcBlock(3, 2, RngState(46), needs_input_grad=False)
+        block = FcBlock(3, 2, needs_input_grad=False)
+        allocate(block, seed=46)
         block.forward(x, train=True)
         assert block.backward(upstream) is None
 
@@ -250,26 +260,29 @@ def weighted_sum_loss(weights):
 
 
 class Stack(Sequence):
-    """A sequence that lists its modules' parameters, for `gradient_check`."""
+    """A sequence whose modules share one allocated arena and that lists
+    their parameters, for `gradient_check`."""
+
+    def __init__(self, *modules, seed):
+        super().__init__(*modules)
+        self.arena = allocate(*modules, seed=seed)
 
     def parameters(self):
-        return [p for m in self.modules for p in m.parameters()]
+        return self.arena.params
 
 
 class TestGradientCheck:
     def test_linear_relu_block(self):
         # a block feeding a plain linear layer, as before each model output
-        block = make_block(4, 3, seed=20)
-        head = LinearLayer(3, 2, RngState(28), name="head")
-        module = Stack(block, head)
+        module = Stack(FcBlock(4, 3), LinearLayer(3, 2, name="head"), seed=20)
         x = RngState(21).standard_normal(6, 4)
         w = RngState(22).standard_normal(6, 2)
         result = gradient_check(module, weighted_sum_loss(w), x)
         assert result.max_rel_error <= 1e-4
 
     def test_linear_batchnorm_relu_block(self):
-        block = make_block(5, 4, seed=23)
+        module = Stack(FcBlock(5, 4), seed=23)
         x = RngState(24).standard_normal(8, 5)
         w = RngState(25).standard_normal(8, 4)
-        result = gradient_check(block, weighted_sum_loss(w), x)
+        result = gradient_check(module, weighted_sum_loss(w), x)
         assert result.max_rel_error <= 1e-4

@@ -1,8 +1,12 @@
+import gc
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from omivae.data import SyntheticSpec
 from omivae.errors import ValidationError
 from omivae.layers import gradient_check, softmax
 from omivae.losses import LossWeights, bce
@@ -116,6 +120,35 @@ class TestBuild:
         )
         count = expected_param_count(config)
         assert 6.0e8 < count < 8.0e8
+
+    def test_building_allocates_each_tensor_once(self):
+        """The default-synth model's blocks draw into the arena in place, so
+        building it peaks at the arena plus the draw of one tensor, with a
+        margin of half the largest for numpy's and Python's small objects."""
+        spec = SyntheticSpec()
+        config = ModelConfig(methyl_block_dims=(spec.features_per_block,) * spec.num_blocks,
+                             expr_dim=spec.expr_features, num_classes=spec.num_classes)
+        tracemalloc.start()
+        try:
+            model = build_model(config, RngState(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        largest = max(a.nbytes for _, a in model.state_tensors())
+        assert peak <= model.arena.buffer.nbytes + 1.5 * largest, (
+            peak / model.arena.buffer.nbytes)
+
+    def test_a_dropped_model_frees_its_arena_at_once(self):
+        # crossval builds a model per fold: no layer may refer to itself, or
+        # each fold's arena would stay until the cycle collector ran
+        gc.disable()
+        try:
+            model = build_model(tiny_config(), RngState(0))
+            buffer = weakref.ref(model.arena.buffer)
+            del model
+            assert buffer() is None
+        finally:
+            gc.enable()
 
     def test_single_modality_expression(self):
         config = tiny_config(methyl_block_dims=())

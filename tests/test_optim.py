@@ -11,11 +11,12 @@ from omivae import data, optim
 from omivae.container import fields_to_text, read_container, write_container
 from omivae.data import SyntheticSpec, synthesize
 from omivae.errors import FormatError, NumericError
-from omivae.layers import LinearLayer, ParameterArena
+from omivae.layers import LinearLayer
 from omivae.losses import LossWeights
 from omivae.model import ModelConfig, build_model
 from omivae.numerics import RngState
 from omivae.optim import Adam, TrainConfig, TrainingHistory
+from standalone import allocate
 
 TINY = ModelConfig(
     methyl_block_dims=(3,),
@@ -110,13 +111,16 @@ class TestArena:
         assert arena.buffer.size == 2 * arena.values.size + sum(a.size for a in stats)
 
     def test_arena_keeps_the_initialization(self):
-        # the arena copies in what the layers drew, so the seeded values are unchanged
+        # the layers draw into the arena: the model's first weights are the
+        # first Glorot draw of its seed, as in a standalone layer of that shape
         a = build_model(TINY, RngState(7))
-        rng = RngState(7)
-        expected = LinearLayer(3, 2, rng, use_bias=False).weights
+        layer = LinearLayer(3, 2, use_bias=False)
+        allocate(layer, seed=7)
+        limit = np.sqrt(6.0 / (3 + 2))
+        expected = RngState(7).uniform(-limit, limit, (2, 3))
         first = a.parameters()[0]
         assert first.name == "encoder.methyl.block00.linear.weights"
-        assert np.array_equal(first.value, expected)
+        assert first.value.tobytes() == layer.weights.tobytes() == expected.tobytes()
         assert np.all(a.arena.grads == 0.0)
         for name, arr in a.state_tensors():
             if name.endswith("running_var") or name.endswith("gamma"):
@@ -161,8 +165,8 @@ class TestFusedAdam:
 
     def test_follows_the_textbook_update_across_chunk_boundaries(self):
         # 75,000 weights plus 250 biases: two whole chunks and a partial third
-        layer = LinearLayer(300, 250, RngState(2))
-        arena = ParameterArena([layer])
+        layer = LinearLayer(300, 250)
+        arena = allocate(layer, seed=2)
         assert arena.values.size > 2 * optim.ADAM_CHUNK
         assert arena.values.size % optim.ADAM_CHUNK != 0
         rng = np.random.default_rng(3)
@@ -178,8 +182,8 @@ class TestFusedAdam:
         follow_textbook(Adam(arena, lr=0.003), tensors, set_grads, 24)
 
     def test_two_hand_worked_steps(self):
-        layer = LinearLayer(2, 1, RngState(0), use_bias=False)
-        arena = ParameterArena([layer])
+        layer = LinearLayer(2, 1, use_bias=False)
+        arena = allocate(layer)
         layer.weights[...] = [[1.0, -2.0]]
         adam = Adam(arena, lr=0.1)
         # step 1, g = (0.5, -1): the unscaled moments are m = g and v = g^2;
@@ -227,8 +231,8 @@ class TestFusedAdam:
     def test_huge_finite_gradient_steps(self):
         # 1e200 squared overflows the fast finiteness test, and the exact
         # check it falls back to finds every entry finite
-        layer = LinearLayer(3, 2, RngState(4))
-        arena = ParameterArena([layer])
+        layer = LinearLayer(3, 2)
+        arena = allocate(layer, seed=4)
         adam = Adam(arena, lr=0.01)
         arena.grads[:] = np.linspace(-1.0, 1.0, arena.grads.size)
         arena.grads[2] = 1e200

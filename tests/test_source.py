@@ -2,7 +2,8 @@
 `data` alone, opens files for writing in one place, the atomic-replace
 routine that every output goes through, and opens text for reading in one:
 the raw-line reader of every TSV and of the config file. The modules a
-training step runs make no masked copies."""
+training step runs make no masked copies. Layers allocate their tensors
+only through the arena, which sets them once, with no rebinding."""
 
 import ast
 import pathlib
@@ -14,6 +15,14 @@ STEP_MODULES = ("layers.py", "losses.py", "model.py", "optim.py")
 # the names that read numeric TSV cells: numpy's reader, the C-reader path
 # and the cell parser of the per-cell loop
 CELL_PARSERS = ("loadtxt", "tsv_numeric_body", "_parse_cell")
+# numpy's allocators, which `layers` calls only where the arena allocates
+ALLOCATORS = {f"{name}{like}" for name in ("zeros", "ones", "empty", "full")
+              for like in ("", "_like")}
+ARENA = ("layers.py", "ParameterArena.__init__")
+# what declared tensors make unneeded: rebinding a layer's own arrays to
+# arena views, and a stand-in random stream for a model whose tensors are
+# then overwritten
+REMOVED_DEFINITIONS = ("bind", "_NoDraw")
 
 
 def modules():
@@ -42,22 +51,33 @@ def may_be_text(call: ast.Call) -> bool:
     return mode is None or "b" not in mode
 
 
-def opens(tree, which):
-    """(enclosing function, line) of every open() or fdopen() that `which` picks."""
+def call_name(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def calls(tree, which):
+    """(enclosing scope, line) of every call that `which` picks. The scope
+    is the dotted path of the enclosing classes and functions, None at
+    module level."""
     found = []
 
-    def visit(node, function):
+    def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in ("open", "fdopen") and which(child):
-                    found.append((function, child.lineno))
-            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            visit(child, child.name if is_def else function)
+            if isinstance(child, ast.Call) and which(child):
+                found.append((scope, child.lineno))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+            else:
+                visit(child, scope)
 
     visit(tree, None)
     return found
+
+
+def opens(tree, which):
+    """(enclosing scope, line) of every open() or fdopen() that `which` picks."""
+    return calls(tree, lambda call: call_name(call) in ("open", "fdopen") and which(call))
 
 
 def test_no_module_imports_csv():
@@ -108,8 +128,7 @@ def is_masked_copy(call: ast.Call) -> bool:
     """`np.copyto(..., where=...)`, `np.putmask`, `np.place` or a
     three-argument `np.where`: each walks a mask element by element, many
     times slower than an unmasked ufunc on the same array."""
-    func = call.func
-    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    name = call_name(call)
     if name == "copyto":
         return any(k.arg == "where" for k in call.keywords) or len(call.args) > 3
     if name == "where":
@@ -124,5 +143,23 @@ def test_training_step_modules_make_no_masked_copies():
         if name in STEP_MODULES
         for node in ast.walk(tree)
         if isinstance(node, ast.Call) and is_masked_copy(node)
+    ]
+    assert found == []
+
+
+def test_layers_allocate_only_in_the_arena():
+    """A layer declares its tensors and the arena allocates them, each once:
+    no other code of `layers` calls numpy's allocators."""
+    (tree,) = [tree for name, tree in modules() if name == ARENA[0]]
+    found = calls(tree, lambda call: call_name(call) in ALLOCATORS)
+    assert found and {scope for scope, _ in found} == {ARENA[1]}, found
+
+
+def test_no_module_defines_a_rebinding_or_a_stand_in_stream():
+    found = [
+        (name, node.name, node.lineno)
+        for name, tree in modules()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in REMOVED_DEFINITIONS
     ]
     assert found == []
