@@ -1,7 +1,8 @@
 """Command-line interface: synth, preprocess, train, crossval, embed, evaluate, plot.
 
 Exit codes: 0 success, 1 validation error (bad inputs, bad config), 2
-runtime or numeric error. Errors print a single machine-parseable line
+runtime or numeric error, among them a file system error and running out
+of memory. Errors print a single machine-parseable line
 `omivae: error: <category>: <message>` on stderr. `train` runs both
 phases; `--set train.phase1_epochs=0` or `--set train.phase2_epochs=0`
 skips one, and `--resume` continues from a checkpoint. The OMIVAE_THREADS
@@ -403,10 +404,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"omivae: error: validation: {exc}", file=sys.stderr)
         return 1
-    except OmiVaeError as exc:
-        print(f"omivae: error: runtime: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (OmiVaeError, OSError, MemoryError) as exc:
         print(f"omivae: error: runtime: {exc}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,10 @@ Matrix and embedding TSVs share one numeric-cell grammar (`_parse_cell`):
 a cell, after `strip()`, is `NA` or empty for a missing value (NaN), any
 value `float()` accepts is that double, and anything else is a
 `ValidationError` naming its row and column. `read_numeric_body` reads the
-body of both. Every reader strips its IDs and refuses an empty or repeated
+body of both with numpy's C reader, and with the per-cell loop instead on
+a cell only `float()` accepts, a padded or empty `NA`, a `NAN` that the
+`NA` replacement garbles, an empty body, a row of another width or no
+data rows. Every reader strips its IDs and refuses an empty or repeated
 one (`checked_ids`). A matrix TSV is feature-table shaped, a header row of
 sample IDs and one row per feature; `load_matrix_tsv` refuses an infinite
 cell. An embedding TSV (`evaluation.read_embedding_tsv`) refuses a missing
@@ -130,11 +133,6 @@ def tsv_header(path: str):
     raise ValidationError(f"{path}: empty file")
 
 
-# ASCII separators that `str.strip` and numpy's reader strip from around a
-# number and `float()` refuses
-STRIP_ONLY = "\x1c\x1d\x1e\x1f"
-
-
 class _Irregular(Exception):
     """A body line that numpy's reader would read otherwise than the
     per-cell loop."""
@@ -152,8 +150,8 @@ def tsv_numeric_body(path: str, width: int, trailing: bool = False):
     accepts is `PyOS_string_to_double` of the stripped cell, which is what
     `float()` returns for it. A cell only `float()` takes (`1_0`, non-ASCII
     digits), one the replacement garbles (`NAN`), an empty or padded `NA`
-    cell, a line holding one of `STRIP_ONLY`, a row of another width or a
-    file without data rows returns None; `checked_ids` checks the IDs.
+    cell, an empty body, a row of another width or a file without data rows
+    returns None; `checked_ids` checks the IDs.
     """
     ids: list[str] = []
     tails: list[str] = []
@@ -166,7 +164,7 @@ def tsv_numeric_body(path: str, width: int, trailing: bool = False):
             # a tab ends the first cell, so only body cells can change
             head, _, body = line.replace("\tNA", "\tnan").partition("\t")
             # the C reader skips an empty line
-            if not body or any(map(body.__contains__, STRIP_ONLY)):
+            if not body:
                 raise _Irregular
             ids.append(head)
             yield body

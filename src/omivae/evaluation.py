@@ -142,11 +142,8 @@ def pca_fit(data: Matrix, components: int) -> PcaModel:
 
 
 def pca_transform(model: PcaModel, data: Matrix) -> Matrix:
-    return _centred_scores(model, np.array(data, dtype=np.float64))
-
-
-def _centred_scores(model: PcaModel, data: Matrix) -> Matrix:
-    """PCA scores of `data`, which this centres in place."""
+    """PCA scores of `data`, centred in one float64 copy."""
+    data = np.array(data, dtype=np.float64)
     if data.shape[1] != model.mean.shape[0]:
         raise ValidationError(
             f"PCA transform expects {model.mean.shape[0]} features, got {data.shape[1]}"
@@ -259,29 +256,21 @@ def probe_predict(probe: ProbeClassifier, embedding: Matrix) -> np.ndarray:
     return np.argmax(probe._design(embedding) @ probe.weights, axis=1)
 
 
-def _features(x_expr, x_blocks) -> Matrix:
-    """One new matrix of the methylation blocks, then the expression."""
-    parts = [*(x_blocks or []), *([] if x_expr is None else [x_expr])]
+def dataset_matrix(dataset) -> Matrix:
+    """All features of a dataset as one new matrix (methylation blocks, then expression)."""
+    blocks, expression = dataset.methylation_blocks, dataset.expression
+    parts = [*(blocks or []), *([] if expression is None else [expression])]
     if not parts:
         raise ValidationError("dataset has no features")
     return np.concatenate(parts, axis=1)
 
 
-def dataset_matrix(dataset) -> Matrix:
-    """All features of a dataset as one matrix (methylation blocks, then expression)."""
-    return _features(dataset.expression, dataset.methylation_blocks)
-
-
-def embed_dataset(source, dataset) -> Matrix:
-    """Embedding rows for every sample: latent means for a model, scores for PCA.
-
-    Both run over `dataset.chunks`, so memory beyond the embedding itself
-    scales with `INFER_ROWS`, not with the cohort.
-    """
-    embed = source.embed if not isinstance(source, PcaModel) else (
-        lambda x_expr, x_blocks: _centred_scores(source, _features(x_expr, x_blocks)))
+def embed_dataset(model, dataset) -> Matrix:
+    """The model's latent means for every sample, over `dataset.chunks`, so
+    memory beyond the embedding itself scales with `INFER_ROWS`, not with
+    the cohort."""
     every = np.arange(dataset.num_samples)
-    return np.concatenate([embed(x_e, x_b) for _, x_e, x_b in dataset.chunks(every)])
+    return np.concatenate([model.embed(x_e, x_b) for _, x_e, x_b in dataset.chunks(every)])
 
 
 def predict_classes(model, dataset, indices) -> np.ndarray:
@@ -291,13 +280,14 @@ def predict_classes(model, dataset, indices) -> np.ndarray:
     ])
 
 
-def export_embedding(source, dataset, path: str) -> Matrix:
-    """Write `sample_id, dim_1..dim_p[, class_name]` TSV; returns the embedding.
+def export_embedding(model, dataset, path: str) -> Matrix:
+    """Write the model's `embed_dataset` as a `sample_id, dim_1..dim_p[,
+    class_name]` TSV; returns the embedding.
 
     Floats are written with shortest round-trip formatting, so parsing the
     file recovers the in-memory values bit-exactly.
     """
-    embedding = embed_dataset(source, dataset)
+    embedding = embed_dataset(model, dataset)
     if embedding.shape[1] < 2:
         raise ValidationError("embedding export needs at least 2 dimensions")
     labeled = dataset.labels is not None

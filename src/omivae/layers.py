@@ -75,6 +75,7 @@ class ParameterArena:
     declarations name for name and shape for shape. It is checked before
     anything is allocated, so a config that claims an impossible width
     fails on the first mismatch with a `FormatError`, and then copied in.
+    A buffer numpy cannot allocate is a `ValidationError` naming its bytes.
     """
 
     def __init__(self, modules, saved: list[tuple[str, np.ndarray]] | None = None):
@@ -97,7 +98,11 @@ class ParameterArena:
         stats = [row for row in rows if row[2] is None]
         n_values = sum(math.prod(shape) for *_, shape in params)
         n_state = n_values + sum(math.prod(shape) for *_, shape in stats)
-        self.buffer = np.zeros(n_state + n_values)
+        try:
+            self.buffer = np.zeros(n_state + n_values)
+        except (MemoryError, ValueError):  # ValueError: more elements than an index holds
+            raise ValidationError(f"the model's tensors need {8 * (n_state + n_values)} bytes, "
+                                  "which numpy cannot allocate") from None
         self.values = self.buffer[:n_values]
         self.state = self.buffer[:n_state]
         self.grads = self.buffer[n_state:]

@@ -254,10 +254,6 @@ class OmiVaeModel:
     ) -> tuple[Matrix | None, list[Matrix] | None]:
         """(expression, methylation blocks) reconstruction logits of `z`; an
         absent modality's entry is None."""
-        if z.shape[1] != self.config.latent_dim:
-            raise ValidationError(
-                f"latent width {z.shape[1]} != configured latent_dim {self.config.latent_dim}"
-            )
         outs = self.decoder.forward(z, train)  # one entry per modality
         cfg = self.config
         return (outs[-1] if cfg.has_expression else None,
@@ -265,10 +261,6 @@ class OmiVaeModel:
 
     def classify(self, mu: Matrix, train: bool = False) -> Matrix:
         """Class logits of the latent means `mu`."""
-        if mu.shape[1] != self.config.latent_dim:
-            raise ValidationError(
-                f"classifier input width {mu.shape[1]} != latent_dim {self.config.latent_dim}"
-            )
         return self.classifier.forward(mu, train)
 
     def embed(self, x_expr: Matrix | None, x_methyl_blocks: list[Matrix] | None) -> Matrix:

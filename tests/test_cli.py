@@ -1,8 +1,9 @@
 """The command line: each subcommand's options, one error line for every
-bad input, a cache every preprocess setting writes is loadable, the
-phase-2 resume, inference passes that gather at most `INFER_ROWS` rows at
-a time and encode every sample once, runs on one modality of a
-two-modality cache, and the BLAS thread cap crossval sets around its folds."""
+bad input and every runtime failure, a cache every preprocess setting
+writes is loadable, the phase-2 resume, inference passes that gather at
+most `INFER_ROWS` rows at a time and encode every sample once, runs on one
+modality of a two-modality cache, and the BLAS thread cap crossval sets
+around its folds."""
 
 from dataclasses import replace
 
@@ -166,6 +167,14 @@ BAD_INPUT = {
                                 "{odd}/expression.omids", "--out", "{d}/embedding.tsv"],
                                "checkpoint tensor 'encoder.expr.hidden1.linear.weights' has "
                                "shape (8, 5), expected (4096, 1000000000000000)"),
+    "train-impossible-fusion-width": (
+        ["train", "--set", "model.fusion_dim=1000000000000", "--data", "{narrow}/wide.omids",
+         "--out", "{d}/model.omvae"],
+        "the model's tensors need 71776000017770112 bytes, which numpy cannot allocate"),
+    "crossval-impossible-modality-width": (
+        ["crossval", "--set", "model.modality_dim=100000000000000000", "--data",
+         "{narrow}/wide.omids", "--k", "3", "--out", "{d}/cv"],
+        "the model's tensors need 4960000000000003729024 bytes, which numpy cannot allocate"),
     "embed-no-samples": (["embed", "--checkpoint", "{odd}/fits.omvae", "--data",
                           "{odd}/empty.omids", "--out", "{d}/embedding.tsv"],
                          "empty.omids: dataset has no samples"),
@@ -354,6 +363,27 @@ def test_every_preprocess_switch_writes_a_loadable_cache_or_one_error_line(
     else:
         assert code == 1
         assert err.count("\n") == 1 and err.startswith("omivae: error: ")
+
+
+# case -> (argv, a fragment the error line must name); the cohort size is
+# beyond the address space, so it fails before any memory is touched
+RUNTIME_FAILURE = {
+    "synth-out-of-memory": (["synth", "--set", "synth.samples_per_class=1000000000000000",
+                             "--out", "{d}/synth"], "Unable to allocate 71.1 PiB"),
+    "synth-out-names-a-file": (["synth", "--set", "synth.samples_per_class=2",
+                                "--out", "{d}/taken"], "File exists"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUNTIME_FAILURE))
+def test_runtime_failure_prints_one_runtime_line(tmp_path, capsys, case):
+    (tmp_path / "taken").write_text("")
+    argv, fragment = RUNTIME_FAILURE[case]
+    code = cli.main([arg.format(d=tmp_path) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("omivae: error: runtime: ")
+    assert fragment in err
 
 
 def test_help_exits_zero(capsys):

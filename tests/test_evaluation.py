@@ -12,10 +12,8 @@ from omivae.evaluation import (
     PROBE_GRAD_TOL,
     PROBE_L2,
     PROBE_MAX_ITER,
-    PcaModel,
     UNLABELED_COLOR,
     compute_metrics,
-    dataset_matrix,
     embed_dataset,
     export_embedding,
     pca_fit,
@@ -328,9 +326,16 @@ class TestEmbeddingExport:
             )
         )
 
+    def make_model(self, ds):
+        """An untrained model of `ds`'s widths with a 2-dimensional latent space."""
+        config = ModelConfig(methyl_block_dims=ds.methyl_block_dims, expr_dim=ds.expr_dim,
+                             per_block_hidden=3, modality_dim=4, fusion_dim=4, latent_dim=2,
+                             classifier_hidden=(3, 3), num_classes=2)
+        return build_model(config, RngState(0))
+
     def test_pca_export_columns_and_round_trip(self, tmp_path):
         ds = self.make_dataset()
-        model = pca_fit(dataset_matrix(ds), 2)
+        model = self.make_model(ds)
         path = str(tmp_path / "emb.tsv")
         embedding = export_embedding(model, ds, path)
         ids, parsed, classes = read_embedding_tsv(path)
@@ -350,7 +355,7 @@ class TestEmbeddingExport:
         loaded = OmicsDataset.load(cache)
         assert loaded.sample_ids == ds.sample_ids
         path = str(tmp_path / "emb.tsv")
-        export_embedding(pca_fit(dataset_matrix(loaded), 2), loaded, path)
+        export_embedding(self.make_model(loaded), loaded, path)
         ids, _, _ = read_embedding_tsv(path)
         assert ids == ds.sample_ids
 
@@ -358,7 +363,7 @@ class TestEmbeddingExport:
         ds = self.make_dataset()
         ds.labels = None
         ds.class_vocab = None
-        model = pca_fit(dataset_matrix(ds), 2)
+        model = self.make_model(ds)
         path = str(tmp_path / "emb.tsv")
         export_embedding(model, ds, path)
         with open(path) as fh:
@@ -415,33 +420,23 @@ class TestChunkedInference:
                 a, b = getattr(report, field), getattr(whole_report, field)
                 assert abs(a - b) <= 1e-12 * abs(b), field
 
-
-    @pytest.mark.parametrize("n", [R - 1, R, R + 1, 2 * R + 1])
-    def test_pca_scores_match_one_whole_transform(self, monkeypatch, n):
-        ds = self.first_rows(n)
-        pca = pca_fit(dataset_matrix(ds), 3)
-        whole = pca_transform(pca, dataset_matrix(ds))
-        monkeypatch.setattr(data, "INFER_ROWS", R)
-        scores = embed_dataset(pca, ds)
-        if n <= R:
-            assert scores.tobytes() == whole.tobytes()
-        else:
-            np.testing.assert_allclose(scores, whole, rtol=1e-12, atol=1e-15)
-
-    def test_pca_embedding_holds_less_than_one_cohort_copy(self):
+    def test_model_embedding_holds_under_half_a_cohort_copy(self, monkeypatch):
+        """At 128 rows a chunk, embedding the default cohort with a
+        default-size model peaks below half a float64 copy of the cohort."""
         ds = synthesize(SyntheticSpec(samples_per_class=300, seed=2))  # 3,000 x 1,400
-        features = sum(ds.methyl_block_dims) + ds.expr_dim
-        axes, _ = np.linalg.qr(RngState(5).standard_normal(features, 16))
-        pca = PcaModel(mean=np.full(features, 0.5), axes=axes, explained_variance=np.ones(16))
+        model = build_model(ModelConfig(methyl_block_dims=ds.methyl_block_dims,
+                                        expr_dim=ds.expr_dim, num_classes=len(ds.class_vocab)),
+                            RngState(5))
+        monkeypatch.setattr(data, "INFER_ROWS", 128)
         tracemalloc.start()
         try:
-            scores = embed_dataset(pca, ds)
+            embedding = embed_dataset(model, ds)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        cohort = ds.num_samples * features * 8
-        assert scores.shape == (3000, 16)
-        assert peak < cohort, peak / cohort
+        cohort = ds.num_samples * (sum(ds.methyl_block_dims) + ds.expr_dim) * 8
+        assert embedding.shape == (3000, model.config.latent_dim)
+        assert peak < 0.5 * cohort, peak / cohort
 
 
 class TestRenderScatter:

@@ -19,10 +19,13 @@ CELL_PARSERS = ("loadtxt", "tsv_numeric_body", "_parse_cell")
 ALLOCATORS = {f"{name}{like}" for name in ("zeros", "ones", "empty", "full")
               for like in ("", "_like")}
 ARENA = ("layers.py", "ParameterArena.__init__")
-# what declared tensors make unneeded: rebinding a layer's own arrays to
-# arena views, and a stand-in random stream for a model whose tensors are
-# then overwritten
-REMOVED_DEFINITIONS = ("bind", "_NoDraw")
+# second paths that no input needs, defined as a function or class or
+# assigned at module level: rebinding a layer's own arrays to arena views,
+# and a stand-in random stream for a model whose tensors are then
+# overwritten, both made unneeded by declared tensors; PCA through the
+# model's embedding pass, whose work `pca_transform` and `dataset_matrix`
+# do; and separators that numpy's reader strips as the per-cell loop does
+REMOVED_DEFINITIONS = ("bind", "_NoDraw", "_centred_scores", "_features", "STRIP_ONLY")
 
 
 def modules():
@@ -156,10 +159,20 @@ def test_layers_allocate_only_in_the_arena():
 
 
 def test_no_module_defines_a_rebinding_or_a_stand_in_stream():
+    """Nor any other name of `REMOVED_DEFINITIONS`."""
     found = [
         (name, node.name, node.lineno)
         for name, tree in modules()
         for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in REMOVED_DEFINITIONS
+    ]
+    found += [
+        (name, target.id, node.lineno)
+        for name, tree in modules()
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        for target in ast.walk(node)
+        if isinstance(target, ast.Name) and isinstance(target.ctx, ast.Store)
+        and target.id in REMOVED_DEFINITIONS
     ]
     assert found == []
