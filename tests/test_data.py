@@ -377,14 +377,24 @@ class TestNumericReader:
         assert per_cell_reads == [1]
 
     def test_a_well_formed_embedding_skips_the_per_cell_loop(self, tmp_path, per_cell_reads):
+        path = tmp_path / "e.tsv"
+        path.write_text("sample_id\tdim_1\tdim_2\tclass_name\ns1\t0.5\t-2\tA\ns2\t1e-3\t3\t\n")
+        ids, values, classes = read_embedding_tsv(str(path))
+        assert per_cell_reads == [1]
+        assert (ids, classes) == (["s1", "s2"], ["A", ""])
+        assert values.tobytes() == np.array([[0.5, -2.0], [1e-3, 3.0]]).tobytes()
+
+    def test_a_separator_padded_embedding_cell_skips_the_per_cell_loop(
+        self, tmp_path, per_cell_reads
+    ):
         """Numpy's reader strips an ASCII separator from around a number, as
         the grammar does."""
-        rows = ["s1\t0.5\t-2\tA", "s2\t1e-3\t3\t", "s3\t1\x1c\t1\tA"]
+        rows = ["s1\t0.5\t-2\tA", "s3\t1\x1c\t1\tA"]
         path = tmp_path / "e.tsv"
         path.write_text("sample_id\tdim_1\tdim_2\tclass_name\n" + "\n".join(rows) + "\n")
         ids, values, classes = read_embedding_tsv(str(path))
         assert per_cell_reads == [1]
-        assert (ids, classes) == (["s1", "s2", "s3"], ["A", "", "A"])
+        assert (ids, classes) == (["s1", "s3"], ["A", "A"])
         expected = [[grammar(c) for c in row.split("\t")[1:3]] for row in rows]
         assert values.tobytes() == np.array(expected).tobytes()
 
