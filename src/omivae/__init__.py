@@ -1,106 +1,1 @@
 """Semi-supervised multi-omics VAE: embedding, classification, evaluation."""
-
-from .data import (
-    FoldSplit,
-    OmicsDataset,
-    PreprocessConfig,
-    RawMatrix,
-    SyntheticSpec,
-    load_annotations,
-    load_labels,
-    load_matrix_tsv,
-    preprocess,
-    restrict_modalities,
-    stratified_kfold,
-    synthesize,
-)
-from .errors import FormatError, NumericError, OmiVaeError, ValidationError
-from .evaluation import (
-    EvalReport,
-    PcaModel,
-    ProbeClassifier,
-    compute_metrics,
-    export_embedding,
-    pca_fit,
-    pca_transform,
-    probe_fit,
-    probe_predict,
-    render_scatter,
-)
-from .layers import BatchNormLayer, FcBlock, LinearLayer, gradient_check
-from .losses import (
-    LossReport,
-    LossWeights,
-    bce,
-    classification_loss,
-    kl_gaussian,
-    total_loss,
-    vae_loss,
-)
-from .model import ModelConfig, OmiVaeModel, build_model, reparameterize
-from .numerics import Matrix, RngState, sym_eig
-from .optim import (
-    Adam,
-    Checkpoint,
-    TrainConfig,
-    TrainingHistory,
-    load_checkpoint,
-    save_checkpoint,
-    train_two_phase,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Adam",
-    "BatchNormLayer",
-    "Checkpoint",
-    "EvalReport",
-    "FcBlock",
-    "FoldSplit",
-    "FormatError",
-    "LinearLayer",
-    "LossReport",
-    "LossWeights",
-    "Matrix",
-    "ModelConfig",
-    "NumericError",
-    "OmiVaeError",
-    "OmiVaeModel",
-    "OmicsDataset",
-    "PcaModel",
-    "PreprocessConfig",
-    "ProbeClassifier",
-    "RawMatrix",
-    "RngState",
-    "SyntheticSpec",
-    "TrainConfig",
-    "TrainingHistory",
-    "ValidationError",
-    "bce",
-    "build_model",
-    "classification_loss",
-    "compute_metrics",
-    "export_embedding",
-    "gradient_check",
-    "kl_gaussian",
-    "load_annotations",
-    "load_checkpoint",
-    "load_labels",
-    "load_matrix_tsv",
-    "pca_fit",
-    "pca_transform",
-    "preprocess",
-    "probe_fit",
-    "probe_predict",
-    "render_scatter",
-    "reparameterize",
-    "restrict_modalities",
-    "save_checkpoint",
-    "stratified_kfold",
-    "sym_eig",
-    "synthesize",
-    "total_loss",
-    "train_two_phase",
-    "vae_loss",
-]

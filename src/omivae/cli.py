@@ -1,8 +1,9 @@
 """Command-line interface: synth, preprocess, train, crossval, embed, evaluate, plot.
 
-Exit codes: 0 success, 1 validation error (bad inputs, bad config), 2
-runtime or numeric error, among them a file system error and running out
-of memory. Errors print a single machine-parseable line
+Exit codes: 0 success, 1 validation error (bad inputs, bad config, among
+them a model or synthetic cohort numpy cannot allocate), 2 runtime or
+numeric error, among them a file system error and running out of memory
+past those checks. Errors print a single machine-parseable line
 `omivae: error: <category>: <message>` on stderr. `train` runs both
 phases; `--set train.phase1_epochs=0` or `--set train.phase2_epochs=0`
 skips one, and `--resume` continues from a checkpoint. The OMIVAE_THREADS

@@ -783,15 +783,28 @@ class SyntheticSpec:
 
 
 def synthesize(spec: SyntheticSpec) -> OmicsDataset:
-    """Deterministic class-structured dataset; see SyntheticSpec for the recipe."""
+    """Deterministic class-structured dataset; see SyntheticSpec for the recipe.
+
+    Each feature group's values and the labels are allocated before the
+    first draw, so a cohort numpy cannot allocate is a `ValidationError`
+    naming its bytes, as `ParameterArena` refuses an unallocatable model.
+    """
+    k, spc, latent = spec.num_classes, spec.samples_per_class, LATENT_FACTORS
+    n = k * spc
+    widths = [spec.features_per_block] * spec.num_blocks + [spec.expr_features]
+    try:
+        groups = [np.empty((n, width)) for width in widths]
+        labels = np.repeat(np.arange(k, dtype=np.int64), spc)
+    except (MemoryError, ValueError):  # ValueError: more elements than an index holds
+        raise ValidationError(f"the synthetic cohort needs {8 * n * (sum(widths) + 1)} bytes, "
+                              "which numpy cannot allocate") from None
+
     root = RngState(spec.seed)
     rng_factors = root.derive(0)
     rng_mix = root.derive(1)
     rng_noise = root.derive(2)
     rng_missing = root.derive(3)
 
-    k, spc, latent = spec.num_classes, spec.samples_per_class, LATENT_FACTORS
-    n = k * spc
     if spec.split_signal:
         half = latent // 2
         a_count = math.ceil(math.sqrt(k))
@@ -810,33 +823,29 @@ def synthesize(spec: SyntheticSpec) -> OmicsDataset:
         class_factors = rng_factors.standard_normal(k, latent)
         expr_mask = methyl_mask = np.ones(latent)
 
-    labels = np.repeat(np.arange(k, dtype=np.int64), spc)
     sample_factors = class_factors[labels]
 
-    def make_group(num_features: int, factor_mask: np.ndarray) -> np.ndarray:
+    def fill_group(values: np.ndarray, factor_mask: np.ndarray) -> None:
+        num_features = values.shape[1]
         mixing = rng_mix.standard_normal(latent, num_features) / np.sqrt(latent)
         rng_mix.uniform(-1.0, 1.0, num_features)  # unused: keeps every later draw the same
         signal_count = int(round(SIGNAL_FRACTION * num_features))
         signal_cols = np.sort(rng_mix.choice(num_features, size=signal_count, replace=False))
         mixed = (sample_factors * factor_mask) @ mixing
-        values = np.full((n, num_features), 0.5)
+        values[...] = 0.5
         values[:, signal_cols] = 0.5 + CLASS_SIGNAL * mixed[:, signal_cols]
-        return values
-
-    blocks = [make_group(spec.features_per_block, methyl_mask) for _ in range(spec.num_blocks)]
-    expression = make_group(spec.expr_features, expr_mask)
-
-    def finish(values: np.ndarray) -> np.ndarray:
         if spec.noise_sd > 0.0:
-            values = values + spec.noise_sd * rng_noise.standard_normal(*values.shape)
-        values = np.clip(values, 0.0, 1.0)
+            values += spec.noise_sd * rng_noise.standard_normal(*values.shape)
+        np.clip(values, 0.0, 1.0, out=values)
         if spec.missing_rate > 0.0:
             mask = rng_missing.uniform(0.0, 1.0, values.shape) < spec.missing_rate
             values[mask] = np.nan
-        return values
 
-    blocks = [finish(b) for b in blocks]
-    expression = finish(expression)
+    # the mixing, noise and missing-cell streams are separate: each draws
+    # for the blocks, then for expression
+    for values, factor_mask in zip(groups, [methyl_mask] * spec.num_blocks + [expr_mask]):
+        fill_group(values, factor_mask)
+    *blocks, expression = groups
 
     return OmicsDataset(
         sample_ids=[f"S{i:05d}" for i in range(n)],

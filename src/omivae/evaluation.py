@@ -13,7 +13,7 @@ import numpy as np
 from .container import write_text_atomic
 from .data import checked_ids, read_numeric_body, tsv_header
 from .errors import ValidationError
-from .numerics import Matrix, sym_eig
+from .numerics import sym_eig
 
 PROBE_L2 = 1e-4
 PROBE_MAX_ITER = 5000
@@ -107,7 +107,7 @@ def _fix_signs(axes: np.ndarray) -> np.ndarray:
     return axes
 
 
-def pca_fit(data: Matrix, components: int) -> PcaModel:
+def pca_fit(data: np.ndarray, components: int) -> PcaModel:
     """Principal axes of `data` (samples x features).
 
     The shape picks the eigenproblem, the smaller of the two: the features x
@@ -141,7 +141,7 @@ def pca_fit(data: Matrix, components: int) -> PcaModel:
     return PcaModel(mean=mean, axes=_fix_signs(axes), explained_variance=explained)
 
 
-def pca_transform(model: PcaModel, data: Matrix) -> Matrix:
+def pca_transform(model: PcaModel, data: np.ndarray) -> np.ndarray:
     """PCA scores of `data`, centred in one float64 copy."""
     data = np.array(data, dtype=np.float64)
     if data.shape[1] != model.mean.shape[0]:
@@ -161,12 +161,12 @@ class ProbeClassifier:
     feature_scale: np.ndarray
     loss_history: list[float] = field(default_factory=list)
 
-    def _design(self, embedding: Matrix) -> Matrix:
+    def _design(self, embedding: np.ndarray) -> np.ndarray:
         scaled = (embedding - self.feature_mean) / self.feature_scale
         return np.hstack([scaled, np.ones((embedding.shape[0], 1))])
 
 
-def probe_fit(embedding: Matrix, labels) -> ProbeClassifier:
+def probe_fit(embedding: np.ndarray, labels) -> ProbeClassifier:
     """Fit the probe; deterministic for given data (zero init, fixed step).
 
     The loss is cross-entropy plus `PROBE_L2` times half the squared weights.
@@ -248,7 +248,7 @@ def probe_fit(embedding: Matrix, labels) -> ProbeClassifier:
     return probe
 
 
-def probe_predict(probe: ProbeClassifier, embedding: Matrix) -> np.ndarray:
+def probe_predict(probe: ProbeClassifier, embedding: np.ndarray) -> np.ndarray:
     if embedding.shape[1] + 1 != probe.weights.shape[0]:
         raise ValidationError(
             f"probe expects {probe.weights.shape[0] - 1} features, got {embedding.shape[1]}"
@@ -256,7 +256,7 @@ def probe_predict(probe: ProbeClassifier, embedding: Matrix) -> np.ndarray:
     return np.argmax(probe._design(embedding) @ probe.weights, axis=1)
 
 
-def dataset_matrix(dataset) -> Matrix:
+def dataset_matrix(dataset) -> np.ndarray:
     """All features of a dataset as one new matrix (methylation blocks, then expression)."""
     blocks, expression = dataset.methylation_blocks, dataset.expression
     parts = [*(blocks or []), *([] if expression is None else [expression])]
@@ -265,7 +265,7 @@ def dataset_matrix(dataset) -> Matrix:
     return np.concatenate(parts, axis=1)
 
 
-def embed_dataset(model, dataset) -> Matrix:
+def embed_dataset(model, dataset) -> np.ndarray:
     """The model's latent means for every sample, over `dataset.chunks`, so
     memory beyond the embedding itself scales with `INFER_ROWS`, not with
     the cohort."""
@@ -280,7 +280,7 @@ def predict_classes(model, dataset, indices) -> np.ndarray:
     ])
 
 
-def export_embedding(model, dataset, path: str) -> Matrix:
+def export_embedding(model, dataset, path: str) -> np.ndarray:
     """Write the model's `embed_dataset` as a `sample_id, dim_1..dim_p[,
     class_name]` TSV; returns the embedding.
 

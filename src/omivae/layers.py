@@ -12,8 +12,7 @@ place, or the arena copies in saved tensors. Declare, allocate, then
 initialize or load.
 
 Forward and backward passes are written out by hand, once per block or
-composite; `gradient_check` compares the gradients of anything that lists
-its `parameters()`, such as a model, with central finite differences.
+composite.
 
 Arrays written in place: besides parameters, gradients and running
 statistics (see `Parameter`), only arrays that one module made and nothing
@@ -30,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, NumericError, ValidationError
-from .numerics import Matrix, RngState, check_finite
+from .errors import FormatError, ValidationError
+from .numerics import RngState
 
 BN_MOMENTUM = 0.1  # running <- (1 - momentum) * running + momentum * batch
 BN_EPSILON = 1e-5  # added to the variance before the square root
@@ -120,7 +119,7 @@ class ParameterArena:
             view[...] = array
 
 
-def softmax(z: Matrix) -> Matrix:
+def softmax(z: np.ndarray) -> np.ndarray:
     """Row-wise softmax, shifted by each row's maximum."""
     shifted = z - z.max(axis=1, keepdims=True)
     ez = np.exp(shifted)
@@ -154,7 +153,7 @@ class LinearLayer:
         if use_bias:
             self._tensors.append(("bias", "grad_bias", f"{name}.bias", (out_dim,)))
         self.needs_input_grad = needs_input_grad
-        self._input: Matrix | None = None
+        self._input: np.ndarray | None = None
 
     def declared(self) -> list[tuple]:
         # made on each call: a stored row would refer to the layer itself,
@@ -168,7 +167,7 @@ class LinearLayer:
         limit = np.sqrt(6.0 / (in_dim + out_dim))
         self.weights[...] = rng.uniform(-limit, limit, (out_dim, in_dim))
 
-    def forward(self, x: Matrix, train: bool) -> Matrix:
+    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         in_dim = self.weights.shape[1]
         if x.shape[1] != in_dim:
             raise ValidationError(
@@ -180,7 +179,7 @@ class LinearLayer:
             out += self.bias
         return out
 
-    def backward(self, upstream: Matrix) -> Matrix | None:
+    def backward(self, upstream: np.ndarray) -> np.ndarray | None:
         """Write the parameter grads; return the input gradient if needed."""
         if self._input is None:
             raise ValidationError(f"{self.name}: backward without a cached training forward")
@@ -225,7 +224,7 @@ class BatchNormLayer:
         self.gamma.fill(1.0)
         self.running_var.fill(1.0)
 
-    def forward(self, x: Matrix, train: bool) -> Matrix:
+    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         # every element takes the same rounded operations, in the same
         # order, as the out-of-place (x - mean) * inv_std * gamma + beta
         if train:
@@ -255,7 +254,7 @@ class BatchNormLayer:
         out += self.beta_shift
         return out
 
-    def backward(self, upstream: Matrix) -> Matrix:
+    def backward(self, upstream: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise ValidationError(f"{self.name}: backward without a cached training forward")
         x_hat, inv_std = self._cache
@@ -300,7 +299,7 @@ class FcBlock:
         self.linear = LinearLayer(in_dim, out_dim, name=f"{name}.linear", use_bias=False,
                                   needs_input_grad=needs_input_grad)
         self.norm = BatchNormLayer(out_dim, name=f"{name}.norm")
-        self._out: Matrix | None = None
+        self._out: np.ndarray | None = None
 
     def declared(self) -> list[tuple]:
         return self.linear.declared() + self.norm.declared()
@@ -309,13 +308,13 @@ class FcBlock:
         self.linear.init(rng)
         self.norm.init(rng)
 
-    def forward(self, batch: Matrix, train: bool) -> Matrix:
+    def forward(self, batch: np.ndarray, train: bool) -> np.ndarray:
         out = self.norm.forward(self.linear.forward(batch, train), train)
         np.maximum(out, 0.0, out=out)
         self._out = out if train else None
         return out
 
-    def backward(self, upstream: Matrix) -> Matrix | None:
+    def backward(self, upstream: np.ndarray) -> np.ndarray | None:
         """Gradient through the ReLU, norm, and linear parts."""
         if self._out is None:
             raise ValidationError(f"{self.name}: backward without a cached training forward")
@@ -356,12 +355,12 @@ class Join:
         self.branches = branches
         self._bounds: np.ndarray | None = None
 
-    def forward(self, inputs: list, train: bool) -> Matrix:
+    def forward(self, inputs: list, train: bool) -> np.ndarray:
         outs = [b.forward(x, train) for b, x in zip(self.branches, inputs, strict=True)]
         self._bounds = np.cumsum([o.shape[1] for o in outs[:-1]])
         return np.concatenate(outs, axis=1)
 
-    def backward(self, upstream: Matrix) -> list:
+    def backward(self, upstream: np.ndarray) -> list:
         parts = np.split(upstream, self._bounds, axis=1)
         return [b.backward(g) for b, g in zip(self.branches, parts)]
 
@@ -377,76 +376,10 @@ class Split:
         self.branches = branches
         self.bounds = np.cumsum(widths[:-1])
 
-    def forward(self, x: Matrix, train: bool) -> list:
+    def forward(self, x: np.ndarray, train: bool) -> list:
         parts = np.split(x, self.bounds, axis=1)
         return [b.forward(part, train) for b, part in zip(self.branches, parts, strict=True)]
 
-    def backward(self, upstreams: list) -> Matrix:
+    def backward(self, upstreams: list) -> np.ndarray:
         grads = [b.backward(g) for b, g in zip(self.branches, upstreams, strict=True)]
         return np.concatenate(grads, axis=1)
-
-
-@dataclass
-class GradCheckResult:
-    max_rel_error: float
-    worst_param: str
-    worst_index: int
-    entries_checked: int
-
-    def __str__(self) -> str:  # pragma: no cover
-        return (
-            f"max relative error {self.max_rel_error:.3e} at {self.worst_param}[{self.worst_index}] "
-            f"({self.entries_checked} entries)"
-        )
-
-
-def gradient_check(
-    module,
-    loss_fn,
-    batch,
-    step: float = 1e-5,
-    max_entries_per_param: int = 64,
-    seed: int = 0,
-) -> GradCheckResult:
-    """Compare analytic gradients of `loss_fn` against central differences.
-
-    `module` must expose `parameters()`; `loss_fn(module, batch)` must
-    return a scalar loss and write every gradient buffer whole (it is called
-    repeatedly, so it must be deterministic: fixed batch, fixed noise). Large tensors are sub-sampled. The result reports the largest
-    relative error, |analytic - numeric| / max(|analytic|, |numeric|, 1e-12);
-    the caller compares it with its own tolerance.
-    """
-    base = float(loss_fn(module, batch))
-    if not np.isfinite(base):
-        raise NumericError("gradient_check: loss is not finite")
-    params = module.parameters()
-    analytic = [p.grad.copy() for p in params]
-
-    picker = np.random.Generator(np.random.PCG64(seed))
-    worst = GradCheckResult(0.0, "", -1, 0)
-    for p, a in zip(params, analytic):
-        flat_value = p.value.reshape(-1)
-        flat_analytic = a.reshape(-1)
-        n = flat_value.size
-        if n <= max_entries_per_param:
-            indices = np.arange(n)
-        else:
-            indices = np.sort(picker.choice(n, size=max_entries_per_param, replace=False))
-        for idx in indices:
-            original = flat_value[idx]
-            flat_value[idx] = original + step
-            loss_plus = float(loss_fn(module, batch))
-            flat_value[idx] = original - step
-            loss_minus = float(loss_fn(module, batch))
-            flat_value[idx] = original
-            numeric = (loss_plus - loss_minus) / (2.0 * step)
-            rel = abs(flat_analytic[idx] - numeric) / max(
-                abs(flat_analytic[idx]), abs(numeric), 1e-12
-            )
-            worst.entries_checked += 1
-            if rel > worst.max_rel_error:
-                worst.max_rel_error = rel
-                worst.worst_param = p.name
-                worst.worst_index = int(idx)
-    check_finite(np.array([worst.max_rel_error]), "gradient_check result")
-    return worst

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import Matrix
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,7 @@ class LossReport:
     total: float
 
 
-def bce(target: Matrix, logits: Matrix, weight: float = 1.0) -> tuple[float, Matrix]:
+def bce(target: np.ndarray, logits: np.ndarray, weight: float = 1.0) -> tuple[float, np.ndarray]:
     """Binary cross-entropy of `target` against sigmoid(`logits`), mean over
     features then batch, and `weight * (sigmoid(logits) - target)`: the
     gradient of the entries' losses summed, each with weight `weight`, so
@@ -78,7 +77,7 @@ def bce(target: Matrix, logits: Matrix, weight: float = 1.0) -> tuple[float, Mat
     return value, b
 
 
-def kl_gaussian(mu: Matrix, logvar: Matrix, weight: float = 1.0) -> tuple[float, tuple]:
+def kl_gaussian(mu: np.ndarray, logvar: np.ndarray, weight: float = 1.0) -> tuple[float, tuple]:
     """KL(N(mu, exp(logvar)) || N(0, I)), sum over dims and mean over batch,
     and the gradient of `weight` times it at `(mu, logvar)`."""
     if mu.shape != logvar.shape:
@@ -90,12 +89,12 @@ def kl_gaussian(mu: Matrix, logvar: Matrix, weight: float = 1.0) -> tuple[float,
 
 
 def vae_loss(
-    methyl_targets: list[Matrix] | None,
-    methyl_logits: list[Matrix] | None,
-    expr_target: Matrix | None,
-    expr_logits: Matrix | None,
-    mu: Matrix,
-    logvar: Matrix,
+    methyl_targets: list[np.ndarray] | None,
+    methyl_logits: list[np.ndarray] | None,
+    expr_target: np.ndarray | None,
+    expr_logits: np.ndarray | None,
+    mu: np.ndarray,
+    logvar: np.ndarray,
     weight: float = 1.0,
 ) -> tuple[tuple[float, float, float], tuple]:
     """Reconstruction + divergence components, `(recon_methyl, recon_expr,
@@ -129,8 +128,8 @@ def vae_loss(
 
 
 def classification_loss(
-    labels: np.ndarray, logits: Matrix, weight: float = 1.0
-) -> tuple[float, Matrix]:
+    labels: np.ndarray, logits: np.ndarray, weight: float = 1.0
+) -> tuple[float, np.ndarray]:
     """Mean negative log-softmax of the true class, logsumexp(z) - z[label]
     with each row shifted by its maximum, and the gradient of `weight` times
     it, `weight * (softmax(z) - onehot) / batch`."""

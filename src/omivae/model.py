@@ -46,7 +46,7 @@ from .losses import (
     total_loss,
     vae_loss,
 )
-from .numerics import Matrix, RngState
+from .numerics import RngState
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,9 @@ class ModelConfig:
         return max(8, min(4096, math.ceil(self.expr_dim / 14)))
 
 
-def reparameterize(mu: Matrix, logvar: Matrix, rng: RngState) -> tuple[Matrix, Matrix]:
+def reparameterize(
+    mu: np.ndarray, logvar: np.ndarray, rng: RngState
+) -> tuple[np.ndarray, np.ndarray]:
     """The training-time latent sample: (z, epsilon) with
     z = mu + exp(logvar/2) * epsilon, epsilon drawn from `rng`.
 
@@ -239,10 +241,10 @@ class OmiVaeModel:
 
     def encode(
         self,
-        x_expr: Matrix | None,
-        x_methyl_blocks: list[Matrix] | None,
+        x_expr: np.ndarray | None,
+        x_methyl_blocks: list[np.ndarray] | None,
         train: bool = False,
-    ) -> tuple[Matrix, Matrix]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         self._validate_inputs(x_expr, x_methyl_blocks)
         inputs = [x for x in (x_methyl_blocks, x_expr) if x is not None]
         fused = self.encoder.forward(inputs, train)
@@ -250,8 +252,8 @@ class OmiVaeModel:
         return mu_head.forward(fused, train), logvar_head.forward(fused, train)
 
     def decode(
-        self, z: Matrix, train: bool = False
-    ) -> tuple[Matrix | None, list[Matrix] | None]:
+        self, z: np.ndarray, train: bool = False
+    ) -> tuple[np.ndarray | None, list[np.ndarray] | None]:
         """(expression, methylation blocks) reconstruction logits of `z`; an
         absent modality's entry is None."""
         outs = self.decoder.forward(z, train)  # one entry per modality
@@ -259,24 +261,28 @@ class OmiVaeModel:
         return (outs[-1] if cfg.has_expression else None,
                 outs[0] if cfg.has_methylation else None)
 
-    def classify(self, mu: Matrix, train: bool = False) -> Matrix:
+    def classify(self, mu: np.ndarray, train: bool = False) -> np.ndarray:
         """Class logits of the latent means `mu`."""
         return self.classifier.forward(mu, train)
 
-    def embed(self, x_expr: Matrix | None, x_methyl_blocks: list[Matrix] | None) -> Matrix:
+    def embed(
+        self, x_expr: np.ndarray | None, x_methyl_blocks: list[np.ndarray] | None
+    ) -> np.ndarray:
         """Latent means in infer mode; the deterministic sample embedding."""
         mu, _ = self.encode(x_expr, x_methyl_blocks, train=False)
         return mu
 
-    def predict_proba(self, x_expr: Matrix | None, x_methyl_blocks: list[Matrix] | None) -> Matrix:
+    def predict_proba(
+        self, x_expr: np.ndarray | None, x_methyl_blocks: list[np.ndarray] | None
+    ) -> np.ndarray:
         return softmax(self.classify(self.embed(x_expr, x_methyl_blocks), train=False))
 
     # ------------------------------------------------------------------ training step
 
     def forward_backward(
         self,
-        x_expr: Matrix | None,
-        x_methyl_blocks: list[Matrix] | None,
+        x_expr: np.ndarray | None,
+        x_methyl_blocks: list[np.ndarray] | None,
         labels: np.ndarray | None,
         weights: LossWeights,
         rng: RngState,

@@ -10,14 +10,7 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 
-Matrix = np.ndarray
 SYMMETRY_TOL = 1e-10  # sym_eig's largest asymmetry, relative to the largest entry
-
-
-def check_finite(m: np.ndarray, context: str = "array") -> np.ndarray:
-    if not np.all(np.isfinite(m)):
-        raise NumericError(f"non-finite values in {context}")
-    return m
 
 
 class RngState:
@@ -41,7 +34,7 @@ class RngState:
         """Child stream ``index``; disjoint from the parent and from other indices."""
         return RngState(self.seed, self.path + (int(index),))
 
-    def standard_normal(self, rows: int, cols: int) -> Matrix:
+    def standard_normal(self, rows: int, cols: int) -> np.ndarray:
         return self._gen.standard_normal((rows, cols))
 
     def uniform(self, low: float, high: float, shape) -> np.ndarray:
@@ -57,7 +50,7 @@ class RngState:
         return f"RngState(seed={self.seed}, path={self.path})"
 
 
-def sym_eig(s: Matrix) -> tuple[np.ndarray, Matrix]:
+def sym_eig(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix (LAPACK, via `np.linalg.eigh`).
 
     Args:
@@ -70,7 +63,8 @@ def sym_eig(s: Matrix) -> tuple[np.ndarray, Matrix]:
     """
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValidationError(f"sym_eig expects a square matrix, got {s.shape}")
-    check_finite(s, "sym_eig input")
+    if not np.all(np.isfinite(s)):
+        raise NumericError("non-finite values in sym_eig input")
     scale = max(1.0, float(np.max(np.abs(s))))
     if float(np.max(np.abs(s - s.T))) > SYMMETRY_TOL * scale:
         raise ValidationError("sym_eig input is not symmetric")

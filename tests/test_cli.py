@@ -171,6 +171,9 @@ BAD_INPUT = {
         ["train", "--set", "model.fusion_dim=1000000000000", "--data", "{narrow}/wide.omids",
          "--out", "{d}/model.omvae"],
         "the model's tensors need 71776000017770112 bytes, which numpy cannot allocate"),
+    "synth-impossible-cohort": (
+        ["synth", "--set", "synth.samples_per_class=1000000000000000", "--out", "{d}/synth"],
+        "the synthetic cohort needs 112080000000000000000 bytes, which numpy cannot allocate"),
     "crossval-impossible-modality-width": (
         ["crossval", "--set", "model.modality_dim=100000000000000000", "--data",
          "{narrow}/wide.omids", "--k", "3", "--out", "{d}/cv"],
@@ -365,19 +368,27 @@ def test_every_preprocess_switch_writes_a_loadable_cache_or_one_error_line(
         assert err.count("\n") == 1 and err.startswith("omivae: error: ")
 
 
-# case -> (argv, a fragment the error line must name); the cohort size is
-# beyond the address space, so it fails before any memory is touched
+def out_of_memory(spec):
+    raise MemoryError("Unable to allocate 71.1 PiB for an array with shape (10000000000000000,)")
+
+
+# case -> (argv, a fragment the error line must name)
 RUNTIME_FAILURE = {
-    "synth-out-of-memory": (["synth", "--set", "synth.samples_per_class=1000000000000000",
+    "synth-out-of-memory": (["synth", "--set", "synth.samples_per_class=2",
                              "--out", "{d}/synth"], "Unable to allocate 71.1 PiB"),
     "synth-out-names-a-file": (["synth", "--set", "synth.samples_per_class=2",
                                 "--out", "{d}/taken"], "File exists"),
 }
+# case -> (owner, attribute, stand-in) patched for its run: a memory
+# failure that passes every validation, as one past the cohort's byte check does
+RUNTIME_PATCHES = {"synth-out-of-memory": (cli, "synthesize", out_of_memory)}
 
 
 @pytest.mark.parametrize("case", sorted(RUNTIME_FAILURE))
-def test_runtime_failure_prints_one_runtime_line(tmp_path, capsys, case):
+def test_runtime_failure_prints_one_runtime_line(tmp_path, capsys, monkeypatch, case):
     (tmp_path / "taken").write_text("")
+    if case in RUNTIME_PATCHES:
+        monkeypatch.setattr(*RUNTIME_PATCHES[case])
     argv, fragment = RUNTIME_FAILURE[case]
     code = cli.main([arg.format(d=tmp_path) for arg in argv])
     err = capsys.readouterr().err

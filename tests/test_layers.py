@@ -9,10 +9,9 @@ from omivae.layers import (
     FcBlock,
     LinearLayer,
     Sequence,
-    gradient_check,
 )
 from omivae.numerics import RngState
-from standalone import allocate
+from standalone import allocate, gradient_check
 
 
 def make_block(in_dim, out_dim, seed=0):
@@ -286,3 +285,19 @@ class TestGradientCheck:
         w = RngState(25).standard_normal(8, 4)
         result = gradient_check(module, weighted_sum_loss(w), x)
         assert result.max_rel_error <= 1e-4
+
+    def test_a_doubled_gradient_is_reported(self):
+        # the checker itself: a loss that writes twice the true gradient
+        # gives a relative error of 1/2 wherever that gradient is nonzero
+        module = Stack(FcBlock(4, 3), LinearLayer(3, 2, name="head"), seed=26)
+        x = RngState(27).standard_normal(6, 4)
+        true_loss = weighted_sum_loss(RngState(28).standard_normal(6, 2))
+
+        def doubled_loss(stack, batch):
+            loss = true_loss(stack, batch)
+            for p in stack.parameters():
+                p.grad *= 2.0
+            return loss
+
+        result = gradient_check(module, doubled_loss, x)
+        assert result.max_rel_error > 0.1, str(result)

@@ -8,10 +8,11 @@ import pytest
 
 from omivae.data import SyntheticSpec
 from omivae.errors import ValidationError
-from omivae.layers import gradient_check, softmax
+from omivae.layers import softmax
 from omivae.losses import LossWeights, bce
 from omivae.model import ModelConfig, OmiVaeModel, build_model, reparameterize
 from omivae.numerics import RngState
+from standalone import gradient_check
 
 
 def tiny_config(latent_dim=3, num_classes=4, **overrides):

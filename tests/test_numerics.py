@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from omivae.errors import ValidationError
+from omivae.errors import NumericError, ValidationError
 from omivae.numerics import RngState, sym_eig
 
 
@@ -42,6 +42,13 @@ class TestSymEig:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValidationError):
             sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_rejects_non_finite(self):
+        # a NaN on the diagonal passes the symmetry test, where it compares false
+        s = np.eye(3)
+        s[1, 1] = np.nan
+        with pytest.raises(NumericError, match="^non-finite values in sym_eig input$"):
+            sym_eig(s)
 
 
 class TestRng:

@@ -3,7 +3,8 @@
 routine that every output goes through, and opens text for reading in one:
 the raw-line reader of every TSV and of the config file. The modules a
 training step runs make no masked copies. Layers allocate their tensors
-only through the arena, which sets them once, with no rebinding."""
+only through the arena, which sets them once, with no rebinding. The
+package root is a docstring: every caller imports a submodule."""
 
 import ast
 import pathlib
@@ -24,8 +25,11 @@ ARENA = ("layers.py", "ParameterArena.__init__")
 # and a stand-in random stream for a model whose tensors are then
 # overwritten, both made unneeded by declared tensors; PCA through the
 # model's embedding pass, whose work `pca_transform` and `dataset_matrix`
-# do; and separators that numpy's reader strips as the per-cell loop does
-REMOVED_DEFINITIONS = ("bind", "_NoDraw", "_centred_scores", "_features", "STRIP_ONLY")
+# do; separators that numpy's reader strips as the per-cell loop does; the
+# gradient checker, a test tool that `tests/standalone.py` holds; and an
+# alias of `np.ndarray` and a finite check that had one caller left
+REMOVED_DEFINITIONS = ("bind", "_NoDraw", "_centred_scores", "_features", "STRIP_ONLY",
+                       "gradient_check", "GradCheckResult", "Matrix", "check_finite")
 
 
 def modules():
@@ -176,3 +180,10 @@ def test_no_module_defines_a_rebinding_or_a_stand_in_stream():
         and target.id in REMOVED_DEFINITIONS
     ]
     assert found == []
+
+
+def test_the_package_root_is_one_docstring():
+    """The command line is the package's surface, and every import names a
+    submodule, so the root re-exports nothing."""
+    (tree,) = [tree for name, tree in modules() if name == "__init__.py"]
+    assert len(tree.body) == 1 and ast.get_docstring(tree) is not None, ast.dump(tree)
