@@ -13,8 +13,12 @@ most `cores // OMIVAE_THREADS` threads, so fold threads and BLAS threads do
 not oversubscribe the cores. OpenBLAS's GEMM results can differ in the last
 bits with its thread count (`(128x400) @ (400x256)` does at 1 and 2 threads),
 so the outputs of `train` and of `crossval` at one fold thread, which run
-OpenBLAS's default count, depend on the machine's cores;
-`OPENBLAS_NUM_THREADS=1` reproduces the bytes of a one-thread run anywhere.
+OpenBLAS's default count, depend on the machine's cores.
+`OPENBLAS_NUM_THREADS=1` reproduces the bytes of a one-thread run on a CPU
+that selects the same kernel: numpy's OpenBLAS picks its GEMM kernel by CPU.
+A checkpoint meets a cache in `embed`, `evaluate` and `train --resume`, and
+there its input widths are checked against the cache's, once; a model that
+`train` or `crossval` builds takes its widths from the cache.
 Every output file is written as UTF-8 and replaced
 atomically: a run that stops part-way leaves each file whole, old or new.
 Checkpoints and dataset caches stream to and from disk one tensor at a
@@ -143,10 +147,23 @@ def _require_two_classes(dataset: OmicsDataset, what: str) -> None:
         )
 
 
+def _check_fits(model, dataset: OmicsDataset) -> None:
+    """Refuse a cache whose input widths differ from those a loaded model
+    reads. Equal widths mean the same modalities and block count, and the
+    cache's own check makes its modalities agree on rows."""
+    cfg = model.config
+    for name, reads, has in (
+        ("expression width", cfg.expr_dim, dataset.expr_dim),
+        ("methylation block widths", cfg.methyl_block_dims, dataset.methyl_block_dims),
+    ):
+        if reads != has:
+            raise ValidationError(f"the checkpoint reads {name} {reads}, the cache has {has}")
+
+
 def _fit(dataset, run: RunConfig, train_cfg: TrainConfig, stream: RngState, resume_path=None):
-    # the model checks every batch's modalities and widths against its own
     if resume_path is not None:
         model = load_checkpoint(resume_path).build()
+        _check_fits(model, dataset)
     else:
         model = build_model(run.model_config(dataset), stream.derive(0))
     train_idx, val_idx = _train_val_split(dataset, train_cfg)
@@ -284,6 +301,7 @@ def _load_trained(args):
         expression=model.config.has_expression,
         methylation=model.config.has_methylation,
     )
+    _check_fits(model, dataset)
     return model, dataset
 
 

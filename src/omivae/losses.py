@@ -32,12 +32,6 @@ class LossWeights:
     alpha: float = 1.0
     beta: float = 0.0
 
-    def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ValidationError("the VAE loss weight alpha must be positive")
-        if self.beta < 0.0:
-            raise ValidationError("the classification loss weight beta must be non-negative")
-
 
 @dataclass
 class LossReport:
@@ -106,17 +100,9 @@ def vae_loss(
     target and logits are then both None, its term is 0 and its gradient
     None.
     """
-    if (methyl_targets is None) != (methyl_logits is None):
-        raise ValidationError("methylation target/logits must both be present or both absent")
-    if (expr_target is None) != (expr_logits is None):
-        raise ValidationError("expression target/logits must both be present or both absent")
     recon_methyl, d_methyl = 0.0, None
     if methyl_targets is not None:
         m = len(methyl_targets)
-        if m != len(methyl_logits):
-            raise ValidationError(
-                f"block count mismatch: {m} targets vs {len(methyl_logits)} logits"
-            )
         terms = [bce(t, z, weight / (m * t.size)) for t, z in zip(methyl_targets, methyl_logits)]
         recon_methyl = float(np.mean([value for value, _ in terms]))
         d_methyl = [grad for _, grad in terms]

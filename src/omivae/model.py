@@ -202,41 +202,6 @@ class OmiVaeModel:
         """Parameters plus batch-norm running statistics, in declaration order."""
         return list(self.arena.tensors)
 
-    def _validate_inputs(self, x_expr, x_methyl_blocks) -> None:
-        """Refuse a batch unless each input is present exactly when the model
-        has its modality, every input has its configured width and all
-        inputs have the same rows."""
-        cfg = self.config
-        for name, present, given in (
-            ("expression", cfg.has_expression, x_expr is not None),
-            ("methylation", cfg.has_methylation, x_methyl_blocks is not None),
-        ):
-            if present and not given:
-                raise ValidationError(f"the model reads {name} but no {name} input was given")
-            if given and not present:
-                raise ValidationError(f"{name} input given but the model has no {name} modality")
-        inputs = []
-        if x_methyl_blocks is not None:
-            if len(x_methyl_blocks) != cfg.num_blocks:
-                raise ValidationError(
-                    f"the model reads {cfg.num_blocks} methylation blocks, "
-                    f"got {len(x_methyl_blocks)}"
-                )
-            inputs += [
-                (f"methylation block {j:02d}", x, d)
-                for j, (x, d) in enumerate(zip(x_methyl_blocks, cfg.methyl_block_dims))
-            ]
-        if x_expr is not None:
-            inputs.append(("expression", x_expr, cfg.expr_dim))
-        rows = inputs[0][1].shape[0]
-        for name, x, width in inputs:
-            if x.shape[1] != width:
-                raise ValidationError(
-                    f"{name} input has {x.shape[1]} features, the model reads {width}"
-                )
-            if x.shape[0] != rows:
-                raise ValidationError("modalities disagree on batch size")
-
     # ------------------------------------------------------------------ forward
 
     def encode(
@@ -245,7 +210,6 @@ class OmiVaeModel:
         x_methyl_blocks: list[np.ndarray] | None,
         train: bool = False,
     ) -> tuple[np.ndarray, np.ndarray]:
-        self._validate_inputs(x_expr, x_methyl_blocks)
         inputs = [x for x in (x_methyl_blocks, x_expr) if x is not None]
         fused = self.encoder.forward(inputs, train)
         mu_head, logvar_head = self.heads
@@ -301,7 +265,7 @@ class OmiVaeModel:
         if beta > 0.0 and labels is None:
             raise ValidationError("classification weight is positive but no labels were given")
 
-        mu, logvar = self.encode(x_expr, x_methyl_blocks, train=True)  # checks the inputs
+        mu, logvar = self.encode(x_expr, x_methyl_blocks, train=True)
         z, epsilon = reparameterize(mu, logvar, rng)
         recon_expr, recon_blocks = self.decode(z, train=True)
         train_classifier = beta > 0.0

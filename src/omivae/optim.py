@@ -47,8 +47,6 @@ class Adam:
     """
 
     def __init__(self, arena: ParameterArena, lr: float):
-        if lr <= 0.0:
-            raise ValidationError("learning rate must be positive")
         self.arena = arena
         self.lr = lr
         self.t = 0
@@ -244,7 +242,8 @@ def train_two_phase(
     Both phases share one snapshot buffer `saved` and one `Adam`, whose
     moments are zeroed for phase 2; both are freed when this returns.
     `saved` holds a phase's entry state until an epoch improves and the
-    best state so far after that; the phase ends on that state. On
+    best state so far after that; the phase ends on that state, and
+    `history` records its epoch and metric once an epoch has improved. On
     divergence that state is restored, training stops, and
     `history.diverged` names the phase, epoch and step and the
     `NumericError` that stopped it.
@@ -317,13 +316,14 @@ def train_two_phase(
                     if wait >= config.patience:
                         break
         except NumericError as exc:
-            np.copyto(model.arena.state, saved)
             history.diverged = f"phase {phase}, epoch {epoch}, step {step}: {exc}"
-            break
         if best_epoch != epoch:  # else the state is still the one saved
             np.copyto(model.arena.state, saved)
-        history.best_epoch[phase] = best_epoch
-        history.best_metric[phase] = best_metric
+        if best_metric is not None:  # None when the phase diverged in its first epoch
+            history.best_epoch[phase] = best_epoch
+            history.best_metric[phase] = best_metric
+        if history.diverged:
+            break
     return history
 
 

@@ -69,13 +69,25 @@ BAD_INPUT = {
                                "the dataset names 2 classes, fewer than the checkpoint's 3"),
     "embed-wider-cache": (["embed", "--checkpoint", "{narrow}/narrow.omvae", "--data",
                            "{narrow}/wide.omids", "--out", "{d}/embedding.tsv"],
-                          "expression input has 6 features, the model reads 5"),
+                          "the checkpoint reads expression width 5, the cache has 6"),
     "evaluate-wider-cache": (["evaluate", "--checkpoint", "{narrow}/narrow.omvae", "--data",
                               "{narrow}/wide.omids", "--out", "{d}/report.txt"],
-                             "expression input has 6 features, the model reads 5"),
+                             "the checkpoint reads expression width 5, the cache has 6"),
     "train-resume-wider-cache": (["train", "--resume", "{narrow}/narrow.omvae", "--data",
                                   "{narrow}/wide.omids", "--out", "{d}/model.omvae"],
-                                 "expression input has 6 features, the model reads 5"),
+                                 "the checkpoint reads expression width 5, the cache has 6"),
+    "train-resume-of-expression-cut": (
+        ["train", "--resume", "{odd}/fits.omvae", "--set", "model.modalities=expression",
+         "--data", "{odd}/expression.omids", *SHORT, "--out", "{d}/model.omvae"],
+        "the checkpoint reads methylation block widths (4, 4), the cache has ()"),
+    "train-resume-expression-checkpoint": (
+        ["train", "--resume", "{odd}/expression.omvae", "--data", "{cache}", *SHORT,
+         "--out", "{d}/model.omvae"],
+        "the checkpoint reads methylation block widths (), the cache has (4, 4)"),
+    "embed-other-block-count": (["embed", "--checkpoint", "{odd}/fits.omvae", "--data",
+                                 "{odd}/three_blocks.omids", "--out", "{d}/embedding.tsv"],
+                                "the checkpoint reads methylation block widths (4, 4), "
+                                "the cache has (4, 4, 4)"),
     "preprocess-log2-negative": (
         ["preprocess", "--set", "preprocess.log2_expression=true", "--expression",
          "{d}/negative.tsv", "--out", "{d}/cache.omids"],
@@ -156,6 +168,9 @@ BAD_INPUT = {
         "10 samples; class 'class00' has 4"),
     "train-alpha-zero": (["train", "--set", "train.alpha=0", "--data", "{cache}", *SHORT,
                           "--out", "{d}/model.omvae"], "alpha must be positive"),
+    "train-learning-rate-zero": (["train", "--set", "train.learning_rate=0", "--data", "{cache}",
+                                  *SHORT, "--out", "{d}/model.omvae"],
+                                 "learning_rate must be positive"),
     "train-phase2-beta-zero": (["train", "--set", "train.phase2_beta=0", "--data", "{cache}",
                                 *SHORT, "--out", "{d}/model.omvae"],
                                "phase2_beta must be positive"),
@@ -258,9 +273,10 @@ def narrow(tmp_path_factory):
 @pytest.fixture(scope="module")
 def odd(tmp_path_factory):
     """A directory holding a 30-sample cache with missing cells, an untrained
-    checkpoint of its shape and a copy whose config claims an expression
-    width no memory holds, a cache of each modality alone, a cache whose
-    every sample is of the one class `only` and a cache of no samples."""
+    checkpoint of its shape, a copy whose config claims an expression width
+    no memory holds and one of its expression tower alone, a cache of each
+    modality alone, a cache of three methylation blocks, a cache whose every
+    sample is of the one class `only` and a cache of no samples."""
     d = tmp_path_factory.mktemp("odd")
     spec = SyntheticSpec(num_classes=3, samples_per_class=10, num_blocks=2, features_per_block=4,
                          expr_features=5)
@@ -268,6 +284,7 @@ def odd(tmp_path_factory):
     ds = synthesize(spec)
     restrict_modalities(ds, expression=False).save(str(d / "methylation.omids"))
     restrict_modalities(ds, methylation=False).save(str(d / "expression.omids"))
+    synthesize(replace(spec, num_blocks=3)).save(str(d / "three_blocks.omids"))
     replace(ds, labels=np.zeros_like(ds.labels), class_vocab=["only"]).save(
         str(d / "one_class.omids"))
     # written as `OmicsDataset.save` would, had it not refused zero samples
@@ -283,6 +300,8 @@ def odd(tmp_path_factory):
                          per_block_hidden=3, modality_dim=4, fusion_dim=4, latent_dim=2,
                          classifier_hidden=(3, 3), num_classes=len(ds.class_vocab))
     save_checkpoint(str(d / "fits.omvae"), build_model(config, RngState(0)))
+    save_checkpoint(str(d / "expression.omvae"),
+                    build_model(replace(config, methyl_block_dims=()), RngState(0)))
     fields, tensors, metadata = read_container(str(d / "fits.omvae"), CHECKPOINT_MAGIC,
                                                CHECKPOINT_VERSION)
     write_container(str(d / "impossible.omvae"), CHECKPOINT_MAGIC, CHECKPOINT_VERSION,

@@ -223,12 +223,6 @@ class TestVaeLoss:
         )
         assert abs(rm - 0.5 * (b1 + b2)) < 1e-15
 
-    def test_block_count_mismatch(self):
-        with pytest.raises(ValidationError):
-            vae_loss([np.zeros((2, 2))], [], None, None, np.zeros((2, 1)), np.zeros((2, 1)))
-        with pytest.raises(ValidationError, match="methylation"):
-            vae_loss([np.zeros((2, 2))], None, None, None, np.zeros((2, 1)), np.zeros((2, 1)))
-
 
 class TestClassification:
     def test_perfect_prediction(self):
@@ -259,14 +253,6 @@ class TestTotalLoss:
     def test_joint_weighting(self):
         report = total_loss(1.0, 0.5, 0.5, 0.5, LossWeights(alpha=1.0, beta=1.0))
         assert report.total == 2.5
-
-    def test_negative_weights_rejected(self):
-        with pytest.raises(ValidationError):
-            LossWeights(alpha=-1.0, beta=1.0)
-        with pytest.raises(ValidationError):
-            LossWeights(alpha=0.0, beta=0.0)
-        with pytest.raises(ValidationError, match="alpha must be positive"):
-            LossWeights(alpha=0.0, beta=1.0)
 
     def test_report_internal_consistency(self):
         rng = RngState(6)

@@ -322,8 +322,9 @@ def test_threads_training_at_once_match_serial_runs():
 class TestRunPhaseRestore:
     @pytest.mark.parametrize("fail_at", [2, 6])
     def test_divergence_restores_the_saved_state(self, monkeypatch, fail_at):
-        """A NaN on step 2 (epoch 1) restores the entry state; on step 6
-        (epoch 2, four steps an epoch) the state saved after epoch 1."""
+        """A NaN on step 2 (epoch 1) restores the entry state and records no
+        best epoch; on step 6 (epoch 2, four steps an epoch) the state saved
+        after epoch 1, which stays the phase's best."""
         ds = tiny_dataset()
         model = build_model(TINY, RngState(0))
         entry = model.arena.state.copy()
@@ -364,6 +365,8 @@ class TestRunPhaseRestore:
         stats = slice(model.arena.values.size, None)
         assert not np.array_equal(calls[-1][stats], expected[stats])
         assert model.arena.state.tobytes() == expected.tobytes()
+        assert history.best_epoch == ({} if fail_at == 2 else {1: 1})
+        assert history.best_metric == ({} if fail_at == 2 else {1: history.records[0].val.total})
 
 
 class TestEvaluateLosses:

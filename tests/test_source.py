@@ -26,10 +26,13 @@ ARENA = ("layers.py", "ParameterArena.__init__")
 # overwritten, both made unneeded by declared tensors; PCA through the
 # model's embedding pass, whose work `pca_transform` and `dataset_matrix`
 # do; separators that numpy's reader strips as the per-cell loop does; the
-# gradient checker, a test tool that `tests/standalone.py` holds; and an
-# alias of `np.ndarray` and a finite check that had one caller left
+# gradient checker, a test tool that `tests/standalone.py` holds; an
+# alias of `np.ndarray` and a finite check that had one caller left; and
+# the model's per-batch input check, which `cli` makes once where a loaded
+# checkpoint meets a cache
 REMOVED_DEFINITIONS = ("bind", "_NoDraw", "_centred_scores", "_features", "STRIP_ONLY",
-                       "gradient_check", "GradCheckResult", "Matrix", "check_finite")
+                       "gradient_check", "GradCheckResult", "Matrix", "check_finite",
+                       "_validate_inputs")
 
 
 def modules():
