@@ -6,14 +6,16 @@ numeric error, among them a file system error and running out of memory
 past those checks. Errors print a single machine-parseable line
 `omivae: error: <category>: <message>` on stderr. `train` runs both
 phases; `--set train.phase1_epochs=0` or `--set train.phase2_epochs=0`
-skips one, and `--resume` continues from a checkpoint. The OMIVAE_THREADS
-environment variable, a positive integer, caps fold-level parallelism in
-crossval (default 1); while its folds run, numpy's bundled OpenBLAS uses at
-most `cores // OMIVAE_THREADS` threads, so fold threads and BLAS threads do
-not oversubscribe the cores. OpenBLAS's GEMM results can differ in the last
-bits with its thread count (`(128x400) @ (400x256)` does at 1 and 2 threads),
-so the outputs of `train` and of `crossval` at one fold thread, which run
-OpenBLAS's default count, depend on the machine's cores.
+skips one, and `--resume` continues from a checkpoint, whose architecture
+it keeps: a `model.*` key that `--config` or `--set` gives must agree with
+the checkpoint's. The OMIVAE_THREADS environment variable, a positive
+integer, caps fold-level parallelism in crossval (default 1); while its
+folds run, numpy's bundled OpenBLAS uses at most `cores // OMIVAE_THREADS`
+threads, so fold threads and BLAS threads do not oversubscribe the cores.
+OpenBLAS's GEMM results can differ in the last bits with its thread count
+(`(128x400) @ (400x256)` does at 1 and 2 threads), so the outputs of
+`train` and of `crossval` at one fold thread, which run OpenBLAS's default
+count, depend on the machine's cores.
 `OPENBLAS_NUM_THREADS=1` reproduces the bytes of a one-thread run on a CPU
 that selects the same kernel: numpy's OpenBLAS picks its GEMM kernel by CPU.
 A checkpoint meets a cache in `embed`, `evaluate` and `train --resume`, and
@@ -25,9 +27,13 @@ Checkpoints and dataset caches stream to and from disk one tensor at a
 time, so saving either, or loading a cache, holds a single copy of its
 tensors. Every command that loads a checkpoint holds two while it builds
 the model: the loaded tensors and the model's arena they are copied into.
-Every pass outside training (validation, `embed`, `evaluate` and each
-crossval test fold) gathers at most `data.INFER_ROWS` rows at a time, so
-its memory scales with that chunk, not with the cohort.
+Training holds four arrays the size of the model's parameters (the arena,
+the best-epoch snapshot and Adam's two moments) and one the size of its
+largest tensor, into which backward writes each gradient for Adam to take;
+each crossval fold thread holds its own. Every pass outside training
+(validation, `embed`, `evaluate` and each crossval test fold) gathers at
+most `data.INFER_ROWS` rows at a time, so its memory scales with that
+chunk, not with the cohort.
 """
 
 from __future__ import annotations
@@ -39,11 +45,12 @@ import glob
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 
 from .config import RunConfig, load_run_config
-from .container import write_text_atomic
+from .container import format_value, write_text_atomic
 from .data import (
     OmicsDataset,
     dataset_to_raw,
@@ -60,7 +67,7 @@ from .data import (
 )
 from .errors import OmiVaeError, ValidationError
 from .evaluation import compute_metrics, export_embedding, predict_classes, render_scatter
-from .model import build_model
+from .model import ModelConfig, build_model
 from .numerics import RngState
 from .optim import TrainConfig, load_checkpoint, save_checkpoint, train_two_phase
 
@@ -160,9 +167,21 @@ def _check_fits(model, dataset: OmicsDataset) -> None:
             raise ValidationError(f"the checkpoint reads {name} {reads}, the cache has {has}")
 
 
+def _check_architecture(run: RunConfig, config: ModelConfig) -> None:
+    """Refuse a `model.*` key that the run gives and a resumed checkpoint's
+    architecture disagrees with."""
+    for f in fields(ModelConfig):
+        key, saved = f"model.{f.name}", getattr(config, f.name)
+        if key in run.given and run[key] != saved:
+            raise ValidationError(f"--resume keeps the checkpoint's architecture, whose {key} "
+                                  f"is {format_value(saved)}, not {format_value(run[key])}")
+
+
 def _fit(dataset, run: RunConfig, train_cfg: TrainConfig, stream: RngState, resume_path=None):
     if resume_path is not None:
-        model = load_checkpoint(resume_path).build()
+        checkpoint = load_checkpoint(resume_path)
+        _check_architecture(run, checkpoint.config)
+        model = checkpoint.build()
         _check_fits(model, dataset)
     else:
         model = build_model(run.model_config(dataset), stream.derive(0))

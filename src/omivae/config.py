@@ -52,10 +52,12 @@ def _parse_key(key: str, raw: str):
 
 
 class RunConfig:
-    """Typed view over the flat configuration keys."""
+    """Typed view over the flat configuration keys; `given` holds the keys a
+    file or an override set, the rest keep their defaults."""
 
-    def __init__(self, values: dict[str, object]):
+    def __init__(self, values: dict[str, object], given: frozenset[str] = frozenset()):
         self.values = values
+        self.given = given
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -99,6 +101,7 @@ class RunConfig:
 def load_run_config(path: str | None = None, overrides: list[str] | None = None) -> RunConfig:
     """Defaults, then the file, then `key=value` overrides; unknown keys rejected."""
     values = {key: _parse_key(key, default) for key, (_, default) in SCHEMA.items()}
+    given = set()
     if path is not None:
         for lineno, line in enumerate(_raw_lines(path), start=1):
             stripped = line.strip()
@@ -110,6 +113,7 @@ def load_run_config(path: str | None = None, overrides: list[str] | None = None)
             if key not in SCHEMA:
                 raise ValidationError(f"{path}:{lineno}: unknown configuration key {key!r}")
             values[key] = _parse_key(key, raw)
+            given.add(key)
     for item in overrides or []:
         if "=" not in item:
             raise ValidationError(f"override must be key=value, got {item!r}")
@@ -117,4 +121,5 @@ def load_run_config(path: str | None = None, overrides: list[str] | None = None)
         if key not in SCHEMA:
             raise ValidationError(f"unknown configuration key {key!r}")
         values[key] = _parse_key(key, raw)
-    return RunConfig(values)
+        given.add(key)
+    return RunConfig(values, frozenset(given))

@@ -12,14 +12,22 @@ place, or the arena copies in saved tensors. Declare, allocate, then
 initialize or load.
 
 Forward and backward passes are written out by hand, once per block or
-composite.
+composite. A backward hands each parameter's gradient to the sink it is
+given, as soon as it has formed it: `sink.lend(value)` lends a buffer
+shaped like the parameter `value`, the layer writes the gradient into it
+whole, and `sink.take(value, grad)` takes it. No arena region holds
+gradients. The sink may change `value` when it takes its gradient (in
+training it is `optim.Adam`, which steps the parameter then), so a layer
+forms its input gradient from its parameters before it hands their
+gradients on, and it holds at most one lent buffer at a time.
 
-Arrays written in place: besides parameters, gradients and running
-statistics (see `Parameter`), only arrays that one module made and nothing
-else holds. `FcBlock` hands its fresh linear output to `BatchNormLayer`,
-which consumes it (normalizes it in place; in train mode it becomes the
-cached `x_hat`), and applies the ReLU in place on batch norm's output. No
-forward or backward writes the inputs or upstream gradients it is given.
+Arrays written in place: besides parameters and running statistics (see
+`Parameter`) and the buffers a sink lends, only arrays that one module made
+and nothing else holds. `FcBlock` hands its fresh linear output to
+`BatchNormLayer`, which consumes it (normalizes it in place; in train mode
+it becomes the cached `x_hat`), and applies the ReLU in place on batch
+norm's output. No forward or backward writes the inputs or upstream
+gradients it is given.
 """
 
 from __future__ import annotations
@@ -38,37 +46,39 @@ BN_EPSILON = 1e-5  # added to the variance before the square root
 
 @dataclass
 class Parameter:
-    """A named learnable tensor with the gradient of the last backward.
+    """A named learnable tensor, which sits in `ParameterArena.values` from
+    element `start` on.
 
-    Each backward writes a parameter's gradient whole (every parameter gets
-    exactly one contribution per step), so `grad` needs no clearing between
-    steps. `value` and `grad` are views into a `ParameterArena`, as are the
-    batch-norm running statistics. Write them in place (`value[...] = x`,
-    `np.matmul(..., out=grad)`, `running_mean *= c`) and never rebind them
-    or the layer attributes they come from: a rebound array leaves the
-    arena, so the optimizer and snapshots no longer see it.
+    `value` is a view into a `ParameterArena`, as are the batch-norm running
+    statistics. Write them in place (`value[...] = x`, `running_mean *= c`)
+    and never rebind them or the layer attributes they come from: a rebound
+    array leaves the arena, so the optimizer and snapshots no longer see it.
     """
 
     name: str
     value: np.ndarray
-    grad: np.ndarray
+    start: int
+
+
+def _address(array: np.ndarray) -> int:
+    return array.__array_interface__["data"][0]
 
 
 class ParameterArena:
     """One contiguous float64 buffer behind a set of modules' tensors.
 
     Each module's `declared()` gives one row per tensor: (owner,
-    attribute, grad attribute or None, name, shape), a parameter with the
-    attribute of its grad and a running statistic with None. The arena
-    allocates one zeroed buffer for every row and sets each attribute to
-    its view; nothing is copied in unless `saved` is given.
+    attribute, learnable, name, shape), a parameter with learnable True and
+    a running statistic with False. The arena allocates one zeroed buffer
+    for every row and sets each attribute to its view; nothing is copied in
+    unless `saved` is given.
 
-    Layout: `[values | running statistics | grads]`, each region in
-    declaration order. `values` and `grads` line up element for element,
-    and `state` (values plus running statistics) is everything a snapshot
-    or checkpoint must keep. `tensors` lists each (name, view) of `state`
-    in declaration order, which is the order of checkpoints; `params` lists
-    the parameters.
+    Layout: `state` is `[values | running statistics]`, each region in
+    declaration order. `state` is everything a snapshot or checkpoint must
+    keep, and `values` is what an optimizer steps. `tensors` lists each
+    (name, view) of `state` in declaration order, which is the order of
+    checkpoints; `params` lists the parameters, and `parameter(value)`
+    finds the one of a view.
 
     `saved`, the (name, array) list of a checkpoint, must match the
     declarations name for name and shape for shape. It is checked before
@@ -93,30 +103,32 @@ class ParameterArena:
                 got, want = (repr(t[i][0]) if i < len(t) else "no tensor"
                              for t in (found, expected))
                 raise FormatError(f"checkpoint has {got} at position {i + 1}, expected {want}")
-        params = [row for row in rows if row[2] is not None]
-        stats = [row for row in rows if row[2] is None]
+        params = [row for row in rows if row[2]]
+        stats = [row for row in rows if not row[2]]
         n_values = sum(math.prod(shape) for *_, shape in params)
         n_state = n_values + sum(math.prod(shape) for *_, shape in stats)
         try:
-            self.buffer = np.zeros(n_state + n_values)
+            self.state = np.zeros(n_state)
         except (MemoryError, ValueError):  # ValueError: more elements than an index holds
-            raise ValidationError(f"the model's tensors need {8 * (n_state + n_values)} bytes, "
+            raise ValidationError(f"the model's tensors need {8 * n_state} bytes, "
                                   "which numpy cannot allocate") from None
-        self.values = self.buffer[:n_values]
-        self.state = self.buffer[:n_state]
-        self.grads = self.buffer[n_state:]
+        self.values = self.state[:n_values]
+        self.params = []
         offset = 0
-        for owner, attr, grad, _, shape in params + stats:
-            end = offset + math.prod(shape)
-            setattr(owner, attr, self.state[offset:end].reshape(shape))
-            if grad is not None:
-                setattr(owner, grad, self.grads[offset:end].reshape(shape))
-            offset = end
+        for owner, attr, learnable, name, shape in params + stats:
+            view = self.state[offset : offset + math.prod(shape)].reshape(shape)
+            setattr(owner, attr, view)
+            if learnable:
+                self.params.append(Parameter(name, view, offset))
+            offset += view.size
+        self._by_address = {_address(p.value): p for p in self.params}
         self.tensors = [(name, getattr(owner, attr)) for owner, attr, _, name, _ in rows]
-        self.params = [Parameter(name, getattr(owner, attr), getattr(owner, grad))
-                       for owner, attr, grad, name, _ in params]
         for (_, view), (_, array) in zip(self.tensors, saved or ()):
             view[...] = array
+
+    def parameter(self, value: np.ndarray) -> Parameter:
+        """The parameter whose view `value` is, as a layer attribute holds it."""
+        return self._by_address[_address(value)]
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -148,10 +160,10 @@ class LinearLayer:
         if in_dim < 1 or out_dim < 1:
             raise ValidationError(f"{name}: dimensions must be >= 1, got {in_dim}x{out_dim}")
         self.name = name
-        self._tensors = [("weights", "grad_weights", f"{name}.weights", (out_dim, in_dim))]
-        self.bias = self.grad_bias = None
+        self._tensors = [("weights", True, f"{name}.weights", (out_dim, in_dim))]
+        self.bias = None
         if use_bias:
-            self._tensors.append(("bias", "grad_bias", f"{name}.bias", (out_dim,)))
+            self._tensors.append(("bias", True, f"{name}.bias", (out_dim,)))
         self.needs_input_grad = needs_input_grad
         self._input: np.ndarray | None = None
 
@@ -179,17 +191,25 @@ class LinearLayer:
             out += self.bias
         return out
 
-    def backward(self, upstream: np.ndarray) -> np.ndarray | None:
-        """Write the parameter grads; return the input gradient if needed."""
-        if self._input is None:
+    def backward(self, upstream: np.ndarray, sink) -> np.ndarray | None:
+        """Hand the parameters' gradients to `sink`; return the input
+        gradient if needed, formed first, from the weights `sink` has not
+        yet seen."""
+        x = self._input
+        if x is None:
             raise ValidationError(f"{self.name}: backward without a cached training forward")
-        if upstream.shape != (self._input.shape[0], self.weights.shape[0]):
+        if upstream.shape != (x.shape[0], self.weights.shape[0]):
             raise ValidationError(f"{self.name}: upstream shape {upstream.shape} mismatch")
-        np.matmul(upstream.T, self._input, out=self.grad_weights)
-        if self.grad_bias is not None:
-            np.sum(upstream, axis=0, out=self.grad_bias)
         self._input = None
-        return upstream @ self.weights if self.needs_input_grad else None
+        din = upstream @ self.weights if self.needs_input_grad else None
+        grad = sink.lend(self.weights)
+        np.matmul(upstream.T, x, out=grad)
+        sink.take(self.weights, grad)
+        if self.bias is not None:
+            grad = sink.lend(self.bias)
+            np.sum(upstream, axis=0, out=grad)
+            sink.take(self.bias, grad)
+        return din
 
 
 class BatchNormLayer:
@@ -208,10 +228,10 @@ class BatchNormLayer:
     def __init__(self, dim: int, *, name: str = "norm"):
         self.name = name
         self._tensors = [
-            ("gamma", "grad_gamma", f"{name}.gamma", (dim,)),
-            ("beta_shift", "grad_beta_shift", f"{name}.beta_shift", (dim,)),
-            ("running_mean", None, f"{name}.running_mean", (dim,)),
-            ("running_var", None, f"{name}.running_var", (dim,)),
+            ("gamma", True, f"{name}.gamma", (dim,)),
+            ("beta_shift", True, f"{name}.beta_shift", (dim,)),
+            ("running_mean", False, f"{name}.running_mean", (dim,)),
+            ("running_var", False, f"{name}.running_var", (dim,)),
         ]
         self._cache: tuple | None = None
 
@@ -254,18 +274,25 @@ class BatchNormLayer:
         out += self.beta_shift
         return out
 
-    def backward(self, upstream: np.ndarray) -> np.ndarray:
+    def backward(self, upstream: np.ndarray, sink) -> np.ndarray:
+        """Hand the gradients of gamma and the shift to `sink`; return the
+        input gradient, whose gamma factor is formed first, from the gamma
+        `sink` has not yet seen."""
         if self._cache is None:
             raise ValidationError(f"{self.name}: backward without a cached training forward")
         x_hat, inv_std = self._cache
         self._cache = None
         n = x_hat.shape[0]
+        d_hat = upstream * self.gamma
         work = upstream * x_hat
-        np.sum(work, axis=0, out=self.grad_gamma)
-        np.sum(upstream, axis=0, out=self.grad_beta_shift)
+        grad = sink.lend(self.gamma)
+        np.sum(work, axis=0, out=grad)
+        sink.take(self.gamma, grad)
+        grad = sink.lend(self.beta_shift)
+        np.sum(upstream, axis=0, out=grad)
+        sink.take(self.beta_shift, grad)
         # d/dx of (x - mean)/std going through mean and variance:
         # (inv_std / n) * (n * d_hat - sum(d_hat) - x_hat * sum(d_hat * x_hat))
-        d_hat = upstream * self.gamma
         d_hat_x_hat = np.sum(np.multiply(d_hat, x_hat, out=work), axis=0)
         d_hat_sum = d_hat.sum(axis=0)
         din = d_hat
@@ -314,7 +341,7 @@ class FcBlock:
         self._out = out if train else None
         return out
 
-    def backward(self, upstream: np.ndarray) -> np.ndarray | None:
+    def backward(self, upstream: np.ndarray, sink) -> np.ndarray | None:
         """Gradient through the ReLU, norm, and linear parts."""
         if self._out is None:
             raise ValidationError(f"{self.name}: backward without a cached training forward")
@@ -324,7 +351,7 @@ class FcBlock:
             )
         d = upstream * (self._out > 0.0)
         self._out = None
-        return self.linear.backward(self.norm.backward(d))
+        return self.linear.backward(self.norm.backward(d, sink), sink)
 
 
 class Sequence:
@@ -338,9 +365,9 @@ class Sequence:
             x = module.forward(x, train)
         return x
 
-    def backward(self, upstream):
+    def backward(self, upstream, sink):
         for module in reversed(self.modules):
-            upstream = module.backward(upstream)
+            upstream = module.backward(upstream, sink)
         return upstream
 
 
@@ -360,9 +387,9 @@ class Join:
         self._bounds = np.cumsum([o.shape[1] for o in outs[:-1]])
         return np.concatenate(outs, axis=1)
 
-    def backward(self, upstream: np.ndarray) -> list:
+    def backward(self, upstream: np.ndarray, sink) -> list:
         parts = np.split(upstream, self._bounds, axis=1)
-        return [b.backward(g) for b, g in zip(self.branches, parts)]
+        return [b.backward(g, sink) for b, g in zip(self.branches, parts)]
 
 
 class Split:
@@ -380,6 +407,6 @@ class Split:
         parts = np.split(x, self.bounds, axis=1)
         return [b.forward(part, train) for b, part in zip(self.branches, parts, strict=True)]
 
-    def backward(self, upstreams: list) -> np.ndarray:
-        grads = [b.backward(g) for b, g in zip(self.branches, upstreams, strict=True)]
+    def backward(self, upstreams: list, sink) -> np.ndarray:
+        grads = [b.backward(g, sink) for b, g in zip(self.branches, upstreams, strict=True)]
         return np.concatenate(grads, axis=1)

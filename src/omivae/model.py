@@ -12,7 +12,8 @@ decoder branch left out. The graph is declared once, in
 `OmiVaeModel.__init__`, as an encoder, a decoder and a classifier tower
 whose blocks run their own backward. `forward_backward` takes each loss's
 gradient from `losses`, which returns it with the value, and calls the
-towers' backward.
+towers' backward, which hand each parameter's gradient to the step's sink
+as it forms (see `layers`): the model keeps no gradient.
 
 A model is made in three steps: its blocks declare their tensors, one
 `ParameterArena` allocates them all, and then either each block draws its
@@ -189,9 +190,6 @@ class OmiVaeModel:
         if saved is None:
             for block in self.blocks:
                 block.init(init)
-        # the classifier's grads end the arena, since it is declared last
-        size = sum(p.grad.size for p in self.arena.params if p.name.startswith("classifier."))
-        self._classifier_grads = self.arena.grads[self.arena.grads.size - size :]
 
     # ------------------------------------------------------------------ plumbing
 
@@ -250,16 +248,18 @@ class OmiVaeModel:
         labels: np.ndarray | None,
         weights: LossWeights,
         rng: RngState,
+        sink,
     ) -> LossReport:
-        """One training forward plus backward; writes every grad and returns
-        the batch's losses.
+        """One training forward plus backward; hands each parameter's
+        gradient to `sink` and returns the batch's losses.
 
         The losses return their gradients at the logits, mu and logvar; the
-        step adds the path through the sampled z. Each parameter's grad is
-        overwritten with this batch's gradient, so grads need no clearing
-        between steps: when beta is 0 the classifier runs no backward and
-        gets zero grads. The classifier reads the latent mean, so its
-        gradient reaches the encoder through mu only and never through z.
+        step adds the path through the sampled z. Backward runs the decoder,
+        the classifier, the latent heads and the encoder, in that order, and
+        each layer hands its parameters' gradients on as it forms them. When
+        beta is 0 the classifier runs no backward, so `sink` sees none of its
+        parameters. The classifier reads the latent mean, so its gradient
+        reaches the encoder through mu only and never through z.
         """
         alpha, beta = weights.alpha, weights.beta
         if beta > 0.0 and labels is None:
@@ -282,16 +282,15 @@ class OmiVaeModel:
             raise NumericError(f"non-finite training loss: {asdict(report)}")
 
         # ---- backward ----
-        d_z = self.decoder.backward([d for d in (d_blocks, d_expr) if d is not None])
+        d_z = self.decoder.backward([d for d in (d_blocks, d_expr) if d is not None], sink)
         d_mu += d_z
         d_logvar += 0.5 * d_z * epsilon * np.exp(0.5 * logvar)
         if train_classifier:
-            d_mu += self.classifier.backward(d_logits)
-        else:
-            self._classifier_grads.fill(0.0)
+            d_mu += self.classifier.backward(d_logits, sink)
 
         mu_head, logvar_head = self.heads
-        self.encoder.backward(mu_head.backward(d_mu) + logvar_head.backward(d_logvar))
+        d_fused = mu_head.backward(d_mu, sink) + logvar_head.backward(d_logvar, sink)
+        self.encoder.backward(d_fused, sink)
         return report
 
 

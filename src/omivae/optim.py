@@ -1,18 +1,20 @@
 """Adam, two-phase training with early stopping, and checkpoints.
 
 `train.phase1_epochs=0` or `train.phase2_epochs=0` skips a training phase.
-A model keeps every parameter, gradient and batch-norm running statistic
-in one float64 `ParameterArena`, and everything here works on its flat
-vectors: Adam updates `arena.values` from `arena.grads`, and a snapshot is
-one copy of `arena.state`. Adam takes Kingma & Ba's efficient form, so its
+A model keeps every parameter and batch-norm running statistic in one
+float64 `ParameterArena`, and everything here works on its flat vectors.
+Training holds four arrays the size of `arena.values`: the arena itself,
+Adam's `m` and `v`, and the snapshot `saved` of `arena.state`; besides
+them, Adam's one gradient buffer is the size of the largest tensor. No
+array holds a whole model's gradient: `forward_backward` hands each
+tensor's gradient to Adam, the step's sink, as backward forms it, and Adam
+steps that tensor at once. Adam takes Kingma & Ba's efficient form, so its
 `m` and `v` hold unscaled moments: `(1 - beta1) * m` and `(1 - beta2) * v`
-are the textbook ones. A training step never clears the grads, because
-`forward_backward` writes every grad of the arena whole. Code that changes a
-tensor therefore writes it in place and never rebinds `.value`, `.grad`
-or a running statistic. A checkpoint's model is declared, allocated and
-loaded: `Checkpoint.build` hands the saved tensors to the new model, whose
-arena checks them against its declarations before it allocates and then
-copies them in, with no initialization drawn.
+are the textbook ones. Code that changes a tensor writes it in place and
+never rebinds `.value` or a running statistic. A checkpoint's model is
+declared, allocated and loaded: `Checkpoint.build` hands the saved tensors
+to the new model, whose arena checks them against its declarations before
+it allocates and then copies them in, with no initialization drawn.
 """
 
 from __future__ import annotations
@@ -41,9 +43,18 @@ class Adam:
 
     The decay rates and eps are `ADAM_BETA1`, `ADAM_BETA2` and `ADAM_EPS`;
     only the learning rate is a parameter. One `m` and one `v` cover the
-    arena, unscaled, so `(1 - b1) * m` and `(1 - b2) * v` are the textbook
-    moments. A step runs over them in chunks of `ADAM_CHUNK` elements, in
-    place, with two preallocated chunk buffers for the temporaries.
+    arena's values, unscaled, so `(1 - b1) * m` and `(1 - b2) * v` are the
+    textbook moments.
+
+    Adam is the gradient sink of a training step (see `layers`).
+    `begin_step()` advances `t` and fixes the step's size and eps. Backward
+    then writes each tensor's gradient into the buffer `lend` gives, one
+    buffer the size of the largest tensor, and hands it to `take`, which
+    updates that tensor's weights and moments in place, over chunks of
+    `ADAM_CHUNK` elements with two preallocated chunk buffers for the
+    temporaries. A non-finite gradient raises `NumericError` naming its
+    tensor before anything of that tensor changes; the tensors taken
+    earlier in the step have stepped already.
     """
 
     def __init__(self, arena: ParameterArena, lr: float):
@@ -52,8 +63,10 @@ class Adam:
         self.t = 0
         self.m = np.zeros(arena.values.size)
         self.v = np.zeros(arena.values.size)
+        self._grad = np.empty(max(p.value.size for p in arena.params))
         self._a = np.empty(ADAM_CHUNK)
         self._b = np.empty(ADAM_CHUNK)
+        self._size = self._eps = None
 
     def reset(self) -> None:
         """Zero the moments and the step count, as in a fresh `Adam`."""
@@ -61,21 +74,30 @@ class Adam:
         self.m.fill(0.0)
         self.v.fill(0.0)
 
-    def step(self) -> None:
-        grads = self.arena.grads
-        # a finite sum of squares means every entry is finite; only a
-        # non-finite one (or an overflow) needs the exact check
-        if not np.isfinite(grads @ grads) and not np.isfinite(grads).all():
-            name = next(p.name for p in self.arena.params if not np.isfinite(p.grad).all())
-            raise NumericError(f"non-finite gradient in {name}; step aborted")
+    def begin_step(self) -> None:
         self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         r = np.sqrt((1.0 - b2**self.t) / (1.0 - b2))
-        size, eps = self.lr * (1.0 - b1) * r / (1.0 - b1**self.t), ADAM_EPS * r
-        values = self.arena.values
-        for start in range(0, values.size, ADAM_CHUNK):
+        self._size, self._eps = self.lr * (1.0 - b1) * r / (1.0 - b1**self.t), ADAM_EPS * r
+
+    def lend(self, value: np.ndarray) -> np.ndarray:
+        """The gradient buffer for the parameter `value`, shaped like it."""
+        return self._grad[: value.size].reshape(value.shape)
+
+    def take(self, value: np.ndarray, grad: np.ndarray) -> None:
+        """Step the parameter `value` by its gradient `grad`."""
+        p = self.arena.parameter(value)
+        grad = grad.reshape(-1)
+        # a finite sum of squares means every entry is finite; only a
+        # non-finite one (or an overflow) needs the exact check
+        if not np.isfinite(grad @ grad) and not np.isfinite(grad).all():
+            raise NumericError(f"non-finite gradient in {p.name}; step aborted")
+        b1, b2, size, eps = ADAM_BETA1, ADAM_BETA2, self._size, self._eps
+        span = slice(p.start, p.start + grad.size)
+        values, ms, vs = self.arena.values[span], self.m[span], self.v[span]
+        for start in range(0, grad.size, ADAM_CHUNK):
             chunk = slice(start, start + ADAM_CHUNK)
-            g, m, v, w = grads[chunk], self.m[chunk], self.v[chunk], values[chunk]
+            g, m, v, w = grad[chunk], ms[chunk], vs[chunk], values[chunk]
             a, b = self._a[: g.size], self._b[: g.size]
             # m = b1*m + g and v = b2*v + g**2
             np.multiply(m, b1, out=m)
@@ -241,12 +263,14 @@ def train_two_phase(
 
     Both phases share one snapshot buffer `saved` and one `Adam`, whose
     moments are zeroed for phase 2; both are freed when this returns.
-    `saved` holds a phase's entry state until an epoch improves and the
-    best state so far after that; the phase ends on that state, and
-    `history` records its epoch and metric once an epoch has improved. On
-    divergence that state is restored, training stops, and
-    `history.diverged` names the phase, epoch and step and the
-    `NumericError` that stopped it.
+    Phase 1 starts on zeroed moments and runs no classifier backward, so
+    the classifier stays as it is, as Adam would leave it on zero
+    gradients. `saved` holds a phase's entry state until an epoch improves
+    and the best state so far after that; the phase ends on that state,
+    and `history` records its epoch and metric once an epoch has improved.
+    On divergence that state is restored, undoing the tensors a failing
+    step had already stepped, training stops, and `history.diverged` names
+    the phase, epoch and step and the `NumericError` that stopped it.
     """
     train_idx = np.asarray(train_idx, dtype=np.int64)
     val_idx = np.asarray(val_idx, dtype=np.int64)
@@ -286,10 +310,10 @@ def train_two_phase(
                     x_expr, x_blocks = dataset.batch(chosen)
                     batch_labels = labels[chosen] if phase == 2 else None
                     step += 1
+                    adam.begin_step()
                     report = model.forward_backward(
-                        x_expr, x_blocks, batch_labels, weights, rng=stream
+                        x_expr, x_blocks, batch_labels, weights, stream, adam
                     )
-                    adam.step()
                     sums += np.array(astuple(report)) * chosen.size
                     seen += chosen.size
                 if seen == 0:

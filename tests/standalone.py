@@ -1,10 +1,13 @@
-"""Standalone layers for tests, and the finite-difference gradient checker.
+"""Standalone layers for tests, gradient sinks, and the finite-difference
+gradient checker.
 
 A layer or block holds no arrays until a `ParameterArena` allocates them,
 so a test declares its modules and then calls `allocate`, as `OmiVaeModel`
-does for its blocks. `gradient_check` compares the gradients of anything
-that lists its `parameters()`, such as a model, with central finite
-differences."""
+does for its blocks. A backward hands each gradient to a sink (see
+`omivae.layers`): `Collect` keeps them in one flat vector in arena order,
+and `Poison` puts a NaN (or another bad value) into one tensor's gradient
+on its way to another sink. `gradient_check` compares the gradients of anything with an
+`arena`, such as a model, with central finite differences."""
 
 from dataclasses import dataclass
 
@@ -13,6 +16,46 @@ import numpy as np
 from omivae.errors import NumericError
 from omivae.layers import ParameterArena
 from omivae.numerics import RngState
+
+
+class Collect:
+    """A sink that keeps each gradient in `flat`, which lines up with
+    `arena.values`, and the name of each tensor taken, in order, in
+    `taken`. `flat` starts filled with `fill`, so an entry no backward
+    wrote still reads `fill`."""
+
+    def __init__(self, arena: ParameterArena, fill: float = np.nan):
+        self.arena = arena
+        self.flat = np.full(arena.values.size, fill)
+        self.taken: list[str] = []
+
+    def lend(self, value):
+        return self.grad(value)
+
+    def take(self, value, grad):
+        assert np.shares_memory(grad, self.grad(value))
+        self.taken.append(self.arena.parameter(value).name)
+
+    def grad(self, value):
+        """The kept gradient of the parameter `value`, a view of `flat`."""
+        start = self.arena.parameter(value).start
+        return self.flat[start : start + value.size].reshape(value.shape)
+
+
+class Poison:
+    """A sink that hands every gradient on to `sink`, with `bad` (NaN
+    unless given) put into entry 0 of tensor `name`'s gradient."""
+
+    def __init__(self, sink, arena: ParameterArena, name: str, bad: float = np.nan):
+        self.sink, self.arena, self.name, self.bad = sink, arena, name, bad
+
+    def lend(self, value):
+        return self.sink.lend(value)
+
+    def take(self, value, grad):
+        if self.arena.parameter(value).name == self.name:
+            grad.flat[0] = self.bad
+        self.sink.take(value, grad)
 
 
 def allocate(*modules, seed=0) -> ParameterArena:
@@ -49,26 +92,26 @@ def gradient_check(
 ) -> GradCheckResult:
     """Compare analytic gradients of `loss_fn` against central differences.
 
-    `module` must expose `parameters()`; `loss_fn(module, batch)` must
-    return a scalar loss and write every gradient buffer whole (it is called
-    repeatedly, so it must be deterministic: fixed batch, fixed noise).
-    Large tensors are sub-sampled. The result reports the largest relative
-    error, |analytic - numeric| / max(|analytic|, |numeric|, 1e-12); the
-    caller compares it with its own tolerance. A relative error that is not
-    finite raises, since no comparison with a tolerance would catch it.
+    `module` must have an `arena`; `loss_fn(module, batch, sink)` must
+    return a scalar loss and hand every parameter's gradient to `sink` (it
+    is called repeatedly, so it must be deterministic: fixed batch, fixed
+    noise). Large tensors are sub-sampled. The result reports the largest
+    relative error, |analytic - numeric| / max(|analytic|, |numeric|, 1e-12);
+    the caller compares it with its own tolerance. A relative error that is
+    not finite raises, since no comparison with a tolerance would catch it.
     """
-    base = float(loss_fn(module, batch))
+    sink = Collect(module.arena)
+    base = float(loss_fn(module, batch, sink))
     if not np.isfinite(base):
         raise NumericError("gradient_check: loss is not finite")
-    params = module.parameters()
-    analytic = [p.grad.copy() for p in params]
+    analytic = sink.flat.copy()
 
     picker = np.random.Generator(np.random.PCG64(seed))
     worst = GradCheckResult(0.0, "", -1, 0)
-    for p, a in zip(params, analytic):
+    for p in module.arena.params:
         flat_value = p.value.reshape(-1)
-        flat_analytic = a.reshape(-1)
         n = flat_value.size
+        flat_analytic = analytic[p.start : p.start + n]
         if n <= max_entries_per_param:
             indices = np.arange(n)
         else:
@@ -76,9 +119,9 @@ def gradient_check(
         for idx in indices:
             original = flat_value[idx]
             flat_value[idx] = original + step
-            loss_plus = float(loss_fn(module, batch))
+            loss_plus = float(loss_fn(module, batch, sink))
             flat_value[idx] = original - step
-            loss_minus = float(loss_fn(module, batch))
+            loss_minus = float(loss_fn(module, batch, sink))
             flat_value[idx] = original
             numeric = (loss_plus - loss_minus) / (2.0 * step)
             rel = abs(flat_analytic[idx] - numeric) / max(

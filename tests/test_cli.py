@@ -30,6 +30,7 @@ from omivae.errors import NumericError
 from omivae.model import ModelConfig, OmiVaeModel, build_model
 from omivae.numerics import RngState
 from omivae.optim import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_checkpoint, save_checkpoint
+from standalone import Poison
 
 # a small model and one epoch per phase, for cases that would otherwise train
 SHORT = ["--set", "model.per_block_hidden=3", "--set", "model.modality_dim=4",
@@ -76,6 +77,11 @@ BAD_INPUT = {
     "train-resume-wider-cache": (["train", "--resume", "{narrow}/narrow.omvae", "--data",
                                   "{narrow}/wide.omids", "--out", "{d}/model.omvae"],
                                  "the checkpoint reads expression width 5, the cache has 6"),
+    "train-resume-other-architecture": (
+        ["train", "--resume", "{two}/three.omvae", "--data", "{two}/two.omids", *SHORT,
+         "--set", "model.latent_dim=7", "--set", "train.val_fraction=0.25",
+         "--out", "{d}/model.omvae"],
+        "--resume keeps the checkpoint's architecture, whose model.latent_dim is 2, not 7"),
     "train-resume-of-expression-cut": (
         ["train", "--resume", "{odd}/fits.omvae", "--set", "model.modalities=expression",
          "--data", "{odd}/expression.omids", *SHORT, "--out", "{d}/model.omvae"],
@@ -185,14 +191,14 @@ BAD_INPUT = {
     "train-impossible-fusion-width": (
         ["train", "--set", "model.fusion_dim=1000000000000", "--data", "{narrow}/wide.omids",
          "--out", "{d}/model.omvae"],
-        "the model's tensors need 71776000017770112 bytes, which numpy cannot allocate"),
+        "the model's tensors need 35904000008927680 bytes, which numpy cannot allocate"),
     "synth-impossible-cohort": (
         ["synth", "--set", "synth.samples_per_class=1000000000000000", "--out", "{d}/synth"],
         "the synthetic cohort needs 112080000000000000000 bytes, which numpy cannot allocate"),
     "crossval-impossible-modality-width": (
         ["crossval", "--set", "model.modality_dim=100000000000000000", "--data",
          "{narrow}/wide.omids", "--k", "3", "--out", "{d}/cv"],
-        "the model's tensors need 4960000000000003729024 bytes, which numpy cannot allocate"),
+        "the model's tensors need 2483200000000001882560 bytes, which numpy cannot allocate"),
     "embed-no-samples": (["embed", "--checkpoint", "{odd}/fits.omvae", "--data",
                           "{odd}/empty.omids", "--out", "{d}/embedding.tsv"],
                          "empty.omids: dataset has no samples"),
@@ -485,30 +491,33 @@ def test_the_checkpoint_names_the_last_phase_that_ran(tmp_path, capsys, options,
 
 
 def test_train_names_where_and_why_it_diverged(tmp_path, capsys, monkeypatch):
-    """A NaN gradient on the third step of phase 1 stops training; the
-    stderr line keeps the error's tensor name and the step."""
+    """A NaN in the gradient of the first methylation block's weights, which
+    backward hands on after most others, on the third step of phase 1
+    stops training; the stderr line keeps the error's tensor name and the
+    step, and the saved model is the phase's entry state, not the one that
+    step had partly stepped."""
     d = str(tmp_path)
     assert cli.main(["synth", *SYNTH, "--out", f"{d}/synth"]) == 0
     forward_backward = OmiVaeModel.forward_backward
-    steps = []
+    name = "encoder.methyl.block00.linear.weights"
+    entry = []
 
-    def poisoned(self, *args, **kwargs):
-        out = forward_backward(self, *args, **kwargs)
-        steps.append(1)
-        if len(steps) == 3:
-            self.parameters()[0].grad[0] = np.nan
-        return out
+    def poisoned(self, *args):
+        entry.append(self.arena.state.copy())
+        sink = Poison(args[-1], self.arena, name) if len(entry) == 3 else args[-1]
+        return forward_backward(self, *args[:-1], sink)
 
     monkeypatch.setattr(OmiVaeModel, "forward_backward", poisoned)
     capsys.readouterr()
     assert cli.main(["train", "--data", f"{d}/synth/dataset.omids", *MODEL,
                      "--out", f"{d}/m.omvae"]) == 0
     err = capsys.readouterr().err
-    name = load_checkpoint(f"{d}/m.omvae").build().parameters()[0].name
     assert err == (
         f"training diverged (phase 1, epoch 1, step 3: non-finite gradient in {name}; "
         "step aborted); best snapshot saved\n"
     )
+    saved = load_checkpoint(f"{d}/m.omvae").build()
+    assert len(entry) == 3 and saved.arena.state.tobytes() == entry[0].tobytes()
 
 
 def test_no_inference_pass_gathers_more_than_infer_rows(tmp_path, monkeypatch):

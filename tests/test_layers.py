@@ -11,13 +11,18 @@ from omivae.layers import (
     Sequence,
 )
 from omivae.numerics import RngState
-from standalone import allocate, gradient_check
+from standalone import Collect, allocate, gradient_check
 
 
 def make_block(in_dim, out_dim, seed=0):
     block = FcBlock(in_dim, out_dim)
     allocate(block, seed=seed)
     return block
+
+
+def allocated(module, seed=0):
+    """`module` allocated alone, and a `Collect` sink over its arena."""
+    return module, Collect(allocate(module, seed=seed))
 
 
 class TestForward:
@@ -72,7 +77,7 @@ class TestForward:
             block.forward(np.zeros((1, 3)), train=True)
 
     def test_infer_mode_mutates_nothing(self):
-        block = make_block(4, 4)
+        block, sink = allocated(FcBlock(4, 4))
         x = RngState(3).standard_normal(8, 4)
         before_mean = block.norm.running_mean.copy()
         before_var = block.norm.running_var.copy()
@@ -82,90 +87,113 @@ class TestForward:
         assert np.array_equal(block.norm.running_mean, before_mean)
         assert np.array_equal(block.norm.running_var, before_var)
         with pytest.raises(ValidationError):
-            block.backward(np.zeros_like(first))
+            block.backward(np.zeros_like(first), sink)
+        assert sink.taken == []
+
+
+class Stepping(Collect):
+    """A `Collect` sink that also changes each parameter as it takes its
+    gradient, as Adam does."""
+
+    def take(self, value, grad):
+        super().take(value, grad)
+        value += 0.5
 
 
 class TestBackward:
     def test_zero_upstream_gives_zero_gradients(self):
-        block = FcBlock(4, 3)
-        params = allocate(block).params
+        block, sink = allocated(FcBlock(4, 3))
         x = RngState(4).standard_normal(6, 4)
         out = block.forward(x, train=True)
-        din = block.backward(np.zeros_like(out))
+        din = block.backward(np.zeros_like(out), sink)
         assert np.array_equal(din, np.zeros_like(x))
-        for p in params:
-            assert np.array_equal(p.grad, np.zeros_like(p.grad))
+        assert np.array_equal(sink.flat, np.zeros_like(sink.flat))
 
     def test_sum_loss_gradient_is_column_sums(self):
         # loss = sum(outputs) of a bare linear layer: dW rows are input column sums
-        layer = LinearLayer(2, 2)
-        allocate(layer, seed=5)
+        layer, sink = allocated(LinearLayer(2, 2), seed=5)
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
         out = layer.forward(x, train=True)
-        layer.backward(np.ones_like(out))
+        layer.backward(np.ones_like(out), sink)
         expected = np.tile(x.sum(axis=0), (2, 1))
-        assert np.allclose(layer.grad_weights, expected)
-        assert np.allclose(layer.grad_bias, [2.0, 2.0])
+        assert np.allclose(sink.grad(layer.weights), expected)
+        assert np.allclose(sink.grad(layer.bias), [2.0, 2.0])
 
     def test_backward_requires_cache_and_consumes_it(self):
-        block = make_block(3, 3)
+        block, sink = allocated(FcBlock(3, 3))
         with pytest.raises(ValidationError):
-            block.backward(np.zeros((2, 3)))
+            block.backward(np.zeros((2, 3)), sink)
         out = block.forward(RngState(6).standard_normal(4, 3), train=True)
-        block.backward(np.ones_like(out))
+        block.backward(np.ones_like(out), sink)
         with pytest.raises(ValidationError):
-            block.backward(np.ones_like(out))
+            block.backward(np.ones_like(out), sink)
 
     def test_upstream_shape_checked(self):
-        block = make_block(3, 3)
+        block, sink = allocated(FcBlock(3, 3))
         block.forward(RngState(6).standard_normal(4, 3), train=True)
         with pytest.raises(ValidationError):
-            block.backward(np.zeros((4, 7)))
+            block.backward(np.zeros((4, 7)), sink)
 
     def test_forward_backward_leaves_parameters_unchanged(self):
-        block = FcBlock(5, 4)
-        params = allocate(block).params
+        block, sink = allocated(FcBlock(5, 4))
+        params = sink.arena.params
         snapshot = [p.value.copy() for p in params]
         x = RngState(7).standard_normal(8, 5)
         out = block.forward(x, train=True)
-        block.backward(RngState(8).standard_normal(*out.shape))
+        block.backward(RngState(8).standard_normal(*out.shape), sink)
         for p, saved in zip(params, snapshot):
             assert np.array_equal(p.value, saved)
-            assert not np.array_equal(p.grad, np.zeros_like(p.grad))
+            assert not np.array_equal(sink.grad(p.value), np.zeros_like(p.value))
+
+    def test_each_gradient_is_handed_on_once_in_backward_order(self):
+        stack = Stack(FcBlock(4, 3, name="fc"), LinearLayer(3, 2, name="head"), seed=9)
+        sink = Collect(stack.arena)
+        out = stack.forward(RngState(10).standard_normal(6, 4), train=True)
+        stack.backward(np.ones_like(out), sink)
+        assert sink.taken == ["head.weights", "head.bias", "fc.norm.gamma",
+                              "fc.norm.beta_shift", "fc.linear.weights"]
+
+    def test_the_input_gradient_is_formed_before_the_sink_steps(self):
+        """A sink may change a parameter when it takes its gradient: the
+        input gradient and the gradients of the tensors taken later are
+        those of the parameters as they were."""
+        x, upstream = (RngState(s).standard_normal(6, 4) for s in (47, 48))
+        got = []
+        for kind in (Collect, Stepping):
+            block = FcBlock(4, 4)
+            sink = kind(allocate(block, seed=49))
+            block.forward(x, train=True)
+            got.append((block.backward(upstream, sink), sink.flat))
+        (din, grads), (stepped_din, stepped_grads) = got
+        assert stepped_din.tobytes() == din.tobytes()
+        assert stepped_grads.tobytes() == grads.tobytes()
 
     def test_backward_writes_grads_instead_of_adding(self):
-        # NaN in every grad buffer, then two backwards: the grads are those
-        # of the last one alone, bit for bit
+        # NaN in every lent buffer, then two backwards into the same
+        # buffers: the gradients are those of the last one alone, bit for bit
         x, first, second = (RngState(s).standard_normal(6, 4) for s in (40, 41, 42))
-        fresh, block = FcBlock(4, 4), FcBlock(4, 4)
-        fresh_params, params = (allocate(b, seed=43).params for b in (fresh, block))
+        (fresh, fresh_sink), (block, sink) = (allocated(FcBlock(4, 4), seed=43) for _ in range(2))
         fresh.forward(x, train=True)
-        fresh.backward(second)
-        for p in params:
-            p.grad[...] = np.nan
+        fresh.backward(second, fresh_sink)
         for upstream in (first, second):
             block.forward(x, train=True)
-            block.backward(upstream)
-        for p, q in zip(params, fresh_params):
-            assert p.grad.tobytes() == q.grad.tobytes(), p.name
+            block.backward(upstream, sink)
+        assert sink.flat.tobytes() == fresh_sink.flat.tobytes()
 
     def test_skipping_the_input_gradient_keeps_the_parameter_grads(self):
         x = RngState(44).standard_normal(5, 3)
         upstream = RngState(45).standard_normal(5, 2)
         grads = []
         for needs_input_grad in (True, False):
-            layer = LinearLayer(3, 2, needs_input_grad=needs_input_grad)
-            params = allocate(layer, seed=46).params
+            layer, sink = allocated(LinearLayer(3, 2, needs_input_grad=needs_input_grad), seed=46)
             layer.forward(x, train=True)
-            din = layer.backward(upstream)
+            din = layer.backward(upstream, sink)
             assert (din is None) == (not needs_input_grad)
-            grads.append([p.grad.copy() for p in params])
-        for a, b in zip(*grads):
-            assert a.tobytes() == b.tobytes()
-        block = FcBlock(3, 2, needs_input_grad=False)
-        allocate(block, seed=46)
+            grads.append(sink.flat)
+        assert grads[0].tobytes() == grads[1].tobytes()
+        block, sink = allocated(FcBlock(3, 2, needs_input_grad=False), seed=46)
         block.forward(x, train=True)
-        assert block.backward(upstream) is None
+        assert block.backward(upstream, sink) is None
 
 
 def out_of_place_block(block, batch, upstream, train):
@@ -212,7 +240,8 @@ class TestOutOfPlaceOracle:
     @pytest.mark.parametrize("train", [True, False])
     @pytest.mark.parametrize("rows, in_dim, out_dim", [(37, 9, 6), (1030, 20, 40)])
     def test_bit_equal_to_the_reference(self, train, rows, in_dim, out_dim):
-        block = make_block(in_dim, out_dim, seed=60)
+        block = FcBlock(in_dim, out_dim)
+        arena = allocate(block, seed=60)
         norm = block.norm
         norm.gamma[:] = RngState(61).uniform(0.5, 1.5, (out_dim,))
         norm.beta_shift[:] = RngState(62).standard_normal(1, out_dim)[0]
@@ -228,19 +257,20 @@ class TestOutOfPlaceOracle:
         given = batch.copy()
         got = {}
         for key, layer in (("relu_grad", norm), ("norm_grad", block.linear)):
-            def spy(grad, key=key, backward=layer.backward):
+            def spy(grad, sink, key=key, backward=layer.backward):
                 got[key] = grad.copy()
-                return backward(grad)
+                return backward(grad, sink)
 
             layer.backward = spy
 
         got["out"] = block.forward(given, train=train).copy()
         assert given.tobytes() == batch.tobytes()
         if train:
-            got["din"] = block.backward(upstream)
-            got["grad_weights"] = block.linear.grad_weights
-            got["grad_gamma"] = norm.grad_gamma
-            got["grad_beta_shift"] = norm.grad_beta_shift
+            sink = Collect(arena)
+            got["din"] = block.backward(upstream, sink)
+            got["grad_weights"] = sink.grad(block.linear.weights)
+            got["grad_gamma"] = sink.grad(norm.gamma)
+            got["grad_beta_shift"] = sink.grad(norm.beta_shift)
             assert np.signbit(got["relu_grad"][:, 0]).all()
         got["running_mean"] = norm.running_mean
         got["running_var"] = norm.running_var
@@ -250,24 +280,20 @@ class TestOutOfPlaceOracle:
 
 
 def weighted_sum_loss(weights):
-    def loss_fn(block, batch):
+    def loss_fn(block, batch, sink):
         out = block.forward(batch, train=True)
-        block.backward(weights)
+        block.backward(weights, sink)
         return float((out * weights).sum())
 
     return loss_fn
 
 
 class Stack(Sequence):
-    """A sequence whose modules share one allocated arena and that lists
-    their parameters, for `gradient_check`."""
+    """A sequence whose modules share one allocated arena, for `gradient_check`."""
 
     def __init__(self, *modules, seed):
         super().__init__(*modules)
         self.arena = allocate(*modules, seed=seed)
-
-    def parameters(self):
-        return self.arena.params
 
 
 class TestGradientCheck:
@@ -293,10 +319,9 @@ class TestGradientCheck:
         x = RngState(27).standard_normal(6, 4)
         true_loss = weighted_sum_loss(RngState(28).standard_normal(6, 2))
 
-        def doubled_loss(stack, batch):
-            loss = true_loss(stack, batch)
-            for p in stack.parameters():
-                p.grad *= 2.0
+        def doubled_loss(stack, batch, sink):
+            loss = true_loss(stack, batch, sink)
+            sink.flat *= 2.0
             return loss
 
         result = gradient_check(module, doubled_loss, x)

@@ -12,7 +12,7 @@ from omivae.layers import softmax
 from omivae.losses import LossWeights, bce
 from omivae.model import ModelConfig, build_model, reparameterize
 from omivae.numerics import RngState
-from standalone import gradient_check
+from standalone import Collect, gradient_check
 
 
 def tiny_config(latent_dim=3, num_classes=4, **overrides):
@@ -136,8 +136,8 @@ class TestBuild:
         finally:
             tracemalloc.stop()
         largest = max(a.nbytes for _, a in model.state_tensors())
-        assert peak <= model.arena.buffer.nbytes + 1.5 * largest, (
-            peak / model.arena.buffer.nbytes)
+        assert peak <= model.arena.state.nbytes + 1.5 * largest, (
+            peak / model.arena.state.nbytes)
 
     def test_a_dropped_model_frees_its_arena_at_once(self):
         # crossval builds a model per fold: no layer may refer to itself, or
@@ -145,7 +145,7 @@ class TestBuild:
         gc.disable()
         try:
             model = build_model(tiny_config(), RngState(0))
-            buffer = weakref.ref(model.arena.buffer)
+            buffer = weakref.ref(model.arena.state)
             del model
             assert buffer() is None
         finally:
@@ -348,38 +348,40 @@ class TestForwardBackward:
         config = tiny_config()
         model = build_model(config, RngState(24))
         x_expr, x_blocks = tiny_batch(config, rows=6)
+        sink = Collect(model.arena)
         model.forward_backward(
-            x_expr, x_blocks, None, LossWeights(alpha=1.0, beta=0.0), rng=RngState(25)
+            x_expr, x_blocks, None, LossWeights(alpha=1.0, beta=0.0), RngState(25), sink
         )
-        for p in params_under(model, "classifier."):
-            assert np.array_equal(p.grad, np.zeros_like(p.grad))
+        assert not any(name.startswith("classifier.") for name in sink.taken)
         (fusion,) = params_under(model, "encoder.fusion.linear.weights")
-        assert not np.array_equal(fusion.grad, np.zeros_like(fusion.grad))
+        assert not np.array_equal(sink.grad(fusion.value), np.zeros_like(fusion.value))
 
     @pytest.mark.parametrize(
-        "beta, cleared", [(0.0, "classifier."), (1.0, None)], ids=["phase1", "joint"]
+        "beta, skipped", [(0.0, ("classifier.",)), (1.0, ())], ids=["phase1", "joint"]
     )
-    def test_grads_are_written_whatever_they_held(self, beta, cleared):
-        # a step from NaN-filled grads gives the grads of a step from zeros,
-        # bit for bit, and the tower that runs no backward gets exact zeros
+    def test_grads_are_written_whatever_they_held(self, beta, skipped):
+        # a step into NaN-filled buffers gives the gradients of a step into
+        # zeros, bit for bit; each parameter is handed on exactly once,
+        # except those of the tower that runs no backward
         config = tiny_config()
         x_expr, x_blocks = tiny_batch(config, rows=6)
         labels = np.array([0, 1, 2, 3, 0, 1]) if beta else None
-        grads = []
-        for start in (0.0, np.nan):
+        sinks = []
+        for fill in (0.0, np.nan):
             model = build_model(config, RngState(37))
-            model.arena.grads.fill(start)
+            sink = Collect(model.arena, fill)
             model.forward_backward(
-                x_expr, x_blocks, labels, LossWeights(alpha=1.0, beta=beta), RngState(36)
+                x_expr, x_blocks, labels, LossWeights(alpha=1.0, beta=beta), RngState(36), sink
             )
-            grads.append(model.arena.grads.copy())
-        assert grads[1].tobytes() == grads[0].tobytes()
-        assert np.isfinite(grads[1]).all()
-        if cleared is not None:
-            tower = params_under(model, cleared)
-            assert tower
-            for p in tower:
-                assert p.grad.tobytes() == np.zeros_like(p.grad).tobytes(), p.name
+            sinks.append(sink)
+        zeros, nans = sinks
+        names = [p.name for p in model.parameters() if not p.name.startswith(skipped)]
+        assert nans.taken == zeros.taken
+        assert sorted(nans.taken) == sorted(names)
+        taken = np.isfinite(nans.flat)
+        assert nans.flat[taken].tobytes() == zeros.flat[taken].tobytes()
+        for p in model.parameters():
+            assert taken[p.start : p.start + p.value.size].all() == (p.name in nans.taken), p.name
 
     @pytest.mark.parametrize(
         "overrides, inputs, input_grads",
@@ -399,16 +401,15 @@ class TestForwardBackward:
         x_expr, x_blocks = tiny_batch(model.config, rows=4)
         batch = [x for x in (x_blocks, x_expr) if x is not None]
         fused = model.encoder.forward(batch, train=True)
-        assert model.encoder.backward(np.ones_like(fused)) == input_grads
+        assert model.encoder.backward(np.ones_like(fused), Collect(model.arena)) == input_grads
 
     def test_labels_required_when_supervised(self):
         config = tiny_config()
         model = build_model(config, RngState(28))
         x_expr, x_blocks = tiny_batch(config, rows=4)
         with pytest.raises(ValidationError):
-            model.forward_backward(
-                x_expr, x_blocks, None, LossWeights(alpha=1.0, beta=1.0), rng=RngState(29)
-            )
+            model.forward_backward(x_expr, x_blocks, None, LossWeights(alpha=1.0, beta=1.0),
+                                   RngState(29), Collect(model.arena))
 
     def test_a_training_batch_is_validated_once_and_labels_first(self):
         """Missing labels are refused before the forward pass moves any
@@ -416,11 +417,12 @@ class TestForwardBackward:
         config = tiny_config()
         model = build_model(config, RngState(28))
         x_expr, x_blocks = tiny_batch(config, rows=4)
-        model.forward_backward(x_expr, x_blocks, None, LossWeights(1.0, 0.0), rng=RngState(29))
+        sink = Collect(model.arena)
+        model.forward_backward(x_expr, x_blocks, None, LossWeights(1.0, 0.0), RngState(29), sink)
         stats = model.arena.state[model.arena.values.size :].copy()
         with pytest.raises(ValidationError, match="no labels were given"):
             model.forward_backward(
-                np.zeros((4, 8)), x_blocks, None, LossWeights(1.0, 1.0), RngState(29)
+                np.zeros((4, 8)), x_blocks, None, LossWeights(1.0, 1.0), RngState(29), sink
             )
         assert model.arena.state[model.arena.values.size :].tobytes() == stats.tobytes()
 
@@ -430,11 +432,12 @@ class TestForwardBackward:
         grads = []
         for alpha in (1.0, 2.0):
             model = build_model(config, RngState(31))
+            sink = Collect(model.arena)
             model.forward_backward(
-                x_expr, x_blocks, None, LossWeights(alpha=alpha, beta=0.0), RngState(30)
+                x_expr, x_blocks, None, LossWeights(alpha=alpha, beta=0.0), RngState(30), sink
             )
             (weights,) = params_under(model, "decoder.expr.out.linear.weights")
-            grads.append(weights.grad.copy())
+            grads.append(sink.grad(weights.value))
         assert np.allclose(2.0 * grads[0], grads[1], rtol=0, atol=1e-18)
 
     def test_zero_model_closed_form_loss(self):
@@ -445,7 +448,8 @@ class TestForwardBackward:
         x_expr = np.zeros((4, config.expr_dim))
         x_blocks = [np.zeros((4, d)) for d in config.methyl_block_dims]
         report = model.forward_backward(
-            x_expr, x_blocks, None, LossWeights(alpha=1.0, beta=0.0), RngState(32)
+            x_expr, x_blocks, None, LossWeights(alpha=1.0, beta=0.0), RngState(32),
+            Collect(model.arena)
         )
         assert abs(report.recon_methyl - math.log(2.0)) < 1e-9
         assert abs(report.recon_expr - math.log(2.0)) < 1e-9
@@ -454,7 +458,7 @@ class TestForwardBackward:
 
     @staticmethod
     def saturated_step(out_layer, bias, labels, weights):
-        """(central difference of the reported total, the backward's grad)
+        """(central difference of the reported total, the backward's gradient)
         with respect to output 0's bias of `out_layer`, whose weights are
         zero, so output 0's logit is `bias[0]` in every row."""
         config = tiny_config()
@@ -465,9 +469,11 @@ class TestForwardBackward:
         b.value[:] = bias
         x_expr, x_blocks = tiny_batch(config, rows=6)
         x_blocks[0][:, 0] = 0.0  # target 0 under decoder.methyl.out00's output 0
+        sink = Collect(model.arena)
 
         def total():
-            return model.forward_backward(x_expr, x_blocks, labels, weights, RngState(40)).total
+            return model.forward_backward(x_expr, x_blocks, labels, weights, RngState(40),
+                                          sink).total
 
         h = 1e-3
         b.value[0] = bias[0] + h
@@ -476,7 +482,7 @@ class TestForwardBackward:
         down = total()
         b.value[0] = bias[0]
         total()
-        return (up - down) / (2.0 * h), b.grad[0]
+        return (up - down) / (2.0 * h), sink.grad(b.value)[0]
 
     def test_a_saturated_decoder_logit_moves_the_reported_loss(self):
         # logit 30 against target 0: the loss still rises at slope sigmoid(30)
@@ -504,9 +510,9 @@ class TestForwardBackward:
         labels = np.array([0, 1, 2, 3, 0, 1, 2, 3])
         weights = LossWeights(alpha=1.0, beta=1.0)
 
-        def loss_fn(m, batch):
+        def loss_fn(m, batch, sink):
             be, bb = batch
-            return m.forward_backward(be, bb, labels, weights, RngState(35)).total
+            return m.forward_backward(be, bb, labels, weights, RngState(35), sink).total
 
         result = gradient_check(model, loss_fn, (x_expr, x_blocks), max_entries_per_param=8)
         assert result.max_rel_error <= 1e-3, str(result)

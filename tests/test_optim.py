@@ -1,7 +1,9 @@
-"""The parameter arena, the fused Adam step, snapshots and restores,
-validation-loss weighting, the history TSV and the checkpoint format."""
+"""The parameter arena, the fused Adam step, snapshots and restores, the
+memory training holds, validation-loss weighting, the history TSV and the
+checkpoint format."""
 
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -13,10 +15,10 @@ from omivae.data import SyntheticSpec, synthesize
 from omivae.errors import FormatError, NumericError
 from omivae.layers import LinearLayer
 from omivae.losses import LossWeights
-from omivae.model import ModelConfig, build_model
+from omivae.model import ModelConfig, OmiVaeModel, build_model
 from omivae.numerics import RngState
 from omivae.optim import Adam, TrainConfig, TrainingHistory
-from standalone import allocate
+from standalone import Poison, allocate
 
 TINY = ModelConfig(
     methyl_block_dims=(3,),
@@ -59,9 +61,43 @@ def flat(arrays):
     return np.concatenate([a.ravel() for a in arrays])
 
 
-def follow_textbook(adam, tensors, set_grads, steps):
+class Record:
+    """A sink that hands each gradient on to `sink`, after `edit(grad)` if
+    `edit` is given, and keeps a copy of it in `grads` by tensor name. A
+    tensor joins `stepped` once `sink` has taken its gradient."""
+
+    def __init__(self, sink, arena, edit=None):
+        self.sink, self.arena, self.edit = sink, arena, edit
+        self.grads: dict[str, np.ndarray] = {}
+        self.stepped: list[str] = []
+
+    def lend(self, value):
+        return self.sink.lend(value)
+
+    def take(self, value, grad):
+        if self.edit is not None:
+            self.edit(grad)
+        name = self.arena.parameter(value).name
+        self.grads[name] = grad.copy()
+        self.sink.take(value, grad)
+        self.stepped.append(name)
+
+
+def hand_on(adam, gradients):
+    """One step of `adam`: each (parameter value, gradient) pair of
+    `gradients` is lent, written and taken in turn."""
+    adam.begin_step()
+    for value, grad in gradients:
+        buffer = adam.lend(value)
+        buffer[...] = grad
+        adam.take(value, buffer)
+
+
+def follow_textbook(adam, hand, steps):
     """Step `adam` and `textbook_adam_step` side by side from t = 1 to
-    `steps`, `set_grads(t)` writing step t's gradient into the arena.
+    `steps`, `hand(t, sink)` handing step t's gradients to `sink`, which
+    passes them to `adam`. A tensor given no gradient in a step follows the
+    textbook on a zero one.
 
     After step t every weight is within 1e-12*lr*t of the textbook's, and
     `(1 - b1) * m` and `(1 - b2) * v` are the textbook moments to 1e-14
@@ -69,18 +105,20 @@ def follow_textbook(adam, tensors, set_grads, steps):
     average of gradients of both signs may cancel to zero.
     """
     b1, b2 = optim.ADAM_BETA1, optim.ADAM_BETA2
-    values = [w.copy() for w, _ in tensors]
+    params = adam.arena.params
+    values = [p.value.copy() for p in params]
     ms, vs, scales = ([np.zeros_like(w) for w in values] for _ in range(3))
     for t in range(1, steps + 1):
-        set_grads(t)
-        grads = [g.copy() for _, g in tensors]
-        adam.step()
+        sink = Record(adam, adam.arena)
+        adam.begin_step()
+        hand(t, sink)
+        grads = [sink.grads.get(p.name, np.zeros_like(p.value)) for p in params]
         textbook_adam_step(values, grads, ms, vs, t, adam.lr)
         for scale, g in zip(scales, grads):
             scale *= b1
             scale += (1.0 - b1) * np.abs(g)
         assert adam.t == t
-        drift = np.abs(flat(w for w, _ in tensors) - flat(values)).max()
+        drift = np.abs(adam.arena.values - flat(values)).max()
         assert drift <= 1e-12 * adam.lr * t, (t, drift / (adam.lr * t))
         assert np.all(np.abs((1.0 - b1) * adam.m - flat(ms)) <= 1e-14 * flat(scales)), t
         assert np.all(np.abs((1.0 - b2) * adam.v - flat(vs)) <= 1e-14 * flat(vs)), t
@@ -93,8 +131,8 @@ class TestArena:
         params = model.parameters()
         assert len(params) == 43
         for p in params:
-            assert np.shares_memory(p.value, arena.values), p.name
-            assert np.shares_memory(p.grad, arena.grads), p.name
+            assert np.shares_memory(p.value, arena.values[p.start : p.start + p.value.size])
+            assert arena.parameter(p.value) is p
         stats = [a for n, a in model.state_tensors() if ".running_" in n]
         assert len(stats) == 22
         for a in stats:
@@ -106,9 +144,10 @@ class TestArena:
                     continue
                 for attr, array in vars(layer).items():
                     if isinstance(array, np.ndarray):
-                        assert np.shares_memory(array, arena.buffer), f"{block.name}.{attr}"
+                        assert np.shares_memory(array, arena.state), f"{block.name}.{attr}"
         assert arena.values.size == sum(p.value.size for p in model.parameters())
-        assert arena.buffer.size == 2 * arena.values.size + sum(a.size for a in stats)
+        # no region holds gradients
+        assert arena.state.size == arena.values.size + sum(a.size for a in stats)
 
     def test_arena_keeps_the_initialization(self):
         # the layers draw into the arena: the model's first weights are the
@@ -121,7 +160,6 @@ class TestArena:
         first = a.parameters()[0]
         assert first.name == "encoder.methyl.block00.linear.weights"
         assert first.value.tobytes() == layer.weights.tobytes() == expected.tobytes()
-        assert np.all(a.arena.grads == 0.0)
         for name, arr in a.state_tensors():
             if name.endswith("running_var") or name.endswith("gamma"):
                 assert np.all(arr == 1.0)
@@ -140,46 +178,48 @@ class TestFusedAdam:
     def test_follows_the_textbook_update_on_a_model(self):
         """24 steps: eight with the classifier's weight at zero, as in phase
         1, then the joint loss; step 12 has a zero gradient and step 16 a
-        zero gradient on every third entry."""
+        zero gradient on every third entry of each tensor."""
         model = build_model(TINY, RngState(0))
         ds = tiny_dataset()
         adam = Adam(model.arena, lr=0.01)
-        params = model.parameters()
-        classifier = [p for p in params if p.name.startswith("classifier.")]
+        classifier = [p for p in model.parameters() if p.name.startswith("classifier.")]
         entry = [p.value.copy() for p in classifier]
+        edits = {12: lambda g: g.fill(0.0), 16: lambda g: g.reshape(-1)[::3].fill(0.0)}
 
-        def set_grads(t):
+        def hand(t, sink):
             chosen = np.arange(8 * (t - 1), 8 * t) % ds.num_samples
             weights = LossWeights(1.0, 0.0 if t <= 8 else 1.0)
-            model.forward_backward(*ds.batch(chosen), ds.labels[chosen], weights, rng=RngState(t))
-            if t == 12:
-                model.arena.grads.fill(0.0)
-            if t == 16:
-                model.arena.grads[::3] = 0.0
-            if t == 9:  # a parameter whose gradient stayed zero has not moved
+            if t == 9:  # a parameter that has had no gradient has not moved
                 for p, w in zip(classifier, entry):
                     assert p.value.tobytes() == w.tobytes(), p.name
+            sink.edit = edits.get(t)
+            model.forward_backward(*ds.batch(chosen), ds.labels[chosen], weights, RngState(t),
+                                   sink)
+            assert sorted(sink.grads) == sorted(
+                p.name for p in model.parameters() if t > 8 or p not in classifier)
 
-        follow_textbook(adam, [(p.value, p.grad) for p in params], set_grads, 24)
+        follow_textbook(adam, hand, 24)
         assert any(p.value.tobytes() != w.tobytes() for p, w in zip(classifier, entry))
 
     def test_follows_the_textbook_update_across_chunk_boundaries(self):
-        # 75,000 weights plus 250 biases: two whole chunks and a partial third
+        # 75,000 weights, two whole chunks and a partial third, then 250 biases
         layer = LinearLayer(300, 250)
         arena = allocate(layer, seed=2)
-        assert arena.values.size > 2 * optim.ADAM_CHUNK
-        assert arena.values.size % optim.ADAM_CHUNK != 0
+        assert layer.weights.size > 2 * optim.ADAM_CHUNK
+        assert layer.weights.size % optim.ADAM_CHUNK != 0
         rng = np.random.default_rng(3)
 
-        def set_grads(t):
-            arena.grads[:] = rng.standard_normal(arena.grads.size) * 10.0 ** rng.integers(-6, 2)
-            if t == 5:
-                arena.grads.fill(0.0)
-            if t == 9:
-                arena.grads[::3] = 0.0
+        def hand(t, sink):
+            for value in (layer.weights, layer.bias):
+                grad = sink.lend(value)
+                grad[...] = rng.standard_normal(value.shape) * 10.0 ** rng.integers(-6, 2)
+                if t == 5:
+                    grad.fill(0.0)
+                if t == 9:
+                    grad.reshape(-1)[::3] = 0.0
+                sink.take(value, grad)
 
-        tensors = [(layer.weights, layer.grad_weights), (layer.bias, layer.grad_bias)]
-        follow_textbook(Adam(arena, lr=0.003), tensors, set_grads, 24)
+        follow_textbook(Adam(arena, lr=0.003), hand, 24)
 
     def test_two_hand_worked_steps(self):
         layer = LinearLayer(2, 1, use_bias=False)
@@ -189,8 +229,7 @@ class TestFusedAdam:
         # step 1, g = (0.5, -1): the unscaled moments are m = g and v = g^2;
         # the textbook's 0.1 g / c1 and 0.001 g^2 / c2 are g and g^2 too, so
         # each weight moves by 0.1 g / (|g| + eps)
-        layer.grad_weights[...] = [[0.5, -1.0]]
-        adam.step()
+        hand_on(adam, [(layer.weights, [[0.5, -1.0]])])
         assert np.allclose(adam.m, [0.5, -1.0], rtol=1e-12, atol=0.0)
         assert np.allclose(adam.v, [0.25, 1.0], rtol=1e-12, atol=0.0)
         w1 = np.array([1.0 - 0.05 / (0.5 + 1e-8), -2.0 + 0.1 / (1.0 + 1e-8)])
@@ -199,8 +238,7 @@ class TestFusedAdam:
         # v = 0.999 v + g^2 = (0.49975, 1.999); c1 = 0.19 and c2 = 0.001999,
         # so the textbook m/c1 = 0.1 m / c1 = (0.5, 1/19) and
         # v/c2 = 0.001 v / c2 = (0.25, 1)
-        layer.grad_weights[...] = [[0.5, 1.0]]
-        adam.step()
+        hand_on(adam, [(layer.weights, [[0.5, 1.0]])])
         assert adam.t == 2
         assert np.allclose(adam.m, [0.95, 0.1], rtol=1e-12, atol=0.0)
         assert np.allclose(adam.v, [0.49975, 1.999], rtol=1e-12, atol=0.0)
@@ -208,25 +246,29 @@ class TestFusedAdam:
         assert np.allclose(layer.weights[0], w2, rtol=1e-12, atol=0.0)
 
     def test_non_finite_gradient_names_the_tensor_and_changes_nothing(self):
-        model = build_model(TINY, RngState(0))
+        """Nothing of the bad tensor changes, nor of any tensor taken after
+        it; those taken before it have stepped."""
         ds = tiny_dataset()
-        adam = Adam(model.arena, lr=0.01)
-        model.forward_backward(
-            *ds.batch(np.arange(8)), ds.labels[:8], LossWeights(1.0, 1.0), rng=RngState(1)
-        )
-        adam.step()
-        target = next(p for p in model.parameters() if p.name == "encoder.fusion.norm.gamma")
-        target.grad[1] = np.nan
-        before = [a.copy() for a in (model.arena.values, adam.m, adam.v)]
-        with pytest.raises(NumericError) as info:
-            adam.step()
-        assert str(info.value) == "non-finite gradient in encoder.fusion.norm.gamma; step aborted"
-        assert adam.t == 1
-        for saved, live in zip(before, (model.arena.values, adam.m, adam.v)):
-            assert saved.tobytes() == live.tobytes()
-        target.grad[1] = np.inf
-        with pytest.raises(NumericError, match="encoder.fusion.norm.gamma"):
-            adam.step()
+        batch = (*ds.batch(np.arange(8)), ds.labels[:8], LossWeights(1.0, 1.0))
+        target = "encoder.fusion.norm.gamma"
+        for bad in (np.nan, np.inf):
+            model = build_model(TINY, RngState(0))
+            adam = Adam(model.arena, lr=0.01)
+            adam.begin_step()
+            model.forward_backward(*batch, RngState(1), adam)
+            before = [a.copy() for a in (model.arena.values, adam.m, adam.v)]
+            sink = Record(Poison(adam, model.arena, target, bad), model.arena)
+            adam.begin_step()
+            with pytest.raises(NumericError) as info:
+                model.forward_backward(*batch, RngState(2), sink)
+            assert str(info.value) == f"non-finite gradient in {target}; step aborted"
+            assert target in sink.grads and target not in sink.stepped
+            assert "encoder.fusion.linear.weights" not in sink.grads  # it comes next
+            for p in model.parameters():
+                span = slice(p.start, p.start + p.value.size)
+                for saved, live in zip(before, (model.arena.values, adam.m, adam.v)):
+                    moved = saved[span].tobytes() != live[span].tobytes()
+                    assert moved == (p.name in sink.stepped), (bad, p.name)
 
     def test_huge_finite_gradient_steps(self):
         # 1e200 squared overflows the fast finiteness test, and the exact
@@ -234,33 +276,59 @@ class TestFusedAdam:
         layer = LinearLayer(3, 2)
         arena = allocate(layer, seed=4)
         adam = Adam(arena, lr=0.01)
-        arena.grads[:] = np.linspace(-1.0, 1.0, arena.grads.size)
-        arena.grads[2] = 1e200
-        entry = arena.values.copy()
+        grads = np.split(np.linspace(-1.0, 1.0, arena.values.size), [layer.weights.size])
+        grads[0][2] = 1e200
         values = [layer.weights.copy(), layer.bias.copy()]
-        grads = [layer.grad_weights.copy(), layer.grad_bias.copy()]
+        entry = arena.values.copy()
         ms = [np.zeros_like(v) for v in values]
         vs = [np.zeros_like(v) for v in values]
         with np.errstate(over="ignore"):  # Adam's own square of 1e200
-            adam.step()
-            textbook_adam_step(values, grads, ms, vs, 1, lr=0.01)
+            hand_on(adam, [(layer.weights, grads[0].reshape(2, 3)), (layer.bias, grads[1])])
+            textbook_adam_step(values, [grads[0].reshape(2, 3), grads[1]], ms, vs, 1, lr=0.01)
         assert adam.t == 1
         # its v is inf, so only the 1e200 entry does not move
         assert list(np.flatnonzero(arena.values == entry)) == [2]
         assert np.abs(arena.values - flat(values)).max() <= 1e-12 * 0.01
 
 
-def test_training_never_clears_the_grads():
-    """`forward_backward` writes every grad, so training needs no clearing:
-    grads that start as NaN never reach Adam, which would stop on them."""
-    model = build_model(TINY, RngState(0))
-    model.arena.grads.fill(np.nan)
-    config = TrainConfig(batch_size=8, phase1_epochs=2, phase2_epochs=2, patience=100)
-    history = optim.train_two_phase(
-        model, tiny_dataset(), np.arange(32), np.arange(32, 40), config
-    )
-    assert not history.diverged and len(history.records) == 4
-    assert np.isfinite(model.arena.grads).all()
+MID = ModelConfig(
+    methyl_block_dims=(300,) * 4,
+    expr_dim=2_000,
+    per_block_hidden=128,
+    modality_dim=512,
+    fusion_dim=128,
+    latent_dim=16,
+    classifier_hidden=(32, 16),
+    num_classes=2,
+)
+# what training holds besides the arena, the snapshot, m, v and the lent
+# buffer: each batch's activations and caches, Adam's two chunk buffers
+# (512 KiB) and numpy's and Python's small objects, 2.0 MiB in all on MID at
+# batch 8; one more array of MID's values would add 14.0 MiB
+ACTIVATIONS = 4 * 2**20
+
+
+def test_training_holds_four_copies_of_the_values_and_one_tensor():
+    """Building a mid-size model (1.83M parameters) and training it peaks
+    at four arena-sized arrays (the arena and the snapshot, each with the
+    running statistics, and Adam's m and v), one array the size of the
+    largest tensor and `ACTIVATIONS`: no array holds a whole model's
+    gradient."""
+    spec = SyntheticSpec(num_classes=2, samples_per_class=20, num_blocks=4,
+                         features_per_block=300, expr_features=2_000, seed=4)
+    dataset = synthesize(spec)
+    config = TrainConfig(batch_size=8, phase1_epochs=1, phase2_epochs=1, patience=100)
+    tracemalloc.start()
+    try:
+        model = build_model(MID, RngState(0))
+        optim.train_two_phase(model, dataset, np.arange(32), np.arange(32, 40), config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arena = model.arena
+    largest = max(p.value.nbytes for p in arena.params)
+    held = 2 * arena.state.nbytes + 2 * arena.values.nbytes + largest
+    assert peak <= held + ACTIVATIONS, (peak - held) / 2**20
 
 
 @pytest.mark.parametrize(
@@ -275,21 +343,31 @@ def test_training_never_clears_the_grads():
 )
 def test_the_phases_that_run_and_the_moment_reset(monkeypatch, overrides, diverge, phases):
     """A phase runs only with epochs, and phase 2 not after a divergence;
-    Adam's moments are zeroed before phase 2 and only then."""
+    Adam's moments are zeroed before phase 2 and only then. A NaN in the
+    first step's gradient of the fusion weights, which backward hands on
+    after the decoder's and the heads', stops training on the entry state."""
     resets = []
     reset = Adam.reset
     monkeypatch.setattr(Adam, "reset", lambda self: resets.append(self.t) or reset(self))
+    target = "encoder.fusion.linear.weights"
     if diverge:
-        def step(self):
-            raise NumericError("non-finite gradient in x; step aborted")
+        forward_backward = OmiVaeModel.forward_backward
 
-        monkeypatch.setattr(Adam, "step", step)
+        def poisoned(self, *args):
+            return forward_backward(self, *args[:-1], Poison(args[-1], self.arena, target))
+
+        monkeypatch.setattr(OmiVaeModel, "forward_backward", poisoned)
     model = build_model(TINY, RngState(0))
+    entry = model.arena.state.copy()
     config = TrainConfig(**{**dict(batch_size=8, phase1_epochs=1, phase2_epochs=1,
                                     patience=100), **overrides})
     history = optim.train_two_phase(model, tiny_dataset(), np.arange(32), np.arange(32, 40), config)
     assert [r.phase for r in history.records] == phases
-    assert bool(history.diverged) == diverge
+    assert history.diverged == (
+        f"phase 1, epoch 1, step 1: non-finite gradient in {target}; step aborted"
+        if diverge else "")
+    if diverge:
+        assert model.arena.state.tobytes() == entry.tobytes()
     # one reset, after phase 1's four steps (none when phase 1 has no epochs)
     assert resets == ([4 * config.phase1_epochs] if 2 in phases else [])
 
@@ -337,13 +415,15 @@ class TestRunPhaseRestore:
 
         calls = []
         original_step = model.forward_backward
+        name = model.parameters()[3].name
 
-        def failing_step(*args, **kwargs):
-            out = original_step(*args, **kwargs)
-            calls.append(model.arena.state.copy())
-            if len(calls) == fail_at:
-                model.parameters()[3].grad[0] = np.nan
-            return out
+        def failing_step(*args):
+            calls.append(None)
+            sink = Poison(args[-1], model.arena, name) if len(calls) == fail_at else args[-1]
+            try:
+                return original_step(*args[:-1], sink)
+            finally:
+                calls[-1] = model.arena.state.copy()
 
         monkeypatch.setattr(optim, "evaluate_losses", recording_evaluate)
         monkeypatch.setattr(model, "forward_backward", failing_step)
@@ -352,7 +432,6 @@ class TestRunPhaseRestore:
         history = optim.train_two_phase(
             model, ds, np.arange(32), np.arange(32, 40), config, RngState(5)
         )
-        name = model.parameters()[3].name
         epoch = 1 if fail_at == 2 else 2
         assert history.diverged == (
             f"phase 1, epoch {epoch}, step {fail_at}: non-finite gradient in {name}; step aborted"
@@ -361,9 +440,11 @@ class TestRunPhaseRestore:
         expected = entry if fail_at == 2 else evaluated[0]
         assert len(evaluated) == (0 if fail_at == 2 else 1)
         # arena.state is [values | running statistics]: the failing step's
-        # forward moved the statistics, and the restore puts them back too
-        stats = slice(model.arena.values.size, None)
-        assert not np.array_equal(calls[-1][stats], expected[stats])
+        # forward moved the statistics and its backward stepped the tensors
+        # taken before the NaN, and the restore puts both back
+        values = model.arena.values.size
+        assert not np.array_equal(calls[-1][values:], expected[values:])
+        assert not np.array_equal(calls[-1][:values], expected[:values])
         assert model.arena.state.tobytes() == expected.tobytes()
         assert history.best_epoch == ({} if fail_at == 2 else {1: 1})
         assert history.best_metric == ({} if fail_at == 2 else {1: history.records[0].val.total})
@@ -498,10 +579,10 @@ class TestCheckpointFormat:
         adam = Adam(model.arena, lr=0.01)
         for t in range(3):
             chosen = np.arange(8 * t, 8 * t + 8)
+            adam.begin_step()
             model.forward_backward(
-                *ds.batch(chosen), ds.labels[chosen], LossWeights(1.0, 1.0), rng=RngState(t)
+                *ds.batch(chosen), ds.labels[chosen], LossWeights(1.0, 1.0), RngState(t), adam
             )
-            adam.step()
         path = str(tmp_path / "model.omvae")
         optim.save_checkpoint(path, model, metadata={"note": "x"})
         checkpoint = optim.load_checkpoint(path)

@@ -27,12 +27,14 @@ ARENA = ("layers.py", "ParameterArena.__init__")
 # model's embedding pass, whose work `pca_transform` and `dataset_matrix`
 # do; separators that numpy's reader strips as the per-cell loop does; the
 # gradient checker, a test tool that `tests/standalone.py` holds; an
-# alias of `np.ndarray` and a finite check that had one caller left; and
-# the model's per-batch input check, which `cli` makes once where a loaded
-# checkpoint meets a cache
+# alias of `np.ndarray` and a finite check that had one caller left; the
+# model's per-batch input check, which `cli` makes once where a loaded
+# checkpoint meets a cache; and the view of the classifier's gradients that
+# phase 1 zeroed, since backward hands each gradient to the optimizer and
+# no region holds them
 REMOVED_DEFINITIONS = ("bind", "_NoDraw", "_centred_scores", "_features", "STRIP_ONLY",
                        "gradient_check", "GradCheckResult", "Matrix", "check_finite",
-                       "_validate_inputs")
+                       "_validate_inputs", "_classifier_grads")
 
 
 def modules():
@@ -166,7 +168,8 @@ def test_layers_allocate_only_in_the_arena():
 
 
 def test_no_module_defines_a_rebinding_or_a_stand_in_stream():
-    """Nor any other name of `REMOVED_DEFINITIONS`."""
+    """Nor any other name of `REMOVED_DEFINITIONS`, as a function, a class,
+    a module-level name or an attribute anywhere."""
     found = [
         (name, node.name, node.lineno)
         for name, tree in modules()
@@ -181,6 +184,13 @@ def test_no_module_defines_a_rebinding_or_a_stand_in_stream():
         for target in ast.walk(node)
         if isinstance(target, ast.Name) and isinstance(target.ctx, ast.Store)
         and target.id in REMOVED_DEFINITIONS
+    ]
+    found += [
+        (name, node.attr, node.lineno)
+        for name, tree in modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and node.attr in REMOVED_DEFINITIONS
     ]
     assert found == []
 
