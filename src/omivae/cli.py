@@ -28,12 +28,14 @@ time, so saving either, or loading a cache, holds a single copy of its
 tensors. Every command that loads a checkpoint holds two while it builds
 the model: the loaded tensors and the model's arena they are copied into.
 Training holds four arrays the size of the model's parameters (the arena,
-the best-epoch snapshot and Adam's two moments) and one the size of its
-largest tensor, into which backward writes each gradient for Adam to take;
-each crossval fold thread holds its own. Every pass outside training
-(validation, `embed`, `evaluate` and each crossval test fold) gathers at
-most `data.INFER_ROWS` rows at a time, so its memory scales with that
-chunk, not with the cohort.
+the best-epoch snapshot and Adam's two moments) and one the size of a
+gradient slab, into which backward writes each row slab of a weight
+gradient, or a whole bias or batch-norm gradient, for Adam to take; each
+crossval fold thread holds its own. Building a model holds its arena
+alone: each layer draws its initialization into it in place. Every pass
+outside training (validation, `embed`, `evaluate` and each crossval test
+fold) gathers at most `data.INFER_ROWS` rows at a time, so its memory
+scales with that chunk, not with the cohort.
 """
 
 from __future__ import annotations

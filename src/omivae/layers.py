@@ -13,13 +13,17 @@ initialize or load.
 
 Forward and backward passes are written out by hand, once per block or
 composite. A backward hands each parameter's gradient to the sink it is
-given, as soon as it has formed it: `sink.lend(value)` lends a buffer
-shaped like the parameter `value`, the layer writes the gradient into it
-whole, and `sink.take(value, grad)` takes it. No arena region holds
-gradients. The sink may change `value` when it takes its gradient (in
-training it is `optim.Adam`, which steps the parameter then), so a layer
-forms its input gradient from its parameters before it hands their
-gradients on, and it holds at most one lent buffer at a time.
+given, as soon as it has formed it, one slab at a time: `sink.lend(value)`
+lends a buffer shaped like `value`, a C-contiguous piece of a parameter,
+the layer writes that piece's gradient into it whole, and `sink.take(value,
+grad)` takes it. A weight matrix goes in row slabs of `slab_rows` rows, in
+row order, each formed and taken before the next, so that a sink can use a
+slab while it is still in cache; a bias or a batch-norm tensor is one slab,
+whole. No arena region holds gradients. The sink may change `value` when
+it takes its gradient (in training it is `optim.Adam`, which steps that
+slab then), so a layer forms its input gradient from its parameters before
+it hands any of their gradients on, and it holds at most one lent buffer
+at a time.
 
 Arrays written in place: besides parameters and running statistics (see
 `Parameter`) and the buffers a sink lends, only arrays that one module made
@@ -32,6 +36,7 @@ gradients it is given.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -42,6 +47,24 @@ from .numerics import RngState
 
 BN_MOMENTUM = 0.1  # running <- (1 - momentum) * running + momentum * batch
 BN_EPSILON = 1e-5  # added to the variance before the square root
+GRAD_SLAB = 2**18  # elements of one weight-gradient slab: 2 MiB, a core's L2
+SLAB_ALIGN = 16  # a slab's row count is a multiple of this
+
+
+def slab_rows(in_dim: int) -> int:
+    """The rows of one gradient slab of a weight matrix `in_dim` wide: as
+    many multiples of `SLAB_ALIGN` as fit in `GRAD_SLAB` elements, and at
+    least `SLAB_ALIGN` rows, however wide."""
+    return max(SLAB_ALIGN, GRAD_SLAB // in_dim // SLAB_ALIGN * SLAB_ALIGN)
+
+
+def largest_slab(shape: tuple[int, ...]) -> int:
+    """The most elements a backward hands on at once of a tensor of
+    `shape`: one row slab of a weight matrix, or the whole of a 1-D tensor."""
+    if len(shape) == 1:
+        return shape[0]
+    out_dim, in_dim = shape
+    return min(out_dim, slab_rows(in_dim)) * in_dim
 
 
 @dataclass
@@ -60,10 +83,6 @@ class Parameter:
     start: int
 
 
-def _address(array: np.ndarray) -> int:
-    return array.__array_interface__["data"][0]
-
-
 class ParameterArena:
     """One contiguous float64 buffer behind a set of modules' tensors.
 
@@ -77,8 +96,9 @@ class ParameterArena:
     declaration order. `state` is everything a snapshot or checkpoint must
     keep, and `values` is what an optimizer steps. `tensors` lists each
     (name, view) of `state` in declaration order, which is the order of
-    checkpoints; `params` lists the parameters, and `parameter(value)`
-    finds the one of a view.
+    checkpoints; `params` lists the parameters, in `values` order.
+    `offset(view)` is the element at which a piece of `values` starts,
+    and `owner(offset)` the parameter that holds that element.
 
     `saved`, the (name, array) list of a checkpoint, must match the
     declarations name for name and shape for shape. It is checked before
@@ -121,14 +141,21 @@ class ParameterArena:
             if learnable:
                 self.params.append(Parameter(name, view, offset))
             offset += view.size
-        self._by_address = {_address(p.value): p for p in self.params}
         self.tensors = [(name, getattr(owner, attr)) for owner, attr, _, name, _ in rows]
         for (_, view), (_, array) in zip(self.tensors, saved or ()):
             view[...] = array
 
-    def parameter(self, value: np.ndarray) -> Parameter:
-        """The parameter whose view `value` is, as a layer attribute holds it."""
-        return self._by_address[_address(value)]
+    def offset(self, view: np.ndarray) -> int:
+        """The element of `values` at which `view`, a C-contiguous piece of
+        it, starts."""
+        start = (view.ctypes.data - self.values.ctypes.data) // self.values.itemsize
+        if not (view.flags.c_contiguous and 0 <= start <= self.values.size - view.size):
+            raise ValidationError("not a contiguous piece of the arena's values")
+        return start
+
+    def owner(self, offset: int) -> Parameter:
+        """The parameter that holds element `offset` of `values`."""
+        return self.params[bisect.bisect_right(self.params, offset, key=lambda p: p.start) - 1]
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -174,10 +201,10 @@ class LinearLayer:
         return [(self, *row) for row in self._tensors]
 
     def init(self, rng: RngState) -> None:
-        """Draw the weights from Glorot's uniform range; a bias stays zero."""
-        out_dim, in_dim = self.weights.shape
-        limit = np.sqrt(6.0 / (in_dim + out_dim))
-        self.weights[...] = rng.uniform(-limit, limit, (out_dim, in_dim))
+        """Draw the weights from Glorot's uniform range, in place; a bias
+        stays zero."""
+        limit = np.sqrt(6.0 / sum(self.weights.shape))
+        rng.uniform_into(self.weights, -limit, limit)
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         in_dim = self.weights.shape[1]
@@ -192,9 +219,9 @@ class LinearLayer:
         return out
 
     def backward(self, upstream: np.ndarray, sink) -> np.ndarray | None:
-        """Hand the parameters' gradients to `sink`; return the input
-        gradient if needed, formed first, from the weights `sink` has not
-        yet seen."""
+        """Hand the weights' gradient to `sink` in row slabs, in row order,
+        then the bias's; return the input gradient if needed, formed first,
+        from the weights `sink` has not yet seen."""
         x = self._input
         if x is None:
             raise ValidationError(f"{self.name}: backward without a cached training forward")
@@ -202,9 +229,12 @@ class LinearLayer:
             raise ValidationError(f"{self.name}: upstream shape {upstream.shape} mismatch")
         self._input = None
         din = upstream @ self.weights if self.needs_input_grad else None
-        grad = sink.lend(self.weights)
-        np.matmul(upstream.T, x, out=grad)
-        sink.take(self.weights, grad)
+        rows = slab_rows(x.shape[1])
+        for start in range(0, upstream.shape[1], rows):
+            slab = slice(start, start + rows)
+            grad = sink.lend(self.weights[slab])
+            np.matmul(upstream[:, slab].T, x, out=grad)
+            sink.take(self.weights[slab], grad)
         if self.bias is not None:
             grad = sink.lend(self.bias)
             np.sum(upstream, axis=0, out=grad)

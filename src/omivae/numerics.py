@@ -40,6 +40,14 @@ class RngState:
     def uniform(self, low: float, high: float, shape) -> np.ndarray:
         return self._gen.uniform(low, high, shape)
 
+    def uniform_into(self, out: np.ndarray, low: float, high: float) -> None:
+        """Fill the C-contiguous float64 `out` in place with the draws
+        `uniform(low, high, out.shape)` would return, leaving the stream
+        where that call would."""
+        self._gen.random(out=out)
+        out *= high - low
+        out += low
+
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 

@@ -5,16 +5,19 @@ A model keeps every parameter and batch-norm running statistic in one
 float64 `ParameterArena`, and everything here works on its flat vectors.
 Training holds four arrays the size of `arena.values`: the arena itself,
 Adam's `m` and `v`, and the snapshot `saved` of `arena.state`; besides
-them, Adam's one gradient buffer is the size of the largest tensor. No
-array holds a whole model's gradient: `forward_backward` hands each
-tensor's gradient to Adam, the step's sink, as backward forms it, and Adam
-steps that tensor at once. Adam takes Kingma & Ba's efficient form, so its
-`m` and `v` hold unscaled moments: `(1 - beta1) * m` and `(1 - beta2) * v`
-are the textbook ones. Code that changes a tensor writes it in place and
-never rebinds `.value` or a running statistic. A checkpoint's model is
-declared, allocated and loaded: `Checkpoint.build` hands the saved tensors
-to the new model, whose arena checks them against its declarations before
-it allocates and then copies them in, with no initialization drawn.
+them, Adam's one gradient buffer holds the largest piece a backward hands
+on: one row slab of a weight matrix (`layers.GRAD_SLAB` elements where the
+row width allows) or a whole 1-D tensor. No array holds a whole model's
+gradient, nor a whole tensor's: `forward_backward` hands each piece of a
+gradient to Adam, the step's sink, as backward forms it, and Adam steps
+that piece at once, while it is still in cache. Adam takes Kingma & Ba's
+efficient form, so its `m` and `v` hold unscaled moments: `(1 - beta1) * m`
+and `(1 - beta2) * v` are the textbook ones. Code that changes a tensor
+writes it in place and never rebinds `.value` or a running statistic. A
+checkpoint's model is declared, allocated and loaded: `Checkpoint.build`
+hands the saved tensors to the new model, whose arena checks them against
+its declarations before it allocates and then copies them in, with no
+initialization drawn.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from .container import fields_from_text, fields_to_text, read_container, write_container
 from .errors import NumericError, ValidationError
-from .layers import ParameterArena, softmax
+from .layers import ParameterArena, largest_slab, softmax
 from .losses import LossReport, LossWeights, classification_loss, total_loss, vae_loss
 from .model import ModelConfig, OmiVaeModel
 from .numerics import RngState
@@ -48,13 +51,15 @@ class Adam:
 
     Adam is the gradient sink of a training step (see `layers`).
     `begin_step()` advances `t` and fixes the step's size and eps. Backward
-    then writes each tensor's gradient into the buffer `lend` gives, one
-    buffer the size of the largest tensor, and hands it to `take`, which
-    updates that tensor's weights and moments in place, over chunks of
-    `ADAM_CHUNK` elements with two preallocated chunk buffers for the
-    temporaries. A non-finite gradient raises `NumericError` naming its
-    tensor before anything of that tensor changes; the tensors taken
-    earlier in the step have stepped already.
+    then writes each slab of a gradient (a weight matrix's row slab, or a
+    whole 1-D tensor) into the buffer `lend` gives, one buffer the size of
+    the largest slab, and hands it to `take`. `take` finds the slab's
+    offset in `values` from its address, checks the slab, and updates its
+    weights and moments in place, over chunks of `ADAM_CHUNK` elements with
+    two preallocated chunk buffers for the temporaries. A non-finite
+    gradient raises `NumericError` naming its tensor before anything of
+    that slab changes; the slabs taken earlier in the step, that tensor's
+    own earlier rows among them, have stepped already.
     """
 
     def __init__(self, arena: ParameterArena, lr: float):
@@ -63,7 +68,7 @@ class Adam:
         self.t = 0
         self.m = np.zeros(arena.values.size)
         self.v = np.zeros(arena.values.size)
-        self._grad = np.empty(max(p.value.size for p in arena.params))
+        self._grad = np.empty(max(largest_slab(p.value.shape) for p in arena.params))
         self._a = np.empty(ADAM_CHUNK)
         self._b = np.empty(ADAM_CHUNK)
         self._size = self._eps = None
@@ -81,19 +86,20 @@ class Adam:
         self._size, self._eps = self.lr * (1.0 - b1) * r / (1.0 - b1**self.t), ADAM_EPS * r
 
     def lend(self, value: np.ndarray) -> np.ndarray:
-        """The gradient buffer for the parameter `value`, shaped like it."""
+        """The gradient buffer for `value`, a slab of a parameter, shaped like it."""
         return self._grad[: value.size].reshape(value.shape)
 
     def take(self, value: np.ndarray, grad: np.ndarray) -> None:
-        """Step the parameter `value` by its gradient `grad`."""
-        p = self.arena.parameter(value)
+        """Step `value`, a slab of a parameter, by its gradient `grad`."""
+        offset = self.arena.offset(value)
         grad = grad.reshape(-1)
         # a finite sum of squares means every entry is finite; only a
         # non-finite one (or an overflow) needs the exact check
         if not np.isfinite(grad @ grad) and not np.isfinite(grad).all():
-            raise NumericError(f"non-finite gradient in {p.name}; step aborted")
+            name = self.arena.owner(offset).name
+            raise NumericError(f"non-finite gradient in {name}; step aborted")
         b1, b2, size, eps = ADAM_BETA1, ADAM_BETA2, self._size, self._eps
-        span = slice(p.start, p.start + grad.size)
+        span = slice(offset, offset + grad.size)
         values, ms, vs = self.arena.values[span], self.m[span], self.v[span]
         for start in range(0, grad.size, ADAM_CHUNK):
             chunk = slice(start, start + ADAM_CHUNK)

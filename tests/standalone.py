@@ -4,10 +4,11 @@ gradient checker.
 A layer or block holds no arrays until a `ParameterArena` allocates them,
 so a test declares its modules and then calls `allocate`, as `OmiVaeModel`
 does for its blocks. A backward hands each gradient to a sink (see
-`omivae.layers`): `Collect` keeps them in one flat vector in arena order,
-and `Poison` puts a NaN (or another bad value) into one tensor's gradient
-on its way to another sink. `gradient_check` compares the gradients of anything with an
-`arena`, such as a model, with central finite differences."""
+`omivae.layers`), a weight matrix's in row slabs: `Collect` keeps them
+in one flat vector in arena order, and `Poison` puts a NaN (or another bad
+value) into one entry of one tensor's gradient on its way to another
+sink. `gradient_check` compares the gradients of anything with an `arena`,
+such as a model, with central finite differences."""
 
 from dataclasses import dataclass
 
@@ -20,41 +21,51 @@ from omivae.numerics import RngState
 
 class Collect:
     """A sink that keeps each gradient in `flat`, which lines up with
-    `arena.values`, and the name of each tensor taken, in order, in
-    `taken`. `flat` starts filled with `fill`, so an entry no backward
+    `arena.values`. Each take appends the name of its tensor to `taken`,
+    once per slab, and the (start, stop) span of `values` it covers to
+    `spans`. `flat` starts filled with `fill`, so an entry no backward
     wrote still reads `fill`."""
 
     def __init__(self, arena: ParameterArena, fill: float = np.nan):
         self.arena = arena
         self.flat = np.full(arena.values.size, fill)
         self.taken: list[str] = []
+        self.spans: list[tuple[int, int]] = []
 
     def lend(self, value):
         return self.grad(value)
 
     def take(self, value, grad):
         assert np.shares_memory(grad, self.grad(value))
-        self.taken.append(self.arena.parameter(value).name)
+        start = self.arena.offset(value)
+        self.taken.append(self.arena.owner(start).name)
+        self.spans.append((start, start + value.size))
 
     def grad(self, value):
-        """The kept gradient of the parameter `value`, a view of `flat`."""
-        start = self.arena.parameter(value).start
+        """The kept gradient of `value`, a parameter or a slab of one, as a
+        view of `flat`."""
+        start = self.arena.offset(value)
         return self.flat[start : start + value.size].reshape(value.shape)
 
 
 class Poison:
     """A sink that hands every gradient on to `sink`, with `bad` (NaN
-    unless given) put into entry 0 of tensor `name`'s gradient."""
+    unless given) put into entry `index` (0 unless given) of tensor
+    `name`'s flattened gradient, in whichever slab holds it."""
 
-    def __init__(self, sink, arena: ParameterArena, name: str, bad: float = np.nan):
-        self.sink, self.arena, self.name, self.bad = sink, arena, name, bad
+    def __init__(self, sink, arena: ParameterArena, name: str, bad: float = np.nan,
+                 index: int = 0):
+        self.sink, self.arena, self.name, self.bad, self.index = sink, arena, name, bad, index
 
     def lend(self, value):
         return self.sink.lend(value)
 
     def take(self, value, grad):
-        if self.arena.parameter(value).name == self.name:
-            grad.flat[0] = self.bad
+        start = self.arena.offset(value)
+        p = self.arena.owner(start)
+        at = p.start + self.index - start
+        if p.name == self.name and 0 <= at < grad.size:
+            grad.flat[at] = self.bad
         self.sink.take(value, grad)
 
 

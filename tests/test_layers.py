@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+from omivae import layers
 from omivae.errors import ValidationError
 from omivae.layers import (
     BN_EPSILON,
     BN_MOMENTUM,
+    GRAD_SLAB,
+    SLAB_ALIGN,
     BatchNormLayer,
     FcBlock,
     LinearLayer,
     Sequence,
+    slab_rows,
 )
 from omivae.numerics import RngState
 from standalone import Collect, allocate, gradient_check
@@ -152,6 +156,32 @@ class TestBackward:
         stack.backward(np.ones_like(out), sink)
         assert sink.taken == ["head.weights", "head.bias", "fc.norm.gamma",
                               "fc.norm.beta_shift", "fc.linear.weights"]
+
+    def test_a_weight_gradient_is_handed_on_in_row_slabs(self, monkeypatch):
+        """At 256 elements a slab, a 13-wide weight matrix goes in slabs of
+        16 rows (19 would fit; 16 is the aligned count), the last one
+        partial: each step hands every weight on exactly once, in row
+        order, then the bias, and the slabs make up `upstream.T @ x`."""
+        monkeypatch.setattr(layers, "GRAD_SLAB", 2**8)
+        layer, sink = allocated(LinearLayer(13, 101), seed=50)
+        bounds = [13 * r for r in (0, 16, 32, 48, 64, 80, 96, 101)]
+        spans = list(zip(bounds[:-1], bounds[1:])) + [(1313, 1414)]
+        for seed in (51, 52):
+            x, upstream = (RngState(seed).standard_normal(7, n) for n in (13, 101))
+            layer.forward(x, train=True)
+            layer.backward(upstream, sink)
+            assert sink.spans[-len(spans):] == spans
+            assert sink.taken[-len(spans):] == ["linear.weights"] * 7 + ["linear.bias"]
+            np.testing.assert_allclose(sink.grad(layer.weights), upstream.T @ x,
+                                       rtol=1e-12, atol=0.0)
+        assert len(sink.spans) == 2 * len(spans)
+
+    @pytest.mark.parametrize("in_dim", [1, 13, 300, 2**14, 2**14 + 1, 58_043])
+    def test_a_slab_is_the_most_aligned_rows_that_fit(self, in_dim):
+        rows = slab_rows(in_dim)
+        assert rows >= SLAB_ALIGN and rows % SLAB_ALIGN == 0
+        assert rows * in_dim <= GRAD_SLAB or rows == SLAB_ALIGN
+        assert (rows + SLAB_ALIGN) * in_dim > GRAD_SLAB
 
     def test_the_input_gradient_is_formed_before_the_sink_steps(self):
         """A sink may change a parameter when it takes its gradient: the

@@ -76,3 +76,14 @@ class TestRng:
     def test_stream_advances(self):
         rng = RngState(2)
         assert not np.array_equal(rng.standard_normal(3, 3), rng.standard_normal(3, 3))
+
+    def test_uniform_into_draws_what_uniform_returns(self):
+        """Filling an array in place gives `uniform`'s draws bit for bit and
+        leaves the stream where `uniform` would, so a model build that draws
+        into its arena initializes as one that draws and copies."""
+        expected, into = RngState(7), RngState(7)
+        drawn = expected.uniform(-0.3, 0.25, (37, 11))
+        out = np.empty((37, 11))
+        into.uniform_into(out, -0.3, 0.25)
+        assert out.tobytes() == drawn.tobytes()
+        assert into.standard_normal(2, 3).tobytes() == expected.standard_normal(2, 3).tobytes()

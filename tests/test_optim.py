@@ -3,17 +3,18 @@ memory training holds, validation-loss weighting, the history TSV and the
 checkpoint format."""
 
 import sys
+from dataclasses import replace
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from omivae import data, optim
+from omivae import data, layers, optim
 from omivae.container import fields_to_text, read_container, write_container
 from omivae.data import SyntheticSpec, synthesize
-from omivae.errors import FormatError, NumericError
-from omivae.layers import LinearLayer
+from omivae.errors import FormatError, NumericError, ValidationError
+from omivae.layers import FcBlock, LinearLayer, largest_slab
 from omivae.losses import LossWeights
 from omivae.model import ModelConfig, OmiVaeModel, build_model
 from omivae.numerics import RngState
@@ -77,7 +78,7 @@ class Record:
     def take(self, value, grad):
         if self.edit is not None:
             self.edit(grad)
-        name = self.arena.parameter(value).name
+        name = self.arena.owner(self.arena.offset(value)).name
         self.grads[name] = grad.copy()
         self.sink.take(value, grad)
         self.stepped.append(name)
@@ -132,7 +133,8 @@ class TestArena:
         assert len(params) == 43
         for p in params:
             assert np.shares_memory(p.value, arena.values[p.start : p.start + p.value.size])
-            assert arena.parameter(p.value) is p
+            assert arena.offset(p.value) == p.start and arena.owner(p.start) is p
+            assert arena.owner(p.start + p.value.size - 1) is p
         stats = [a for n, a in model.state_tensors() if ".running_" in n]
         assert len(stats) == 22
         for a in stats:
@@ -270,6 +272,38 @@ class TestFusedAdam:
                     moved = saved[span].tobytes() != live[span].tobytes()
                     assert moved == (p.name in sink.stepped), (bad, p.name)
 
+    def test_non_finite_gradient_in_a_later_slab_stops_at_that_slab(self, monkeypatch):
+        """With 16-row slabs, a NaN in the fourth slab of a 101-row weight
+        matrix: its first three slabs have stepped; nothing of that slab,
+        of the later ones or of the bias changes."""
+        monkeypatch.setattr(layers, "GRAD_SLAB", 2**8)
+        layer = LinearLayer(13, 101)
+        arena = allocate(layer, seed=6)
+        adam = Adam(arena, lr=0.01)
+        assert largest_slab(layer.weights.shape) == 16 * 13 < layer.weights.size
+        x, upstream = (RngState(seed).standard_normal(7, n) for seed, n in ((7, 13), (8, 101)))
+        sink = Record(Poison(adam, arena, "linear.weights", index=3 * 16 * 13 + 5), arena)
+        before = [a.copy() for a in (arena.values, adam.m, adam.v)]
+        adam.begin_step()
+        layer.forward(x, train=True)
+        with pytest.raises(NumericError) as info:
+            layer.backward(upstream, sink)
+        assert str(info.value) == "non-finite gradient in linear.weights; step aborted"
+        assert sink.stepped == ["linear.weights"] * 3
+        stepped = 3 * 16 * 13
+        for saved, live in zip(before, (arena.values, adam.m, adam.v)):
+            assert (saved[:stepped] != live[:stepped]).all()
+            assert saved[stepped:].tobytes() == live[stepped:].tobytes()
+
+    def test_adam_takes_only_pieces_of_the_arena_values(self):
+        block = FcBlock(3, 2)
+        arena = allocate(block)
+        adam = Adam(arena, lr=0.01)
+        adam.begin_step()
+        for value in (np.zeros(2), block.linear.weights[:, :2], block.norm.running_mean):
+            with pytest.raises(ValidationError, match="contiguous piece"):
+                adam.take(value, np.zeros(value.shape))
+
     def test_huge_finite_gradient_steps(self):
         # 1e200 squared overflows the fast finiteness test, and the exact
         # check it falls back to finds every entry finite
@@ -291,11 +325,11 @@ class TestFusedAdam:
         assert np.abs(arena.values - flat(values)).max() <= 1e-12 * 0.01
 
 
-MID = ModelConfig(
+WIDE = ModelConfig(
     methyl_block_dims=(300,) * 4,
     expr_dim=2_000,
     per_block_hidden=128,
-    modality_dim=512,
+    modality_dim=2_048,
     fusion_dim=128,
     latent_dim=16,
     classifier_hidden=(32, 16),
@@ -303,31 +337,33 @@ MID = ModelConfig(
 )
 # what training holds besides the arena, the snapshot, m, v and the lent
 # buffer: each batch's activations and caches, Adam's two chunk buffers
-# (512 KiB) and numpy's and Python's small objects, 2.0 MiB in all on MID at
-# batch 8; one more array of MID's values would add 14.0 MiB
+# (512 KiB) and numpy's and Python's small objects, 3.6 MiB in all on WIDE
+# at batch 8; a buffer of its largest tensor, 8 MiB, would add 6 MiB more
 ACTIVATIONS = 4 * 2**20
 
 
-def test_training_holds_four_copies_of_the_values_and_one_tensor():
-    """Building a mid-size model (1.83M parameters) and training it peaks
-    at four arena-sized arrays (the arena and the snapshot, each with the
-    running statistics, and Adam's m and v), one array the size of the
-    largest tensor and `ACTIVATIONS`: no array holds a whole model's
-    gradient."""
+def test_training_holds_four_copies_of_the_values_and_one_slab():
+    """Building a model of 4.64M parameters and training it peaks at four
+    arena-sized arrays (the arena and the snapshot, each with the running
+    statistics, and Adam's m and v), Adam's one lent buffer and
+    `ACTIVATIONS`. The buffer holds one row slab of a weight gradient: no
+    array holds a whole model's gradient, nor the whole of the largest
+    tensor's, which spans four slabs here."""
     spec = SyntheticSpec(num_classes=2, samples_per_class=20, num_blocks=4,
                          features_per_block=300, expr_features=2_000, seed=4)
     dataset = synthesize(spec)
     config = TrainConfig(batch_size=8, phase1_epochs=1, phase2_epochs=1, patience=100)
     tracemalloc.start()
     try:
-        model = build_model(MID, RngState(0))
+        model = build_model(WIDE, RngState(0))
         optim.train_two_phase(model, dataset, np.arange(32), np.arange(32, 40), config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     arena = model.arena
-    largest = max(p.value.nbytes for p in arena.params)
-    held = 2 * arena.state.nbytes + 2 * arena.values.nbytes + largest
+    lent = 8 * max(largest_slab(p.value.shape) for p in arena.params)
+    assert max(p.value.nbytes for p in arena.params) >= 4 * lent
+    held = 2 * arena.state.nbytes + 2 * arena.values.nbytes + lent
     assert peak <= held + ACTIVATIONS, (peak - held) / 2**20
 
 
@@ -448,6 +484,53 @@ class TestRunPhaseRestore:
         assert model.arena.state.tobytes() == expected.tobytes()
         assert history.best_epoch == ({} if fail_at == 2 else {1: 1})
         assert history.best_metric == ({} if fail_at == 2 else {1: history.records[0].val.total})
+
+    def test_divergence_in_a_later_slab_restores_the_saved_state(self, monkeypatch):
+        """With 16-row slabs, the expression output weights (40 rows) span
+        three: a NaN in the third, on step 6 (epoch 2), stops training after
+        the first two slabs have stepped, and the state saved after epoch 1
+        comes back bit for bit."""
+        monkeypatch.setattr(layers, "GRAD_SLAB", 2**4)
+        spec = SyntheticSpec(num_classes=2, samples_per_class=20, num_blocks=1,
+                             features_per_block=3, expr_features=40, seed=1)
+        model = build_model(replace(TINY, expr_dim=40), RngState(0))
+        target = "decoder.expr.out.linear.weights"
+        (weights,) = [p for p in model.parameters() if p.name == target]
+        assert weights.value.shape == (40, 8)
+        evaluated = []
+        original_evaluate = optim.evaluate_losses
+
+        def recording_evaluate(m, *args, **kwargs):
+            evaluated.append(m.arena.state.copy())
+            return original_evaluate(m, *args, **kwargs)
+
+        steps = []
+        original_step = model.forward_backward
+
+        def failing_step(*args):
+            sink = args[-1]
+            if len(steps) == 5:
+                sink = Record(Poison(sink, model.arena, target, index=2 * 16 * 8), model.arena)
+            try:
+                return original_step(*args[:-1], sink)
+            finally:
+                steps.append((sink, model.arena.state.copy()))
+
+        monkeypatch.setattr(optim, "evaluate_losses", recording_evaluate)
+        monkeypatch.setattr(model, "forward_backward", failing_step)
+        config = TrainConfig(batch_size=8, learning_rate=0.01, phase1_epochs=3, phase2_epochs=0,
+                             patience=100)
+        history = optim.train_two_phase(model, synthesize(spec), np.arange(32),
+                                        np.arange(32, 40), config, RngState(5))
+        assert history.diverged == (
+            f"phase 1, epoch 2, step 6: non-finite gradient in {target}; step aborted")
+        (saved,) = evaluated  # epoch 1 improved on nothing, so it was saved
+        (_, last), (sink, failed) = steps[-2:]
+        assert sink.stepped.count(target) == 2
+        done, end = weights.start + 2 * 16 * 8, weights.start + weights.value.size
+        assert (failed[weights.start : done] != last[weights.start : done]).all()
+        assert failed[done:end].tobytes() == last[done:end].tobytes()
+        assert model.arena.state.tobytes() == saved.tobytes()
 
 
 class TestEvaluateLosses:

@@ -29,12 +29,15 @@ ARENA = ("layers.py", "ParameterArena.__init__")
 # gradient checker, a test tool that `tests/standalone.py` holds; an
 # alias of `np.ndarray` and a finite check that had one caller left; the
 # model's per-batch input check, which `cli` makes once where a loaded
-# checkpoint meets a cache; and the view of the classifier's gradients that
+# checkpoint meets a cache; the view of the classifier's gradients that
 # phase 1 zeroed, since backward hands each gradient to the optimizer and
-# no region holds them
+# no region holds them; and the arena's lookup of a parameter by the
+# address of its whole view, since a sink finds a slab's offset in the
+# values from its address
 REMOVED_DEFINITIONS = ("bind", "_NoDraw", "_centred_scores", "_features", "STRIP_ONLY",
                        "gradient_check", "GradCheckResult", "Matrix", "check_finite",
-                       "_validate_inputs", "_classifier_grads")
+                       "_validate_inputs", "_classifier_grads", "parameter", "_by_address",
+                       "_address")
 
 
 def modules():
