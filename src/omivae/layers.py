@@ -13,25 +13,23 @@ initialize or load.
 
 Forward and backward passes are written out by hand, once per block or
 composite. A backward hands each parameter's gradient to the sink it is
-given, as soon as it has formed it, one slab at a time: `sink.lend(value)`
-lends a buffer shaped like `value`, a C-contiguous piece of a parameter,
-the layer writes that piece's gradient into it whole, and `sink.take(value,
-grad)` takes it. A weight matrix goes in row slabs of `slab_rows` rows, in
-row order, each formed and taken before the next, so that a sink can use a
-slab while it is still in cache; a bias or a batch-norm tensor is one slab,
-whole. No arena region holds gradients. The sink may change `value` when
-it takes its gradient (in training it is `optim.Adam`, which steps that
-slab then), so a layer forms its input gradient from its parameters before
-it hands any of their gradients on, and it holds at most one lent buffer
-at a time.
+given, as soon as it has formed it, one slab at a time: `sink.take(value,
+grad)`, where `value` is a C-contiguous piece of a parameter and `grad` a
+fresh array of its gradient, shaped like it, that nothing else holds, so
+the sink may keep it. A weight matrix goes in row slabs of `slab_rows`
+rows, in row order, each formed and taken before the next, so that a sink
+can use a slab while it is still in cache; a bias or a batch-norm tensor
+is one slab, whole. No arena region holds gradients. The sink may change
+`value` when it takes its gradient (in training it is `optim.Adam`, which
+steps that slab then), so a layer forms its input gradient from its
+parameters before it hands any of their gradients on.
 
 Arrays written in place: besides parameters and running statistics (see
-`Parameter`) and the buffers a sink lends, only arrays that one module made
-and nothing else holds. `FcBlock` hands its fresh linear output to
-`BatchNormLayer`, which consumes it (normalizes it in place; in train mode
-it becomes the cached `x_hat`), and applies the ReLU in place on batch
-norm's output. No forward or backward writes the inputs or upstream
-gradients it is given.
+`Parameter`), only arrays that one module made and nothing else holds.
+`FcBlock` hands its fresh linear output to `BatchNormLayer`, which
+consumes it (normalizes it in place; in train mode it becomes the cached
+`x_hat`), and applies the ReLU in place on batch norm's output. No forward
+or backward writes the inputs or upstream gradients it is given.
 """
 
 from __future__ import annotations
@@ -56,15 +54,6 @@ def slab_rows(in_dim: int) -> int:
     many multiples of `SLAB_ALIGN` as fit in `GRAD_SLAB` elements, and at
     least `SLAB_ALIGN` rows, however wide."""
     return max(SLAB_ALIGN, GRAD_SLAB // in_dim // SLAB_ALIGN * SLAB_ALIGN)
-
-
-def largest_slab(shape: tuple[int, ...]) -> int:
-    """The most elements a backward hands on at once of a tensor of
-    `shape`: one row slab of a weight matrix, or the whole of a 1-D tensor."""
-    if len(shape) == 1:
-        return shape[0]
-    out_dim, in_dim = shape
-    return min(out_dim, slab_rows(in_dim)) * in_dim
 
 
 @dataclass
@@ -232,13 +221,9 @@ class LinearLayer:
         rows = slab_rows(x.shape[1])
         for start in range(0, upstream.shape[1], rows):
             slab = slice(start, start + rows)
-            grad = sink.lend(self.weights[slab])
-            np.matmul(upstream[:, slab].T, x, out=grad)
-            sink.take(self.weights[slab], grad)
+            sink.take(self.weights[slab], upstream[:, slab].T @ x)
         if self.bias is not None:
-            grad = sink.lend(self.bias)
-            np.sum(upstream, axis=0, out=grad)
-            sink.take(self.bias, grad)
+            sink.take(self.bias, upstream.sum(axis=0))
         return din
 
 
@@ -315,12 +300,8 @@ class BatchNormLayer:
         n = x_hat.shape[0]
         d_hat = upstream * self.gamma
         work = upstream * x_hat
-        grad = sink.lend(self.gamma)
-        np.sum(work, axis=0, out=grad)
-        sink.take(self.gamma, grad)
-        grad = sink.lend(self.beta_shift)
-        np.sum(upstream, axis=0, out=grad)
-        sink.take(self.beta_shift, grad)
+        sink.take(self.gamma, work.sum(axis=0))
+        sink.take(self.beta_shift, upstream.sum(axis=0))
         # d/dx of (x - mean)/std going through mean and variance:
         # (inv_std / n) * (n * d_hat - sum(d_hat) - x_hat * sum(d_hat * x_hat))
         d_hat_x_hat = np.sum(np.multiply(d_hat, x_hat, out=work), axis=0)

@@ -13,7 +13,8 @@ decoder branch left out. The graph is declared once, in
 whose blocks run their own backward. `forward_backward` takes each loss's
 gradient from `losses`, which returns it with the value, and calls the
 towers' backward, which hand each parameter's gradient to the step's sink
-as it forms (see `layers`): the model keeps no gradient.
+as it forms, one `sink.take(value, grad)` per slab (see `layers`): the
+model keeps no gradient.
 
 A model is made in three steps: its blocks declare their tensors, one
 `ParameterArena` allocates them all, and then either each block draws its
@@ -34,7 +35,6 @@ from .layers import (
     FcBlock,
     Join,
     LinearLayer,
-    Parameter,
     ParameterArena,
     Sequence,
     Split,
@@ -192,9 +192,6 @@ class OmiVaeModel:
                 block.init(init)
 
     # ------------------------------------------------------------------ plumbing
-
-    def parameters(self) -> list[Parameter]:
-        return list(self.arena.params)
 
     def state_tensors(self) -> list[tuple[str, np.ndarray]]:
         """Parameters plus batch-norm running statistics, in declaration order."""

@@ -5,12 +5,12 @@ A model keeps every parameter and batch-norm running statistic in one
 float64 `ParameterArena`, and everything here works on its flat vectors.
 Training holds four arrays the size of `arena.values`: the arena itself,
 Adam's `m` and `v`, and the snapshot `saved` of `arena.state`; besides
-them, Adam's one gradient buffer holds the largest piece a backward hands
-on: one row slab of a weight matrix (`layers.GRAD_SLAB` elements where the
-row width allows) or a whole 1-D tensor. No array holds a whole model's
-gradient, nor a whole tensor's: `forward_backward` hands each piece of a
-gradient to Adam, the step's sink, as backward forms it, and Adam steps
-that piece at once, while it is still in cache. Adam takes Kingma & Ba's
+them, one piece of a gradient at a time: one row slab of a weight matrix
+(`layers.GRAD_SLAB` elements where the row width allows) or a whole 1-D
+tensor. No array holds a whole model's gradient, nor a whole tensor's:
+`forward_backward` hands each piece of a gradient to Adam, the step's
+sink, as backward forms it, and Adam steps that piece at once, while it is
+still in cache, and keeps none of it. Adam takes Kingma & Ba's
 efficient form, so its `m` and `v` hold unscaled moments: `(1 - beta1) * m`
 and `(1 - beta2) * v` are the textbook ones. Code that changes a tensor
 writes it in place and never rebinds `.value` or a running statistic. A
@@ -28,7 +28,7 @@ import numpy as np
 
 from .container import fields_from_text, fields_to_text, read_container, write_container
 from .errors import NumericError, ValidationError
-from .layers import ParameterArena, largest_slab, softmax
+from .layers import ParameterArena, softmax
 from .losses import LossReport, LossWeights, classification_loss, total_loss, vae_loss
 from .model import ModelConfig, OmiVaeModel
 from .numerics import RngState
@@ -51,12 +51,12 @@ class Adam:
 
     Adam is the gradient sink of a training step (see `layers`).
     `begin_step()` advances `t` and fixes the step's size and eps. Backward
-    then writes each slab of a gradient (a weight matrix's row slab, or a
-    whole 1-D tensor) into the buffer `lend` gives, one buffer the size of
-    the largest slab, and hands it to `take`. `take` finds the slab's
-    offset in `values` from its address, checks the slab, and updates its
-    weights and moments in place, over chunks of `ADAM_CHUNK` elements with
-    two preallocated chunk buffers for the temporaries. A non-finite
+    then hands each slab of a gradient (a weight matrix's row slab, or a
+    whole 1-D tensor) to `take`, as the array it formed. `take` finds the
+    slab's offset in `values` from its address, checks the gradient, and
+    updates the slab's weights and moments in place, over chunks of
+    `ADAM_CHUNK` elements with two preallocated chunk buffers for the
+    temporaries; it keeps no reference to the gradient. A non-finite
     gradient raises `NumericError` naming its tensor before anything of
     that slab changes; the slabs taken earlier in the step, that tensor's
     own earlier rows among them, have stepped already.
@@ -68,7 +68,6 @@ class Adam:
         self.t = 0
         self.m = np.zeros(arena.values.size)
         self.v = np.zeros(arena.values.size)
-        self._grad = np.empty(max(largest_slab(p.value.shape) for p in arena.params))
         self._a = np.empty(ADAM_CHUNK)
         self._b = np.empty(ADAM_CHUNK)
         self._size = self._eps = None
@@ -84,10 +83,6 @@ class Adam:
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         r = np.sqrt((1.0 - b2**self.t) / (1.0 - b2))
         self._size, self._eps = self.lr * (1.0 - b1) * r / (1.0 - b1**self.t), ADAM_EPS * r
-
-    def lend(self, value: np.ndarray) -> np.ndarray:
-        """The gradient buffer for `value`, a slab of a parameter, shaped like it."""
-        return self._grad[: value.size].reshape(value.shape)
 
     def take(self, value: np.ndarray, grad: np.ndarray) -> None:
         """Step `value`, a slab of a parameter, by its gradient `grad`."""
@@ -376,7 +371,8 @@ def save_checkpoint(path: str, model: OmiVaeModel, metadata: dict[str, str] | No
     """Write a checkpoint: the model config, the model's state tensors in
     `model.state_tensors()` order and the caller's metadata, nothing else.
 
-    Each training phase starts a fresh `Adam`, so no optimizer state is kept.
+    No optimizer state is saved: a phase resumed from a checkpoint starts
+    Adam on zero moments at step 0, as phase 2 of a continuous run does.
     """
     write_container(
         path,

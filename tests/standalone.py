@@ -4,11 +4,12 @@ gradient checker.
 A layer or block holds no arrays until a `ParameterArena` allocates them,
 so a test declares its modules and then calls `allocate`, as `OmiVaeModel`
 does for its blocks. A backward hands each gradient to a sink (see
-`omivae.layers`), a weight matrix's in row slabs: `Collect` keeps them
-in one flat vector in arena order, and `Poison` puts a NaN (or another bad
-value) into one entry of one tensor's gradient on its way to another
-sink. `gradient_check` compares the gradients of anything with an `arena`,
-such as a model, with central finite differences."""
+`omivae.layers`) with one `take(value, grad)` call per slab, a weight
+matrix's in row slabs: `Collect` copies them into one flat vector in arena
+order, and `Poison` puts a NaN (or another bad value) into one entry of
+one tensor's gradient on its way to another sink. `gradient_check`
+compares the gradients of anything with an `arena`, such as a model, with
+central finite differences."""
 
 from dataclasses import dataclass
 
@@ -20,23 +21,21 @@ from omivae.numerics import RngState
 
 
 class Collect:
-    """A sink that keeps each gradient in `flat`, which lines up with
+    """A sink that copies each gradient into `flat`, which lines up with
     `arena.values`. Each take appends the name of its tensor to `taken`,
     once per slab, and the (start, stop) span of `values` it covers to
-    `spans`. `flat` starts filled with `fill`, so an entry no backward
-    wrote still reads `fill`."""
+    `spans`. `flat` starts filled with NaN, so an entry no backward wrote
+    still reads NaN."""
 
-    def __init__(self, arena: ParameterArena, fill: float = np.nan):
+    def __init__(self, arena: ParameterArena):
         self.arena = arena
-        self.flat = np.full(arena.values.size, fill)
+        self.flat = np.full(arena.values.size, np.nan)
         self.taken: list[str] = []
         self.spans: list[tuple[int, int]] = []
 
-    def lend(self, value):
-        return self.grad(value)
-
     def take(self, value, grad):
-        assert np.shares_memory(grad, self.grad(value))
+        assert grad.shape == value.shape, (grad.shape, value.shape)
+        self.grad(value)[...] = grad
         start = self.arena.offset(value)
         self.taken.append(self.arena.owner(start).name)
         self.spans.append((start, start + value.size))
@@ -56,9 +55,6 @@ class Poison:
     def __init__(self, sink, arena: ParameterArena, name: str, bad: float = np.nan,
                  index: int = 0):
         self.sink, self.arena, self.name, self.bad, self.index = sink, arena, name, bad, index
-
-    def lend(self, value):
-        return self.sink.lend(value)
 
     def take(self, value, grad):
         start = self.arena.offset(value)

@@ -198,18 +198,6 @@ class TestBackward:
         assert stepped_din.tobytes() == din.tobytes()
         assert stepped_grads.tobytes() == grads.tobytes()
 
-    def test_backward_writes_grads_instead_of_adding(self):
-        # NaN in every lent buffer, then two backwards into the same
-        # buffers: the gradients are those of the last one alone, bit for bit
-        x, first, second = (RngState(s).standard_normal(6, 4) for s in (40, 41, 42))
-        (fresh, fresh_sink), (block, sink) = (allocated(FcBlock(4, 4), seed=43) for _ in range(2))
-        fresh.forward(x, train=True)
-        fresh.backward(second, fresh_sink)
-        for upstream in (first, second):
-            block.forward(x, train=True)
-            block.backward(upstream, sink)
-        assert sink.flat.tobytes() == fresh_sink.flat.tobytes()
-
     def test_skipping_the_input_gradient_keeps_the_parameter_grads(self):
         x = RngState(44).standard_normal(5, 3)
         upstream = RngState(45).standard_normal(5, 2)

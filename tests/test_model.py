@@ -47,7 +47,7 @@ def tiny_batch(config, rows=4, seed=0):
 
 def params_under(model, prefix):
     """The model's parameters whose names start with `prefix`."""
-    return [p for p in model.parameters() if p.name.startswith(prefix)]
+    return [p for p in model.arena.params if p.name.startswith(prefix)]
 
 
 def expected_param_count(config: ModelConfig) -> int:
@@ -101,7 +101,7 @@ class TestBuild:
         )
         model = build_model(config, RngState(0))
         encoders = [
-            p.value for p in model.parameters() if p.name.startswith("encoder.methyl.block")
+            p.value for p in model.arena.params if p.name.startswith("encoder.methyl.block")
             and p.name.endswith(".linear.weights")
         ]
         assert len(encoders) == 23
@@ -177,11 +177,11 @@ class TestBuild:
         config = tiny_config()
         a = build_model(config, RngState(7))
         b = build_model(config, RngState(7))
-        for pa, pb in zip(a.parameters(), b.parameters()):
+        for pa, pb in zip(a.arena.params, b.arena.params):
             assert pa.name == pb.name
             assert np.array_equal(pa.value, pb.value)
         # frozen fingerprint of the seed-7 initialization (expression hidden width 8)
-        checksum = sum(float(np.abs(p.value).sum()) for p in a.parameters())
+        checksum = sum(float(np.abs(p.value).sum()) for p in a.arena.params)
         assert abs(checksum - 281.7737392783085) < 1e-9
 
     def test_invalid_config_rejected(self):
@@ -215,7 +215,7 @@ class TestEncode:
     def test_zero_weights_zero_input(self):
         config = tiny_config()
         model = build_model(config, RngState(6))
-        for p in model.parameters():
+        for p in model.arena.params:
             p.value[:] = 0.0
         x_expr = np.zeros((3, config.expr_dim))
         x_blocks = [np.zeros((3, d)) for d in config.methyl_block_dims]
@@ -366,28 +366,50 @@ class TestForwardBackward:
         "beta, skipped", [(0.0, ("classifier.",)), (1.0, ())], ids=["phase1", "joint"]
     )
     def test_grads_are_written_whatever_they_held(self, beta, skipped):
-        # a step into NaN-filled buffers gives the gradients of a step into
-        # zeros, bit for bit; each parameter is handed on exactly once,
-        # except those of the tower that runs no backward
+        # each parameter is handed on exactly once, every entry of it,
+        # except those of the tower that runs no backward, which keep the
+        # sink's NaN fill
         config = tiny_config()
         x_expr, x_blocks = tiny_batch(config, rows=6)
         labels = np.array([0, 1, 2, 3, 0, 1]) if beta else None
-        sinks = []
-        for fill in (0.0, np.nan):
-            model = build_model(config, RngState(37))
-            sink = Collect(model.arena, fill)
-            model.forward_backward(
-                x_expr, x_blocks, labels, LossWeights(alpha=1.0, beta=beta), RngState(36), sink
-            )
-            sinks.append(sink)
-        zeros, nans = sinks
-        names = [p.name for p in model.parameters() if not p.name.startswith(skipped)]
-        assert nans.taken == zeros.taken
-        assert sorted(nans.taken) == sorted(names)
-        taken = np.isfinite(nans.flat)
-        assert nans.flat[taken].tobytes() == zeros.flat[taken].tobytes()
-        for p in model.parameters():
-            assert taken[p.start : p.start + p.value.size].all() == (p.name in nans.taken), p.name
+        model = build_model(config, RngState(37))
+        sink = Collect(model.arena)
+        model.forward_backward(
+            x_expr, x_blocks, labels, LossWeights(alpha=1.0, beta=beta), RngState(36), sink
+        )
+        names = [p.name for p in model.arena.params if not p.name.startswith(skipped)]
+        assert sorted(sink.taken) == sorted(names)
+        taken = np.isfinite(sink.flat)
+        for p in model.arena.params:
+            assert taken[p.start : p.start + p.value.size].all() == (p.name in sink.taken), p.name
+
+    def test_a_sink_may_keep_every_array_it_is_given(self):
+        """Each gradient is a fresh array that no later slab, layer or take
+        writes: kept by reference through a whole step, it still equals the
+        copy taken when it was handed on, and shares no memory with any
+        other kept array or with the arena."""
+
+        class Keep:
+            def __init__(self, sink):
+                self.sink, self.kept = sink, []
+
+            def take(self, value, grad):
+                self.sink.take(value, grad)
+                self.kept.append((value, grad))
+
+        config = tiny_config()
+        x_expr, x_blocks = tiny_batch(config, rows=6)
+        model = build_model(config, RngState(39))
+        copies = Collect(model.arena)
+        sink = Keep(copies)
+        model.forward_backward(x_expr, x_blocks, np.array([0, 1, 2, 3, 0, 1]),
+                               LossWeights(alpha=1.0, beta=1.0), RngState(40), sink)
+        assert len(sink.kept) == len(model.arena.params)
+        for i, (value, grad) in enumerate(sink.kept):
+            assert grad.tobytes() == copies.grad(value).tobytes(), copies.taken[i]
+            assert not np.shares_memory(grad, model.arena.state), copies.taken[i]
+            for _, other in sink.kept[:i]:
+                assert not np.shares_memory(grad, other), copies.taken[i]
 
     @pytest.mark.parametrize(
         "overrides, inputs, input_grads",
@@ -449,7 +471,7 @@ class TestForwardBackward:
     def test_zero_model_closed_form_loss(self):
         config = tiny_config()
         model = build_model(config, RngState(32))
-        for p in model.parameters():
+        for p in model.arena.params:
             p.value[:] = 0.0
         x_expr = np.zeros((4, config.expr_dim))
         x_blocks = [np.zeros((4, d)) for d in config.methyl_block_dims]

@@ -14,7 +14,7 @@ from omivae import data, layers, optim
 from omivae.container import fields_to_text, read_container, write_container
 from omivae.data import SyntheticSpec, synthesize
 from omivae.errors import FormatError, NumericError, ValidationError
-from omivae.layers import FcBlock, LinearLayer, largest_slab
+from omivae.layers import FcBlock, LinearLayer
 from omivae.losses import LossWeights
 from omivae.model import ModelConfig, OmiVaeModel, build_model
 from omivae.numerics import RngState
@@ -72,9 +72,6 @@ class Record:
         self.grads: dict[str, np.ndarray] = {}
         self.stepped: list[str] = []
 
-    def lend(self, value):
-        return self.sink.lend(value)
-
     def take(self, value, grad):
         if self.edit is not None:
             self.edit(grad)
@@ -86,12 +83,10 @@ class Record:
 
 def hand_on(adam, gradients):
     """One step of `adam`: each (parameter value, gradient) pair of
-    `gradients` is lent, written and taken in turn."""
+    `gradients` is taken in turn."""
     adam.begin_step()
     for value, grad in gradients:
-        buffer = adam.lend(value)
-        buffer[...] = grad
-        adam.take(value, buffer)
+        adam.take(value, np.array(grad, dtype=float))
 
 
 def follow_textbook(adam, hand, steps):
@@ -129,7 +124,7 @@ class TestArena:
     def test_every_tensor_is_a_view_into_the_arena(self):
         model = build_model(TINY, RngState(0))
         arena = model.arena
-        params = model.parameters()
+        params = model.arena.params
         assert len(params) == 43
         for p in params:
             assert np.shares_memory(p.value, arena.values[p.start : p.start + p.value.size])
@@ -147,7 +142,7 @@ class TestArena:
                 for attr, array in vars(layer).items():
                     if isinstance(array, np.ndarray):
                         assert np.shares_memory(array, arena.state), f"{block.name}.{attr}"
-        assert arena.values.size == sum(p.value.size for p in model.parameters())
+        assert arena.values.size == sum(p.value.size for p in model.arena.params)
         # no region holds gradients
         assert arena.state.size == arena.values.size + sum(a.size for a in stats)
 
@@ -159,7 +154,7 @@ class TestArena:
         allocate(layer, seed=7)
         limit = np.sqrt(6.0 / (3 + 2))
         expected = RngState(7).uniform(-limit, limit, (2, 3))
-        first = a.parameters()[0]
+        first = a.arena.params[0]
         assert first.name == "encoder.methyl.block00.linear.weights"
         assert first.value.tobytes() == layer.weights.tobytes() == expected.tobytes()
         for name, arr in a.state_tensors():
@@ -184,7 +179,7 @@ class TestFusedAdam:
         model = build_model(TINY, RngState(0))
         ds = tiny_dataset()
         adam = Adam(model.arena, lr=0.01)
-        classifier = [p for p in model.parameters() if p.name.startswith("classifier.")]
+        classifier = [p for p in model.arena.params if p.name.startswith("classifier.")]
         entry = [p.value.copy() for p in classifier]
         edits = {12: lambda g: g.fill(0.0), 16: lambda g: g.reshape(-1)[::3].fill(0.0)}
 
@@ -198,7 +193,7 @@ class TestFusedAdam:
             model.forward_backward(*ds.batch(chosen), ds.labels[chosen], weights, RngState(t),
                                    sink)
             assert sorted(sink.grads) == sorted(
-                p.name for p in model.parameters() if t > 8 or p not in classifier)
+                p.name for p in model.arena.params if t > 8 or p not in classifier)
 
         follow_textbook(adam, hand, 24)
         assert any(p.value.tobytes() != w.tobytes() for p, w in zip(classifier, entry))
@@ -213,8 +208,7 @@ class TestFusedAdam:
 
         def hand(t, sink):
             for value in (layer.weights, layer.bias):
-                grad = sink.lend(value)
-                grad[...] = rng.standard_normal(value.shape) * 10.0 ** rng.integers(-6, 2)
+                grad = rng.standard_normal(value.shape) * 10.0 ** rng.integers(-6, 2)
                 if t == 5:
                     grad.fill(0.0)
                 if t == 9:
@@ -266,7 +260,7 @@ class TestFusedAdam:
             assert str(info.value) == f"non-finite gradient in {target}; step aborted"
             assert target in sink.grads and target not in sink.stepped
             assert "encoder.fusion.linear.weights" not in sink.grads  # it comes next
-            for p in model.parameters():
+            for p in model.arena.params:
                 span = slice(p.start, p.start + p.value.size)
                 for saved, live in zip(before, (model.arena.values, adam.m, adam.v)):
                     moved = saved[span].tobytes() != live[span].tobytes()
@@ -280,7 +274,7 @@ class TestFusedAdam:
         layer = LinearLayer(13, 101)
         arena = allocate(layer, seed=6)
         adam = Adam(arena, lr=0.01)
-        assert largest_slab(layer.weights.shape) == 16 * 13 < layer.weights.size
+        assert layers.slab_rows(13) == 16
         x, upstream = (RngState(seed).standard_normal(7, n) for seed, n in ((7, 13), (8, 101)))
         sink = Record(Poison(adam, arena, "linear.weights", index=3 * 16 * 13 + 5), arena)
         before = [a.copy() for a in (arena.values, adam.m, adam.v)]
@@ -335,20 +329,21 @@ WIDE = ModelConfig(
     classifier_hidden=(32, 16),
     num_classes=2,
 )
-# what training holds besides the arena, the snapshot, m, v and the lent
-# buffer: each batch's activations and caches, Adam's two chunk buffers
-# (512 KiB) and numpy's and Python's small objects, 3.6 MiB in all on WIDE
-# at batch 8; a buffer of its largest tensor, 8 MiB, would add 6 MiB more
+# what training holds besides the arena, the snapshot, m, v and one
+# gradient slab: each batch's activations and caches, Adam's two chunk
+# buffers (512 KiB) and numpy's and Python's small objects, 3.6 MiB in
+# all on WIDE at batch 8; a buffer of its largest tensor, 8 MiB, would add
+# 6 MiB more
 ACTIVATIONS = 4 * 2**20
 
 
 def test_training_holds_four_copies_of_the_values_and_one_slab():
     """Building a model of 4.64M parameters and training it peaks at four
     arena-sized arrays (the arena and the snapshot, each with the running
-    statistics, and Adam's m and v), Adam's one lent buffer and
-    `ACTIVATIONS`. The buffer holds one row slab of a weight gradient: no
-    array holds a whole model's gradient, nor the whole of the largest
-    tensor's, which spans four slabs here."""
+    statistics, and Adam's m and v), one gradient slab and `ACTIVATIONS`.
+    The slab is one row slab of a weight gradient, at most `slab_rows`
+    rows: no array holds a whole model's gradient, nor the whole of the
+    largest tensor's, which spans four slabs here."""
     spec = SyntheticSpec(num_classes=2, samples_per_class=20, num_blocks=4,
                          features_per_block=300, expr_features=2_000, seed=4)
     dataset = synthesize(spec)
@@ -361,9 +356,12 @@ def test_training_holds_four_copies_of_the_values_and_one_slab():
     finally:
         tracemalloc.stop()
     arena = model.arena
-    lent = 8 * max(largest_slab(p.value.shape) for p in arena.params)
-    assert max(p.value.nbytes for p in arena.params) >= 4 * lent
-    held = 2 * arena.state.nbytes + 2 * arena.values.nbytes + lent
+    # a weight matrix's row slab is larger than any 1-D tensor here
+    slab = 8 * max(min(out_dim, layers.slab_rows(in_dim)) * in_dim
+                   for out_dim, in_dim in (p.value.shape for p in arena.params
+                                           if p.value.ndim == 2))
+    assert max(p.value.nbytes for p in arena.params) >= 4 * slab
+    held = 2 * arena.state.nbytes + 2 * arena.values.nbytes + slab
     assert peak <= held + ACTIVATIONS, (peak - held) / 2**20
 
 
@@ -451,7 +449,7 @@ class TestRunPhaseRestore:
 
         calls = []
         original_step = model.forward_backward
-        name = model.parameters()[3].name
+        name = model.arena.params[3].name
 
         def failing_step(*args):
             calls.append(None)
@@ -495,7 +493,7 @@ class TestRunPhaseRestore:
                              features_per_block=3, expr_features=40, seed=1)
         model = build_model(replace(TINY, expr_dim=40), RngState(0))
         target = "decoder.expr.out.linear.weights"
-        (weights,) = [p for p in model.parameters() if p.name == target]
+        (weights,) = [p for p in model.arena.params if p.name == target]
         assert weights.value.shape == (40, 8)
         evaluated = []
         original_evaluate = optim.evaluate_losses

@@ -3,8 +3,9 @@
 routine that every output goes through, and opens text for reading in one:
 the raw-line reader of every TSV and of the config file. The modules a
 training step runs make no masked copies. Layers allocate their tensors
-only through the arena, which sets them once, with no rebinding. The
-package root is a docstring: every caller imports a submodule."""
+only through the arena, which sets them once, with no rebinding, and
+hand a gradient to a sink only through `take`. The package root is a
+docstring: every caller imports a submodule."""
 
 import ast
 import pathlib
@@ -31,13 +32,17 @@ ARENA = ("layers.py", "ParameterArena.__init__")
 # model's per-batch input check, which `cli` makes once where a loaded
 # checkpoint meets a cache; the view of the classifier's gradients that
 # phase 1 zeroed, since backward hands each gradient to the optimizer and
-# no region holds them; and the arena's lookup of a parameter by the
-# address of its whole view, since a sink finds a slab's offset in the
-# values from its address
+# no region holds them; the arena's lookup of a parameter by the address
+# of its whole view, since a sink finds a slab's offset in the values from
+# its address; the model's copy of the arena's parameter list; and the
+# gradient buffer a sink lent to backward and its size, since backward
+# hands each slab's gradient on as the array it forms
 REMOVED_DEFINITIONS = ("bind", "_NoDraw", "_centred_scores", "_features", "STRIP_ONLY",
                        "gradient_check", "GradCheckResult", "Matrix", "check_finite",
                        "_validate_inputs", "_classifier_grads", "parameter", "_by_address",
-                       "_address")
+                       "_address", "parameters", "lend", "largest_slab", "_grad")
+# the one method of a gradient sink that `layers` calls
+SINK_METHODS = {"take"}
 
 
 def modules():
@@ -168,6 +173,16 @@ def test_layers_allocate_only_in_the_arena():
     (tree,) = [tree for name, tree in modules() if name == ARENA[0]]
     found = calls(tree, lambda call: call_name(call) in ALLOCATORS)
     assert found and {scope for scope, _ in found} == {ARENA[1]}, found
+
+
+def test_layers_call_only_take_on_a_sink():
+    """A backward hands each gradient slab to its sink in one call,
+    `sink.take(value, grad)`, and asks the sink for nothing else."""
+    (tree,) = [tree for name, tree in modules() if name == "layers.py"]
+    used = [(node.attr, node.lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "sink"]
+    assert used and {attr for attr, _ in used} == SINK_METHODS, used
 
 
 def test_no_module_defines_a_rebinding_or_a_stand_in_stream():
